@@ -136,10 +136,7 @@ def sink_success_fractions(topo: Topology, field: Field, trials: int,
     rlnc_trial.
     """
     if topo.m == 2 and _is_combination_like(topo):
-        try:
-            return _fractions_vectorized(topo, field, trials, seed)
-        except ImportError:
-            pass
+        return _fractions_vectorized(topo, field, trials, seed)
     counts = {r: 0 for r in topo.sinks}
     overall = 0
     for i in range(trials):
@@ -154,26 +151,37 @@ def rlnc_success_curve(topo: Topology, q_list, trials: int, seed: int,
                        field_for=None):
     """Success fraction per field size; rows `q,sink,success_fraction,ho_bound`.
 
-    ho_bound is the per-sink analytic lower bound (d = 1, per-sink link
-    count eta); "N/A" where inapplicable (q <= d).  Returns the list of
-    row dicts; callers serialize to CSV.
+    Returns the list of row dicts (see curve_rows); callers serialize to
+    CSV.
     """
-    from .analysis import BoundNotApplicable, ho_bound
     from .gf import field_new
 
     field_for = field_for or field_new
     rows = []
     for q in q_list:
-        field = field_for(q)
-        fracs, _overall = sink_success_fractions(topo, field, trials, seed)
-        for r in topo.sinks:
-            try:
-                bound = float(ho_bound(1, q, eta(topo, r), 0))
-            except BoundNotApplicable:
-                bound = None
-            rows.append({"q": q, "sink": r,
-                         "success_fraction": fracs[r],
-                         "ho_bound": bound if bound is not None else "N/A"})
+        fracs, _overall = sink_success_fractions(topo, field_for(q), trials,
+                                                 seed)
+        rows.extend(curve_rows(topo, q, fracs))
+    return rows
+
+
+def curve_rows(topo: Topology, q: int, fracs: dict):
+    """Rows `q,sink,success_fraction,ho_bound` for one field size.
+
+    fracs maps sink -> success fraction.  ho_bound is the per-sink analytic
+    lower bound (d = 1, per-sink link count eta); "N/A" where inapplicable
+    (q <= d).
+    """
+    from .analysis import BoundNotApplicable, ho_bound
+
+    rows = []
+    for r in topo.sinks:
+        try:
+            bound = float(ho_bound(1, q, eta(topo, r), 0))
+        except BoundNotApplicable:
+            bound = "N/A"
+        rows.append({"q": q, "sink": r, "success_fraction": fracs[r],
+                     "ho_bound": bound})
     return rows
 
 

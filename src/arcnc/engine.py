@@ -30,9 +30,10 @@ from functools import lru_cache
 from math import log2
 
 from .gf import Field
-from .polyalg import (DecodeHorizonError, PolyMatrix, SingularMatrixError,
-                      ToeplitzExpansion, select_columns, sequential_decode,
-                      toeplitz_solve)
+from .polyalg import (PolyMatrix, SingularMatrixError, ToeplitzExpansion,
+                      select_columns, sequential_decode)
+# Not called here; perfbench's tracer still wraps engine.toeplitz_solve.
+from .polyalg import toeplitz_solve  # noqa: F401
 from .rng import trial_rng, trial_seed
 from .topology import Topology, disjoint_paths, eta, is_acyclic
 
@@ -320,27 +321,33 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             ysym[e].append(cy[e])
             fhist[e].append(cf[e])
 
-    # ------------------------------------------------------------------ run
-    t = 0
-    all_done_at = None
-    while t < config.max_rounds:
+    def advance(t, tail):
+        """Source symbols, kernel draws and propagation for step t."""
         if trace is not None:
-            trace.append(f"t={t}")
-        if config.source_script is not None:
-            if t >= len(config.source_script):
-                raise OverrideError(f"source script has no symbols for t={t}")
-            xt = list(config.source_script[t])
-        else:
+            trace.append(f"t={t} (tail)" if tail else f"t={t}")
+        if config.source_script is None:
             xt = [rng.randint(q) for _ in range(m)]
+        elif t < len(config.source_script):
+            xt = list(config.source_script[t])
+        elif tail:
+            xt = [0] * m
+        else:
+            raise OverrideError(f"source script has no symbols for t={t}")
         for j in range(m):
             xs[j].append(xt[j])
-        if trace is not None:
+        if trace is not None and not tail:
             trace.append(f"  x_{t} = {tuple(xt)}")
         draw_coefficients(t)
         if acyclic:
             step_acyclic(t)
         else:
             step_cyclic(t)
+
+    # ------------------------------------------------------------------ run
+    t = 0
+    all_done_at = None
+    while t < config.max_rounds:
+        advance(t, tail=False)
         # Sinks test decodability.
         for r in topo.sinks:
             if r in T and not keep_F:
@@ -390,75 +397,63 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     # ------------------------------------------------- decoding verification
     delta = {r: (T[r] if r in T else None) for r in topo.sinks}
     if success and (config.verify_decode or config.trace):
-        # Decoding delay estimate per sink: the z-adic valuation of the
-        # determinant of the first full-rank column subset when one exists,
-        # else the stopping time (the Toeplitz solver's guaranteed delay).
-        est = {}
-        for r in topo.sinks:
-            PM = PolyMatrix.from_coeff_matrices(fld, Fs[r])
-            try:
-                _, sub = select_columns(PM, m)
-                est[r] = sub.det().valuation()
-            except SingularMatrixError:
-                est[r] = T[r]
-        # Extend the horizon so every sink can decode at least two symbols;
-        # all kernels are frozen by now so these steps draw nothing new.
-        target = all_done_at + max(max(est.values()), max(T.values())) + 1
-        while t <= target:
-            if trace is not None:
-                trace.append(f"t={t} (tail)")
-            xt = [rng.randint(q) for _ in range(m)] \
-                if config.source_script is None else \
-                (list(config.source_script[t]) if t < len(config.source_script)
-                 else [0] * m)
-            for j in range(m):
-                xs[j].append(xt[j])
-            draw_coefficients(t)
-            if acyclic:
-                step_acyclic(t)
-            else:
-                step_cyclic(t)
-            # Cyclic feedback keeps extending the global kernels even after
-            # freezing (they are rational), so the decoder needs the F_t
-            # blocks through the whole horizon.
+        # A sink's decoding delay is the z-adic valuation of the
+        # determinant of the first full-rank column subset of its kernel
+        # matrix known through the horizon.  The horizon must reach
+        # all_done_at + delta + 1 for every sink to decode two symbols, so
+        # the tail grows until the selections made on it fit.  All kernels
+        # are frozen by now, so the tail draws only source symbols.
+        #
+        # A non-zero determinant has valuation at most cap: global kernels
+        # are N(z) / p(z) with p(0) = 1 and deg N <= E * all_done_at.  On
+        # cyclic networks a subset whose determinant is zero can look
+        # non-zero, with a valuation past the horizon, in the truncated
+        # matrix; once the horizon reaches limit the selection skips those.
+        cap = m * topo.num_edges * all_done_at
+        limit = all_done_at + cap + 1
+        selected = {}
+        stale = set(topo.sinks)    # sinks whose kernel matrix changed
+        target = all_done_at + max(T.values()) + 1
+        while True:
+            while t <= target:
+                advance(t, tail=True)
+                # Cyclic feedback keeps extending the global kernels even
+                # after freezing (they are rational), so the decoder needs
+                # the F_t blocks through the whole horizon.
+                for r in topo.sinks:
+                    Ft = [[fhist[e][t][i] for e in topo.in_edges(r)]
+                          for i in range(m)]
+                    Fs[r].append(Ft)
+                    if any(any(row) for row in Ft):
+                        stale.add(r)
+                t += 1
+            horizon = t - 1
+            bound = cap if horizon >= limit else None
             for r in topo.sinks:
-                Fs[r].append([[fhist[e][t][i] for e in topo.in_edges(r)]
-                              for i in range(m)])
-            t += 1
-        horizon = t - 1
+                if r in stale or (bound is not None and delta[r] > bound):
+                    PM = PolyMatrix.from_coeff_matrices(fld, Fs[r])
+                    try:
+                        selected[r] = select_columns(PM, m, bound)
+                    except SingularMatrixError as exc:
+                        raise EngineError(f"sink {r}: {exc}") from exc
+                    delta[r] = selected[r][2].valuation()
+            stale.clear()
+            target = all_done_at + max(max(delta.values()),
+                                       max(T.values())) + 1
+            if target <= horizon:
+                break
+            target = min(target, limit)
         for r in topo.sinks:
-            # Primary decoder: adjugate / power-series division on the
-            # first full-rank column subset of the (post-tail) kernel
-            # matrix.  Falls back to direct Toeplitz elimination if no
-            # subset is invertible (then the guaranteed delay is T_i).
+            subset, sub, det = selected[r]
             in_ids = topo.in_edges(r)
-            PM = PolyMatrix.from_coeff_matrices(fld, Fs[r])
-            d = None
-            decoded_cols = None
-            try:
-                subset, sub = select_columns(PM, m)
-                d, decoded_cols = sequential_decode(
-                    sub, [ysym[in_ids[c]] for c in subset], horizon)
-            except (SingularMatrixError, DecodeHorizonError):
-                pass
-            if decoded_cols is not None:
-                delta[r] = d
-                for j in range(m):
-                    want = xs[j][:horizon - d + 1]
-                    if decoded_cols[j][:len(want)] != want:
-                        raise EngineError(
-                            f"sink {r}: decode failure on symbol {j} "
-                            f"(delay {d}, horizon {horizon})")
-            else:
-                d = delta[r] = T[r]
-                solved = toeplitz_solve(Fs[r], [ysym[e] for e in in_ids],
-                                        m, horizon, fld)
-                for tt in range(horizon - d + 1):
-                    for j in range(m):
-                        if solved[tt][j] != xs[j][tt]:
-                            raise EngineError(
-                                f"sink {r}: decode failure for x_{{{tt},{j}}} "
-                                f"(delay {d}, horizon {horizon})")
+            d, decoded_cols = sequential_decode(
+                sub, det, [ysym[in_ids[c]] for c in subset], horizon)
+            for j in range(m):
+                want = xs[j][:horizon - d + 1]
+                if decoded_cols[j][:len(want)] != want:
+                    raise EngineError(
+                        f"sink {r}: decode failure on symbol {j} "
+                        f"(delay {d}, horizon {horizon})")
             if trace is not None:
                 trace.append(f"  sink {r}: delay delta={d}, decoded "
                              f"x_0..x_{horizon - d} verified")

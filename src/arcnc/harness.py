@@ -19,11 +19,12 @@ import sys
 from fractions import Fraction
 
 from . import analysis
-from .baseline import rlnc_success_curve, sink_success_fractions, expected_attempts
+from .baseline import curve_rows, expected_attempts, sink_success_fractions
 from .engine import OverrideError, SimConfig, collect_campaign, run_trial
 from .gf import FieldError, field_new
-from .topology import (TopologyError, combination_network, eta, load_topology,
-                       save_topology, two_node_cycle_network, validate_multicast)
+from .topology import (TopologyError, combination_network, eta, is_acyclic,
+                       load_topology, save_topology, two_node_cycle_network,
+                       validate_multicast)
 
 # Analytic properties of the deterministic binary network code of Xiao et
 # al. on combination networks, shown in reports as static reference
@@ -251,11 +252,17 @@ def _analysis_columns(topo, q, tol, t_max):
 
 
 def cmd_run(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     topo = _load_topology_arg(args)
     report = validate_multicast(topo)
     if not report.ok:
         raise ValueError(f"multicast validation failed: sinks {report.failures} "
                          f"have max-flow below m={topo.m}")
+    if args.mode in ("rlnc", "both") and not is_acyclic(topo)[0]:
+        raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     field = field_new(args.q)
     overrides = None
     if args.override:
@@ -290,11 +297,10 @@ def cmd_run(args) -> int:
     if args.mode in ("rlnc", "both"):
         fracs, overall = sink_success_fractions(topo, field, args.trials,
                                                 args.seed)
-        curve = rlnc_success_curve(topo, [args.q], args.trials, args.seed)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["q", "sink", "success_fraction", "ho_bound"])
-        for row in curve:
+        for row in curve_rows(topo, args.q, fracs):
             writer.writerow([row["q"], row["sink"],
                              f"{row['success_fraction']:.10g}",
                              row["ho_bound"] if row["ho_bound"] == "N/A"

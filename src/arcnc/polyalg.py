@@ -1,8 +1,11 @@
 """Polynomials and polynomial matrices over F_q.
 
 Implements the delay-domain algebra used by the protocol: truncated
-convolution, rank over F_q, the block-Toeplitz decodability test, an exact
-determinant oracle, and the sequential (power-series) decoder.
+convolution, rank over F_q, the block-Toeplitz decodability test, the
+cofactor determinant and column selection, and the sequential
+(power-series) decoder.  toeplitz_solve, direct elimination on the
+Toeplitz system, is kept as the reference the sequential decoder is
+tested against.
 
 Decodability of a kernel matrix known through degree t is tested via rank
 increments of the block upper-triangular Toeplitz expansions M_L.  The
@@ -11,7 +14,7 @@ is recoverable with delay <= t; to decide invertibility of the matrix as a
 whole (non-zero determinant), increments are additionally probed at
 zero-padded levels L = t+1 .. m*t.  Some level passes if and only if the
 determinant (some m x m minor, in the rectangular case) is a non-zero
-polynomial, which is what the determinant oracle checks independently.
+polynomial, which PolyMatrix.det checks independently.
 """
 
 from __future__ import annotations
@@ -455,27 +458,11 @@ class PolyMatrix:
             acc = acc + term
         return acc
 
-    def _det_interpolate(self) -> Poly:
-        # Evaluate at distinct points, take scalar determinants, interpolate.
-        f = self.field
-        n = self.rows
-        deg_bound = n * max(self.max_degree(), 0)
-        npts = deg_bound + 1
-        xs = list(range(npts))
-        ys = []
-        for x in xs:
-            M = [[e.eval(x) for e in row] for row in self.entries]
-            ys.append(_scalar_det(M, f))
-        return _lagrange(xs, ys, f)
-
     def det(self) -> Poly:
-        """Exact determinant polynomial."""
+        """Exact determinant polynomial, by cofactor expansion."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        deg_bound = n * max(self.max_degree(), 0)
-        if n > 4 and self.field.q > deg_bound:
-            return self._det_interpolate()
         return self._det_cofactor(list(range(n)), list(range(n)))
 
     def adjugate(self) -> "PolyMatrix":
@@ -510,52 +497,11 @@ class PolyMatrix:
         return out
 
 
-def _scalar_det(M, field: Field) -> int:
-    M = [list(r) for r in M]
-    n = len(M)
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = field.neg(det)
-        det = field.mul(det, M[col][col])
-        pinv = field.inv(M[col][col])
-        for r in range(col + 1, n):
-            if M[r][col]:
-                fct = field.mul(M[r][col], pinv)
-                M[r] = [field.sub(a, field.mul(fct, b))
-                        for a, b in zip(M[r], M[col])]
-    return det
-
-
-def _lagrange(xs, ys, field: Field) -> Poly:
-    f = field
-    acc = Poly.zero(f)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = Poly(f, [yi])
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly(f, [f.neg(xj), 1])
-            denom = f.mul(denom, f.sub(xi, xj))
-        acc = acc + num.scale(f.inv(denom))
-    return acc
-
-
 def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
     """Decode x from y(z) = x(z) F(z) by elimination on the Toeplitz system.
 
-    Fs are the coefficient matrices F_0..F_D (m rows, c >= m columns) and
+    Reference decoder: the engine decodes with sequential_decode, and the
+    tests check that decoder against this one.  Fs are the coefficient matrices F_0..F_D (m rows, c >= m columns) and
     ys the c received streams through `horizon`.  Unlike the adjugate
     decoder this works directly on the linear system
     y_{e,t} = sum_i x_{t-i} F_i, so it needs no invertible column subset:
@@ -617,29 +563,35 @@ def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
     return out
 
 
-def det_oracle(F: PolyMatrix) -> Poly:
-    """Exact determinant of a square polynomial matrix (independent oracle)."""
-    return F.det()
-
-
-def select_columns(F: PolyMatrix, m: int):
+def select_columns(F: PolyMatrix, m: int, max_valuation=None):
     """First (lexicographic) m-column subset with non-zero determinant.
 
-    Returns (column index tuple, the m x m submatrix).
+    With max_valuation, the determinant must also have valuation at most
+    max_valuation.  When F is a power-series matrix truncated past that
+    bound, this skips the subsets whose determinant is zero but whose
+    truncation is not.
+
+    Returns (column index tuple, the m x m submatrix, its determinant).
     """
     if F.cols < m:
         raise SingularMatrixError("fewer columns than the multicast rate")
     for subset in itertools.combinations(range(F.cols), m):
         sub = F.submatrix_cols(subset)
-        if not sub.det().is_zero():
-            return subset, sub
-    raise SingularMatrixError("no full-rank column subset exists")
+        det = sub.det()
+        if not det.is_zero() and (max_valuation is None
+                                  or det.valuation() <= max_valuation):
+            return subset, sub, det
+    raise SingularMatrixError("no full-rank column subset exists"
+                              if max_valuation is None else
+                              "no column subset has a determinant of "
+                              f"valuation <= {max_valuation}")
 
 
-def sequential_decode(F: PolyMatrix, ys, horizon: int):
+def sequential_decode(F: PolyMatrix, det: Poly, ys, horizon: int):
     """Symbol-by-symbol decode of y(z) = x(z) F(z).
 
-    F must be square and invertible over the rational functions.  Writes
+    F must be square and invertible over the rational functions, and det
+    must be det(F) (as returned by select_columns).  Writes
     det(F) = z^delta * u(z) with u(0) != 0 and recovers
     x(z) = y(z) adj(F)(z) u(z)^{-1} z^{-delta}.  Decoding x_t uses y only
     through time t + delta.
@@ -649,7 +601,6 @@ def sequential_decode(F: PolyMatrix, ys, horizon: int):
     """
     f = F.field
     m = F.rows
-    det = F.det()
     if det.is_zero():
         raise SingularMatrixError("kernel matrix determinant is zero")
     delta = det.valuation()

@@ -10,7 +10,10 @@ from arcnc.engine import (OverrideError, SimConfig, TRIAL_SINK_COLUMNS,
                           TRIAL_SUMMARY_COLUMNS, collect_campaign, run_trial)
 from arcnc.gf import field_new
 from arcnc.harness import fig1_override_text, parse_override_script
-from arcnc.topology import combination_network, two_node_cycle_network
+from arcnc.polyalg import PolyMatrix, select_columns
+from arcnc.rng import SplitMix64
+from arcnc.topology import (Topology, combination_network, random_layered_dag,
+                            two_node_cycle_network, validate_multicast)
 
 F2 = field_new(2)
 
@@ -149,6 +152,57 @@ def test_delays_and_lengths_consistent():
         assert all(l >= 1 for l in res.L.values())
 
 
+def _check_delta_is_det_valuation(cfg, trials):
+    """Every decoded sink's delay is the valuation of the determinant of
+    the first full-rank column subset of its retained kernel matrix."""
+    checked = 0
+    for i in trials:
+        res = run_trial(cfg, i)
+        if not res.success:
+            continue
+        for r, Fs in res.final_F.items():
+            pm = PolyMatrix.from_coeff_matrices(cfg.field, Fs)
+            _, sub, _ = select_columns(pm, cfg.topology.m)
+            assert res.delta[r] == sub.det().valuation(), (i, r)
+            checked += 1
+    return checked
+
+
+def test_delta_is_det_valuation_on_multihop_dag():
+    # Sink 12 has three inputs and stops at T = 4, but its first full-rank
+    # column pair has a determinant of valuation 12: the horizon has to be
+    # sized from that determinant, not from the stopping time.
+    topo = Topology(num_nodes=13, edges=(
+        (0, 1), (0, 2), (0, 3), (1, 4), (3, 4), (1, 5), (3, 5), (1, 6),
+        (3, 6), (4, 7), (5, 7), (6, 7), (4, 8), (4, 9), (5, 9), (6, 9),
+        (8, 10), (9, 10), (8, 11), (9, 11), (7, 12), (8, 12), (9, 12)),
+        source=0, sinks=(10, 11, 12), m=2)
+    cfg = SimConfig(topology=topo, field=F2, base_seed=202, max_rounds=40,
+                    keep_kernels=True)
+    res = run_trial(cfg, 35)
+    assert res.success and res.T[12] == 4 and res.delta[12] == 12
+    assert _check_delta_is_det_valuation(cfg, [35]) == 3
+
+
+def test_delta_is_det_valuation_on_random_dags():
+    checked = 0
+    for m in (1, 2, 3):
+        topos = []
+        seed = 0
+        while len(topos) < 2:
+            topo = random_layered_dag(SplitMix64(seed), layers=3,
+                                      width=2 * m + 2, m=m)
+            seed += 1
+            if validate_multicast(topo).ok:
+                topos.append(topo)
+        for topo in topos:
+            for q in (2, 3, 4):
+                cfg = SimConfig(topology=topo, field=field_new(q),
+                                base_seed=q, keep_kernels=True)
+                checked += _check_delta_is_det_valuation(cfg, range(40))
+    assert checked > 0
+
+
 def test_cyclic_network_runs_and_decodes():
     topo = two_node_cycle_network()
     cfg = SimConfig(topology=topo, field=field_new(4), base_seed=13)
@@ -157,6 +211,20 @@ def test_cyclic_network_runs_and_decodes():
         res = run_trial(cfg, i)
         ok += res.success
     assert ok == 200
+
+
+def test_cyclic_delta_skips_column_pairs_with_zero_determinant():
+    # Sink 4 has three inputs.  Over the rational functions its column pair
+    # (0, 1) has a zero determinant, yet every truncation of that pair has
+    # a non-zero one, of valuation just past the horizon.  The first
+    # full-rank pair is (0, 2), whose determinant has valuation 4.
+    topo = Topology(num_nodes=5, edges=(
+        (0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 1), (2, 4), (3, 2),
+        (3, 4)), source=0, sinks=(4,), m=2)
+    cfg = SimConfig(topology=topo, field=field_new(3), base_seed=1,
+                    max_rounds=20)
+    res = run_trial(cfg, 19)
+    assert res.success and res.T[4] == 3 and res.delta[4] == 4
 
 
 def test_cyclic_time0_restricted_to_disjoint_paths():

@@ -145,6 +145,27 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_rejects_cyclic_topology_before_any_output(tmp_path, capsys):
+    cycle = tmp_path / "cycle.txt"
+    assert run_cli("gen", "cycle", "--out", str(cycle)) == 0
+    for argv in (["compare"], ["run", "--mode", "rlnc"]):
+        outdir = tmp_path / "out"
+        assert run_cli(*argv, "--topology", str(cycle), "--q", "4",
+                       "--trials", "20", "--out", str(outdir)) == 1
+        assert "acyclic" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+def test_run_rejects_bad_workers_and_trials(tmp_path, capsys):
+    for flag, value in (("--workers", "0"), ("--workers", "-3"),
+                        ("--trials", "0")):
+        outdir = tmp_path / "out"
+        assert run_cli("run", "--n", "4", "--m", "2", "--trials", "5",
+                       flag, value, "--out", str(outdir)) == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 def test_exit_code_io_errors(tmp_path, capsys):
     assert run_cli("run", "--topology", str(tmp_path / "absent.txt"),
                    "--trials", "1") == 2

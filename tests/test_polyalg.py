@@ -1,5 +1,5 @@
 """Polynomial and polynomial-matrix algebra: arithmetic, decodability,
-determinants and the two decoders."""
+determinants, the sequential decoder and its reference decoder."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 from arcnc.gf import field_new
 from arcnc.polyalg import (DecodeHorizonError, Poly, PolyMatrix,
                            SingularMatrixError, ToeplitzExpansion,
-                           build_toeplitz, concat_rank, decodable, det_oracle,
+                           build_toeplitz, concat_rank, decodable,
                            poly_mul_trunc, power_series_inv, rank_fq,
                            select_columns, sequential_decode, toeplitz_solve)
 
@@ -152,7 +152,7 @@ def test_decodable_equals_det_oracle(q):
         m = rng.randrange(1, 4)
         t = rng.randrange(0, 4)
         Fs = [_random_rows(rng, m, m, q) for _ in range(t + 1)]
-        want = not det_oracle(PolyMatrix.from_coeff_matrices(fld, Fs)).is_zero()
+        want = not PolyMatrix.from_coeff_matrices(fld, Fs).det().is_zero()
         assert decodable(Fs, m, fld) == want
 
 
@@ -197,27 +197,24 @@ def test_det_and_adjugate_identity():
                     assert acc == want
 
 
-def test_det_interpolation_path_matches_cofactor():
-    # n = 5 with a large field takes the evaluation/interpolation route;
-    # compare against the direct cofactor expansion.
-    fld = field_new(16)
-    rng = random.Random(23)
-    for _ in range(5):
-        Fs = [_random_rows(rng, 5, 5, 16) for _ in range(2)]
-        A = PolyMatrix.from_coeff_matrices(fld, Fs)
-        assert A.det() == A._det_cofactor(list(range(5)), list(range(5)))
-
-
 def test_select_columns_lexicographic():
     # Columns 0 and 1 are dependent; (0, 2) is the first invertible pair.
     A = PolyMatrix(F2, [[[1], [1], [0]],
                         [[0], [0], [1]]])
-    subset, sub = select_columns(A, 2)
+    subset, sub, det = select_columns(A, 2)
     assert subset == (0, 2)
-    assert not sub.det().is_zero()
+    assert det == sub.det() and not det.is_zero()
     B = PolyMatrix(F2, [[[1], [1]], [[1], [1]]])
     with pytest.raises(SingularMatrixError):
         select_columns(B, 2)
+    # det of columns (0, 1) is z^2; with max_valuation 1, (0, 2) is first.
+    C = PolyMatrix(F2, [[[0, 1], [0], [1]],
+                        [[0], [0, 1], [1]]])
+    assert select_columns(C, 2)[0] == (0, 1)
+    subset, _, det = select_columns(C, 2, max_valuation=1)
+    assert subset == (0, 2) and det.valuation() == 1
+    with pytest.raises(SingularMatrixError):
+        select_columns(C, 2, max_valuation=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +252,7 @@ def test_sequential_decode_round_trip(q):
         horizon = 8
         xs = [[rng.randrange(q) for _ in range(horizon + 1)] for _ in range(m)]
         ys = _encode(fld, xs, A, horizon)
-        delta, dec = sequential_decode(A, ys, horizon)
+        delta, dec = sequential_decode(A, A.det(), ys, horizon)
         assert delta == A.det().valuation()
         for j in range(m):
             n = len(dec[j])
@@ -268,7 +265,7 @@ def test_sequential_decode_horizon_error():
     A = PolyMatrix(F2, [[[0, 1], [0]], [[0], [0, 1]]])
     assert A.det().valuation() == 2
     with pytest.raises(DecodeHorizonError):
-        sequential_decode(A, [[1, 0], [0, 1]], 1)
+        sequential_decode(A, A.det(), [[1, 0], [0, 1]], 1)
 
 
 def test_toeplitz_solve_matches_sequential_decode():
@@ -283,7 +280,7 @@ def test_toeplitz_solve_matches_sequential_decode():
                   for _ in range(m)]
             ys = _encode(fld, xs, A, horizon)
             sol = toeplitz_solve(Fs, ys, m, horizon, fld)
-            delta, dec = sequential_decode(A, ys, horizon)
+            delta, dec = sequential_decode(A, A.det(), ys, horizon)
             for t in range(horizon + 1):
                 for j in range(m):
                     if sol[t][j] is not None:
@@ -310,5 +307,5 @@ def test_decoder_inconsistent_streams_rejected():
     A = PolyMatrix(F2, [[[1], [0]], [[0], [0, 1]]])   # det = z, delay 1
     xs = [[1, 1, 0, 1], [0, 1, 1, 0]]
     ys = _encode(F2, xs, A, 3)
-    delta, dec = sequential_decode(A, ys, 3)
+    delta, dec = sequential_decode(A, A.det(), ys, 3)
     assert delta == 1 and dec[0] == xs[0][:3] and dec[1] == xs[1][:3]
