@@ -16,10 +16,17 @@ Conventions:
   * The source has m virtual input edges with ids -1..-m carrying the
     message streams; their global kernels are the unit vectors.
   * In-degree-1 non-source nodes are relays: their local kernel is the
-    constant 1 and they draw nothing.
+    constant 1 and they draw nothing.  On acyclic networks a relay's
+    out-edges share its input edge's symbol and header histories instead
+    of recomputing them.
   * ACKs are control-plane and resolve instantaneously and transitively
     at end of step; an edge freezes at the end of the step in which its
-    head node has ACKed.
+    head node has ACKed.  A frozen kernel stops growing: later steps
+    append no coefficient to it.
+  * Symbol streams are computed only when a trial is verified or traced;
+    lean trials propagate headers alone, and report no decoding delay.
+    The source symbols x_t are drawn in either case, so lean and
+    verified trials consume the same draw stream.
 """
 
 from __future__ import annotations
@@ -89,7 +96,9 @@ class TrialResult:
     rounds: int                 # steps until all sinks decodable (or max_rounds)
     T: dict                     # sink -> stopping time (max_rounds on failure)
     T_N: int
-    delta: dict                 # sink -> decoding delay (when decoded) or None
+    delta: dict                 # sink -> decoding delay, or None in lean
+                                # trials (a failed verified trial holds T
+                                # for the sinks that stopped)
     L: dict                     # node -> constraint length
     memory_bits: dict           # node -> m * L * log2(q)
     avg_T: float
@@ -107,10 +116,20 @@ def _edge_name(eid: int) -> str:
 def _topo_static(topo: Topology):
     """Per-topology constants shared by every trial.
 
-    Returns (acyclic, order, inputs, relays, eligible0, neighbors) where
-    inputs maps node -> input edge ids (virtual -1..-m for the source),
-    eligible0 is the t=0 random-draw eligibility set for cyclic networks
-    (None when acyclic) and neighbors maps node -> adjacent node set.
+    Returns (acyclic, inputs, coding, relay_edges, propagate, eligible0,
+    neighbors, downstream, coding_out) where
+      * inputs maps node -> input edge ids (virtual -1..-m for the source),
+      * coding lists (out-edge, inputs) of every non-relay node in
+        ascending node id order, the kernel draw order,
+      * relay_edges lists (out-edge, input edge) of every relay, in
+        topological order when acyclic,
+      * propagate lists (node, out-edge) of the non-relay nodes in
+        topological order (None when cyclic),
+      * eligible0 is the t=0 random-draw eligibility set for cyclic
+        networks (None when acyclic),
+      * neighbors maps node -> adjacent node set,
+      * downstream maps node -> the sinks reachable from it,
+      * coding_out lists the edges whose code length is averaged.
     """
     m = topo.m
     acyclic, order = is_acyclic(topo)
@@ -124,6 +143,15 @@ def _topo_static(topo: Topology):
             inputs[v] = list(ins)
             if len(ins) == 1:
                 relays.add(v)
+    coding = [(eout, inputs[v]) for v in range(topo.num_nodes)
+              if v not in relays for eout in topo.out_edges(v)]
+    relay_edges = [(eout, inputs[v][0])
+                   for v in (order or range(topo.num_nodes)) if v in relays
+                   for eout in topo.out_edges(v)]
+    propagate = None
+    if acyclic:
+        propagate = [(v, eout) for v in order if v not in relays
+                     for eout in topo.out_edges(v)]
     eligible0 = None
     if not acyclic:
         # Cyclic initialization restricts t=0 randomness to the adjacent
@@ -157,7 +185,12 @@ def _topo_static(topo: Topology):
                     stack.append(w)
         seen.discard(v)
         downstream[v] = frozenset(seen & sink_set)
-    return acyclic, order, inputs, relays, eligible0, neighbors, downstream
+    # code length of an edge out of a coding node: 1 + its freeze time
+    coding_out = [e for e in range(topo.num_edges)
+                  if topo.tail(e) not in relays
+                  and topo.tail(e) not in sink_set]
+    return (acyclic, inputs, coding, relay_edges, propagate, eligible0,
+            neighbors, downstream, coding_out)
 
 
 def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
@@ -165,20 +198,18 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     fld = config.field
     m, q = topo.m, fld.q
     rng = trial_rng(config.base_seed, trial_index)
-    acyclic, order, inputs, relays, eligible0, neighbors, downstream = \
-        _topo_static(topo)
+    (acyclic, inputs, coding, relay_edges, propagate, eligible0, neighbors,
+     downstream, coding_out) = _topo_static(topo)
     sinks = set(topo.sinks)
     trace = [] if config.trace else None
     keep_F = config.verify_decode or config.trace or config.keep_kernels
+    # Symbol streams are read only by decoding and header verification.
+    keep_symbols = config.verify_decode or config.trace
 
-    kernels = {}
-    for v in range(topo.num_nodes):
-        for eout in topo.out_edges(v):
-            if v in relays:
-                kernels[(inputs[v][0], eout)] = [1]
-            else:
-                for ein in inputs[v]:
-                    kernels[(ein, eout)] = []
+    kernels = {(ein, eout): [] for eout, ins in coding for ein in ins}
+    if not acyclic:
+        for eout, ein in relay_edges:
+            kernels[(ein, eout)] = [1]
 
     overrides = dict(config.overrides) if config.overrides else {}
     strict_max = max((t for (_, _, t) in overrides), default=-1) \
@@ -187,6 +218,12 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     xs = [[] for _ in range(m)]              # message streams
     ysym = [[] for _ in range(topo.num_edges)]   # symbol stream per edge
     fhist = [[] for _ in range(topo.num_edges)]  # header m-vector per edge, per t
+    if acyclic:
+        # A relay forwards its input unchanged, so its out-edges share the
+        # input edge's history lists (topological order resolves chains).
+        for eout, ein in relay_edges:
+            ysym[eout] = ysym[ein]
+            fhist[eout] = fhist[ein]
 
     tes = {r: ToeplitzExpansion(fld, m, len(topo.in_edges(r))) for r in topo.sinks}
     Fs = {r: [] for r in topo.sinks}
@@ -196,70 +233,66 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     freeze_t = {}                            # edge -> freeze time
 
     def draw_coefficients(t):
-        for v in range(topo.num_nodes):
-            if v in relays:
-                continue
-            for eout in topo.out_edges(v):
-                ft = freeze_t.get(eout)
-                frozen = ft is not None and t > ft
-                for ein in inputs[v]:
-                    if frozen:
-                        kernels[(ein, eout)].append(0)
-                        continue
-                    if t == 0 and eligible0 is not None and (ein, eout) not in eligible0:
-                        kernels[(ein, eout)].append(0)
-                        continue
-                    key = (ein, eout, t)
-                    if key in overrides:
-                        val = overrides[key]
-                    elif t <= strict_max:
-                        raise OverrideError(
-                            f"override script missing k({_edge_name(ein)}->"
-                            f"{_edge_name(eout)}, t={t})")
-                    else:
-                        val = rng.randint(q)
-                    kernels[(ein, eout)].append(val)
-                    if trace is not None and val:
-                        trace.append(f"  k({_edge_name(ein)}->"
-                                     f"{_edge_name(eout)}, t={t}) = {val}")
+        for eout, ins in coding:
+            ft = freeze_t.get(eout)
+            if ft is not None and t > ft:
+                continue                     # a frozen kernel stops growing
+            for ein in ins:
+                if t == 0 and eligible0 is not None and (ein, eout) not in eligible0:
+                    kernels[(ein, eout)].append(0)
+                    continue
+                key = (ein, eout, t)
+                if key in overrides:
+                    val = overrides[key]
+                elif t <= strict_max:
+                    raise OverrideError(
+                        f"override script missing k({_edge_name(ein)}->"
+                        f"{_edge_name(eout)}, t={t})")
+                else:
+                    val = rng.randint(q)
+                kernels[(ein, eout)].append(val)
+                if trace is not None and val:
+                    trace.append(f"  k({_edge_name(ein)}->"
+                                 f"{_edge_name(eout)}, t={t}) = {val}")
 
     def conv_edge(v, eout, t):
-        """Symbol and header for edge eout at time t from stored histories."""
+        """Header (and symbol, if kept) of edge eout at time t."""
         add, mul = fld.add, fld.mul
         ysum = 0
         fsum = [0] * m
         for ein in inputs[v]:
             k = kernels[(ein, eout)]
+            n = min(len(k), t + 1)
             if ein < 0:
                 j = -ein - 1
-                hist = xs[j]
-                for i in range(min(len(k), t + 1)):
-                    ki = k[i]
-                    if ki:
-                        ysum = add(ysum, mul(ki, hist[t - i]))
                 # the virtual input's header is the constant unit vector,
                 # so only the i == t kernel coefficient contributes to f_t
                 if t < len(k) and k[t]:
                     fsum[j] = add(fsum[j], k[t])
+                hist = xs[j]
             else:
-                hist = ysym[ein]
                 fh = fhist[ein]
-                for i in range(min(len(k), t + 1)):
+                for i in range(n):
                     ki = k[i]
                     if ki:
-                        ysum = add(ysum, mul(ki, hist[t - i]))
                         fv = fh[t - i]
                         for j in range(m):
                             if fv[j]:
                                 fsum[j] = add(fsum[j], mul(ki, fv[j]))
+                hist = ysym[ein]
+            if keep_symbols:
+                for i in range(n):
+                    ki = k[i]
+                    if ki:
+                        ysum = add(ysum, mul(ki, hist[t - i]))
         return ysum, fsum
 
     def step_acyclic(t):
-        for v in order:
-            for eout in topo.out_edges(v):
-                ysum, fsum = conv_edge(v, eout, t)
+        for v, eout in propagate:
+            ysum, fsum = conv_edge(v, eout, t)
+            fhist[eout].append(fsum)
+            if keep_symbols:
                 ysym[eout].append(ysum)
-                fhist[eout].append(fsum)
 
     def step_cyclic(t):
         add, mul = fld.add, fld.mul
@@ -343,27 +376,32 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         else:
             step_cyclic(t)
 
+    def block(r, t):
+        """F_t of sink r: row i holds component i of each input header."""
+        heads = [fhist[e][t] for e in topo.in_edges(r)]
+        return [[f[i] for f in heads] for i in range(m)]
+
     # ------------------------------------------------------------------ run
     t = 0
     all_done_at = None
+    waiting = list(topo.sinks)               # sinks not yet decodable
     while t < config.max_rounds:
         advance(t, tail=False)
         # Sinks test decodability.
-        for r in topo.sinks:
-            if r in T and not keep_F:
-                continue
-            Ft = [[fhist[e][t][i] for e in topo.in_edges(r)] for i in range(m)]
-            Fs[r].append(Ft)
-            if r in T:
-                continue
-            te = tes[r]
+        decoded = len(T)
+        for r in topo.sinks if keep_F else waiting:
+            Ft = block(r, t)
+            if keep_F:
+                Fs[r].append(Ft)
+                if r in T:
+                    continue
             # Stopping rule: the rank increment of the Toeplitz expansion
             # equals m at the current level.  This certifies that x_0 is
             # determined by the received window through t, which (by the
             # shift structure of the system) keeps every later symbol
             # decodable with delay <= t even while upstream kernels of
             # still-waiting siblings continue to grow.
-            if te.extend(Ft) == m:
+            if tes[r].extend(Ft) == m:
                 T[r] = t
                 acked.add(r)
                 ack_time[r] = t
@@ -372,22 +410,26 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             elif trace is not None:
                 trace.append(f"  sink {r} not decodable")
         # Instantaneous transitive ACK resolution, then per-edge freezing.
-        # A non-sink node ACKs once every sink downstream of it has ACKed.
-        for v in range(topo.num_nodes):
-            if v in acked or v in sinks:
-                continue
-            if topo.out_edges(v) and downstream[v] <= acked:
-                acked.add(v)
-                ack_time[v] = t
-                if trace is not None:
-                    trace.append(f"  node {v} ACKed")
-        for e in range(topo.num_edges):
-            if e not in freeze_t and topo.head(e) in acked:
-                freeze_t[e] = t
-                if trace is not None:
-                    trace.append(f"  edge e{e} frozen (t0={t})")
+        # A non-sink node ACKs once every sink downstream of it has ACKed,
+        # so both change only at t = 0 (nodes that reach no sink) and at
+        # steps where a sink ACKed.
+        if t == 0 or len(T) > decoded:
+            waiting = [r for r in waiting if r not in T]
+            for v in range(topo.num_nodes):
+                if v in acked or v in sinks:
+                    continue
+                if topo.out_edges(v) and downstream[v] <= acked:
+                    acked.add(v)
+                    ack_time[v] = t
+                    if trace is not None:
+                        trace.append(f"  node {v} ACKed")
+            for e in range(topo.num_edges):
+                if e not in freeze_t and topo.head(e) in acked:
+                    freeze_t[e] = t
+                    if trace is not None:
+                        trace.append(f"  edge e{e} frozen (t0={t})")
         t += 1
-        if len(T) == len(topo.sinks):
+        if not waiting:
             all_done_at = t - 1
             break
 
@@ -395,8 +437,10 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     rounds = (all_done_at + 1) if success else config.max_rounds
 
     # ------------------------------------------------- decoding verification
-    delta = {r: (T[r] if r in T else None) for r in topo.sinks}
-    if success and (config.verify_decode or config.trace):
+    # Without verification nothing measures the delay.
+    delta = {r: (T[r] if keep_symbols and r in T else None)
+             for r in topo.sinks}
+    if success and keep_symbols:
         # A sink's decoding delay is the z-adic valuation of the
         # determinant of the first full-rank column subset of its kernel
         # matrix known through the horizon.  The horizon must reach
@@ -421,8 +465,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                 # after freezing (they are rational), so the decoder needs
                 # the F_t blocks through the whole horizon.
                 for r in topo.sinks:
-                    Ft = [[fhist[e][t][i] for e in topo.in_edges(r)]
-                          for i in range(m)]
+                    Ft = block(r, t)
                     Fs[r].append(Ft)
                     if any(any(row) for row in Ft):
                         stale.add(r)
@@ -475,9 +518,6 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         neigh = neighbors[v]
         L[v] = 1 + max(ack_time[v], max((ack_time[u] for u in neigh), default=0))
         memory_bits[v] = m * L[v] * bits_per_sym
-    # code length of an edge out of a coding node: 1 + its freeze time
-    coding_out = [e for e in range(topo.num_edges)
-                  if topo.tail(e) not in relays and topo.tail(e) not in sinks]
     code_lens = [1 + ack_time[topo.head(e)] for e in coding_out]
     avg_code_len = sum(code_lens) / len(code_lens) if code_lens else 0.0
     d = len(topo.sinks)

@@ -280,57 +280,47 @@ class ToeplitzExpansion:
     M_t has (t+1)*m rows and (t+1)*c columns; block (i, j) = F_{j-i} for
     j >= i and zero otherwise.  Extending by one coefficient matrix costs
     one insertion of m rows; the elimination state of M_{t-1} is reused.
+    The m top rows [F_0 .. F_t] are kept in right-aligned coordinates, so
+    extending shifts them by c and places F_t's entries in the low c
+    positions: O(c) work per row, independent of t.
     """
 
     def __init__(self, field: Field, m: int, c: int):
         self.field = field
         self.m = m
         self.c = c
-        self.blocks = []           # F_0 .. F_t, each m x c
+        self.t = -1                # degree of the last appended F_t
         self.basis = _make_basis(field)
+        # bitmasks over GF(2), {position: value} dicts otherwise
+        self.top = [0] * m if field.q == 2 else [{} for _ in range(m)]
         self.rank = 0              # rank(M_t)
         self.prev_rank = 0         # rank(M_{t-1}); rank(M_{-1}) == 0
         self.last_increment = 0
 
-    @property
-    def t(self) -> int:
-        return len(self.blocks) - 1
-
-    def _top_rows(self, shift: int = 0):
-        """The m rows [F_0 .. F_t] in right-aligned coordinates + shift."""
-        m, c = self.m, self.c
-        width = len(self.blocks) * c
-        if self.field.q == 2:
-            out = []
-            for r in range(m):
-                row = 0
-                for i, F in enumerate(self.blocks):
-                    Fr = F[r]
-                    for j in range(c):
-                        if Fr[j]:
-                            row |= 1 << (width - 1 - (i * c + j) + shift)
-                out.append(row)
-            return out
-        out = []
-        for r in range(m):
-            row = {}
-            for i, F in enumerate(self.blocks):
-                Fr = F[r]
-                for j in range(c):
-                    if Fr[j]:
-                        row[width - 1 - (i * c + j) + shift] = Fr[j]
-            out.append(row)
-        return out
-
     def extend(self, F_t) -> int:
         """Append coefficient matrix F_t; returns rank(M_t) - rank(M_{t-1})."""
-        if len(F_t) != self.m or any(len(r) != self.c for r in F_t):
-            raise ValueError(
-                f"coefficient matrix must be {self.m}x{self.c}")
-        self.blocks.append([list(r) for r in F_t])
+        m, c = self.m, self.c
+        if len(F_t) != m or any(len(r) != c for r in F_t):
+            raise ValueError(f"coefficient matrix must be {m}x{c}")
+        self.t += 1
+        top = self.top
+        insert = self.basis.insert
+        gf2 = self.field.q == 2
         inc = 0
-        for row in self._top_rows():
-            if self.basis.insert(row):
+        for r, Fr in enumerate(F_t):
+            if gf2:
+                row = top[r] << c
+                for j, v in enumerate(Fr):
+                    if v:
+                        row |= 1 << (c - 1 - j)
+            else:
+                # a new dict each step: the basis may keep the previous one
+                row = {p + c: v for p, v in top[r].items()}
+                for j, v in enumerate(Fr):
+                    if v:
+                        row[c - 1 - j] = v
+            top[r] = row
+            if insert(row):
                 inc += 1
         self.prev_rank = self.rank
         self.rank += inc
@@ -354,16 +344,15 @@ class ToeplitzExpansion:
         if t < 0:
             return False
         probe = self.basis.clone()
-        rows = self._top_rows()
         for L in range(t + 1, self.m * t + 1):
             shift = (L - t) * self.c
             inc = 0
             if self.field.q == 2:
-                for row in rows:
+                for row in self.top:
                     if probe.insert(row << shift):
                         inc += 1
             else:
-                for row in rows:
+                for row in self.top:
                     if probe.insert({p + shift: v for p, v in row.items()}):
                         inc += 1
             if inc == self.m:

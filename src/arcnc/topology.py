@@ -31,6 +31,8 @@ class Topology:
 
     def __post_init__(self):
         n = self.num_nodes
+        if not self.sinks:
+            raise TopologyError("topology has no sinks")
         if not (0 <= self.source < n):
             raise TopologyError(f"source id {self.source} out of range")
         for r in self.sinks:

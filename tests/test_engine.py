@@ -1,10 +1,13 @@
 """Adaptive coding engine: scripted traces, statistics, determinism,
 cyclic operation and campaign output."""
 
+import dataclasses
+import hashlib
 import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcnc.engine import (OverrideError, SimConfig, TRIAL_SINK_COLUMNS,
                           TRIAL_SUMMARY_COLUMNS, collect_campaign, run_trial)
@@ -248,3 +251,178 @@ def test_max_rounds_validation():
     with pytest.raises(ValueError):
         collect_campaign(SimConfig(topology=combination_network(4, 2),
                                    field=F2), 0)
+
+
+def _first_valid_dag(seed, m, layers=3):
+    """The first random_layered_dag from `seed` on that passes max-flow."""
+    while True:
+        topo = random_layered_dag(SplitMix64(seed), layers=layers,
+                                  width=2 * m + 2, m=m)
+        if validate_multicast(topo).ok:
+            return topo
+        seed += 1
+
+
+_MODES = {"lean": dict(verify_decode=False, verify_headers=False),
+          "verified": dict(keep_kernels=True),
+          "trace": dict(trace=True)}
+
+
+def _lean(topo, q, **kw):
+    return SimConfig(topology=topo, field=field_new(q), **_MODES["lean"],
+                     **kw)
+
+
+def test_lean_trials_report_no_delay():
+    topo = combination_network(4, 2)
+    for i in range(20):
+        lean = run_trial(_lean(topo, 2, base_seed=6), i)
+        full = run_trial(SimConfig(topology=topo, field=F2, base_seed=6), i)
+        assert lean.T == full.T
+        assert all(d is None for d in lean.delta.values())
+        assert all(d is not None for d in full.delta.values())
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 1 << 20), m=st.integers(1, 3),
+       layers=st.integers(2, 3), q=st.sampled_from([2, 3, 4]),
+       trial=st.integers(0, 999))
+def test_lean_and_verified_trials_agree(seed, m, layers, q, trial):
+    # Lean trials propagate headers only; everything but the delay must
+    # match the verified trial, which also decodes and checks headers.
+    topo = _first_valid_dag(seed, m, layers)
+    lean = run_trial(_lean(topo, q, base_seed=seed), trial)
+    full = run_trial(SimConfig(topology=topo, field=field_new(q),
+                               base_seed=seed), trial)
+    for name in ("success", "rounds", "T", "T_N", "L", "memory_bits",
+                 "avg_T", "avg_code_len", "avg_memory_bits"):
+        assert getattr(lean, name) == getattr(full, name), name
+
+
+# ---------------------------------------------------------------------------
+# golden trial outputs
+# ---------------------------------------------------------------------------
+
+DEAD_END = Topology(6, ((0, 4), (4, 5), (0, 1), (0, 2), (1, 3), (2, 3)),
+                    source=0, sinks=(3,), m=2)
+
+
+def _golden_cases():
+    """(name, topology, q, mode, trials); every case runs at base_seed 3."""
+    for n, m in ((4, 2), (6, 3), (8, 2)):
+        topo = combination_network(n, m)
+        for q in (2, 3, 4, 256):
+            yield f"comb{n}{m}-q{q}-lean", topo, q, "lean", 40
+            yield f"comb{n}{m}-q{q}-verified", topo, q, "verified", 4
+    yield "comb42-q3-trace", combination_network(4, 2), 3, "trace", 3
+    for m in (1, 2, 3):
+        topo = _first_valid_dag(0, m)
+        for q in (2, 3, 4):
+            yield f"dag-m{m}-q{q}-lean", topo, q, "lean", 40
+            yield f"dag-m{m}-q{q}-verified", topo, q, "verified", 4
+    for q in (2, 3, 4):
+        yield f"cycle-q{q}-lean", two_node_cycle_network(), q, "lean", 40
+        yield f"cycle-q{q}-verified", two_node_cycle_network(), q, \
+            "verified", 4
+    # Node 4 reaches no sink, so it ACKs at t = 0 and freezes edge e0.
+    for q in (2, 3):
+        yield f"deadend-q{q}-lean", DEAD_END, q, "lean", 200
+        yield f"deadend-q{q}-verified", DEAD_END, q, "verified", 4
+        yield f"deadend-q{q}-trace", DEAD_END, q, "trace", 3
+
+
+def _canonical(x):
+    """Dicts as sorted item lists, so digests ignore insertion order."""
+    if isinstance(x, dict):
+        return [(k, _canonical(v)) for k, v in sorted(x.items())]
+    if isinstance(x, (list, tuple)):
+        return [_canonical(v) for v in x]
+    return x
+
+
+def _trial_digest(cfg, trials):
+    """First 16 hex digits of a SHA-256 over every TrialResult field but
+    the seed; the delay only where the trial measures one."""
+    h = hashlib.sha256()
+    for i in range(trials):
+        doc = dataclasses.asdict(run_trial(cfg, i))
+        del doc["seed"]
+        if not (cfg.verify_decode or cfg.trace):
+            del doc["delta"]
+        h.update(repr(_canonical(doc)).encode())
+    return h.hexdigest()[:16]
+
+
+def _golden_digests():
+    return {name: _trial_digest(SimConfig(topology=topo, field=field_new(q),
+                                          base_seed=3, **_MODES[mode]),
+                                trials)
+            for name, topo, q, mode, trials in _golden_cases()}
+
+
+# The propagation shortcuts of run_trial (shared relay histories, frozen
+# kernels that stop growing, header-only lean trials, ACK passes only on
+# sink ACKs) and the in-place Toeplitz rows must leave every digest as is.
+GOLDEN = {
+    "comb42-q2-lean": "180605c0a501ec04",
+    "comb42-q2-verified": "780f3a563f260c5f",
+    "comb42-q3-lean": "60d0e6e7ba90a0c6",
+    "comb42-q3-verified": "10bdf4b4502e3752",
+    "comb42-q4-lean": "97edc5b0fc10141d",
+    "comb42-q4-verified": "01cab1889fd784cc",
+    "comb42-q256-lean": "9b6a910ffd99d80f",
+    "comb42-q256-verified": "eb31537a21de60f6",
+    "comb63-q2-lean": "36e6aef9b3ef9544",
+    "comb63-q2-verified": "216dddad382c937d",
+    "comb63-q3-lean": "e3e3e50a0ed771d8",
+    "comb63-q3-verified": "8521c6677b35febe",
+    "comb63-q4-lean": "aafaeef9600a4697",
+    "comb63-q4-verified": "6a9a4cbe4d62aa72",
+    "comb63-q256-lean": "da920f8ca6e78c75",
+    "comb63-q256-verified": "5e8aef4986af8c2d",
+    "comb82-q2-lean": "81dc3fad9d3c0884",
+    "comb82-q2-verified": "30f532a120e7c5ba",
+    "comb82-q3-lean": "63166f435ad6f40c",
+    "comb82-q3-verified": "20ee78b645ea3af1",
+    "comb82-q4-lean": "14930943df8500a8",
+    "comb82-q4-verified": "79304c1ebecf449b",
+    "comb82-q256-lean": "9ee49f199f9d8f91",
+    "comb82-q256-verified": "116a36368f07fd06",
+    "comb42-q3-trace": "c82c2a213e707aeb",
+    "dag-m1-q2-lean": "a7dcbaf2059dd9a0",
+    "dag-m1-q2-verified": "8a46912e18f1c489",
+    "dag-m1-q3-lean": "c7d7261cca3163ea",
+    "dag-m1-q3-verified": "b8f4d056c12c43bd",
+    "dag-m1-q4-lean": "f81a74b475237b95",
+    "dag-m1-q4-verified": "39bd68c96f656c2a",
+    "dag-m2-q2-lean": "6f9b0b3abfb8cbe9",
+    "dag-m2-q2-verified": "24a2360d6d3cbda5",
+    "dag-m2-q3-lean": "98cd3202963eca05",
+    "dag-m2-q3-verified": "668c002903e7eed4",
+    "dag-m2-q4-lean": "196db753bc726531",
+    "dag-m2-q4-verified": "c352b2dd207bab18",
+    "dag-m3-q2-lean": "239387c7e8929ad4",
+    "dag-m3-q2-verified": "d2a7210fb3629fbe",
+    "dag-m3-q3-lean": "17ecfff7a4f584d0",
+    "dag-m3-q3-verified": "2bc1ed343d26936d",
+    "dag-m3-q4-lean": "206784e48694f4af",
+    "dag-m3-q4-verified": "864c350b66291315",
+    "cycle-q2-lean": "46134853de8c397f",
+    "cycle-q2-verified": "d124cc1036c3b193",
+    "cycle-q3-lean": "9509b89580b98532",
+    "cycle-q3-verified": "ca369a9432dab0f6",
+    "cycle-q4-lean": "5936f103c1b429f0",
+    "cycle-q4-verified": "11de687792c2dba1",
+    "deadend-q2-lean": "70357d415259455d",
+    "deadend-q2-verified": "3c781a4ba3636677",
+    "deadend-q2-trace": "78bebd521dfb0c64",
+    "deadend-q3-lean": "542ca3220708b634",
+    "deadend-q3-verified": "bfe87e33789c7fd4",
+    "deadend-q3-trace": "aec3251b83839b36",
+}
+
+
+def test_golden_trial_outputs():
+    got = _golden_digests()
+    assert sorted(got) == sorted(GOLDEN)
+    assert {k: v for k, v in got.items() if v != GOLDEN[k]} == {}

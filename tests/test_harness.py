@@ -166,6 +166,16 @@ def test_run_rejects_bad_workers_and_trials(tmp_path, capsys):
         assert not outdir.exists()
 
 
+def test_run_rejects_topology_without_sinks(tmp_path, capsys):
+    topo_file = tmp_path / "nosinks.txt"
+    topo_file.write_text("nodes 2\nm 1\nsource 0\nsinks\nedge 0 1\n")
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--topology", str(topo_file), "--trials", "5",
+                   "--out", str(outdir)) == 1
+    assert "error: topology has no sinks" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_exit_code_io_errors(tmp_path, capsys):
     assert run_cli("run", "--topology", str(tmp_path / "absent.txt"),
                    "--trials", "1") == 2

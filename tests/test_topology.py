@@ -149,6 +149,8 @@ def test_topology_validation():
         Topology(num_nodes=2, edges=((0, 1),), source=0, sinks=(5,), m=1)
     with pytest.raises(TopologyError):
         Topology(num_nodes=2, edges=((0, 1),), source=0, sinks=(1,), m=0)
+    with pytest.raises(TopologyError, match="no sinks"):
+        Topology(num_nodes=2, edges=((0, 1),), source=0, sinks=(), m=1)
 
 
 def test_topology_hashable_and_adjacency():
