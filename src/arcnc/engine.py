@@ -20,9 +20,10 @@ Conventions:
     out-edges share its input edge's symbol and header histories instead
     of recomputing them.
   * ACKs are control-plane and resolve instantaneously and transitively
-    at end of step; an edge freezes at the end of the step in which its
-    head node has ACKed.  A frozen kernel stops growing: later steps
-    append no coefficient to it.
+    at end of step; a non-sink node ACKs once every sink it reaches has
+    ACKed (at t = 0 if it reaches none), and an edge freezes at the end of
+    the step in which its head node has ACKed.  A frozen kernel stops
+    growing: later steps append no coefficient to it.
   * Symbol streams are computed only when a trial is verified or traced;
     lean trials propagate headers alone, and report no decoding delay.
     The source symbols x_t are drawn in either case, so lean and
@@ -66,7 +67,6 @@ class SimConfig:
     base_seed: int = 0
     overrides: dict | None = None      # (from_edge, to_edge, t) -> coefficient
     strict_overrides: bool = False     # error on missing scripted coefficients
-    source_script: list | None = None  # x[t] = list of m symbols
     verify_decode: bool = True
     verify_headers: bool = True
     trace: bool = False
@@ -96,9 +96,8 @@ class TrialResult:
     rounds: int                 # steps until all sinks decodable (or max_rounds)
     T: dict                     # sink -> stopping time (max_rounds on failure)
     T_N: int
-    delta: dict                 # sink -> decoding delay, or None in lean
-                                # trials (a failed verified trial holds T
-                                # for the sinks that stopped)
+    delta: dict                 # sink -> decoding delay; None in lean
+                                # and failed trials
     L: dict                     # node -> constraint length
     memory_bits: dict           # node -> m * L * log2(q)
     avg_T: float
@@ -358,14 +357,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         """Source symbols, kernel draws and propagation for step t."""
         if trace is not None:
             trace.append(f"t={t} (tail)" if tail else f"t={t}")
-        if config.source_script is None:
-            xt = [rng.randint(q) for _ in range(m)]
-        elif t < len(config.source_script):
-            xt = list(config.source_script[t])
-        elif tail:
-            xt = [0] * m
-        else:
-            raise OverrideError(f"source script has no symbols for t={t}")
+        xt = [rng.randint(q) for _ in range(m)]
         for j in range(m):
             xs[j].append(xt[j])
         if trace is not None and not tail:
@@ -418,7 +410,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             for v in range(topo.num_nodes):
                 if v in acked or v in sinks:
                     continue
-                if topo.out_edges(v) and downstream[v] <= acked:
+                if downstream[v] <= acked:
                     acked.add(v)
                     ack_time[v] = t
                     if trace is not None:
@@ -437,9 +429,8 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     rounds = (all_done_at + 1) if success else config.max_rounds
 
     # ------------------------------------------------- decoding verification
-    # Without verification nothing measures the delay.
-    delta = {r: (T[r] if keep_symbols and r in T else None)
-             for r in topo.sinks}
+    # Only a verified successful trial measures the delay.
+    delta = dict.fromkeys(topo.sinks)
     if success and keep_symbols:
         # A sink's decoding delay is the z-adic valuation of the
         # determinant of the first full-rank column subset of its kernel

@@ -90,17 +90,29 @@ def parse_config_file(text: str) -> dict:
     return out
 
 
-_CONFIG_INT_KEYS = {"n", "m", "q", "trials", "max_rounds", "seed", "workers"}
-_CONFIG_FLOAT_KEYS = {"tol"}
-
 # Options that are None until the CLI or a config file supplies them; real
 # defaults are applied after merging so file values are distinguishable
 # from defaults.
 _OPTION_DEFAULTS = {"m": 2, "q": 2, "seed": 0, "max_rounds": 50,
-                    "tol": 1e-9, "trials": 1000, "workers": 1}
+                    "tol": 1e-9, "trials": 1000, "workers": 1, "t_max": 4}
 
 
-def _merge_config(args, parser):
+def _config_value(key, action, text):
+    """A config file value, converted and checked as its flag would be."""
+    if action.nargs == 0:
+        raise ValueError(f"config key {key!r} takes no value; "
+                         f"give {action.option_strings[0]} on the command line")
+    try:
+        val = action.type(text) if action.type else text
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {text!r} "
+                         f"(choose from {', '.join(action.choices)})")
+    return val
+
+
+def _merge_config(args):
     """Fill unset options from a config file; CLI flags win."""
     if getattr(args, "config", None):
         try:
@@ -108,16 +120,13 @@ def _merge_config(args, parser):
                 file_vals = parse_config_file(fh.read())
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
-        for key, val in file_vals.items():
-            dest = key.replace("-", "_")
-            if not hasattr(args, dest):
+        for key, text in file_vals.items():
+            action = args.options.get(key.replace("-", "_"))
+            if action is None:
                 raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, dest) is None:
-                if dest in _CONFIG_INT_KEYS:
-                    val = int(val)
-                elif dest in _CONFIG_FLOAT_KEYS:
-                    val = float(val)
-                setattr(args, dest, val)
+            val = _config_value(key, action, text)
+            if getattr(args, action.dest) is None:
+                setattr(args, action.dest, val)
     for dest, dv in _OPTION_DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, dv)
@@ -380,42 +389,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials=True):
-        p.add_argument("--n", type=int, help="combination network parameter n")
-        p.add_argument("--m", type=int, help="multicast rate m (default 2)")
-        p.add_argument("--q", type=int, help="field size (default 2)")
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
-        p.add_argument("--max-rounds", type=int, help="default 50")
-        p.add_argument("--topology", help="topology file path")
-        p.add_argument("--override", help="kernel override script path")
-        p.add_argument("--out", help="output file or directory")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--tol", type=float, help="series tolerance (default 1e-9)")
+        """Add the shared options; returns their actions."""
+        acts = [
+            p.add_argument("--n", type=int,
+                           help="combination network parameter n"),
+            p.add_argument("--m", type=int, help="multicast rate m (default 2)"),
+            p.add_argument("--q", type=int, help="field size (default 2)"),
+            p.add_argument("--seed", type=int, help="base seed (default 0)"),
+            p.add_argument("--max-rounds", type=int, help="default 50"),
+            p.add_argument("--topology", help="topology file path"),
+            p.add_argument("--override", help="kernel override script path"),
+            p.add_argument("--out", help="output file or directory"),
+            p.add_argument("--config", help="flat key=value config file"),
+            p.add_argument("--tol", type=float,
+                           help="series tolerance (default 1e-9)"),
+        ]
         if trials:
-            p.add_argument("--trials", type=int, help="default 1000")
-            p.add_argument("--workers", type=int, help="default 1")
+            acts.append(p.add_argument("--trials", type=int,
+                                       help="default 1000"))
+            acts.append(p.add_argument("--workers", type=int, help="default 1"))
+        return acts
+
+    def finish(p, acts, **defaults):
+        """Config file keys are the subcommand's option dests."""
+        p.set_defaults(options={a.dest: a for a in acts}, **defaults)
 
     p_gen = sub.add_parser("gen", help="write a topology file")
     p_gen.add_argument("network", choices=["comb", "fig1", "cycle"])
-    common(p_gen, trials=False)
-    p_gen.set_defaults(func=cmd_gen)
+    finish(p_gen, common(p_gen, trials=False), func=cmd_gen)
 
     p_trace = sub.add_parser("trace", help="scripted single-trial trace")
-    common(p_trace, trials=False)
-    p_trace.set_defaults(func=cmd_trace)
+    finish(p_trace, common(p_trace, trials=False), func=cmd_trace)
 
     for name, mode in (("run", "arcnc"), ("compare", "both")):
         p_run = sub.add_parser(name, help="Monte Carlo campaign"
                                + (" (ARCNC vs RLNC)" if name == "compare" else ""))
-        common(p_run)
-        p_run.add_argument("--mode", choices=["arcnc", "rlnc", "both"])
-        p_run.add_argument("--no-verify", dest="verify", action="store_false",
-                           help="skip per-trial decode/header verification")
-        p_run.set_defaults(func=cmd_run, default_mode=mode)
+        acts = common(p_run)
+        acts.append(p_run.add_argument("--mode",
+                                       choices=["arcnc", "rlnc", "both"]))
+        acts.append(p_run.add_argument(
+            "--no-verify", dest="verify", action="store_false",
+            help="skip per-trial decode/header verification"))
+        finish(p_run, acts, func=cmd_run, default_mode=mode)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound table")
-    common(p_bounds, trials=False)
-    p_bounds.add_argument("--t-max", type=int, default=4)
-    p_bounds.set_defaults(func=cmd_bounds)
+    acts = common(p_bounds, trials=False)
+    acts.append(p_bounds.add_argument("--t-max", type=int, help="default 4"))
+    finish(p_bounds, acts, func=cmd_bounds)
     return parser
 
 
@@ -423,7 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args)
         return args.func(args)
     except IOFailure as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

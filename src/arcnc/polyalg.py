@@ -7,14 +7,15 @@ cofactor determinant and column selection, and the sequential
 Toeplitz system, is kept as the reference the sequential decoder is
 tested against.
 
-Decodability of a kernel matrix known through degree t is tested via rank
-increments of the block upper-triangular Toeplitz expansions M_L.  The
-increment at the current level only certifies that the first message symbol
-is recoverable with delay <= t; to decide invertibility of the matrix as a
-whole (non-zero determinant), increments are additionally probed at
-zero-padded levels L = t+1 .. m*t.  Some level passes if and only if the
-determinant (some m x m minor, in the rectangular case) is a non-zero
-polynomial, which PolyMatrix.det checks independently.
+Decodability has one rank primitive, the rank increment of the block
+Toeplitz expansions M_L (ToeplitzExpansion.extend); the engine's stopping
+rule reads it at the current level.  An increment of m at level L means
+x_0 is determined by the received window through L.  decodable() decides
+whether a kernel matrix known through degree t has full row rank (a
+non-zero m x m minor; the determinant when square) by extending the
+expansion with F_0 .. F_t and then with zero blocks up to level m*t, the
+largest valuation a non-zero minor can have: the matrix has full rank iff
+some level's increment is m.  PolyMatrix.det checks this independently.
 """
 
 from __future__ import annotations
@@ -118,17 +119,6 @@ class Poly:
         f = self.field
         return Poly(f, [f.mul(s, c) for c in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by z^k (k >= 0)."""
-        return Poly(self.field, [0] * k + list(self.coeffs))
-
-    def eval(self, x: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
     def __repr__(self):
         return f"Poly({self.trim().coeffs})"
 
@@ -207,8 +197,8 @@ class _Gf2RowBasis:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows=None):
-        self.rows = dict(rows) if rows else {}
+    def __init__(self):
+        self.rows = {}
 
     def insert(self, row: int) -> bool:
         rows = self.rows
@@ -221,22 +211,15 @@ class _Gf2RowBasis:
             row ^= b
         return False
 
-    def clone(self):
-        return _Gf2RowBasis(self.rows)
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
 
 class _GenericRowBasis:
     """Row basis over any Field; rows are {position: nonzero value} dicts."""
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field: Field, rows=None):
+    def __init__(self, field: Field):
         self.field = field
-        self.rows = dict(rows) if rows else {}
+        self.rows = {}
 
     def insert(self, row: dict) -> bool:
         f = self.field
@@ -257,13 +240,6 @@ class _GenericRowBasis:
                     del new[p]
             row = new
         return False
-
-    def clone(self):
-        return _GenericRowBasis(self.field, self.rows)
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 def _make_basis(field: Field):
@@ -293,9 +269,6 @@ class ToeplitzExpansion:
         self.basis = _make_basis(field)
         # bitmasks over GF(2), {position: value} dicts otherwise
         self.top = [0] * m if field.q == 2 else [{} for _ in range(m)]
-        self.rank = 0              # rank(M_t)
-        self.prev_rank = 0         # rank(M_{t-1}); rank(M_{-1}) == 0
-        self.last_increment = 0
 
     def extend(self, F_t) -> int:
         """Append coefficient matrix F_t; returns rank(M_t) - rank(M_{t-1})."""
@@ -322,73 +295,22 @@ class ToeplitzExpansion:
             top[r] = row
             if insert(row):
                 inc += 1
-        self.prev_rank = self.rank
-        self.rank += inc
-        self.last_increment = inc
         return inc
-
-    def increment_is_full(self) -> bool:
-        """rank(M_t) - rank(M_{t-1}) == m at the current level."""
-        return self.last_increment == self.m
-
-    def decodable(self) -> bool:
-        """True iff the kernel matrix known through degree t is invertible.
-
-        Checks the rank increment at the current level and, failing that,
-        at zero-padded levels up to m*t (the largest possible determinant
-        valuation), which together decide det != 0 exactly.
-        """
-        if self.last_increment == self.m:
-            return True
-        t = self.t
-        if t < 0:
-            return False
-        probe = self.basis.clone()
-        for L in range(t + 1, self.m * t + 1):
-            shift = (L - t) * self.c
-            inc = 0
-            if self.field.q == 2:
-                for row in self.top:
-                    if probe.insert(row << shift):
-                        inc += 1
-            else:
-                for row in self.top:
-                    if probe.insert({p + shift: v for p, v in row.items()}):
-                        inc += 1
-            if inc == self.m:
-                return True
-        return False
-
-
-def build_toeplitz(Fs, field: Field) -> ToeplitzExpansion:
-    """Toeplitz expansion from coefficient matrices F_0 .. F_t."""
-    if not Fs:
-        raise ValueError("need at least F_0")
-    m = len(Fs[0])
-    c = len(Fs[0][0])
-    te = ToeplitzExpansion(field, m, c)
-    for F in Fs:
-        te.extend(F)
-    return te
-
-
-def concat_rank(Fs, field: Field) -> int:
-    """Rank of the horizontal concatenation (F_0 F_1 ... F_t)."""
-    rows = [sum((list(F[r]) for F in Fs), []) for r in range(len(Fs[0]))]
-    return rank_fq(rows, field)
 
 
 def decodable(Fs, m: int, field: Field) -> bool:
-    """Decodability of a global kernel matrix given through degree t.
+    """True iff the kernel matrix with coefficients F_0 .. F_t (m x c,
+    c >= m) has full row rank over the rational functions.
 
-    Condition 1 (rank of the concatenation equals m) is a cheap necessary
-    pre-filter; the Toeplitz rank-increment test decides the answer.
+    Extends one Toeplitz expansion with F_0 .. F_t and then with zero
+    blocks through level m*t; some increment equals m iff the matrix has
+    a non-zero m x m minor.
     """
-    if len(Fs[0]) != m:
-        raise ValueError("block row count must equal the multicast rate")
-    if concat_rank(Fs, field) != m:
-        return False
-    return build_toeplitz(Fs, field).decodable()
+    c = len(Fs[0][0])
+    te = ToeplitzExpansion(field, m, c)
+    zero = [[0] * c for _ in range(m)]
+    padding = itertools.repeat(zero, (m - 1) * (len(Fs) - 1))
+    return any(te.extend(F) == m for F in itertools.chain(Fs, padding))
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +334,6 @@ class PolyMatrix:
         c = len(Fs[0][0])
         return cls(field, [[[F[r][j] for F in Fs] for j in range(c)]
                            for r in range(m)])
-
-    def coeff_matrix(self, i: int):
-        """The scalar matrix F_i of z^i coefficients."""
-        return [[e[i] for e in row] for row in self.entries]
-
-    def max_degree(self) -> int:
-        return max((e.degree for row in self.entries for e in row), default=-1)
-
-    def coeff_matrices(self):
-        """Lossless coefficient view F_0 .. F_t (t = max entry degree)."""
-        t = max(self.max_degree(), 0)
-        return [self.coeff_matrix(i) for i in range(t + 1)]
 
     def submatrix_cols(self, cols) -> "PolyMatrix":
         return PolyMatrix(self.field, [[row[j] for j in cols]

@@ -26,7 +26,8 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 
 
 class SplitMix64:
-    """SplitMix64 sequence with rejection-free-biasless integer draws."""
+    """SplitMix64 sequence with unbiased integer draws (rejection
+    sampling; a draw for n a power of two never rejects)."""
 
     __slots__ = ("state",)
 

@@ -172,8 +172,8 @@ def _check_delta_is_det_valuation(cfg, trials):
 
 
 def test_delta_is_det_valuation_on_multihop_dag():
-    # Sink 12 has three inputs and stops at T = 4, but its first full-rank
-    # column pair has a determinant of valuation 12: the horizon has to be
+    # Sink 12 has three inputs and stops at T = 3, but its first full-rank
+    # column pair has a determinant of valuation 10: the horizon has to be
     # sized from that determinant, not from the stopping time.
     topo = Topology(num_nodes=13, edges=(
         (0, 1), (0, 2), (0, 3), (1, 4), (3, 4), (1, 5), (3, 5), (1, 6),
@@ -182,9 +182,9 @@ def test_delta_is_det_valuation_on_multihop_dag():
         source=0, sinks=(10, 11, 12), m=2)
     cfg = SimConfig(topology=topo, field=F2, base_seed=202, max_rounds=40,
                     keep_kernels=True)
-    res = run_trial(cfg, 35)
-    assert res.success and res.T[12] == 4 and res.delta[12] == 12
-    assert _check_delta_is_det_valuation(cfg, [35]) == 3
+    res = run_trial(cfg, 27)
+    assert res.success and res.T[12] == 3 and res.delta[12] == 10
+    assert _check_delta_is_det_valuation(cfg, [27]) == 3
 
 
 def test_delta_is_det_valuation_on_random_dags():
@@ -299,6 +299,28 @@ def test_lean_and_verified_trials_agree(seed, m, layers, q, trial):
         assert getattr(lean, name) == getattr(full, name), name
 
 
+def test_failed_trial_reports_no_delay():
+    # Nothing is decoded in a failed trial, verified or traced.
+    for kw in ({}, {"trace": True}):
+        res = run_trial(SimConfig(topology=combination_network(4, 2),
+                                  field=F2, base_seed=3, max_rounds=1, **kw),
+                        0)
+        assert not res.success
+        assert res.delta == dict.fromkeys(range(5, 11))
+
+
+def test_node_without_out_edges_acks_at_t0():
+    # Node 2 reaches no sink, so it ACKs at once and edge e1 freezes at
+    # t = 0 instead of growing its kernel to the end of the trial.
+    topo = Topology(3, ((0, 1), (0, 2)), source=0, sinks=(1,), m=1)
+    for mode in ("lean", "verified"):
+        res = run_trial(SimConfig(topology=topo, field=F2, base_seed=3,
+                                  **_MODES[mode]), 0)
+        assert res.T == {1: 1}
+        assert res.L == {0: 2, 1: 2, 2: 2}
+        assert res.avg_code_len == 1.5
+
+
 # ---------------------------------------------------------------------------
 # golden trial outputs
 # ---------------------------------------------------------------------------
@@ -324,7 +346,8 @@ def _golden_cases():
         yield f"cycle-q{q}-lean", two_node_cycle_network(), q, "lean", 40
         yield f"cycle-q{q}-verified", two_node_cycle_network(), q, \
             "verified", 4
-    # Node 4 reaches no sink, so it ACKs at t = 0 and freezes edge e0.
+    # Nodes 4 and 5 reach no sink, so they ACK at t = 0 and freeze edges
+    # e0 and e1.
     for q in (2, 3):
         yield f"deadend-q{q}-lean", DEAD_END, q, "lean", 200
         yield f"deadend-q{q}-verified", DEAD_END, q, "verified", 4
@@ -413,12 +436,12 @@ GOLDEN = {
     "cycle-q3-verified": "ca369a9432dab0f6",
     "cycle-q4-lean": "5936f103c1b429f0",
     "cycle-q4-verified": "11de687792c2dba1",
-    "deadend-q2-lean": "70357d415259455d",
-    "deadend-q2-verified": "3c781a4ba3636677",
-    "deadend-q2-trace": "78bebd521dfb0c64",
-    "deadend-q3-lean": "542ca3220708b634",
-    "deadend-q3-verified": "bfe87e33789c7fd4",
-    "deadend-q3-trace": "aec3251b83839b36",
+    "deadend-q2-lean": "cef35434f88f7828",
+    "deadend-q2-verified": "67a33b76fdf169aa",
+    "deadend-q2-trace": "36acfc8e76900c42",
+    "deadend-q3-lean": "2a3d00cea34f8018",
+    "deadend-q3-verified": "78d49b0811215ede",
+    "deadend-q3-trace": "40070a8ea2e65b85",
 }
 
 

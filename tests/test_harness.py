@@ -4,6 +4,8 @@ byte-identical reruns."""
 import csv
 import json
 
+import pytest
+
 from arcnc.harness import main
 from arcnc.topology import combination_network, load_topology
 
@@ -131,6 +133,27 @@ def test_config_file_with_cli_precedence(tmp_path):
                    "--out", str(outdir2), "--no-verify") == 0
     doc2 = json.loads((outdir2 / "summary.json").read_text())
     assert doc2["arcnc"]["q"] == 8   # CLI flag wins over the file
+
+
+@pytest.mark.parametrize("command, text, rc, err", [
+    ("bounds", "n = 4\nm = 2\nq = 2\nt_max = 1\n", 0, ""),
+    ("run", "n = 4\nm = 2\ntrials = 5\nmode = bogus\n", 1,
+     "config key 'mode': invalid choice 'bogus'"),
+    ("run", "n = 4\nm = 2\ntrials = 5\nverify = false\n", 1,
+     "config key 'verify' takes no value"),
+])
+def test_config_file_values_checked_like_flags(tmp_path, capsys, command,
+                                               text, rc, err):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == rc
+    assert err in capsys.readouterr().err
+    if rc:
+        assert not out.exists()
+    else:
+        rows = csv.DictReader(out.read_text().splitlines())
+        assert {r["t"] for r in rows} == {"", "0", "1"}
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):

@@ -7,8 +7,7 @@ import pytest
 
 from arcnc.gf import field_new
 from arcnc.polyalg import (DecodeHorizonError, Poly, PolyMatrix,
-                           SingularMatrixError, ToeplitzExpansion,
-                           build_toeplitz, concat_rank, decodable,
+                           SingularMatrixError, ToeplitzExpansion, decodable,
                            poly_mul_trunc, power_series_inv, rank_fq,
                            select_columns, sequential_decode, toeplitz_solve)
 
@@ -27,7 +26,6 @@ def test_poly_basic_arithmetic():
     assert (p * p) == Poly(F2, [1, 0, 1])   # 1 + z^2 over GF(2)
     assert (p + p).is_zero()
     assert p.degree == 1
-    assert p.shift(2) == Poly(F2, [0, 0, 1, 1])
     assert Poly(F2, [0, 0, 1]).valuation() == 2
     with pytest.raises(ValueError):
         Poly.zero(F2).valuation()
@@ -36,9 +34,6 @@ def test_poly_basic_arithmetic():
 
 def test_poly_eval_and_scale():
     p = Poly(F5, [1, 2, 3])          # 1 + 2z + 3z^2
-    assert p.eval(0) == 1
-    assert p.eval(1) == (1 + 2 + 3) % 5
-    assert p.eval(2) == (1 + 4 + 12) % 5
     assert p.scale(2) == Poly(F5, [2, 4, 1])
     assert (p - p).is_zero()
 
@@ -154,23 +149,26 @@ def test_decodable_equals_det_oracle(q):
         Fs = [_random_rows(rng, m, m, q) for _ in range(t + 1)]
         want = not PolyMatrix.from_coeff_matrices(fld, Fs).det().is_zero()
         assert decodable(Fs, m, fld) == want
+    # Wide kernel matrices (c = m + 1) have full rank iff some m-column
+    # subset has a non-zero determinant.
+    rng = random.Random(200 + q)
+    for _ in range(120):
+        m = rng.randrange(1, 4)
+        t = rng.randrange(0, 4)
+        Fs = [_random_rows(rng, m, m + 1, q) for _ in range(t + 1)]
+        try:
+            select_columns(PolyMatrix.from_coeff_matrices(fld, Fs), m)
+            want = True
+        except SingularMatrixError:
+            want = False
+        assert decodable(Fs, m, fld) == want
 
 
 def test_concat_rank_necessity():
-    # A matrix failing the concatenation-rank pre-filter is never decodable.
+    # A matrix whose concatenation (F_0 F_1 ...) has rank < m is never
+    # decodable: some source row combination is never sent.
     Fs = [[[1, 1], [0, 0]], [[0, 1], [0, 0]]]   # second source row never sent
-    assert concat_rank(Fs, F2) == 1
     assert not decodable(Fs, 2, F2)
-
-
-def test_build_toeplitz_agrees_with_decodable():
-    rng = random.Random(5)
-    for _ in range(40):
-        m, t = 2, rng.randrange(0, 3)
-        Fs = [_random_rows(rng, m, m, 3) for _ in range(t + 1)]
-        te = build_toeplitz(Fs, F3)
-        assert te.decodable() == decodable(Fs, m, F3) or \
-            concat_rank(Fs, F3) != m
 
 
 # ---------------------------------------------------------------------------
