@@ -73,7 +73,8 @@ def rlnc_trial(topo: Topology, field: Field, seed: int,
 
 
 def _is_combination_like(topo: Topology) -> bool:
-    """True when every sink's inputs are relay copies of distinct source edges."""
+    """True when every sink has exactly m inputs, each a relay copy of a
+    distinct source edge."""
     for v in range(topo.num_nodes):
         if v == topo.source or v in topo.sinks:
             continue
@@ -83,7 +84,8 @@ def _is_combination_like(topo: Topology) -> bool:
             return False
     for r in topo.sinks:
         parents = [topo.tail(e) for e in topo.in_edges(r)]
-        if len(set(parents)) != len(parents) or topo.source in parents:
+        if len(parents) != topo.m or len(set(parents)) != len(parents) \
+                or topo.source in parents:
             return False
     return True
 
@@ -145,24 +147,6 @@ def sink_success_fractions(topo: Topology, field: Field, trials: int,
             counts[r] += ok
         overall += res.success
     return ({r: c / trials for r, c in counts.items()}, overall / trials)
-
-
-def rlnc_success_curve(topo: Topology, q_list, trials: int, seed: int,
-                       field_for=None):
-    """Success fraction per field size; rows `q,sink,success_fraction,ho_bound`.
-
-    Returns the list of row dicts (see curve_rows); callers serialize to
-    CSV.
-    """
-    from .gf import field_new
-
-    field_for = field_for or field_new
-    rows = []
-    for q in q_list:
-        fracs, _overall = sink_success_fractions(topo, field_for(q), trials,
-                                                 seed)
-        rows.extend(curve_rows(topo, q, fracs))
-    return rows
 
 
 def curve_rows(topo: Topology, q: int, fracs: dict):

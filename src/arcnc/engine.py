@@ -23,7 +23,11 @@ Conventions:
     at end of step; a non-sink node ACKs once every sink it reaches has
     ACKed (at t = 0 if it reaches none), and an edge freezes at the end of
     the step in which its head node has ACKed.  A frozen kernel stops
-    growing: later steps append no coefficient to it.
+    growing: later steps append no coefficient to it.  Each node's ACK
+    time is the one record of this: a sink's stopping time T is its ACK
+    time, and an edge's freeze time is its head node's.
+  * Each edge keeps its header history; a sink's kernel blocks F_t (and
+    `final_F`) are read from the histories of its input edges.
   * Symbol streams are computed only when a trial is verified or traced;
     lean trials propagate headers alone, and report no decoding delay.
     The source symbols x_t are drawn in either case, so lean and
@@ -94,7 +98,7 @@ class TrialResult:
     seed: int
     success: bool
     rounds: int                 # steps until all sinks decodable (or max_rounds)
-    T: dict                     # sink -> stopping time (max_rounds on failure)
+    T: dict                     # sink -> ACK time (max_rounds if never ACKed)
     T_N: int
     delta: dict                 # sink -> decoding delay; None in lean
                                 # and failed trials
@@ -104,7 +108,8 @@ class TrialResult:
     avg_code_len: float
     avg_memory_bits: float
     trace_lines: list | None = None
-    final_F: dict | None = None  # sink -> coefficient matrices, if kept
+    final_F: dict | None = None  # sink -> blocks F_0.. read from the input
+                                 # edges' headers, if kept
 
 
 def _edge_name(eid: int) -> str:
@@ -118,8 +123,8 @@ def _topo_static(topo: Topology):
     Returns (acyclic, inputs, coding, relay_edges, propagate, eligible0,
     neighbors, downstream, coding_out) where
       * inputs maps node -> input edge ids (virtual -1..-m for the source),
-      * coding lists (out-edge, inputs) of every non-relay node in
-        ascending node id order, the kernel draw order,
+      * coding lists (out-edge, head node, inputs) of every non-relay
+        node in ascending node id order, the kernel draw order,
       * relay_edges lists (out-edge, input edge) of every relay, in
         topological order when acyclic,
       * propagate lists (node, out-edge) of the non-relay nodes in
@@ -142,8 +147,9 @@ def _topo_static(topo: Topology):
             inputs[v] = list(ins)
             if len(ins) == 1:
                 relays.add(v)
-    coding = [(eout, inputs[v]) for v in range(topo.num_nodes)
-              if v not in relays for eout in topo.out_edges(v)]
+    coding = [(eout, topo.head(eout), inputs[v])
+              for v in range(topo.num_nodes) if v not in relays
+              for eout in topo.out_edges(v)]
     relay_edges = [(eout, inputs[v][0])
                    for v in (order or range(topo.num_nodes)) if v in relays
                    for eout in topo.out_edges(v)]
@@ -201,11 +207,10 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
      downstream, coding_out) = _topo_static(topo)
     sinks = set(topo.sinks)
     trace = [] if config.trace else None
-    keep_F = config.verify_decode or config.trace or config.keep_kernels
     # Symbol streams are read only by decoding and header verification.
     keep_symbols = config.verify_decode or config.trace
 
-    kernels = {(ein, eout): [] for eout, ins in coding for ein in ins}
+    kernels = {(ein, eout): [] for eout, _, ins in coding for ein in ins}
     if not acyclic:
         for eout, ein in relay_edges:
             kernels[(ein, eout)] = [1]
@@ -225,16 +230,11 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             fhist[eout] = fhist[ein]
 
     tes = {r: ToeplitzExpansion(fld, m, len(topo.in_edges(r))) for r in topo.sinks}
-    Fs = {r: [] for r in topo.sinks}
-    T = {}
-    acked = set()
-    ack_time = {}
-    freeze_t = {}                            # edge -> freeze time
+    ack_time = {}                            # node -> step at which it ACKed
 
     def draw_coefficients(t):
-        for eout, ins in coding:
-            ft = freeze_t.get(eout)
-            if ft is not None and t > ft:
+        for eout, head, ins in coding:
+            if ack_time.get(head, t) < t:
                 continue                     # a frozen kernel stops growing
             for ein in ins:
                 if t == 0 and eligible0 is not None and (ein, eout) not in eligible0:
@@ -375,58 +375,48 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
 
     # ------------------------------------------------------------------ run
     t = 0
-    all_done_at = None
     waiting = list(topo.sinks)               # sinks not yet decodable
     while t < config.max_rounds:
         advance(t, tail=False)
-        # Sinks test decodability.
-        decoded = len(T)
-        for r in topo.sinks if keep_F else waiting:
-            Ft = block(r, t)
-            if keep_F:
-                Fs[r].append(Ft)
-                if r in T:
-                    continue
+        still = []
+        for r in waiting:
             # Stopping rule: the rank increment of the Toeplitz expansion
             # equals m at the current level.  This certifies that x_0 is
             # determined by the received window through t, which (by the
             # shift structure of the system) keeps every later symbol
             # decodable with delay <= t even while upstream kernels of
             # still-waiting siblings continue to grow.
-            if tes[r].extend(Ft) == m:
-                T[r] = t
-                acked.add(r)
+            if tes[r].extend(block(r, t)) == m:
                 ack_time[r] = t
                 if trace is not None:
                     trace.append(f"  sink {r} decodable (T={t}); ACK")
-            elif trace is not None:
-                trace.append(f"  sink {r} not decodable")
-        # Instantaneous transitive ACK resolution, then per-edge freezing.
-        # A non-sink node ACKs once every sink downstream of it has ACKed,
-        # so both change only at t = 0 (nodes that reach no sink) and at
-        # steps where a sink ACKed.
-        if t == 0 or len(T) > decoded:
-            waiting = [r for r in waiting if r not in T]
+            else:
+                still.append(r)
+                if trace is not None:
+                    trace.append(f"  sink {r} not decodable")
+        # Instantaneous transitive ACK resolution.  A non-sink node ACKs
+        # once every sink downstream of it has ACKed, so ACKs happen only
+        # at t = 0 (nodes that reach no sink) and at steps where a sink
+        # ACKed.
+        if t == 0 or len(still) < len(waiting):
             for v in range(topo.num_nodes):
-                if v in acked or v in sinks:
-                    continue
-                if downstream[v] <= acked:
-                    acked.add(v)
+                if (v not in ack_time and v not in sinks
+                        and downstream[v] <= ack_time.keys()):
                     ack_time[v] = t
                     if trace is not None:
                         trace.append(f"  node {v} ACKed")
-            for e in range(topo.num_edges):
-                if e not in freeze_t and topo.head(e) in acked:
-                    freeze_t[e] = t
-                    if trace is not None:
-                        trace.append(f"  edge e{e} frozen (t0={t})")
+            if trace is not None:
+                trace.extend(f"  edge e{e} frozen (t0={t})"
+                             for e in range(topo.num_edges)
+                             if ack_time.get(topo.head(e)) == t)
+        waiting = still
         t += 1
         if not waiting:
-            all_done_at = t - 1
             break
 
-    success = all_done_at is not None
-    rounds = (all_done_at + 1) if success else config.max_rounds
+    success = not waiting
+    rounds = t
+    T = {r: ack_time.get(r, config.max_rounds) for r in topo.sinks}
 
     # ------------------------------------------------- decoding verification
     # Only a verified successful trial measures the delay.
@@ -435,56 +425,56 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         # A sink's decoding delay is the z-adic valuation of the
         # determinant of the first full-rank column subset of its kernel
         # matrix known through the horizon.  The horizon must reach
-        # all_done_at + delta + 1 for every sink to decode two symbols, so
-        # the tail grows until the selections made on it fit.  All kernels
-        # are frozen by now, so the tail draws only source symbols.
+        # last + delta + 1 for every sink to decode two symbols, where
+        # last is the step at which the last sink stopped, so the tail
+        # grows until the selections made on it fit.  All kernels are
+        # frozen by now, so the tail draws only source symbols.
         #
         # A non-zero determinant has valuation at most cap: global kernels
-        # are N(z) / p(z) with p(0) = 1 and deg N <= E * all_done_at.  On
-        # cyclic networks a subset whose determinant is zero can look
-        # non-zero, with a valuation past the horizon, in the truncated
-        # matrix; once the horizon reaches limit the selection skips those.
-        cap = m * topo.num_edges * all_done_at
-        limit = all_done_at + cap + 1
+        # are N(z) / p(z) with p(0) = 1 and deg N <= E * last.  On cyclic
+        # networks a subset whose determinant is zero can look non-zero,
+        # with a valuation past the horizon, in the truncated matrix; once
+        # the horizon reaches limit the selection skips those.
+        last = rounds - 1
+        cap = m * topo.num_edges * last
+        limit = last + cap + 1
         selected = {}
         stale = set(topo.sinks)    # sinks whose kernel matrix changed
-        target = all_done_at + max(T.values()) + 1
+        target = last + max(T.values()) + 1
         while True:
             while t <= target:
                 advance(t, tail=True)
                 # Cyclic feedback keeps extending the global kernels even
                 # after freezing (they are rational), so the decoder needs
                 # the F_t blocks through the whole horizon.
-                for r in topo.sinks:
-                    Ft = block(r, t)
-                    Fs[r].append(Ft)
-                    if any(any(row) for row in Ft):
-                        stale.add(r)
+                stale.update(
+                    r for r in topo.sinks
+                    if any(any(fhist[e][t]) for e in topo.in_edges(r)))
                 t += 1
             horizon = t - 1
             bound = cap if horizon >= limit else None
             for r in topo.sinks:
                 if r in stale or (bound is not None and delta[r] > bound):
-                    PM = PolyMatrix.from_coeff_matrices(fld, Fs[r])
+                    PM = PolyMatrix.from_coeff_matrices(
+                        fld, [block(r, i) for i in range(t)])
                     try:
                         selected[r] = select_columns(PM, m, bound)
                     except SingularMatrixError as exc:
                         raise EngineError(f"sink {r}: {exc}") from exc
                     delta[r] = selected[r][2].valuation()
             stale.clear()
-            target = all_done_at + max(max(delta.values()),
-                                       max(T.values())) + 1
+            target = last + max(max(delta.values()), max(T.values())) + 1
             if target <= horizon:
                 break
             target = min(target, limit)
         for r in topo.sinks:
             subset, sub, det = selected[r]
             in_ids = topo.in_edges(r)
-            d, decoded_cols = sequential_decode(
+            d, xhat = sequential_decode(
                 sub, det, [ysym[in_ids[c]] for c in subset], horizon)
             for j in range(m):
                 want = xs[j][:horizon - d + 1]
-                if decoded_cols[j][:len(want)] != want:
+                if xhat[j][:len(want)] != want:
                     raise EngineError(
                         f"sink {r}: decode failure on symbol {j} "
                         f"(delay {d}, horizon {horizon})")
@@ -495,13 +485,8 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             _verify_headers(topo, fld, fhist, ysym, xs, horizon)
 
     # ----------------------------------------------------------- metrics
-    for r in topo.sinks:
-        T.setdefault(r, config.max_rounds)
     for v in range(topo.num_nodes):
-        if v in sinks:
-            ack_time.setdefault(v, T[v])
-        else:
-            ack_time.setdefault(v, config.max_rounds)
+        ack_time.setdefault(v, config.max_rounds)
     bits_per_sym = log2(q)
     L = {}
     memory_bits = {}
@@ -528,7 +513,8 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         avg_code_len=avg_code_len,
         avg_memory_bits=avg_memory_bits,
         trace_lines=trace,
-        final_F=Fs if config.keep_kernels else None,
+        final_F={r: [block(r, i) for i in range(t)] for r in topo.sinks}
+        if config.keep_kernels else None,
     )
 
 

@@ -1,10 +1,10 @@
 """Command-line front door: topology generation, golden traces, Monte Carlo
 campaigns, bound tables and RLNC comparisons.
 
-Subcommands: gen, trace, run, bounds, compare (= run --mode both).
-Configuration can come from a flat ``key = value`` file (--config); command
-line flags override file values.  Exit codes: 0 success, 1 validation
-error, 2 I/O error.
+Subcommands: gen, trace, run, bounds, compare (= run --mode both); each
+accepts only the options it reads.  Configuration can come from a flat
+``key = value`` file (--config); command line flags override file values.
+Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def parse_config_file(text: str) -> dict:
 # defaults are applied after merging so file values are distinguishable
 # from defaults.
 _OPTION_DEFAULTS = {"m": 2, "q": 2, "seed": 0, "max_rounds": 50,
-                    "tol": 1e-9, "trials": 1000, "workers": 1, "t_max": 4}
+                    "tol": 1e-9, "trials": 1000, "workers": 1, "t_max": 4,
+                    "mode": "arcnc"}
 
 
 def _config_value(key, action, text):
@@ -130,8 +131,6 @@ def _merge_config(args):
     for dest, dv in _OPTION_DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, dv)
-    if getattr(args, "mode", None) is None and hasattr(args, "default_mode"):
-        args.mode = args.default_mode
     return args
 
 
@@ -382,68 +381,78 @@ def cmd_bounds(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other validation error does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
+# Every option: its add_argument keywords.  A help text gains the option's
+# default from _OPTION_DEFAULTS.
+_OPTIONS = {
+    "n": dict(type=int, help="combination network parameter n"),
+    "m": dict(type=int, help="multicast rate m"),
+    "q": dict(type=int, help="field size"),
+    "seed": dict(type=int, help="base seed"),
+    "max-rounds": dict(type=int, help="steps before a trial fails"),
+    "topology": dict(help="topology file path"),
+    "override": dict(help="kernel override script path"),
+    "out": dict(help="output file or directory"),
+    "config": dict(help="flat key=value config file"),
+    "tol": dict(type=float, help="series tolerance"),
+    "trials": dict(type=int, help="number of trials"),
+    "workers": dict(type=int, help="worker processes"),
+    "mode": dict(choices=["arcnc", "rlnc", "both"],
+                 help="which codes to simulate"),
+    "no-verify": dict(dest="verify", action="store_false",
+                      help="skip per-trial decode/header verification"),
+    "t-max": dict(type=int, help="last t of the bound table"),
+}
+
+_CAMPAIGN = ("n m q seed max-rounds topology override out config tol trials "
+             "workers no-verify")
+
+# (name, help, handler, the options it reads, fixed argument values)
+_SUBCOMMANDS = (
+    ("gen", "write a topology file", cmd_gen, "n m out config", {}),
+    ("trace", "scripted single-trial trace", cmd_trace,
+     "n m q seed max-rounds topology override out config", {}),
+    ("run", "Monte Carlo campaign", cmd_run, _CAMPAIGN + " mode", {}),
+    ("compare", "Monte Carlo campaign (ARCNC vs RLNC)", cmd_run, _CAMPAIGN,
+     {"mode": "both"}),
+    ("bounds", "closed-form bound table", cmd_bounds,
+     "n m q out config tol t-max", {}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arcnc",
         description="Adaptive convolutional network coding simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, trials=True):
-        """Add the shared options; returns their actions."""
-        acts = [
-            p.add_argument("--n", type=int,
-                           help="combination network parameter n"),
-            p.add_argument("--m", type=int, help="multicast rate m (default 2)"),
-            p.add_argument("--q", type=int, help="field size (default 2)"),
-            p.add_argument("--seed", type=int, help="base seed (default 0)"),
-            p.add_argument("--max-rounds", type=int, help="default 50"),
-            p.add_argument("--topology", help="topology file path"),
-            p.add_argument("--override", help="kernel override script path"),
-            p.add_argument("--out", help="output file or directory"),
-            p.add_argument("--config", help="flat key=value config file"),
-            p.add_argument("--tol", type=float,
-                           help="series tolerance (default 1e-9)"),
-        ]
-        if trials:
-            acts.append(p.add_argument("--trials", type=int,
-                                       help="default 1000"))
-            acts.append(p.add_argument("--workers", type=int, help="default 1"))
-        return acts
-
-    def finish(p, acts, **defaults):
-        """Config file keys are the subcommand's option dests."""
-        p.set_defaults(options={a.dest: a for a in acts}, **defaults)
-
-    p_gen = sub.add_parser("gen", help="write a topology file")
-    p_gen.add_argument("network", choices=["comb", "fig1", "cycle"])
-    finish(p_gen, common(p_gen, trials=False), func=cmd_gen)
-
-    p_trace = sub.add_parser("trace", help="scripted single-trial trace")
-    finish(p_trace, common(p_trace, trials=False), func=cmd_trace)
-
-    for name, mode in (("run", "arcnc"), ("compare", "both")):
-        p_run = sub.add_parser(name, help="Monte Carlo campaign"
-                               + (" (ARCNC vs RLNC)" if name == "compare" else ""))
-        acts = common(p_run)
-        acts.append(p_run.add_argument("--mode",
-                                       choices=["arcnc", "rlnc", "both"]))
-        acts.append(p_run.add_argument(
-            "--no-verify", dest="verify", action="store_false",
-            help="skip per-trial decode/header verification"))
-        finish(p_run, acts, func=cmd_run, default_mode=mode)
-
-    p_bounds = sub.add_parser("bounds", help="closed-form bound table")
-    acts = common(p_bounds, trials=False)
-    acts.append(p_bounds.add_argument("--t-max", type=int, help="default 4"))
-    finish(p_bounds, acts, func=cmd_bounds)
+    for name, help_text, func, options, fixed in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == "gen":
+            p.add_argument("network", choices=["comb", "fig1", "cycle"])
+        acts = []
+        for opt in options.split():
+            kw = dict(_OPTIONS[opt])
+            dest = kw.get("dest", opt.replace("-", "_"))
+            if dest in _OPTION_DEFAULTS:
+                kw["help"] += f" (default {_OPTION_DEFAULTS[dest]})"
+            acts.append(p.add_argument("--" + opt, **kw))
+        # Config file keys are the subcommand's option dests but config.
+        p.set_defaults(func=func, **fixed, options={
+            a.dest: a for a in acts if a.dest != "config"})
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(parser.parse_args(argv))
         return args.func(args)
     except IOFailure as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from arcnc.baseline import (expected_attempts, rlnc_success_curve, rlnc_trial,
+from arcnc.baseline import (curve_rows, expected_attempts, rlnc_trial,
                             sink_success_fractions)
 from arcnc.gf import field_new
 from arcnc.topology import (Topology, combination_network,
@@ -71,7 +71,10 @@ def test_rlnc_trial_determinism():
 
 def test_success_curve_rows_and_na_cells():
     topo = combination_network(4, 2)
-    rows = rlnc_success_curve(topo, [2, 8], trials=2000, seed=5)
+    rows = []
+    for q in (2, 8):
+        fracs, _ = sink_success_fractions(topo, field_new(q), 2000, seed=5)
+        rows.extend(curve_rows(topo, q, fracs))
     assert len(rows) == 2 * 6
     for row in rows:
         assert set(row) == {"q", "sink", "success_fraction", "ho_bound"}
@@ -83,6 +86,19 @@ def test_success_curve_rows_and_na_cells():
         if row["q"] == 8:
             assert row["ho_bound"] == pytest.approx(49 / 64)
         assert row["success_fraction"] >= row["ho_bound"] - 0.05
+
+
+def test_sink_with_more_than_m_inputs():
+    # Sink 4 sees three relayed source columns, so it decodes iff the 2x3
+    # matrix of uniform columns over GF(2) has rank 2: 42 of the 64
+    # matrices.  Its rank test must read all three columns.
+    topo = Topology(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),
+                    source=0, sinks=(4,), m=2)
+    fracs, overall = sink_success_fractions(topo, field_new(2), 20000, seed=1)
+    p = 42 / 64
+    sigma = math.sqrt(p * (1 - p) / 20000)
+    assert abs(fracs[4] - p) <= 4 * sigma
+    assert overall == fracs[4]
 
 
 def test_generic_path_on_butterfly():

@@ -290,13 +290,18 @@ def test_lean_trials_report_no_delay():
 def test_lean_and_verified_trials_agree(seed, m, layers, q, trial):
     # Lean trials propagate headers only; everything but the delay must
     # match the verified trial, which also decodes and checks headers.
+    # The verified trial's kept kernels run on through its decoding tail.
     topo = _first_valid_dag(seed, m, layers)
-    lean = run_trial(_lean(topo, q, base_seed=seed), trial)
+    lean = run_trial(_lean(topo, q, base_seed=seed, keep_kernels=True), trial)
     full = run_trial(SimConfig(topology=topo, field=field_new(q),
-                               base_seed=seed), trial)
+                               base_seed=seed, keep_kernels=True), trial)
     for name in ("success", "rounds", "T", "T_N", "L", "memory_bits",
                  "avg_T", "avg_code_len", "avg_memory_bits"):
         assert getattr(lean, name) == getattr(full, name), name
+    assert list(lean.final_F) == list(topo.sinks)
+    for r, blocks in lean.final_F.items():
+        assert len(blocks) == lean.rounds
+        assert blocks == full.final_F[r][:lean.rounds]
 
 
 def test_failed_trial_reports_no_delay():

@@ -141,6 +141,8 @@ def test_config_file_with_cli_precedence(tmp_path):
      "config key 'mode': invalid choice 'bogus'"),
     ("run", "n = 4\nm = 2\ntrials = 5\nverify = false\n", 1,
      "config key 'verify' takes no value"),
+    ("bounds", "config = other.cfg\nn = 4\nm = 2\n", 1,
+     "unknown config key 'config'"),
 ])
 def test_config_file_values_checked_like_flags(tmp_path, capsys, command,
                                                text, rc, err):
@@ -165,7 +167,36 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     ov.write_text("k 0 1 0\n")   # five fields required
     assert run_cli("trace", "--n", "4", "--m", "2",
                    "--override", str(ov)) == 1
+    # usage errors exit 1, as the same values read from --config do
+    assert run_cli("run", "--n", "4", "--trials", "abc") == 1
+    assert "argument --trials: invalid int value" in capsys.readouterr().err
+    assert run_cli("run", "--n", "4", "--mode", "bogus") == 1
+    assert "argument --mode: invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "4", "--m", "2", "--seed", "1"],
+    ["bounds", "--n", "4", "--m", "2", "--max-rounds", "5"],
+    ["bounds", "--n", "4", "--m", "2", "--override", "k.txt"],
+    ["bounds", "--n", "4", "--m", "2", "--topology", "absent.txt"],
+    ["gen", "comb", "--n", "4", "--m", "2", "--q", "4"],
+    ["gen", "comb", "--n", "4", "--m", "2", "--seed", "1"],
+    ["gen", "comb", "--n", "4", "--m", "2", "--max-rounds", "5"],
+    ["gen", "comb", "--n", "4", "--m", "2", "--topology", "absent.txt"],
+    ["gen", "comb", "--n", "4", "--m", "2", "--override", "k.txt"],
+    ["gen", "comb", "--n", "4", "--m", "2", "--tol", "0.1"],
+    ["trace", "--n", "4", "--m", "2", "--tol", "0.1"],
+    ["compare", "--n", "4", "--m", "2", "--trials", "5", "--mode", "arcnc"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommand_rejects_options_it_does_not_read(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_rejects_cyclic_topology_before_any_output(tmp_path, capsys):
