@@ -34,27 +34,6 @@ def ho_bound(d: int, q: int, eta: int, t: int, exact: bool = False):
     return _maybe_float(val, exact)
 
 
-def t0_for_epsilon(d: int, q: int, eta: int, epsilon: float) -> int:
-    """Smallest horizon T_0 with guaranteed success probability >= 1 - epsilon.
-
-    Evaluates ceil(log_q d - log_q(1 - (1-eps)^(1/eta))) - 1 and then
-    verifies by scanning t upward until the bound actually clears 1 - eps,
-    so the returned value always satisfies ho_bound(d,q,eta,T0) >= 1-eps.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if d == 0:
-        return 0
-    x = 1.0 - (1.0 - epsilon) ** (1.0 / eta)
-    t = math.ceil(math.log(d, q) - math.log(x, q)) - 1
-    t = max(t, 0)
-    while q ** (t + 1) <= d:
-        t += 1
-    while float(ho_bound(d, q, eta, t)) < 1.0 - epsilon:
-        t += 1
-    return t
-
-
 def full_rank_prob_Q(q: int, m: int, t: int, exact: bool = False):
     """Q = prod_{l=1..m} (1 - q^{-tl}): full-rank probability at time t >= 1.
 

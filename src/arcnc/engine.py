@@ -37,15 +37,15 @@ Conventions:
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import log2
 
 from .gf import Field
-from .polyalg import (PolyMatrix, SingularMatrixError, ToeplitzExpansion,
-                      select_columns, sequential_decode)
-# Not called here; perfbench's tracer still wraps engine.toeplitz_solve.
-from .polyalg import toeplitz_solve  # noqa: F401
+from .polyalg import ToeplitzExpansion, det_valuation, toeplitz_solve
+# Not called here; perfbench's tracer resolves these two names in engine.
+from .polyalg import select_columns, sequential_decode  # noqa: F401
 from .rng import trial_rng, trial_seed
 from .topology import Topology, disjoint_paths, eta, is_acyclic
 
@@ -422,59 +422,57 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     # Only a verified successful trial measures the delay.
     delta = dict.fromkeys(topo.sinks)
     if success and keep_symbols:
-        # A sink's decoding delay is the z-adic valuation of the
-        # determinant of the first full-rank column subset of its kernel
-        # matrix known through the horizon.  The horizon must reach
+        # A sink's decoding delay is the summed rank deficit of the first
+        # m-column subset, in lexicographic order, of its kernel matrix
+        # whose Toeplitz expansion, fed F_0 .. F_horizon and then zero
+        # blocks up to level m * horizon, reaches increment m: the
+        # valuation of that subset's determinant.  The horizon must reach
         # last + delta + 1 for every sink to decode two symbols, where
         # last is the step at which the last sink stopped, so the tail
-        # grows until the selections made on it fit.  All kernels are
-        # frozen by now, so the tail draws only source symbols.
+        # grows until the delays measured on it fit.  All kernels are
+        # frozen by now, so the tail draws only source symbols; cyclic
+        # feedback still extends the (rational) global kernels.
         #
         # A non-zero determinant has valuation at most cap: global kernels
         # are N(z) / p(z) with p(0) = 1 and deg N <= E * last.  On cyclic
         # networks a subset whose determinant is zero can look non-zero,
         # with a valuation past the horizon, in the truncated matrix; once
-        # the horizon reaches limit the selection skips those.
+        # the horizon reaches limit, a summed deficit above cap skips it.
         last = rounds - 1
         cap = m * topo.num_edges * last
         limit = last + cap + 1
-        selected = {}
-        stale = set(topo.sinks)    # sinks whose kernel matrix changed
         target = last + max(T.values()) + 1
         while True:
             while t <= target:
                 advance(t, tail=True)
-                # Cyclic feedback keeps extending the global kernels even
-                # after freezing (they are rational), so the decoder needs
-                # the F_t blocks through the whole horizon.
-                stale.update(
-                    r for r in topo.sinks
-                    if any(any(fhist[e][t]) for e in topo.in_edges(r)))
                 t += 1
             horizon = t - 1
             bound = cap if horizon >= limit else None
-            for r in topo.sinks:
-                if r in stale or (bound is not None and delta[r] > bound):
-                    PM = PolyMatrix.from_coeff_matrices(
-                        fld, [block(r, i) for i in range(t)])
-                    try:
-                        selected[r] = select_columns(PM, m, bound)
-                    except SingularMatrixError as exc:
-                        raise EngineError(f"sink {r}: {exc}") from exc
-                    delta[r] = selected[r][2].valuation()
-            stale.clear()
+            kernel = {r: [block(r, i) for i in range(t)] for r in topo.sinks}
+            for r, Fs in kernel.items():
+                c = len(topo.in_edges(r))
+                for subset in itertools.combinations(range(c), m):
+                    delta[r] = det_valuation(
+                        [[[row[j] for j in subset] for row in F] for F in Fs],
+                        fld, bound)
+                    if delta[r] is not None:
+                        break
+                else:
+                    raise EngineError(f"sink {r}: no full-rank column subset")
             target = last + max(max(delta.values()), max(T.values())) + 1
             if target <= horizon:
                 break
             target = min(target, limit)
-        for r in topo.sinks:
-            subset, sub, det = selected[r]
-            in_ids = topo.in_edges(r)
-            d, xhat = sequential_decode(
-                sub, det, [ysym[in_ids[c]] for c in subset], horizon)
+        for r, Fs in kernel.items():
+            d = delta[r]
+            try:
+                xhat = toeplitz_solve(Fs, [ysym[e] for e in topo.in_edges(r)],
+                                      m, horizon, fld)
+            except ValueError as exc:
+                raise EngineError(f"sink {r}: {exc}") from exc
             for j in range(m):
                 want = xs[j][:horizon - d + 1]
-                if xhat[j][:len(want)] != want:
+                if [x[j] for x in xhat[:len(want)]] != want:
                     raise EngineError(
                         f"sink {r}: decode failure on symbol {j} "
                         f"(delay {d}, horizon {horizon})")

@@ -176,13 +176,7 @@ class Field:
             return pow(a, self.q - 2, self.q)
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # -- helpers ----------------------------------------------------------
-
-    def elements(self):
-        return range(self.q)
 
     def __eq__(self, other):
         return (isinstance(other, Field) and other.q == self.q

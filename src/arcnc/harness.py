@@ -279,12 +279,9 @@ def cmd_run(args) -> int:
                 overrides = parse_override_script(fh.read())
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
-    outdir = args.out or "."
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
-
+    # Output is buffered and written only once every pass has finished, so
+    # a failed campaign leaves no output directory behind.
+    files = {}                             # file name -> text
     summary_doc = {"bnc_comparison": BNC_LITERATURE}
     if args.mode in ("arcnc", "both"):
         cfg = SimConfig(topology=topo, field=field, max_rounds=args.max_rounds,
@@ -294,10 +291,8 @@ def cmd_run(args) -> int:
         trial_buf = io.StringIO()
         summary = collect_campaign(cfg, args.trials, workers=args.workers,
                                    sink_csv=sink_buf, trial_csv=trial_buf)
-        _write_text(os.path.join(outdir, "campaign_sinks.csv"),
-                    sink_buf.getvalue())
-        _write_text(os.path.join(outdir, "campaign_trials.csv"),
-                    trial_buf.getvalue())
+        files["campaign_sinks.csv"] = sink_buf.getvalue()
+        files["campaign_trials.csv"] = trial_buf.getvalue()
         doc = summary.to_json_dict()
         doc["analysis"] = _analysis_columns(topo, args.q, args.tol,
                                             max(2, summary.max_T_N()))
@@ -313,15 +308,22 @@ def cmd_run(args) -> int:
                              f"{row['success_fraction']:.10g}",
                              row["ho_bound"] if row["ho_bound"] == "N/A"
                              else f"{row['ho_bound']:.10g}"])
-        _write_text(os.path.join(outdir, "rlnc_curve.csv"), buf.getvalue())
+        files["rlnc_curve.csv"] = buf.getvalue()
         summary_doc["rlnc"] = {
             "per_sink_success": {str(r): v for r, v in sorted(fracs.items())},
             "overall_success": overall,
             "expected_attempts_derived": expected_attempts(overall),
             "memory_bits_per_node": topo.m * math.log2(args.q),
         }
-    _write_text(os.path.join(outdir, "summary.json"),
-                json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+    files["summary.json"] = json.dumps(summary_doc, indent=2,
+                                       sort_keys=True) + "\n"
+    outdir = args.out or "."
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+    for name, text in files.items():
+        _write_text(os.path.join(outdir, name), text)
     return 0
 
 

@@ -1,21 +1,22 @@
 """Polynomials and polynomial matrices over F_q.
 
 Implements the delay-domain algebra used by the protocol: truncated
-convolution, rank over F_q, the block-Toeplitz decodability test, the
-cofactor determinant and column selection, and the sequential
-(power-series) decoder.  toeplitz_solve, direct elimination on the
-Toeplitz system, is kept as the reference the sequential decoder is
-tested against.
+convolution, rank over F_q, the block-Toeplitz expansion and the
+Toeplitz-system decoder.
 
-Decodability has one rank primitive, the rank increment of the block
-Toeplitz expansions M_L (ToeplitzExpansion.extend); the engine's stopping
-rule reads it at the current level.  An increment of m at level L means
-x_0 is determined by the received window through L.  decodable() decides
-whether a kernel matrix known through degree t has full row rank (a
-non-zero m x m minor; the determinant when square) by extending the
-expansion with F_0 .. F_t and then with zero blocks up to level m*t, the
-largest valuation a non-zero minor can have: the matrix has full rank iff
-some level's increment is m.  PolyMatrix.det checks this independently.
+ToeplitzExpansion is the one rank and valuation primitive.  Its rank
+increment at level L is #{i : d_i <= L}, where z^d_1 .. z^d_m are the
+invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain 1968;
+Forney 1970).  The engine's stopping rule reads it at the current level:
+an increment of m at level L means x_0 is determined by the received
+window through L.  decodable() and det_valuation() extend an expansion
+with F_0 .. F_t and then with zero blocks up to level m*t, the largest
+valuation a non-zero m x m minor can have: the matrix has full rank iff
+some increment is m, and the rank deficits summed up to that level are
+d_1 + ... + d_m, the valuation of a square matrix's determinant.
+toeplitz_solve, elimination on the Toeplitz system, is the engine's
+decoder.  PolyMatrix.det, select_columns and the adjugate decoder
+sequential_decode are test oracles.
 """
 
 from __future__ import annotations
@@ -298,19 +299,35 @@ class ToeplitzExpansion:
         return inc
 
 
-def decodable(Fs, m: int, field: Field) -> bool:
-    """True iff the kernel matrix with coefficients F_0 .. F_t (m x c,
-    c >= m) has full row rank over the rational functions.
-
-    Extends one Toeplitz expansion with F_0 .. F_t and then with zero
-    blocks through level m*t; some increment equals m iff the matrix has
-    a non-zero m x m minor.
-    """
+def _padded_increments(Fs, m: int, field: Field):
+    """Increments of an expansion fed F_0 .. F_t, then zeros to level m*t."""
     c = len(Fs[0][0])
     te = ToeplitzExpansion(field, m, c)
     zero = [[0] * c for _ in range(m)]
     padding = itertools.repeat(zero, (m - 1) * (len(Fs) - 1))
-    return any(te.extend(F) == m for F in itertools.chain(Fs, padding))
+    for F in itertools.chain(Fs, padding):
+        yield te.extend(F)
+
+
+def decodable(Fs, m: int, field: Field) -> bool:
+    """True iff the kernel matrix with coefficients F_0 .. F_t (m x c,
+    c >= m) has full row rank over the rational functions."""
+    return any(inc == m for inc in _padded_increments(Fs, m, field))
+
+
+def det_valuation(Fs, field: Field, max_valuation=None):
+    """Valuation of det F for the square kernel matrix with coefficients
+    F_0 .. F_t: its summed rank deficits.  None when det F = 0 or, with
+    max_valuation, when the valuation exceeds it."""
+    m = len(Fs[0])
+    deficit = 0
+    for inc in _padded_increments(Fs, m, field):
+        if inc == m:
+            return deficit
+        deficit += m - inc
+        if max_valuation is not None and deficit > max_valuation:
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +416,9 @@ class PolyMatrix:
 def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
     """Decode x from y(z) = x(z) F(z) by elimination on the Toeplitz system.
 
-    Reference decoder: the engine decodes with sequential_decode, and the
-    tests check that decoder against this one.  Fs are the coefficient matrices F_0..F_D (m rows, c >= m columns) and
-    ys the c received streams through `horizon`.  Unlike the adjugate
-    decoder this works directly on the linear system
+    The engine's decoder.  Fs are the coefficient matrices F_0..F_D (m
+    rows, c >= m columns) and ys the c received streams through
+    `horizon`.  It works directly on the linear system
     y_{e,t} = sum_i x_{t-i} F_i, so it needs no invertible column subset:
     a message symbol is recovered exactly when the received window
     determines it.
@@ -428,6 +444,9 @@ def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
             rows.append(row)
             rhs.append(ys[col][t])
     # Reduced row echelon form with the right-hand side carried along.
+    # Entries of the pivot row left of its pivot are zero, and only its
+    # non-zero entries change the other rows.
+    sub, mul = field.sub, field.mul
     pivots = {}                    # column -> row index
     rank = 0
     for col in range(nu):
@@ -440,15 +459,18 @@ def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         rhs[rank], rhs[piv] = rhs[piv], rhs[rank]
-        pinv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(pinv, a) for a in rows[rank]]
-        rhs[rank] = field.mul(pinv, rhs[rank])
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                fct = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(fct, b))
-                           for a, b in zip(rows[r], rows[rank])]
-                rhs[r] = field.sub(rhs[r], field.mul(fct, rhs[rank]))
+        prow = rows[rank]
+        pinv = field.inv(prow[col])
+        nz = [k for k in range(col, nu) if prow[k]]
+        for k in nz:
+            prow[k] = mul(pinv, prow[k])
+        prhs = rhs[rank] = mul(pinv, rhs[rank])
+        for r, row in enumerate(rows):
+            fct = row[col]
+            if fct and r != rank:
+                for k in nz:
+                    row[k] = sub(row[k], mul(fct, prow[k]))
+                rhs[r] = sub(rhs[r], mul(fct, prhs))
         pivots[col] = rank
         rank += 1
     for r in range(rank, len(rows)):
@@ -462,35 +484,28 @@ def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
     return out
 
 
-def select_columns(F: PolyMatrix, m: int, max_valuation=None):
+def select_columns(F: PolyMatrix, m: int):
     """First (lexicographic) m-column subset with non-zero determinant.
 
-    With max_valuation, the determinant must also have valuation at most
-    max_valuation.  When F is a power-series matrix truncated past that
-    bound, this skips the subsets whose determinant is zero but whose
-    truncation is not.
-
-    Returns (column index tuple, the m x m submatrix, its determinant).
+    Test oracle for the engine's column choice.  Returns (column index
+    tuple, the m x m submatrix, its determinant).
     """
     if F.cols < m:
         raise SingularMatrixError("fewer columns than the multicast rate")
     for subset in itertools.combinations(range(F.cols), m):
         sub = F.submatrix_cols(subset)
         det = sub.det()
-        if not det.is_zero() and (max_valuation is None
-                                  or det.valuation() <= max_valuation):
+        if not det.is_zero():
             return subset, sub, det
-    raise SingularMatrixError("no full-rank column subset exists"
-                              if max_valuation is None else
-                              "no column subset has a determinant of "
-                              f"valuation <= {max_valuation}")
+    raise SingularMatrixError("no full-rank column subset exists")
 
 
 def sequential_decode(F: PolyMatrix, det: Poly, ys, horizon: int):
     """Symbol-by-symbol decode of y(z) = x(z) F(z).
 
-    F must be square and invertible over the rational functions, and det
-    must be det(F) (as returned by select_columns).  Writes
+    Test reference for toeplitz_solve.  F must be square and invertible
+    over the rational functions, and det must be det(F) (as returned by
+    select_columns).  Writes
     det(F) = z^delta * u(z) with u(0) != 0 and recovers
     x(z) = y(z) adj(F)(z) u(z)^{-1} z^{-delta}.  Decoding x_t uses y only
     through time t + delta.

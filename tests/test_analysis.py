@@ -8,7 +8,7 @@ import pytest
 from arcnc import analysis
 from arcnc.analysis import (BoundNotApplicable, et2_upper, et_lower, et_upper,
                             exact_ET, full_rank_prob_Q, ho_bound, rho_ub,
-                            rho_upper, t0_for_epsilon, var_upper)
+                            rho_upper, var_upper)
 
 
 def test_ho_bound_values():
@@ -33,19 +33,6 @@ def test_ho_bound_monotone_in_t_and_q():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     qvals = [ho_bound(6, q, 4, 2) for q in (2, 3, 4, 5, 8)]
     assert all(b > a for a, b in zip(qvals, qvals[1:]))
-
-
-def test_t0_for_epsilon():
-    assert t0_for_epsilon(2, 2, 1, 0.5) == 1
-    for d, q, eta_, eps in [(6, 2, 4, 0.1), (6, 4, 4, 0.01), (1, 8, 2, 0.3)]:
-        t0 = t0_for_epsilon(d, q, eta_, eps)
-        assert ho_bound(d, q, eta_, t0) >= 1 - eps
-        if t0 > 0:
-            # minimality: one step earlier either fails the target or the guard
-            try:
-                assert ho_bound(d, q, eta_, t0 - 1) < 1 - eps
-            except BoundNotApplicable:
-                pass
 
 
 def test_full_rank_prob_Q():

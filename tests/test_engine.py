@@ -5,10 +5,13 @@ import dataclasses
 import hashlib
 import io
 import math
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcnc import engine
 from arcnc.engine import (OverrideError, SimConfig, TRIAL_SINK_COLUMNS,
                           TRIAL_SUMMARY_COLUMNS, collect_campaign, run_trial)
 from arcnc.gf import field_new
@@ -324,6 +327,29 @@ def test_node_without_out_edges_acks_at_t0():
         assert res.T == {1: 1}
         assert res.L == {0: 2, 1: 2, 2: 2}
         assert res.avg_code_len == 1.5
+
+
+def test_benchmark_tracer_wraps_engine_names():
+    # perfbench/tracing.py resolves engine and polyalg functions by name;
+    # a rename would break `perfbench/run.py --trace 1`.  The module is
+    # executed from its source, so nothing is written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=5)
+    want = run_trial(cfg, 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        got = engine.run_trial(cfg, 3)
+    finally:
+        tracer.uninstall()
+    assert engine.run_trial is run_trial
+    assert got == want
+    # one Toeplitz decode per sink, no cofactor algebra
+    assert tracer.counts["polyalg.toeplitz_solve"] == 6
+    assert tracer.counts["polyalg.det"] == 0
+    assert tracer.counts["polyalg.select_columns"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from arcnc import harness
 from arcnc.harness import main
 from arcnc.topology import combination_network, load_topology
 
@@ -208,6 +209,22 @@ def test_compare_rejects_cyclic_topology_before_any_output(tmp_path, capsys):
                        "--trials", "20", "--out", str(outdir)) == 1
         assert "acyclic" in capsys.readouterr().err
         assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("run", "collect_campaign"), ("compare", "collect_campaign"),
+    ("compare", "sink_success_fractions")])
+def test_failed_campaign_leaves_no_output(tmp_path, monkeypatch, command,
+                                          target):
+    def fail(*args, **kwargs):
+        raise RuntimeError("campaign interrupted")
+
+    monkeypatch.setattr(harness, target, fail)
+    outdir = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="campaign interrupted"):
+        run_cli(command, "--n", "4", "--m", "2", "--trials", "5",
+                "--out", str(outdir))
+    assert not outdir.exists()
 
 
 def test_run_rejects_bad_workers_and_trials(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 from arcnc.gf import field_new
 from arcnc.polyalg import (DecodeHorizonError, Poly, PolyMatrix,
                            SingularMatrixError, ToeplitzExpansion, decodable,
-                           poly_mul_trunc, power_series_inv, rank_fq,
-                           select_columns, sequential_decode, toeplitz_solve)
+                           det_valuation, poly_mul_trunc, power_series_inv,
+                           rank_fq, select_columns, sequential_decode,
+                           toeplitz_solve)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -147,8 +148,18 @@ def test_decodable_equals_det_oracle(q):
         m = rng.randrange(1, 4)
         t = rng.randrange(0, 4)
         Fs = [_random_rows(rng, m, m, q) for _ in range(t + 1)]
-        want = not PolyMatrix.from_coeff_matrices(fld, Fs).det().is_zero()
-        assert decodable(Fs, m, fld) == want
+        det = PolyMatrix.from_coeff_matrices(fld, Fs).det()
+        assert decodable(Fs, m, fld) == (not det.is_zero())
+        # The summed rank deficits are the determinant's valuation; a
+        # cut-off below it gives None.
+        if det.is_zero():
+            assert det_valuation(Fs, fld) is None
+        else:
+            v = det.valuation()
+            assert det_valuation(Fs, fld) == v
+            assert det_valuation(Fs, fld, max_valuation=v) == v
+            if v:
+                assert det_valuation(Fs, fld, max_valuation=v - 1) is None
     # Wide kernel matrices (c = m + 1) have full rank iff some m-column
     # subset has a non-zero determinant.
     rng = random.Random(200 + q)
@@ -205,14 +216,10 @@ def test_select_columns_lexicographic():
     B = PolyMatrix(F2, [[[1], [1]], [[1], [1]]])
     with pytest.raises(SingularMatrixError):
         select_columns(B, 2)
-    # det of columns (0, 1) is z^2; with max_valuation 1, (0, 2) is first.
+    # det of columns (0, 1) is z^2: non-zero, so (0, 1) is first.
     C = PolyMatrix(F2, [[[0, 1], [0], [1]],
                         [[0], [0, 1], [1]]])
     assert select_columns(C, 2)[0] == (0, 1)
-    subset, _, det = select_columns(C, 2, max_valuation=1)
-    assert subset == (0, 2) and det.valuation() == 1
-    with pytest.raises(SingularMatrixError):
-        select_columns(C, 2, max_valuation=0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +275,10 @@ def test_sequential_decode_horizon_error():
 
 def test_toeplitz_solve_matches_sequential_decode():
     rng = random.Random(29)
-    for q in (2, 3):
+    for q in (2, 3, 4):
         fld = field_new(q)
         for _ in range(25):
-            m = rng.randrange(1, 3)
+            m = rng.randrange(1, 4)
             Fs, A = _random_invertible(rng, fld, m, rng.randrange(0, 3))
             horizon = 7
             xs = [[rng.randrange(q) for _ in range(horizon + 1)]
