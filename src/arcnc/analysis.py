@@ -53,7 +53,7 @@ def exact_ET(q: int, m: int, tol: float = 1e-9) -> float:
     Terms are accumulated exactly until the geometric tail bound
     m * q^{-t} / (1 - 1/q) drops below tol.
     """
-    if tol <= 0:
+    if not tol > 0:                        # NaN would never stop the loop
         raise ValueError("tol must be positive")
     acc = Fraction(0)
     t = 1

@@ -28,8 +28,14 @@ Conventions:
     time, and an edge's freeze time is its head node's.
   * Each edge keeps its header history; a sink's kernel blocks F_t (and
     `final_F`) are read from the histories of its input edges.
+  * One rule computes every edge's step-t header and symbol: the local
+    kernels convolved with the input histories, truncated at t.  On a
+    cyclic network the step-t values of the edges also feed each other
+    through the time-0 kernel coefficients; the cyclic step convolves the
+    rest the same way and solves only that coupling, by substitution.
   * Symbol streams are computed only when a trial is verified or traced;
-    lean trials propagate headers alone, and report no decoding delay.
+    lean trials propagate headers alone, on every topology, and report no
+    decoding delay.
     The source symbols x_t are drawn in either case, so lean and
     verified trials consume the same draw stream.
 """
@@ -127,8 +133,9 @@ def _topo_static(topo: Topology):
         node in ascending node id order, the kernel draw order,
       * relay_edges lists (out-edge, input edge) of every relay, in
         topological order when acyclic,
-      * propagate lists (node, out-edge) of the non-relay nodes in
-        topological order (None when cyclic),
+      * propagate lists the (node, out-edge) pairs whose histories a step
+        computes: those of the non-relay nodes in topological order when
+        acyclic, every pair when cyclic (relays keep a constant-1 kernel),
       * eligible0 is the t=0 random-draw eligibility set for cyclic
         networks (None when acyclic),
       * neighbors maps node -> adjacent node set,
@@ -153,10 +160,9 @@ def _topo_static(topo: Topology):
     relay_edges = [(eout, inputs[v][0])
                    for v in (order or range(topo.num_nodes)) if v in relays
                    for eout in topo.out_edges(v)]
-    propagate = None
-    if acyclic:
-        propagate = [(v, eout) for v in order if v not in relays
-                     for eout in topo.out_edges(v)]
+    skip = relays if acyclic else set()      # a cyclic step runs relays too
+    propagate = [(v, eout) for v in (order or range(topo.num_nodes))
+                 if v not in skip for eout in topo.out_edges(v)]
     eligible0 = None
     if not acyclic:
         # Cyclic initialization restricts t=0 randomness to the adjacent
@@ -254,8 +260,10 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                     trace.append(f"  k({_edge_name(ein)}->"
                                  f"{_edge_name(eout)}, t={t}) = {val}")
 
-    def conv_edge(v, eout, t):
-        """Header (and symbol, if kept) of edge eout at time t."""
+    def conv_edge(v, eout, t, first=0):
+        """Header (and symbol, if kept) of edge eout at time t: the local
+        kernels convolved with the input histories, real inputs from delay
+        `first` on and virtual inputs at every delay."""
         add, mul = fld.add, fld.mul
         ysum = 0
         fsum = [0] * m
@@ -268,19 +276,19 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                 # so only the i == t kernel coefficient contributes to f_t
                 if t < len(k) and k[t]:
                     fsum[j] = add(fsum[j], k[t])
-                hist = xs[j]
+                hist, lo = xs[j], 0
             else:
                 fh = fhist[ein]
-                for i in range(n):
+                for i in range(first, n):
                     ki = k[i]
                     if ki:
                         fv = fh[t - i]
                         for j in range(m):
                             if fv[j]:
                                 fsum[j] = add(fsum[j], mul(ki, fv[j]))
-                hist = ysym[ein]
+                hist, lo = ysym[ein], first
             if keep_symbols:
-                for i in range(n):
+                for i in range(lo, n):
                     ki = k[i]
                     if ki:
                         ysum = add(ysum, mul(ki, hist[t - i]))
@@ -296,62 +304,36 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     def step_cyclic(t):
         add, mul = fld.add, fld.mul
         E = topo.num_edges
-        # Known part: contributions from delays i >= 1 plus virtual inputs.
-        by = [0] * E
-        bf = [[0] * m for _ in range(E)]
-        k0 = {}                    # (ein, eout) -> time-0 coupling, real edges
-        for v in range(topo.num_nodes):
-            for eout in topo.out_edges(v):
-                for ein in inputs[v]:
-                    k = kernels[(ein, eout)]
-                    if ein < 0:
-                        j = -ein - 1
-                        for i in range(min(len(k), t + 1)):
-                            ki = k[i]
-                            if ki:
-                                by[eout] = add(by[eout], mul(ki, xs[j][t - i]))
-                                if i == t:
-                                    bf[eout][j] = add(bf[eout][j], ki)
-                    else:
-                        for i in range(1, min(len(k), t + 1)):
-                            ki = k[i]
-                            if ki:
-                                by[eout] = add(by[eout], mul(ki, ysym[ein][t - i]))
-                                fv = fhist[ein][t - i]
-                                for j in range(m):
-                                    if fv[j]:
-                                        bf[eout][j] = add(bf[eout][j],
-                                                          mul(ki, fv[j]))
-                        if k and k[0]:
-                            k0[(ein, eout)] = k[0]
-        # Fixed point: the time-0 coupling matrix is nilpotent under the
-        # disjoint-path initialization, so |E| substitutions converge.
-        cy = [0] * E
-        cf = [[0] * m for _ in range(E)]
-
-        def iterate(src_y, src_f):
-            ny = list(by)
-            nf = [list(row) for row in bf]
-            for (ein, eout), k in k0.items():
-                yv = src_y[ein]
-                if yv:
-                    ny[eout] = add(ny[eout], mul(k, yv))
-                fv = src_f[ein]
+        # Known part: real inputs at delays i >= 1 plus virtual inputs.
+        by, bf = [0] * E, [None] * E
+        for v, eout in propagate:
+            by[eout], bf[eout] = conv_edge(v, eout, t, first=1)
+        # The time-0 coupling is nilpotent under the disjoint-path
+        # initialization, so substituting it from zero settles within |E|
+        # + 1 substitutions; the iterates are partial sums of sum_i K0^i b.
+        k0 = [(ein, eout, k[0]) for (ein, eout), k in kernels.items()
+              if ein >= 0 and k and k[0]]
+        cy, cf = [0] * E, [[0] * m for _ in range(E)]
+        for _ in range(E + 1):
+            ny, nf = list(by), [list(row) for row in bf]
+            for ein, eout, k in k0:
+                if keep_symbols and cy[ein]:
+                    ny[eout] = add(ny[eout], mul(k, cy[ein]))
+                fv = cf[ein]
                 for j in range(m):
                     if fv[j]:
                         nf[eout][j] = add(nf[eout][j], mul(k, fv[j]))
-            return ny, nf
-
-        for _ in range(E):
-            cy, cf = iterate(cy, cf)
-        check_y, check_f = iterate(cy, cf)
-        if check_y != cy or check_f != cf:
+            if ny == cy and nf == cf:
+                break
+            cy, cf = ny, nf
+        else:
             raise EngineError(
                 f"cyclic fixed point did not converge at t={t} "
                 "(time-0 kernel matrix is not nilpotent)")
         for e in range(E):
-            ysym[e].append(cy[e])
             fhist[e].append(cf[e])
+            if keep_symbols:
+                ysym[e].append(cy[e])
 
     def advance(t, tail):
         """Source symbols, kernel draws and propagation for step t."""
@@ -363,10 +345,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         if trace is not None and not tail:
             trace.append(f"  x_{t} = {tuple(xt)}")
         draw_coefficients(t)
-        if acyclic:
-            step_acyclic(t)
-        else:
-            step_cyclic(t)
+        (step_acyclic if acyclic else step_cyclic)(t)
 
     def block(r, t):
         """F_t of sink r: row i holds component i of each input header."""

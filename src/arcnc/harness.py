@@ -139,15 +139,30 @@ class IOFailure(Exception):
 
 
 def _load_topology_arg(args):
+    """The --topology file or comb(--n, --m), checked for max-flow m."""
     if getattr(args, "topology", None):
         try:
             with open(args.topology) as fh:
-                return load_topology(fh.read())
+                topo = load_topology(fh.read())
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
-    if getattr(args, "n", None):
-        return combination_network(args.n, args.m)
-    raise ValueError("no topology: give --topology FILE or --n/--m")
+    elif getattr(args, "n", None):
+        topo = combination_network(args.n, args.m)
+    else:
+        raise ValueError("no topology: give --topology FILE or --n/--m")
+    report = validate_multicast(topo)
+    if not report.ok:
+        raise ValueError(f"multicast validation failed: sinks {report.failures} "
+                         f"have max-flow below m={topo.m}")
+    return topo
+
+
+def _read_overrides(path):
+    try:
+        with open(path) as fh:
+            return parse_override_script(fh.read())
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
 
 
 def _write_text(path, text):
@@ -208,17 +223,9 @@ def _trial_result_json(res) -> dict:
 
 def cmd_trace(args) -> int:
     topo = _load_topology_arg(args)
-    report = validate_multicast(topo)
-    if not report.ok:
-        raise ValueError(f"multicast validation failed: sinks {report.failures} "
-                         f"have max-flow below m={topo.m}")
     if not args.override:
         raise ValueError("trace needs --override SCRIPT")
-    try:
-        with open(args.override) as fh:
-            overrides = parse_override_script(fh.read())
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    overrides = _read_overrides(args.override)
     field = field_new(args.q)
     cfg = SimConfig(topology=topo, field=field, max_rounds=args.max_rounds,
                     base_seed=args.seed, overrides=overrides,
@@ -264,21 +271,13 @@ def cmd_run(args) -> int:
         raise ValueError("--trials must be >= 1")
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
+    if not args.tol > 0:
+        raise ValueError("--tol must be positive")
     topo = _load_topology_arg(args)
-    report = validate_multicast(topo)
-    if not report.ok:
-        raise ValueError(f"multicast validation failed: sinks {report.failures} "
-                         f"have max-flow below m={topo.m}")
     if args.mode in ("rlnc", "both") and not is_acyclic(topo)[0]:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     field = field_new(args.q)
-    overrides = None
-    if args.override:
-        try:
-            with open(args.override) as fh:
-                overrides = parse_override_script(fh.read())
-        except OSError as exc:
-            raise IOFailure(str(exc)) from exc
+    overrides = _read_overrides(args.override) if args.override else None
     # Output is buffered and written only once every pass has finished, so
     # a failed campaign leaves no output directory behind.
     files = {}                             # file name -> text
@@ -339,6 +338,9 @@ def cmd_bounds(args) -> int:
         raise ValueError("bounds needs --m, --q and --n")
     if n < m:
         raise ValueError("bounds needs n >= m")
+    field_new(q)                           # rejects q that is no field order
+    if args.t_max < 0:
+        raise ValueError("--t-max must be >= 0")
     d = math.comb(n, m)
     topo = combination_network(n, m)
     net_eta = eta(topo)
@@ -348,21 +350,14 @@ def cmd_bounds(args) -> int:
     def row(quantity, t, value, mode):
         rows.append([quantity, m, q, n, d, net_eta, t, value, mode])
 
-    for t in range(args.t_max + 1):
-        try:
-            row("ho_bound_network", t,
-                _fmt_exact(analysis.ho_bound(d, q, net_eta, t, exact=True)),
-                "exact")
-        except analysis.BoundNotApplicable:
-            row("ho_bound_network", t, "N/A", "exact")
-    for t in range(args.t_max + 1):
-        try:
-            val = analysis.ho_bound(1, q, sink_eta, t, exact=True)
-            rows.append(["ho_bound_sink", m, q, n, 1, sink_eta, t,
-                         _fmt_exact(val), "exact"])
-        except analysis.BoundNotApplicable:
-            rows.append(["ho_bound_sink", m, q, n, 1, sink_eta, t,
-                         "N/A", "exact"])
+    for quantity, dq, eq in (("ho_bound_network", d, net_eta),
+                             ("ho_bound_sink", 1, sink_eta)):
+        for t in range(args.t_max + 1):
+            try:
+                val = _fmt_exact(analysis.ho_bound(dq, q, eq, t, exact=True))
+            except analysis.BoundNotApplicable:
+                val = "N/A"
+            rows.append([quantity, m, q, n, dq, eq, t, val, "exact"])
     row("et_upper", "", _fmt_exact(analysis.et_upper(m, q, exact=True)), "exact")
     row("et_lower", "", _fmt_exact(analysis.et_lower(m, q, exact=True)), "exact")
     row("et2_upper", "", _fmt_exact(analysis.et2_upper(m, q, exact=True)), "exact")

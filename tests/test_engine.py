@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcnc import engine
-from arcnc.engine import (OverrideError, SimConfig, TRIAL_SINK_COLUMNS,
-                          TRIAL_SUMMARY_COLUMNS, collect_campaign, run_trial)
+from arcnc.engine import (EngineError, OverrideError, SimConfig,
+                          TRIAL_SINK_COLUMNS, TRIAL_SUMMARY_COLUMNS,
+                          collect_campaign, run_trial)
 from arcnc.gf import field_new
 from arcnc.harness import fig1_override_text, parse_override_script
 from arcnc.polyalg import PolyMatrix, select_columns
@@ -233,6 +234,25 @@ def test_cyclic_delta_skips_column_pairs_with_zero_determinant():
     assert res.success and res.T[4] == 3 and res.delta[4] == 4
 
 
+def test_cyclic_fixed_point_failure_raises(monkeypatch):
+    # With every adjacent pair drawing at t=0, the e2<->e3 time-0 coupling
+    # of the two-node cycle is usually not nilpotent, so the step-0
+    # substitution never settles.  When it is, the trial runs as usual.
+    static = engine._topo_static
+
+    def all_pairs_at_t0(topo):
+        return static(topo)[:5] + (None,) + static(topo)[6:]
+
+    monkeypatch.setattr(engine, "_topo_static", all_pairs_at_t0)
+    for mode in ("lean", "verified"):
+        cfg = SimConfig(topology=two_node_cycle_network(), field=field_new(3),
+                        base_seed=1, **_MODES[mode])
+        with pytest.raises(EngineError, match="did not converge at t=0"):
+            run_trial(cfg, 0)
+        res = run_trial(cfg, 2)
+        assert res.success and res.T == {3: 1}
+
+
 def test_cyclic_time0_restricted_to_disjoint_paths():
     # With q=2 the trial may need several rounds, but the fixed point must
     # stay well-defined (no EngineError) and headers verified.
@@ -286,15 +306,10 @@ def test_lean_trials_report_no_delay():
         assert all(d is not None for d in full.delta.values())
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(seed=st.integers(0, 1 << 20), m=st.integers(1, 3),
-       layers=st.integers(2, 3), q=st.sampled_from([2, 3, 4]),
-       trial=st.integers(0, 999))
-def test_lean_and_verified_trials_agree(seed, m, layers, q, trial):
-    # Lean trials propagate headers only; everything but the delay must
-    # match the verified trial, which also decodes and checks headers.
-    # The verified trial's kept kernels run on through its decoding tail.
-    topo = _first_valid_dag(seed, m, layers)
+def _check_lean_matches_verified(topo, q, seed, trial):
+    """Lean trials propagate headers only; everything but the delay must
+    match the verified trial, which also decodes and checks headers.  The
+    verified trial's kept kernels run on through its decoding tail."""
     lean = run_trial(_lean(topo, q, base_seed=seed, keep_kernels=True), trial)
     full = run_trial(SimConfig(topology=topo, field=field_new(q),
                                base_seed=seed, keep_kernels=True), trial)
@@ -305,6 +320,31 @@ def test_lean_and_verified_trials_agree(seed, m, layers, q, trial):
     for r, blocks in lean.final_F.items():
         assert len(blocks) == lean.rounds
         assert blocks == full.final_F[r][:lean.rounds]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 1 << 20), m=st.integers(1, 3),
+       layers=st.integers(2, 3), q=st.sampled_from([2, 3, 4]),
+       trial=st.integers(0, 999))
+def test_lean_and_verified_trials_agree(seed, m, layers, q, trial):
+    _check_lean_matches_verified(_first_valid_dag(seed, m, layers), q, seed,
+                                 trial)
+
+
+# Sink 4 of this cyclic network has three inputs, one pair of which has a
+# zero determinant over the rational functions.
+WIDE_CYCLIC = Topology(num_nodes=5, edges=(
+    (0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 1), (2, 4), (3, 2), (3, 4)),
+    source=0, sinks=(4,), m=2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("topo", [two_node_cycle_network(), WIDE_CYCLIC],
+                         ids=["cycle", "wide"])
+def test_lean_and_verified_cyclic_trials_agree(topo, q):
+    # Lean cyclic trials substitute the time-0 coupling into headers alone.
+    for trial in range(20):
+        _check_lean_matches_verified(topo, q, 5, trial)
 
 
 def test_failed_trial_reports_no_delay():

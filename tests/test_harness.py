@@ -275,3 +275,35 @@ def test_truncated_override_script_names_missing_pair(tmp_path, capsys):
                    "--override", str(ov)) == 1
     err = capsys.readouterr().err
     assert "x1->e3, t=1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--tol", "0"], ["run", "--tol", "nan"],
+    ["compare", "--tol", "-1"]], ids=["run0", "runnan", "compare-1"])
+def test_campaign_rejects_bad_tol_before_any_work(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr(harness, "collect_campaign", fail)
+    monkeypatch.setattr(harness, "sink_success_fractions", fail)
+    outdir = tmp_path / "out"
+    assert run_cli(*argv, "--n", "4", "--m", "2", "--trials", "5",
+                   "--out", str(outdir)) == 1
+    assert "error: --tol must be positive" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "1"], "field order 1 out of supported range"),
+    (["--q", "6"], "6 is neither prime nor a power of 2"),
+    (["--q", "-3"], "field order -3 out of supported range"),
+    (["--t-max", "-1"], "--t-max must be >= 0"),
+    (["--tol", "nan"], "tol must be positive"),
+], ids=["q1", "q6", "q-3", "tmax-1", "tolnan"])
+def test_bounds_rejects_bad_input(tmp_path, capsys, flags, message):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("bounds", "--n", "4", "--m", "2", "--q", "2", *flags,
+                   "--out", str(out)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
