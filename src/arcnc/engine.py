@@ -38,6 +38,12 @@ Conventions:
     decoding delay.
     The source symbols x_t are drawn in either case, so lean and
     verified trials consume the same draw stream.
+
+Campaigns run in contiguous blocks of trials, in-process or one block per
+pool task, and are merged in trial order.  Lean GF(2) campaigns on
+acyclic networks (no trace, kept kernels or overrides) run each block in
+lockstep with numpy (`batch.run_block`), with results equal to
+`run_trial`'s; every other block runs `run_trial` trial by trial.
 """
 
 from __future__ import annotations
@@ -616,8 +622,28 @@ TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
 
 
-def _run_trial_star(args):
-    return run_trial(*args)
+# Most trials a campaign block holds.  A lean GF(2) block runs in lockstep
+# (`batch.run_block`), whose arrays grow with the block.
+BLOCK_TRIALS = 128
+
+
+def _batchable(config: SimConfig) -> bool:
+    """True when `batch.run_block` gives exactly `run_trial`'s results:
+    lean GF(2) trials on an acyclic topology, untraced, with no kept
+    kernels and no overrides."""
+    return (config.field.q == 2 and not config.verify_decode
+            and not config.trace and not config.keep_kernels
+            and not config.overrides and _topo_static(config.topology)[0])
+
+
+def _run_block(args):
+    """Trials start..stop-1 of a campaign, in trial order."""
+    config, start, stop = args
+    if _batchable(config):
+        # numpy is imported here, not with the package.
+        from .batch import run_block
+        return run_block(config, start, stop)
+    return [run_trial(config, i) for i in range(start, stop)]
 
 
 def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
@@ -652,14 +678,18 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
                                    f"{res.avg_code_len:.10g}",
                                    f"{res.avg_memory_bits:.10g}", res.rounds])
 
+    size = BLOCK_TRIALS
+    if workers > 1:
+        size = max(1, min(size, trials // (workers * 8)))
+    tasks = ((config, i, min(i + size, trials))
+             for i in range(0, trials, size))
     if workers <= 1:
-        for i in range(trials):
-            consume(run_trial(config, i))
+        for res in itertools.chain.from_iterable(map(_run_block, tasks)):
+            consume(res)
     else:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            args = ((config, i) for i in range(trials))
-            chunk = max(1, trials // (workers * 8))
-            for res in pool.imap(_run_trial_star, args, chunksize=chunk):
+            blocks = pool.imap(_run_block, tasks)
+            for res in itertools.chain.from_iterable(blocks):
                 consume(res)
     return summary

@@ -10,11 +10,13 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import shutil
 import sys
 from fractions import Fraction
 
@@ -316,14 +318,45 @@ def cmd_run(args) -> int:
         }
     files["summary.json"] = json.dumps(summary_doc, indent=2,
                                        sort_keys=True) + "\n"
-    outdir = args.out or "."
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
-    for name, text in files.items():
-        _write_text(os.path.join(outdir, name), text)
+    _write_outputs(args.out or ".", files)
     return 0
+
+
+def _write_outputs(outdir, files):
+    """Write every file of `files` (name -> text) into `outdir`, or none.
+
+    Each file is written to a temporary name in its directory and renamed
+    into place once all of them are written.  An output directory that
+    does not exist yet is built as a temporary sibling and renamed into
+    place at the end, so a failed write leaves neither the directory nor
+    a temporary file behind.
+    """
+    fresh = not os.path.isdir(outdir)
+    work = f"{os.path.normpath(outdir)}.{os.getpid()}.tmp" if fresh else outdir
+    made = False
+    temps = {}                             # temporary path -> final path
+    try:
+        if fresh:
+            os.makedirs(os.path.dirname(os.path.abspath(work)), exist_ok=True)
+            os.mkdir(work)
+            made = True
+        for name, text in files.items():
+            tmp = os.path.join(work, f".{name}.{os.getpid()}.tmp")
+            temps[tmp] = os.path.join(work, name)
+            _write_text(tmp, text)
+        for tmp, path in temps.items():
+            os.replace(tmp, path)
+        if fresh:
+            os.rename(work, outdir)
+    except BaseException as exc:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if made:
+            shutil.rmtree(work, ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise IOFailure(str(exc)) from exc
+        raise
 
 
 def _fmt_exact(val) -> str:
@@ -336,8 +369,8 @@ def cmd_bounds(args) -> int:
     m, q, n = args.m, args.q, args.n
     if not (m and q and n):
         raise ValueError("bounds needs --m, --q and --n")
-    if n < m:
-        raise ValueError("bounds needs n >= m")
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     field_new(q)                           # rejects q that is no field order
     if args.t_max < 0:
         raise ValueError("--t-max must be >= 0")

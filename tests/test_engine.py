@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcnc import engine
-from arcnc.engine import (EngineError, OverrideError, SimConfig,
+from arcnc.engine import (CampaignSummary, EngineError, OverrideError,
+                          SimConfig,
                           TRIAL_SINK_COLUMNS, TRIAL_SUMMARY_COLUMNS,
                           collect_campaign, run_trial)
 from arcnc.gf import field_new
@@ -116,14 +117,39 @@ def test_campaign_csv_shapes():
         assert key in doc
 
 
+def _campaign_output(cfg, trials, workers=1):
+    sinks, per_trial = io.StringIO(), io.StringIO()
+    summary = collect_campaign(cfg, trials, workers=workers, sink_csv=sinks,
+                               trial_csv=per_trial)
+    return sinks.getvalue(), per_trial.getvalue(), summary.to_json_dict()
+
+
+def _absorbed_summary(cfg, trials):
+    """The summary of trials 0..trials-1 absorbed straight from run_trial."""
+    topo = cfg.topology
+    summary = CampaignSummary(trials=trials, q=cfg.field.q, m=topo.m,
+                              d=len(topo.sinks), eta=engine.eta(topo))
+    for i in range(trials):
+        summary.absorb(run_trial(cfg, i))
+    return summary.to_json_dict()
+
+
 def test_campaign_deterministic_across_workers():
+    # 300 trials make 25 pool blocks at 3 workers and three in-process
+    # lockstep blocks at 1.
     cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=8,
                     verify_decode=False, verify_headers=False)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    s1 = collect_campaign(cfg, 40, workers=1, trial_csv=buf1)
-    s2 = collect_campaign(cfg, 40, workers=2, trial_csv=buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    assert s1.to_json_dict() == s2.to_json_dict()
+    runs = [_campaign_output(cfg, 300, w) for w in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][2] == _absorbed_summary(cfg, 300)
+
+
+@pytest.mark.parametrize("trials", [1, 4, 129])
+def test_campaign_sizes_match_absorbed_run_trials(trials):
+    # 129 trials span two blocks.
+    cfg = SimConfig(topology=combination_network(5, 2), field=F2,
+                    base_seed=13, verify_decode=False, verify_headers=False)
+    assert _campaign_output(cfg, trials)[2] == _absorbed_summary(cfg, trials)
 
 
 def test_success_by_t_monotone():

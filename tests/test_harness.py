@@ -300,10 +300,50 @@ def test_campaign_rejects_bad_tol_before_any_work(tmp_path, monkeypatch,
     (["--q", "-3"], "field order -3 out of supported range"),
     (["--t-max", "-1"], "--t-max must be >= 0"),
     (["--tol", "nan"], "tol must be positive"),
-], ids=["q1", "q6", "q-3", "tmax-1", "tolnan"])
+    (["--m", "-1"], "need 1 <= m <= n, got n=4, m=-1"),
+    (["--n", "-2", "--m", "-3"], "need 1 <= m <= n, got n=-2, m=-3"),
+], ids=["q1", "q6", "q-3", "tmax-1", "tolnan", "m-1", "n-2m-3"])
 def test_bounds_rejects_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "bounds.csv"
     assert run_cli("bounds", "--n", "4", "--m", "2", "--q", "2", *flags,
                    "--out", str(out)) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _open_failing_on_write(monkeypatch, nth):
+    """Make the harness's nth file opened for writing fail: disk full."""
+    writes = []
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if "w" in mode or "x" in mode:
+            writes.append(path)
+            if len(writes) == nth:
+                raise OSError(28, "No space left on device")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", fake_open, raising=False)
+    return writes
+
+
+def test_run_write_failure_leaves_no_output(tmp_path, monkeypatch, capsys):
+    writes = _open_failing_on_write(monkeypatch, 3)
+    outdir = tmp_path / "sub" / "out"
+    assert run_cli("run", "--n", "4", "--m", "2", "--trials", "5",
+                   "--no-verify", "--out", str(outdir)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(writes) == 3
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_run_write_failure_keeps_existing_directory_as_it_was(
+        tmp_path, monkeypatch, capsys):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "summary.json").write_text("old\n")
+    _open_failing_on_write(monkeypatch, 3)
+    assert run_cli("run", "--n", "4", "--m", "2", "--trials", "5",
+                   "--no-verify", "--out", str(outdir)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["summary.json"]
+    assert (outdir / "summary.json").read_text() == "old\n"
