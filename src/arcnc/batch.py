@@ -17,8 +17,9 @@ t.  A kernel coefficient is the low bit of `mix64(state)`, which is what
 draws `run_trial` makes, in the same order.
 
 State.  Headers are m-bit masks, and a relay's out-edge reads the history
-of its root input edge.  The stopping rule is `polyalg._Gf2RowBasis` run
-on every waiting (sink, trial) pair at once: step t appends the rows
+of its root input edge.  The stopping rule is `polyalg.ToeplitzExpansion`
+over GF(2) with rows as uint64 bitmasks (bit p = column p from the right),
+run on every waiting (sink, trial) pair at once: step t appends the rows
 `top << c | F_t bits` and eliminates them from the highest position down,
 and the basis grows by c rows per step.  A sink with fewer than c_max
 inputs gets zero columns, which leave every rank increment unchanged.

@@ -92,14 +92,21 @@ class SimConfig:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.overrides:
+            _, _, coding, _, _, eligible0, *_ = _topo_static(self.topology)
+            drawn = {(ein, eout) for eout, _, ins in coding for ein in ins}
             for (ein, eout, t), v in self.overrides.items():
-                if not (-self.topology.m <= ein < self.topology.num_edges):
-                    raise OverrideError(f"override from-edge {ein} out of range")
-                if not (0 <= eout < self.topology.num_edges):
-                    raise OverrideError(f"override to-edge {eout} out of range")
+                name = f"override k({_edge_name(ein)}->{_edge_name(eout)}, t={t})"
                 if t < 0 or not (0 <= v < self.field.q):
+                    raise OverrideError(f"{name} = {v} invalid")
+                # only a coding node's own input/out-edge pairs draw, and a
+                # cyclic network draws at t=0 only along disjoint paths
+                if (ein, eout) not in drawn:
                     raise OverrideError(
-                        f"override k({ein}->{eout}, t={t}) = {v} invalid")
+                        f"{name}: no coding node draws this coefficient")
+                if t == 0 and eligible0 is not None \
+                        and (ein, eout) not in eligible0:
+                    raise OverrideError(
+                        f"{name}: this cyclic network draws it only from t=1")
 
 
 @dataclass

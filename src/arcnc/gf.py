@@ -9,8 +9,9 @@ Field objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 # Conventional primitive polynomials for GF(2^k), packed as bitmasks
-# (bit i = coefficient of x^i).  Recorded here so that runs are
-# reproducible across machines.
+# (bit i = coefficient of x^i): x generates each field's multiplicative
+# group.  Every GF(2^k) uses its entry here, so runs are reproducible
+# across machines.
 DEFAULT_MODULI = {
     1: 0b11,                 # x + 1
     2: 0b111,                # x^2 + x + 1
@@ -37,42 +38,6 @@ class FieldError(ValueError):
     """Invalid field construction or arithmetic request."""
 
 
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[x]) product of two bitmask polynomials."""
-    out = 0
-    while a:
-        if a & 1:
-            out ^= b
-        a >>= 1
-        b <<= 1
-    return out
-
-
-def _clmod(a: int, mod: int) -> int:
-    """Remainder of bitmask polynomial a modulo bitmask polynomial mod."""
-    dm = mod.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
-def is_irreducible_gf2(poly: int) -> bool:
-    """Exhaustive divisor check for a GF(2)[x] polynomial bitmask."""
-    deg = poly.bit_length() - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    if not poly & 1:  # divisible by x
-        return False
-    for d in range(1, deg // 2 + 1):
-        for low in range(1 << d):
-            div = (1 << d) | low
-            if _clmod(poly, div) == 0:
-                return False
-    return True
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -93,53 +58,35 @@ class Field:
 
     __slots__ = ("q", "kind", "modulus", "_exp", "_log")
 
-    def __init__(self, q: int, modulus: int | None = None):
+    def __init__(self, q: int):
         if q < 2 or q > MAX_ORDER:
             raise FieldError(f"field order {q} out of supported range [2, 2^16]")
+        self.q = q
+        self._exp = self._log = None
         if q & (q - 1) == 0:  # power of two
             k = q.bit_length() - 1
-            if modulus is None:
-                modulus = DEFAULT_MODULI[k]
-            if modulus.bit_length() - 1 != k:
-                raise FieldError(
-                    f"modulus degree {modulus.bit_length() - 1} does not match GF(2^{k})")
-            if not is_irreducible_gf2(modulus):
-                raise FieldError(f"modulus {bin(modulus)} is reducible over GF(2)")
             self.kind = "binary-extension" if k > 1 else "prime"
-            self.modulus = modulus
-            self.q = q
+            self.modulus = DEFAULT_MODULI[k]
             if k > 1:
                 self._build_tables()
-            else:
-                self._exp = self._log = None
         else:
             if not _is_prime(q):
                 raise FieldError(f"{q} is neither prime nor a power of 2")
-            if modulus is not None:
-                raise FieldError("modulus only applies to binary extension fields")
             self.kind = "prime"
             self.modulus = None
-            self.q = q
-            self._exp = self._log = None
 
     def _build_tables(self):
+        """Log/antilog tables for the generator x (every modulus is primitive)."""
         q = self.q
         exp = [0] * (2 * q)
         log = [0] * q
         x = 1
-        # Find a generator: try x first (primitive modulus), otherwise scan.
-        for gen_candidate in range(2, q):
-            x = 1
-            seen = set()
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
-                seen.add(x)
-                x = _clmod(_clmul(x, gen_candidate), self.modulus)
-            if len(seen) == q - 1:
-                break
-        else:
-            raise FieldError("no multiplicative generator found (reducible modulus?)")
+        for i in range(q - 1):
+            exp[i] = x
+            log[x] = i
+            x <<= 1
+            if x & q:                 # degree k: reduce by the modulus
+                x ^= self.modulus
         for i in range(q - 1, 2 * q - 2):
             exp[i] = exp[i - (q - 1)]
         self._exp = exp
@@ -179,11 +126,10 @@ class Field:
     # -- helpers ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Field) and other.q == self.q
-                and other.modulus == self.modulus)
+        return isinstance(other, Field) and other.q == self.q
 
     def __hash__(self):
-        return hash((self.q, self.modulus))
+        return hash(self.q)
 
     def __repr__(self):
         if self.kind == "binary-extension":
@@ -191,9 +137,9 @@ class Field:
         return f"Field(GF({self.q}))"
 
     def __reduce__(self):
-        return (Field, (self.q, self.modulus if self.kind == "binary-extension" else None))
+        return (Field, (self.q,))
 
 
-def field_new(q: int, modulus: int | None = None) -> Field:
-    """Construct F_q; q prime or 2^k (k <= 16, default modulus table)."""
-    return Field(q, modulus)
+def field_new(q: int) -> Field:
+    """Construct F_q; q prime or 2^k (k <= 16, modulus from DEFAULT_MODULI)."""
+    return Field(q)

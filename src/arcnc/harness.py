@@ -79,8 +79,10 @@ def parse_override_script(text: str) -> dict:
 
 
 def parse_config_file(text: str) -> dict:
-    """Flat ``key = value`` configuration; '#' comments."""
+    """Flat ``key = value`` configuration; '#' comments.  Each key may
+    appear once, with '-' and '_' the same ('max-rounds' is 'max_rounds')."""
     out = {}
+    first_line = {}                # option dest -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,7 +90,13 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        dest = key.replace("-", "_")
+        if dest in first_line:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r} "
+                             f"(first given on line {first_line[dest]})")
+        first_line[dest] = lineno
+        out[key] = val.strip()
     return out
 
 

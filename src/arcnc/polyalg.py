@@ -9,10 +9,10 @@ increment at level L is #{i : d_i <= L}, where z^d_1 .. z^d_m are the
 invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain 1968;
 Forney 1970).  The engine's stopping rule reads it at the current level:
 an increment of m at level L means x_0 is determined by the received
-window through L.  decodable() and det_valuation() extend an expansion
-with F_0 .. F_t and then with zero blocks up to level m*t, the largest
-valuation a non-zero m x m minor can have: the matrix has full rank iff
-some increment is m, and the rank deficits summed up to that level are
+window through L.  det_valuation() extends an expansion with F_0 .. F_t
+and then with zero blocks up to level m*t, the largest valuation a
+non-zero m x m minor can have: the matrix has full rank iff some
+increment is m, and the rank deficits summed up to that level are
 d_1 + ... + d_m, the valuation of a square matrix's determinant.
 toeplitz_solve, elimination on the Toeplitz system, is the engine's
 decoder.  PolyMatrix.det, select_columns and the adjugate decoder
@@ -193,28 +193,8 @@ def rank_fq(rows, field: Field) -> int:
 # indexing columns from the right end makes the elimination state of M_{t-1}
 # directly reusable when extending to M_t.
 
-class _Gf2RowBasis:
-    """Row basis over GF(2); rows are bitmasks, bit p = column p from the right."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = {}
-
-    def insert(self, row: int) -> bool:
-        rows = self.rows
-        while row:
-            lead = row.bit_length() - 1
-            b = rows.get(lead)
-            if b is None:
-                rows[lead] = row
-                return True
-            row ^= b
-        return False
-
-
 class _GenericRowBasis:
-    """Row basis over any Field; rows are {position: nonzero value} dicts."""
+    """Row basis over F_q; rows are {position: non-zero value} dicts."""
 
     __slots__ = ("field", "rows")
 
@@ -243,10 +223,6 @@ class _GenericRowBasis:
         return False
 
 
-def _make_basis(field: Field):
-    return _Gf2RowBasis() if field.q == 2 else _GenericRowBasis(field)
-
-
 # ---------------------------------------------------------------------------
 # block Toeplitz expansion M_t
 # ---------------------------------------------------------------------------
@@ -259,7 +235,7 @@ class ToeplitzExpansion:
     one insertion of m rows; the elimination state of M_{t-1} is reused.
     The m top rows [F_0 .. F_t] are kept in right-aligned coordinates, so
     extending shifts them by c and places F_t's entries in the low c
-    positions: O(c) work per row, independent of t.
+    positions; rows already in the basis keep their positions.
     """
 
     def __init__(self, field: Field, m: int, c: int):
@@ -267,9 +243,8 @@ class ToeplitzExpansion:
         self.m = m
         self.c = c
         self.t = -1                # degree of the last appended F_t
-        self.basis = _make_basis(field)
-        # bitmasks over GF(2), {position: value} dicts otherwise
-        self.top = [0] * m if field.q == 2 else [{} for _ in range(m)]
+        self.basis = _GenericRowBasis(field)
+        self.top = [{} for _ in range(m)]
 
     def extend(self, F_t) -> int:
         """Append coefficient matrix F_t; returns rank(M_t) - rank(M_{t-1})."""
@@ -279,49 +254,36 @@ class ToeplitzExpansion:
         self.t += 1
         top = self.top
         insert = self.basis.insert
-        gf2 = self.field.q == 2
         inc = 0
         for r, Fr in enumerate(F_t):
-            if gf2:
-                row = top[r] << c
-                for j, v in enumerate(Fr):
-                    if v:
-                        row |= 1 << (c - 1 - j)
-            else:
-                # a new dict each step: the basis may keep the previous one
-                row = {p + c: v for p, v in top[r].items()}
-                for j, v in enumerate(Fr):
-                    if v:
-                        row[c - 1 - j] = v
+            # a new dict each step: the basis may keep the previous one
+            row = {p + c: v for p, v in top[r].items()}
+            for j, v in enumerate(Fr):
+                if v:
+                    row[c - 1 - j] = v
             top[r] = row
             if insert(row):
                 inc += 1
         return inc
 
 
-def _padded_increments(Fs, m: int, field: Field):
-    """Increments of an expansion fed F_0 .. F_t, then zeros to level m*t."""
+def det_valuation(Fs, field: Field, max_valuation=None):
+    """Summed rank deficits of the kernel matrix F with coefficients
+    F_0 .. F_t (m x c, c >= m): the valuation of det F when F is square.
+
+    The expansion is fed F_0 .. F_t, then zero blocks up to level m*t.
+    None exactly when F lacks full row rank over the rational functions
+    (det F = 0 when square), wide F included, or, with max_valuation,
+    when the summed deficits exceed it.
+    """
+    m = len(Fs[0])
     c = len(Fs[0][0])
     te = ToeplitzExpansion(field, m, c)
     zero = [[0] * c for _ in range(m)]
     padding = itertools.repeat(zero, (m - 1) * (len(Fs) - 1))
-    for F in itertools.chain(Fs, padding):
-        yield te.extend(F)
-
-
-def decodable(Fs, m: int, field: Field) -> bool:
-    """True iff the kernel matrix with coefficients F_0 .. F_t (m x c,
-    c >= m) has full row rank over the rational functions."""
-    return any(inc == m for inc in _padded_increments(Fs, m, field))
-
-
-def det_valuation(Fs, field: Field, max_valuation=None):
-    """Valuation of det F for the square kernel matrix with coefficients
-    F_0 .. F_t: its summed rank deficits.  None when det F = 0 or, with
-    max_valuation, when the valuation exceeds it."""
-    m = len(Fs[0])
     deficit = 0
-    for inc in _padded_increments(Fs, m, field):
+    for F in itertools.chain(Fs, padding):
+        inc = te.extend(F)
         if inc == m:
             return deficit
         deficit += m - inc

@@ -149,20 +149,27 @@ def load_topology(text: str) -> Topology:
     """Parse the one-directive-per-line topology format.
 
     Directives: ``nodes <count>``, ``m <rate>``, ``source <id>``,
-    ``sinks <id> ...``, ``edge <from> <to>`` (repeated; order defines edge
-    ids).  '#' starts a comment.  Errors carry line numbers.
+    ``sinks <id> ...`` (each exactly once), ``edge <from> <to>`` (repeated;
+    order defines edge ids).  '#' starts a comment.  Errors carry line
+    numbers.
     """
     num_nodes = None
     m = None
     source = None
     sinks = None
     edges = []
+    first_line = {}                # directive given once -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         key, args = parts[0], parts[1:]
+        if key in ("nodes", "m", "source", "sinks"):
+            if key in first_line:
+                raise TopologyError(f"line {lineno}: duplicate directive {key!r} "
+                                    f"(first given on line {first_line[key]})")
+            first_line[key] = lineno
         try:
             if key == "nodes":
                 (num_nodes,) = map(int, args)

@@ -67,6 +67,19 @@ def test_override_validation():
         SimConfig(topology=topo, field=F2, overrides={(0, 99, 0): 1})
     with pytest.raises(OverrideError):
         SimConfig(topology=topo, field=F2, overrides={(0, 1, 0): 7})  # 7 >= q
+    # Pairs the trial never draws: e0 does not enter e1's tail, e4 leaves
+    # a relay, and x0 feeds only the source's out-edges e0..e3.
+    for key, name in (((0, 1, 0), "e0->e1"), ((0, 4, 0), "e0->e4"),
+                      ((-1, 5, 0), "x0->e5")):
+        with pytest.raises(OverrideError, match=f"k\\({name}, t=0\\)"):
+            SimConfig(topology=topo, field=F2, overrides={key: 1})
+    # On a cycle, t=0 draws only along the sinks' disjoint paths: e0->e2
+    # is drawn from t=1 on.
+    cycle = two_node_cycle_network()
+    F4 = field_new(4)
+    with pytest.raises(OverrideError, match=r"k\(e0->e2, t=0\)"):
+        SimConfig(topology=cycle, field=F4, overrides={(0, 2, 0): 2})
+    SimConfig(topology=cycle, field=F4, overrides={(0, 2, 1): 2})
 
 
 def test_all_ones_override_rate_one():

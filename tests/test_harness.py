@@ -144,6 +144,10 @@ def test_config_file_with_cli_precedence(tmp_path):
      "config key 'verify' takes no value"),
     ("bounds", "config = other.cfg\nn = 4\nm = 2\n", 1,
      "unknown config key 'config'"),
+    ("run", "n = 4\nm = 2\ntrials = 5\ntrials = 7\n", 1,
+     "config line 4: duplicate key 'trials' (first given on line 3)"),
+    ("run", "n = 4\nm = 2\nmax-rounds = 3\nmax_rounds = 4\n", 1,
+     "config line 4: duplicate key 'max_rounds' (first given on line 3)"),
 ])
 def test_config_file_values_checked_like_flags(tmp_path, capsys, command,
                                                text, rc, err):
@@ -275,6 +279,18 @@ def test_truncated_override_script_names_missing_pair(tmp_path, capsys):
                    "--override", str(ov)) == 1
     err = capsys.readouterr().err
     assert "x1->e3, t=1" in err
+
+
+def test_override_the_trial_never_draws_rejected(tmp_path, capsys):
+    from arcnc.harness import fig1_override_text
+    ov = tmp_path / "relay.txt"
+    ov.write_text(fig1_override_text() + "k 0 4 0 1\n")   # e4 leaves a relay
+    out = tmp_path / "trace.json"
+    assert run_cli("trace", "--n", "4", "--m", "2", "--q", "2",
+                   "--override", str(ov), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k(e0->e4, t=0)" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

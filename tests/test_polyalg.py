@@ -7,7 +7,7 @@ import pytest
 
 from arcnc.gf import field_new
 from arcnc.polyalg import (DecodeHorizonError, Poly, PolyMatrix,
-                           SingularMatrixError, ToeplitzExpansion, decodable,
+                           SingularMatrixError, ToeplitzExpansion,
                            det_valuation, poly_mul_trunc, power_series_inv,
                            rank_fq, select_columns, sequential_decode,
                            toeplitz_solve)
@@ -127,17 +127,44 @@ def test_toeplitz_extend_increment_bounds():
             assert total <= (te.t + 1) * m
 
 
+def _block_toeplitz(Fs):
+    """M_t built explicitly: block (i, j) is F_{j-i} for j >= i, else zero."""
+    m, c = len(Fs[0]), len(Fs[0][0])
+    n = len(Fs)
+    return [[Fs[j - i][r][col] if j >= i else 0
+             for j in range(n) for col in range(c)]
+            for i in range(n) for r in range(m)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_toeplitz_extend_increment_is_explicit_rank_difference(q):
+    fld = field_new(q)
+    rng = random.Random(300 + q)
+    for _ in range(60):
+        m, c = rng.randrange(1, 4), rng.randrange(1, 5)
+        te = ToeplitzExpansion(fld, m, c)
+        Fs = []
+        prev = 0
+        for t in range(5):
+            # sparse blocks, so that increments below m are common
+            Fs.append([[rng.randrange(q) if rng.random() < 0.4 else 0
+                        for _ in range(c)] for _ in range(m)])
+            rank = rank_fq(_block_toeplitz(Fs), fld)
+            assert te.extend(Fs[-1]) == rank - prev
+            prev = rank
+
+
 def test_decodable_known_cases():
     I = [[1, 0], [0, 1]]
     dup = [[1, 1], [1, 1]]
-    assert decodable([I], 2, F2)
-    assert not decodable([dup], 2, F2)
+    assert det_valuation([I], F2) is not None
+    assert det_valuation([dup], F2) is None
     # F(z) = [[1, z], [z, 1]]: det = 1 - z^2, nonzero -> decodable at t=1.
     F0 = [[1, 0], [0, 1]]
     F1 = [[0, 1], [1, 0]]
-    assert decodable([F0, F1], 2, F2)
+    assert det_valuation([F0, F1], F2) is not None
     # F(z) = [[1, z], [1, z]]: rows proportional, det = 0.
-    assert not decodable([[[1, 0], [1, 0]], [[0, 1], [0, 1]]], 2, F2)
+    assert det_valuation([[[1, 0], [1, 0]], [[0, 1], [0, 1]]], F2) is None
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -149,9 +176,8 @@ def test_decodable_equals_det_oracle(q):
         t = rng.randrange(0, 4)
         Fs = [_random_rows(rng, m, m, q) for _ in range(t + 1)]
         det = PolyMatrix.from_coeff_matrices(fld, Fs).det()
-        assert decodable(Fs, m, fld) == (not det.is_zero())
-        # The summed rank deficits are the determinant's valuation; a
-        # cut-off below it gives None.
+        # None exactly when det = 0; otherwise the summed rank deficits are
+        # the determinant's valuation, and a cut-off below it gives None.
         if det.is_zero():
             assert det_valuation(Fs, fld) is None
         else:
@@ -172,14 +198,14 @@ def test_decodable_equals_det_oracle(q):
             want = True
         except SingularMatrixError:
             want = False
-        assert decodable(Fs, m, fld) == want
+        assert (det_valuation(Fs, fld) is not None) == want
 
 
 def test_concat_rank_necessity():
     # A matrix whose concatenation (F_0 F_1 ...) has rank < m is never
     # decodable: some source row combination is never sent.
     Fs = [[[1, 1], [0, 0]], [[0, 1], [0, 0]]]   # second source row never sent
-    assert not decodable(Fs, 2, F2)
+    assert det_valuation(Fs, F2) is None
 
 
 # ---------------------------------------------------------------------------

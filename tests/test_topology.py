@@ -80,6 +80,9 @@ def test_load_topology_errors_cite_line_numbers():
         load_topology(good + "edge 99 100\n")   # out-of-range endpoint
     with pytest.raises(TopologyError):
         load_topology("")   # missing directives
+    for directive in ("nodes 11", "m 2", "source 0", "sinks 5 6"):
+        with pytest.raises(TopologyError, match=f"line {nlines}: duplicate"):
+            load_topology(good + directive + "\n")
 
 
 def test_comments_and_blank_lines_ignored():
