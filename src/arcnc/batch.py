@@ -5,7 +5,8 @@ Eligibility.  `engine.collect_campaign` runs a block here only where the
 output is provably the same as `run_trial`'s: q = 2, an acyclic topology,
 and none of `verify_decode`, `trace`, `keep_kernels` or kernel overrides.
 Every other campaign runs `run_trial`, which stays the reference; the
-differential tests compare every `TrialResult` field of both.
+differential tests compare each block with the `engine.TrialBlock` of
+`run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
 uint64 vector.  Step t first advances the state by m draws (the source
@@ -20,16 +21,22 @@ State.  Headers are m-bit masks, and a relay's out-edge reads the history
 of its root input edge.  The stopping rule is `polyalg.ToeplitzExpansion`
 over GF(2) with rows as uint64 bitmasks (bit p = column p from the right),
 run on every waiting (sink, trial) pair at once: step t appends the rows
-`top << c | F_t bits` and eliminates them from the highest position down,
-and the basis grows by c rows per step.  A sink with fewer than c_max
-inputs gets zero columns, which leave every rank increment unchanged.
-The ACK pass is `run_trial`'s.
+`top << c | F_t bits` to a basis that grows by c positions per step.  The
+basis is kept in reduced echelon form, one row slot per bit position: a
+pivot bit is set only in its own row, so a new row is reduced in one pass
+by XOR with the rows whose pivot bits it has set.  A non-zero remainder
+raises the rank; its lowest set bit becomes a pivot, cleared from the
+other rows.  A sink with fewer than c_max inputs gets zero columns, which
+leave every rank increment unchanged.  The ACK pass is `run_trial`'s.
+
+Results.  A block comes back as an `engine.TrialBlock` built from the ACK
+times, one `.tolist()` per column; no per-trial object is made.
 
 Cutoff and fallback.  A Toeplitz row of step t has (t + 1) * c_max bits,
 so the lockstep runs at most min(max_rounds, 64 // c_max) steps.  The
 trials still running then, every failed trial among them, are re-run from
-the start with `run_trial`; trials are independent by index, so their
-results are the reference's own.
+the start with `run_trial` and put into the block at their own positions;
+trials are independent by index, so their results are the reference's own.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import TrialResult, _batchable, _topo_static, run_trial
+from .engine import TrialBlock, _batchable, _topo_static, run_trial
 from .rng import _GAMMA, _MASK, trial_seed
 
 __all__ = ["run_block"]
@@ -48,7 +55,8 @@ __all__ = ["run_block"]
 _U = np.uint64
 _ONE = _U(1)
 _G = _U(_GAMMA)
-_BIT = [_U(1 << p) for p in range(64)]
+# column of the bit values 1 << p, one row per bit position p
+_BITS = (_ONE << np.arange(64, dtype=np.uint64))[:, None]
 
 
 def _mix64(z):
@@ -113,9 +121,37 @@ def _block_static(topo):
     )
 
 
-def run_block(config, start: int, stop: int) -> list:
-    """`[run_trial(config, i) for i in range(start, stop)]`, computed in
-    lockstep for a config that `engine._batchable` accepts."""
+def _insert(basis, row):
+    """Insert `row` (a uint64 per column) into the reduced-echelon `basis`,
+    shape (positions, columns), in place; True where the rank grew.
+
+    basis[p] is the row whose pivot is bit p, or zero.
+    """
+    P = len(basis)
+    row = row ^ np.bitwise_xor.reduce(basis * ((row & _BITS[:P]) != 0),
+                                      axis=0)
+    low = row & (~row + _ONE)          # lowest set bit: the new pivot
+    # XOR the remainder into row slot `low` (empty) and into every row
+    # that has bit `low` set, which clears it there.
+    basis ^= row * (((basis | _BITS[:P]) & low) != 0)
+    return row != 0
+
+
+def _extend(top, basis, bits, c):
+    """`ToeplitzExpansion.extend` on every column: F_t's rows as `bits`
+    (m, columns); returns the new top rows and basis and the increments."""
+    top = (top << _U(c)) | bits
+    basis = np.concatenate([basis, np.zeros((c, top.shape[1]),
+                                            dtype=np.uint64)])
+    inc = np.zeros(top.shape[1], dtype=np.intp)
+    for row in top:
+        inc += _insert(basis, row)
+    return top, basis, inc
+
+
+def run_block(config, start: int, stop: int) -> TrialBlock:
+    """`TrialBlock.of([run_trial(config, i) for i in range(start, stop)])`,
+    computed in lockstep for a config that `engine._batchable` accepts."""
     if not _batchable(config):
         raise ValueError("run_block needs a lean GF(2) config on an acyclic "
                          "topology without overrides")
@@ -166,19 +202,8 @@ def run_block(config, start: int, stop: int) -> list:
         heads_in = f[st["in_roots"][ws], wt[:, None]]         # (N, c_max)
         bits = (((heads_in[:, None, :] >> st["bit_shift"]) & _ONE)
                 << st["col_shift"]).sum(axis=2, dtype=np.uint64)
-        top = (top << _U(c_max)) | bits.T
-        basis = np.concatenate(
-            [basis, np.zeros((c_max, len(ws)), dtype=np.uint64)])
-        rank = np.count_nonzero(basis, axis=0)
-        for row in top.copy():
-            for pos in range(len(basis) - 1, -1, -1):
-                lead = (row & _BIT[pos]) != 0
-                b = basis[pos]
-                # a row with a new lead position joins the basis, which
-                # then reduces it to zero like any other row
-                np.copyto(b, row, where=lead & (b == 0))
-                np.bitwise_xor(row, b, out=row, where=lead)
-        done = np.count_nonzero(basis, axis=0) - rank == m
+        top, basis, inc = _extend(top, basis, bits.T, c_max)
+        done = inc == m
         ack[st["sink_nodes"][ws[done]], wt[done]] = t
         keep = ~done
         ws, wt, top, basis = ws[keep], wt[keep], top[:, keep], basis[:, keep]
@@ -190,35 +215,30 @@ def run_block(config, start: int, stop: int) -> list:
         running[:] = False
         running[wt] = True
         t += 1
-    return _results(config, st, start, seeds, ack, running)
+    return _block(config, st, start, seeds, ack, running)
 
 
-def _results(config, st, start, seeds, ack, running) -> list:
-    """TrialResults of the finished trials, run_trial for the rest."""
+def _block(config, st, start, seeds, ack, running) -> TrialBlock:
+    """The TrialBlock of the lockstep's ACK times, with run_trial's
+    results at the positions of the trials still running."""
     topo = config.topology
-    m = topo.m
-    fin = np.flatnonzero(~running)
-    sinks = st["sinks"]
-    d, V = len(sinks), topo.num_nodes
-    T = ack[st["sink_nodes"]][:, fin]
-    L = ack[st["near"]][:, :, fin].max(axis=1) + 1
+    V = topo.num_nodes
+    B = len(seeds)
+    T = ack[st["sink_nodes"]]
+    T_N = T.max(axis=0)
+    L = ack[st["near"]].max(axis=1) + 1
     n_code = len(st["code_heads"])
-    code = ack[st["code_heads"]][:, fin].sum(axis=0) + n_code
+    code = ack[st["code_heads"]].sum(axis=0) + n_code
     # The sums are small integers, so float64 division rounds them as
     # run_trial's Python division does.
-    avg_code = (code / n_code).tolist() if n_code else [0.0] * len(fin)
-    out = [None] * len(seeds)
-    nodes = range(V)
-    for b, Tb, T_N, avg_T, Lb, bits, avg_code_len, avg_bits in zip(
-            fin.tolist(), T.T.tolist(), T.max(axis=0).tolist(),
-            (T.sum(axis=0) / d).tolist(), L.T.tolist(),
-            (m * L).astype(float).T.tolist(), avg_code,
-            (m * L.sum(axis=0) / V).tolist()):
-        out[b] = TrialResult(
-            trial=start + b, seed=seeds[b], success=True, rounds=T_N + 1,
-            T=dict(zip(sinks, Tb)), T_N=T_N, delta=dict.fromkeys(sinks),
-            L=dict(zip(nodes, Lb)), memory_bits=dict(zip(nodes, bits)),
-            avg_T=avg_T, avg_code_len=avg_code_len, avg_memory_bits=avg_bits)
+    block = TrialBlock(
+        trial=list(range(start, start + B)), seed=seeds, success=[True] * B,
+        rounds=(T_N + 1).tolist(), T_N=T_N.tolist(),
+        avg_T=(T.sum(axis=0) / len(T)).tolist(),
+        avg_code_len=(code / n_code).tolist() if n_code else [0.0] * B,
+        avg_memory_bits=(topo.m * L.sum(axis=0) / V).tolist(),
+        T=dict(zip(st["sinks"], T.tolist())),
+        L=dict(zip(range(V), L.tolist())))
     for b in np.flatnonzero(running).tolist():
-        out[b] = run_trial(config, start + b)
-    return out
+        block.put(b, run_trial(config, start + b))
+    return block

@@ -40,18 +40,24 @@ Conventions:
     verified trials consume the same draw stream.
 
 Campaigns run in contiguous blocks of trials, in-process or one block per
-pool task, and are merged in trial order.  Lean GF(2) campaigns on
+pool task, and are merged in trial order.  A block comes back as a
+`TrialBlock`, one list per per-trial quantity and one row per sink (T)
+and per node (L); `CampaignSummary.absorb_block` aggregates it and the
+CSV writers write it with one `writerows` each.  Lean GF(2) campaigns on
 acyclic networks (no trace, kept kernels or overrides) run each block in
 lockstep with numpy (`batch.run_block`), with results equal to
-`run_trial`'s; every other block runs `run_trial` trial by trial.
+`run_trial`'s; every other block runs `run_trial` trial by trial and
+transposes the results with `TrialBlock.of`, which imports no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import log2
 
 from .gf import Field
@@ -61,8 +67,9 @@ from .polyalg import select_columns, sequential_decode  # noqa: F401
 from .rng import trial_rng, trial_seed
 from .topology import Topology, disjoint_paths, eta, is_acyclic
 
-__all__ = ["SimConfig", "TrialResult", "CampaignSummary", "EngineError",
-           "OverrideError", "run_trial", "collect_campaign", "eta"]
+__all__ = ["SimConfig", "TrialResult", "TrialBlock", "CampaignSummary",
+           "EngineError", "OverrideError", "run_trial", "collect_campaign",
+           "eta"]
 
 
 class EngineError(RuntimeError):
@@ -129,6 +136,45 @@ class TrialResult:
     trace_lines: list | None = None
     final_F: dict | None = None  # sink -> blocks F_0.. read from the input
                                  # edges' headers, if kept
+
+
+# The per-trial TrialResult fields a campaign keeps.
+_BLOCK_COLUMNS = ("trial", "seed", "success", "rounds", "T_N", "avg_T",
+                  "avg_code_len", "avg_memory_bits")
+
+
+@dataclass
+class TrialBlock:
+    """What a campaign keeps of consecutive trials: one list per quantity,
+    position i of every list holding the same trial."""
+
+    trial: list
+    seed: list
+    success: list
+    rounds: list
+    T_N: list
+    avg_T: list
+    avg_code_len: list
+    avg_memory_bits: list
+    T: dict                     # sink -> T of each trial
+    L: dict                     # node -> L of each trial
+
+    @classmethod
+    def of(cls, results) -> "TrialBlock":
+        """The block of a non-empty list of TrialResults, in list order."""
+        return cls(*([getattr(res, name) for res in results]
+                     for name in _BLOCK_COLUMNS),
+                   T={r: [res.T[r] for res in results] for r in results[0].T},
+                   L={v: [res.L[v] for res in results] for v in results[0].L})
+
+    def put(self, i: int, res: TrialResult):
+        """Overwrite position i with the TrialResult `res`."""
+        for name in _BLOCK_COLUMNS:
+            getattr(self, name)[i] = getattr(res, name)
+        for r, row in self.T.items():
+            row[i] = res.T[r]
+        for v, row in self.L.items():
+            row[i] = res.L[v]
 
 
 def _edge_name(eid: int) -> str:
@@ -562,7 +608,11 @@ class CampaignSummary:
         """Unbiased sample variance of the per-trial average stopping time."""
         n = self.trials
         mean = self.mean_avg_T
-        return (self.sum_avg_T_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
+        if n < 2:
+            return 0.0
+        # When every avg_T is equal, rounding can leave the difference a
+        # hair below zero.
+        return max(0.0, (self.sum_avg_T_sq - n * mean * mean) / (n - 1))
 
     @property
     def se_avg_T(self) -> float:
@@ -610,18 +660,35 @@ class CampaignSummary:
         }
 
     def absorb(self, res: TrialResult):
-        self.success_count += int(res.success)
-        self.hist_T_N[res.T_N] = self.hist_T_N.get(res.T_N, 0) + 1
-        for r, ti in res.T.items():
-            h = self.per_sink_T_hist.setdefault(r, {})
-            h[ti] = h.get(ti, 0) + 1
-            self.sum_T2 += ti * ti
-        self.sum_avg_T += res.avg_T
-        self.sum_avg_T_sq += res.avg_T * res.avg_T
-        for v, l in res.L.items():
-            self.sum_L[v] = self.sum_L.get(v, 0) + l
-        self.sum_avg_code_len += res.avg_code_len
-        self.sum_avg_memory_bits += res.avg_memory_bits
+        """Absorb one trial."""
+        self.absorb_block(TrialBlock.of([res]))
+
+    def absorb_block(self, block: TrialBlock):
+        """Absorb a block of trials."""
+        self.success_count += sum(block.success)
+        _count_into(self.hist_T_N, Counter(block.T_N))
+        for r, row in block.T.items():
+            counts = Counter(row)
+            _count_into(self.per_sink_T_hist.setdefault(r, {}), counts)
+            self.sum_T2 += sum(ti * ti * k for ti, k in counts.items())
+        for v, row in block.L.items():
+            self.sum_L[v] = self.sum_L.get(v, 0) + sum(row)
+        # The float sums fold left in trial order, one addition per trial
+        # (sum() may compensate rounding), so they do not depend on how a
+        # campaign is cut into blocks.
+        self.sum_avg_T = reduce(operator.add, block.avg_T, self.sum_avg_T)
+        self.sum_avg_T_sq = reduce(
+            operator.add, map(operator.mul, block.avg_T, block.avg_T),
+            self.sum_avg_T_sq)
+        self.sum_avg_code_len = reduce(operator.add, block.avg_code_len,
+                                       self.sum_avg_code_len)
+        self.sum_avg_memory_bits = reduce(
+            operator.add, block.avg_memory_bits, self.sum_avg_memory_bits)
+
+
+def _count_into(hist: dict, counts: Counter):
+    for key, k in counts.items():
+        hist[key] = hist.get(key, 0) + k
 
 
 TRIAL_SINK_COLUMNS = ["trial", "seed", "sink", "T_i", "T_N", "success"]
@@ -643,14 +710,14 @@ def _batchable(config: SimConfig) -> bool:
             and not config.overrides and _topo_static(config.topology)[0])
 
 
-def _run_block(args):
+def _run_block(args) -> TrialBlock:
     """Trials start..stop-1 of a campaign, in trial order."""
     config, start, stop = args
     if _batchable(config):
         # numpy is imported here, not with the package.
         from .batch import run_block
         return run_block(config, start, stop)
-    return [run_trial(config, i) for i in range(start, stop)]
+    return TrialBlock.of([run_trial(config, i) for i in range(start, stop)])
 
 
 def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
@@ -658,7 +725,7 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     """Run `trials` independent trials and aggregate.
 
     Optional file objects receive the per-(trial, sink) CSV and the
-    per-trial summary CSV as rows stream in.  Results are merged in trial
+    per-trial summary CSV as blocks stream in.  Blocks are merged in trial
     order, so the output is identical for any worker count.
     """
     if trials < 1:
@@ -674,16 +741,22 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
         trial_writer = csv.writer(trial_csv)
         trial_writer.writerow(TRIAL_SUMMARY_COLUMNS)
 
-    def consume(res: TrialResult):
-        summary.absorb(res)
+    def consume(block: TrialBlock):
+        summary.absorb_block(block)
         if sink_writer is not None:
-            for r in topo.sinks:
-                sink_writer.writerow([res.trial, res.seed, r, res.T[r],
-                                      res.T_N, int(res.success)])
+            sink_writer.writerows(
+                (trial, seed, r, ti, T_N, ok)
+                for trial, seed, T_N, ok, Ts in zip(
+                    block.trial, block.seed, block.T_N,
+                    map(int, block.success), zip(*block.T.values()))
+                for r, ti in zip(block.T, Ts))
         if trial_writer is not None:
-            trial_writer.writerow([res.trial, f"{res.avg_T:.10g}",
-                                   f"{res.avg_code_len:.10g}",
-                                   f"{res.avg_memory_bits:.10g}", res.rounds])
+            trial_writer.writerows(
+                (trial, f"{avg_T:.10g}", f"{code_len:.10g}", f"{bits:.10g}",
+                 rounds)
+                for trial, avg_T, code_len, bits, rounds in zip(
+                    block.trial, block.avg_T, block.avg_code_len,
+                    block.avg_memory_bits, block.rounds))
 
     size = BLOCK_TRIALS
     if workers > 1:
@@ -691,12 +764,11 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     tasks = ((config, i, min(i + size, trials))
              for i in range(0, trials, size))
     if workers <= 1:
-        for res in itertools.chain.from_iterable(map(_run_block, tasks)):
-            consume(res)
+        for block in map(_run_block, tasks):
+            consume(block)
     else:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            blocks = pool.imap(_run_block, tasks)
-            for res in itertools.chain.from_iterable(blocks):
-                consume(res)
+            for block in pool.imap(_run_block, tasks):
+                consume(block)
     return summary

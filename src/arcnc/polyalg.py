@@ -235,7 +235,9 @@ class ToeplitzExpansion:
     one insertion of m rows; the elimination state of M_{t-1} is reused.
     The m top rows [F_0 .. F_t] are kept in right-aligned coordinates, so
     extending shifts them by c and places F_t's entries in the low c
-    positions; rows already in the basis keep their positions.
+    positions; rows already in the basis keep their positions.  The shift
+    builds each top row anew as a dict of up to (t+1)*c entries, so one
+    extend costs O(m*t*c) before any elimination.
     """
 
     def __init__(self, field: Field, m: int, c: int):

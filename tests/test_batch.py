@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arcnc import batch, engine
-from arcnc.engine import SimConfig, collect_campaign, run_trial
+from arcnc.engine import SimConfig, TrialBlock, collect_campaign, run_trial
 from arcnc.gf import field_new
+from arcnc.polyalg import ToeplitzExpansion
 from arcnc.rng import SplitMix64
 from arcnc.topology import (Topology, combination_network,
                             random_layered_dag, validate_multicast)
@@ -35,10 +37,8 @@ def _first_valid_dag(seed, m):
 
 def _check_block(cfg, start, stop):
     got = batch.run_block(cfg, start, stop)
-    assert [r.trial for r in got] == list(range(start, stop))
-    for res in got:
-        assert dataclasses.asdict(res) == \
-            dataclasses.asdict(run_trial(cfg, res.trial))
+    want = TrialBlock.of([run_trial(cfg, i) for i in range(start, stop)])
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 @pytest.mark.parametrize("n, m, trials", [(4, 2, 200), (6, 2, 200),
@@ -120,3 +120,88 @@ def test_importing_the_engine_and_cli_does_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+_NO_NUMPY_CAMPAIGN = """
+import sys
+
+from arcnc import engine
+from arcnc.gf import field_new
+from arcnc.topology import combination_network
+
+real_run_block = engine._run_block
+
+
+def checked_run_block(args):
+    block = real_run_block(args)
+    if "numpy" in sys.modules:
+        raise RuntimeError("a q=3 block imported numpy")
+    return block
+
+
+engine._run_block = checked_run_block
+
+if __name__ == "__main__":
+    cfg = engine.SimConfig(topology=combination_network(4, 2),
+                           field=field_new(3), verify_decode=False,
+                           verify_headers=False)
+    for workers in (1, 2):
+        engine.collect_campaign(cfg, 40, workers=workers)
+    print("numpy" in sys.modules)
+"""
+
+
+def test_q3_campaigns_do_not_import_numpy(tmp_path):
+    # Only the lockstep needs numpy; a pool worker that imports it grows by
+    # megabytes.  Every block, in-process and in the workers, checks.
+    script = tmp_path / "campaign.py"
+    script.write_text(_NO_NUMPY_CAMPAIGN)
+    src = Path(engine.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, str(script)], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
+def _row(c, *cols):
+    return [int(j in cols) for j in range(c)]
+
+
+def test_reduced_echelon_basis_matches_toeplitz_expansion():
+    # Each column of the lockstep's arrays is one (sink, trial) rank state.
+    # With c = 32, F_0's column 0 sits at bit 31 after step 0 and at bit 63
+    # after step 1, and F_1's column 31 at bit 0.
+    c, m = 32, 2
+    zero = _row(c)
+    cases = [
+        ([_row(c, 0), _row(c, 31)], [_row(c, 31), _row(c, 0)]),
+        ([_row(c, 0, 31), _row(c, 0, 31)], [_row(c, 31), _row(c, 0, 31)]),
+        ([_row(c, 0), zero], [_row(c, 0), _row(c, 0, 31)]),
+        ([zero, zero], [_row(c, 0), _row(c, 31)]),
+        ([_row(c, 31), _row(c, 0, 31)], [_row(c, 0, 31), _row(c, 0)]),
+    ]
+    rand = SplitMix64(3)
+    cases += [tuple([[rand.randint(2) if j in (0, 1, 30, 31) else 0
+                      for j in range(c)] for _ in range(m)]
+                    for _ in range(2)) for _ in range(40)]
+    n = len(cases)
+    top = np.zeros((m, n), dtype=np.uint64)
+    basis = np.zeros((0, n), dtype=np.uint64)
+    scalar = [ToeplitzExpansion(F2, m, c) for _ in cases]
+    for t in range(2):
+        bits = np.array([[sum(v << (c - 1 - j) for j, v in enumerate(row))
+                          for row in case[t]] for case in cases],
+                        dtype=np.uint64).T
+        top, basis, inc = batch._extend(top, basis, bits, c)
+        assert inc.tolist() == [te.extend(case[t])
+                                for te, case in zip(scalar, cases)]
+    # the first case has its pivots at bits 63 and 0
+    pivots = [p for p in range(64) if basis[p, 0]]
+    assert pivots == [0, 31, 32, 63]
+    for col in range(n):
+        rows = basis[:, col].tolist()
+        for p, row in enumerate(rows):
+            if row:
+                assert row >> p & 1
+                assert not any(other >> p & 1 for q, other in enumerate(rows)
+                               if q != p)

@@ -1,6 +1,7 @@
 """Adaptive coding engine: scripted traces, statistics, determinism,
 cyclic operation and campaign output."""
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -137,14 +138,26 @@ def _campaign_output(cfg, trials, workers=1):
     return sinks.getvalue(), per_trial.getvalue(), summary.to_json_dict()
 
 
-def _absorbed_summary(cfg, trials):
-    """The summary of trials 0..trials-1 absorbed straight from run_trial."""
+def _reference_output(cfg, trials):
+    """The campaign output of trials 0..trials-1 built one run_trial
+    result at a time: both CSV texts and the absorbed summary."""
     topo = cfg.topology
     summary = CampaignSummary(trials=trials, q=cfg.field.q, m=topo.m,
                               d=len(topo.sinks), eta=engine.eta(topo))
+    sinks, per_trial = io.StringIO(), io.StringIO()
+    sink_writer, trial_writer = csv.writer(sinks), csv.writer(per_trial)
+    sink_writer.writerow(TRIAL_SINK_COLUMNS)
+    trial_writer.writerow(TRIAL_SUMMARY_COLUMNS)
     for i in range(trials):
-        summary.absorb(run_trial(cfg, i))
-    return summary.to_json_dict()
+        res = run_trial(cfg, i)
+        summary.absorb(res)
+        for r in topo.sinks:
+            sink_writer.writerow([res.trial, res.seed, r, res.T[r], res.T_N,
+                                  int(res.success)])
+        trial_writer.writerow([res.trial, f"{res.avg_T:.10g}",
+                               f"{res.avg_code_len:.10g}",
+                               f"{res.avg_memory_bits:.10g}", res.rounds])
+    return sinks.getvalue(), per_trial.getvalue(), summary.to_json_dict()
 
 
 def test_campaign_deterministic_across_workers():
@@ -154,15 +167,36 @@ def test_campaign_deterministic_across_workers():
                     verify_decode=False, verify_headers=False)
     runs = [_campaign_output(cfg, 300, w) for w in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
-    assert runs[0][2] == _absorbed_summary(cfg, 300)
+    assert runs[0] == _reference_output(cfg, 300)
 
 
-@pytest.mark.parametrize("trials", [1, 4, 129])
-def test_campaign_sizes_match_absorbed_run_trials(trials):
-    # 129 trials span two blocks.
-    cfg = SimConfig(topology=combination_network(5, 2), field=F2,
-                    base_seed=13, verify_decode=False, verify_headers=False)
-    assert _campaign_output(cfg, trials)[2] == _absorbed_summary(cfg, trials)
+def _lean_config(n, m, q=2, **kw):
+    return SimConfig(topology=combination_network(n, m), field=field_new(q),
+                     base_seed=13, verify_decode=False, verify_headers=False,
+                     **kw)
+
+
+LEAN_52 = _lean_config(5, 2)
+LEAN_53_Q3 = _lean_config(5, 3, q=3)
+
+
+@pytest.mark.parametrize("cfg, trials, workers", [
+    pytest.param(LEAN_52, 1, 1, id="1"),
+    pytest.param(LEAN_52, 4, 1, id="4"),
+    pytest.param(LEAN_52, 129, 1, id="129"),     # two lockstep blocks
+    # Trials still running when the lockstep stops are re-run by run_trial
+    # inside their block: every trial at max_rounds=2, some at 4.
+    pytest.param(_lean_config(6, 3, max_rounds=2), 200, 1, id="fallback"),
+    pytest.param(_lean_config(6, 3, max_rounds=4), 200, 1,
+                 id="fallback-mixed"),
+    pytest.param(LEAN_53_Q3, 60, 1, id="q3-workers1"),
+    pytest.param(LEAN_53_Q3, 60, 2, id="q3-workers2"),
+])
+def test_campaign_sizes_match_absorbed_run_trials(cfg, trials, workers):
+    got = _campaign_output(cfg, trials, workers)
+    assert got == _reference_output(cfg, trials)
+    if cfg.max_rounds < 50:                      # the fallback cases
+        assert got[2]["success_fraction"] < 1
 
 
 def test_success_by_t_monotone():

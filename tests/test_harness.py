@@ -76,6 +76,21 @@ def test_run_reruns_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_run_deterministic_campaign_has_zero_variance(tmp_path):
+    # The fig1 override script fixes every trial's avg_T at 1/6; float
+    # cancellation must not make the variance negative and the standard
+    # error complex.
+    assert run_cli("gen", "fig1", "--out", str(tmp_path)) == 0
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--topology", str(tmp_path / "fig1_topology.txt"),
+                   "--override", str(tmp_path / "fig1_overrides.txt"),
+                   "--q", "2", "--trials", "34", "--seed", "1",
+                   "--mode", "arcnc", "--out", str(outdir)) == 0
+    doc = json.loads((outdir / "summary.json").read_text())["arcnc"]
+    assert doc["mean_avg_T"] == pytest.approx(1 / 6)
+    assert doc["var_avg_T"] == doc["se_avg_T"] == 0.0
+
+
 def test_compare_adds_rlnc_section(tmp_path):
     outdir = tmp_path / "cmp"
     rc = run_cli("compare", "--n", "4", "--m", "2", "--q", "8",
