@@ -5,6 +5,12 @@ pair, uniformly over F_q; in-degree-1 relays forward their input unchanged.
 A sink succeeds when its scalar global kernel matrix has rank m.  This is
 exactly the simulator's behaviour truncated to constraint length 1, which
 is what the equivalence checks rely on.
+
+`rlnc_trial` is the reference: trial i draws from `rng.trial_rng(seed, i)`.
+`sink_success_fractions` runs those same trials in one numpy lockstep on
+any acyclic topology, each trial's SplitMix64 draws on its own lane, and
+re-runs with `rlnc_trial` the rare trial whose draws `randint` rejects.
+numpy is imported only when a lockstep block starts.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from math import log2
 
 from .gf import Field
 from .polyalg import rank_fq
-from .rng import trial_rng
+from .rng import _MASK, trial_rng
 from .topology import Topology, eta, is_acyclic
 
 
@@ -72,81 +78,95 @@ def rlnc_trial(topo: Topology, field: Field, seed: int,
                       memory_bits_per_node=m * log2(field.q))
 
 
-def _is_combination_like(topo: Topology) -> bool:
-    """True when every sink has exactly m inputs, each a relay copy of a
-    distinct source edge."""
-    for v in range(topo.num_nodes):
-        if v == topo.source or v in topo.sinks:
-            continue
-        if len(topo.in_edges(v)) != 1:
-            return False
-        if topo.tail(topo.in_edges(v)[0]) != topo.source:
-            return False
-    for r in topo.sinks:
-        parents = [topo.tail(e) for e in topo.in_edges(r)]
-        if len(parents) != topo.m or len(set(parents)) != len(parents) \
-                or topo.source in parents:
-            return False
-    return True
+_CHUNK = 1 << 12                   # trials per lockstep block
 
 
-def _fractions_vectorized(topo: Topology, field: Field, trials: int, seed: int):
-    """numpy fast path for combination-like networks with m = 2.
+def _rejected(raw, q: int):
+    """Where a raw draw is one that `SplitMix64.randint(q)` rejects."""
+    return raw > _MASK - (1 << 64) % q
 
-    Sinks see columns that are verbatim copies of the source's random
-    per-edge vectors, so only n column draws per trial are needed and the
-    2x2 full-rank test reduces to a determinant.
-    """
+
+def _success_block(topo: Topology, field: Field, seed: int, start: int,
+                   stop: int):
+    """Per-sink verdicts (rows in `topo.sinks` order) of the trials
+    `rlnc_trial(topo, field, seed, i)`, start <= i < stop: the walk of
+    `_global_vectors` with one numpy lane per trial.  A trial with a
+    rejected draw draws more than the walk; it is re-run with rlnc_trial."""
+    acyclic, order = is_acyclic(topo)
+    if not acyclic:
+        raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     import numpy as np
 
-    q = field.q
-    n = len(topo.out_edges(topo.source))
-    gen = np.random.default_rng(seed)
-    cols = gen.integers(0, q, size=(trials, n, 2), dtype=np.int64)
-    if field.kind == "prime":
+    from .batch import _G, _mix64, trial_seeds
+
+    m, q = topo.m, field.q
+    state = trial_seeds(seed, start, stop)
+    raws = []
+
+    def draw():                        # SplitMix64.next64 on every lane
+        state[:] += _G
+        raws.append(_mix64(state))
+        return (raws[-1] % np.uint64(q)).astype(np.int64)
+
+    mul = field.mul                    # add, sub and a prime mul take arrays
+    if field.kind != "prime":          # log 0 points into exp's zero tail
+        exp = np.array(field._exp + [0] * 2 * q)
+        log = np.array([2 * q - 2] + field._log[1:])
+
         def mul(a, b):
-            return (a * b) % q
-        def sub(a, b):
-            return (a - b) % q
-    else:
-        exp = np.array(field._exp, dtype=np.int64)
-        log = np.array(field._log, dtype=np.int64)
-        def mul(a, b):
-            out = exp[log[a] + log[b]]
-            return np.where((a == 0) | (b == 0), 0, out)
-        def sub(a, b):
-            return a ^ b
-    src_pos = {e: i for i, e in enumerate(topo.out_edges(topo.source))}
-    per_sink = {}
-    overall = np.ones(trials, dtype=bool)
-    for r in topo.sinks:
-        idx = [src_pos[topo.in_edges(topo.tail(e))[0]] for e in topo.in_edges(r)]
-        a, b = cols[:, idx[0], :], cols[:, idx[1], :]
-        det = sub(mul(a[:, 0], b[:, 1]), mul(a[:, 1], b[:, 0]))
-        ok = det != 0
-        per_sink[r] = float(np.mean(ok))
-        overall &= ok
-    return per_sink, float(np.mean(overall))
+            return exp[log[a] + log[b]]
+    zero = np.zeros((m, stop - start), dtype=np.int64)
+    fvec = [None] * topo.num_edges
+    for v in order:
+        ins = topo.in_edges(v)
+        for e in topo.out_edges(v):
+            if v == topo.source:
+                fvec[e] = np.array([draw() for _ in range(m)])
+            elif len(ins) == 1:
+                fvec[e] = fvec[ins[0]]
+            else:
+                fvec[e] = zero
+                for ein in ins:
+                    fvec[e] = field.add(fvec[e], mul(draw(), fvec[ein]))
+    # A sink's columns go one by one into an echelon basis with a slot per
+    # pivot coordinate, on all (sink, trial) lanes at once: rank m fills
+    # every slot.  Cross-multiplying clears a coordinate without inverses.
+    ins = [topo.in_edges(r) for r in topo.sinks]
+    basis = np.zeros((m, m, len(ins), stop - start), dtype=np.int64)
+    for j in range(max(map(len, ins))):
+        v = np.stack([fvec[es[j]] if j < len(es) else zero for es in ins],
+                     axis=1)                           # (m, sinks, trials)
+        for p in range(m):
+            if j:                      # column 0 finds every slot empty
+                a = np.where(basis[p, p] != 0, basis[p, p], 1)
+                v[p:] = field.sub(mul(a, v[p:]), mul(v[p], basis[p, p:]))
+            new = v[p] != 0
+            np.copyto(basis[p], v, where=new)
+            np.copyto(v, 0, where=new)
+    ok = (basis[range(m), range(m)] != 0).all(axis=0)
+    for b in np.flatnonzero(_rejected(np.array(raws), q).any(axis=0)):
+        res = rlnc_trial(topo, field, seed, start + int(b))
+        ok[:, b] = [res.per_sink[r] for r in topo.sinks]
+    return ok
 
 
 def sink_success_fractions(topo: Topology, field: Field, trials: int,
                            seed: int):
-    """Monte Carlo per-sink and overall success fractions.
+    """Per-sink and overall success fractions of the trials
+    `rlnc_trial(topo, field, seed, i)`, i < trials, run in lockstep.
 
-    Returns (per_sink fraction dict, overall fraction).  Uses a vectorized
-    path on combination-like networks with m = 2; the generic path loops
-    rlnc_trial.
+    Returns (per_sink fraction dict, overall fraction).
     """
-    if topo.m == 2 and _is_combination_like(topo):
-        return _fractions_vectorized(topo, field, trials, seed)
-    counts = {r: 0 for r in topo.sinks}
-    overall = 0
-    for i in range(trials):
-        res = rlnc_trial(topo, field, seed, i)
-        for r, ok in res.per_sink.items():
-            counts[r] += ok
-        overall += res.success
-    return ({r: c / trials for r, c in counts.items()}, overall / trials)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    import numpy as np
+
+    ok = np.hstack([_success_block(topo, field, seed, i,
+                                   min(i + _CHUNK, trials))
+                    for i in range(0, trials, _CHUNK)])
+    counts = ok.sum(axis=1).tolist()
+    return ({r: c / trials for r, c in zip(topo.sinks, counts)},
+            int(ok.all(axis=0).sum()) / trials)
 
 
 def curve_rows(topo: Topology, q: int, fracs: dict):

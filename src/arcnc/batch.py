@@ -46,9 +46,9 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import TrialBlock, _batchable, _topo_static, run_trial
-from .rng import _GAMMA, _MASK, trial_seed
+from .rng import _GAMMA, _MASK, mix64
 
-__all__ = ["run_block"]
+__all__ = ["run_block", "trial_seeds"]
 
 # numpy 1.x promotes uint64 mixed with a signed int to float64, so every
 # operand below is a np.uint64.
@@ -64,6 +64,12 @@ def _mix64(z):
     z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
     return z ^ (z >> _U(31))
+
+
+def trial_seeds(base_seed: int, start: int, stop: int):
+    """rng.trial_seed(base_seed, i) for i in range(start, stop), as uint64."""
+    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    return _mix64(_U(mix64(base_seed)) ^ _mix64(index * _G))
 
 
 @lru_cache(maxsize=32)
@@ -159,8 +165,8 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     m = topo.m
     st = _block_static(topo)
     B = stop - start
-    seeds = [trial_seed(config.base_seed, i) for i in range(start, stop)]
-    state = np.array(seeds, dtype=np.uint64)
+    state = trial_seeds(config.base_seed, start, stop)
+    seeds = state.tolist()
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
     ack = np.full((topo.num_nodes, B), never, dtype=np.int64)

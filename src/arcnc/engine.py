@@ -627,10 +627,6 @@ class CampaignSummary:
         """Fraction of trials with all sinks decodable by time t."""
         return sum(c for tn, c in self.hist_T_N.items() if tn <= t) / self.trials
 
-    def per_sink_success_by_t(self, sink: int, t: int) -> float:
-        hist = self.per_sink_T_hist[sink]
-        return sum(c for ti, c in hist.items() if ti <= t) / self.trials
-
     def mean_L(self) -> dict:
         return {v: s / self.trials for v, s in self.sum_L.items()}
 

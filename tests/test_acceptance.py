@@ -212,7 +212,7 @@ def test_criterion_09_t0_equivalence_with_rlnc(camp42):
     ok = True
     worst = 0.0
     for r in topo.sinks:
-        eng = summary.per_sink_success_by_t(r, 0)
+        eng = summary.per_sink_T_hist[r].get(0, 0) / summary.trials
         rln = fracs[r]
         sigma = math.sqrt(max(eng * (1 - eng), 1e-12) / summary.trials) \
             + math.sqrt(max(rln * (1 - rln), 1e-12) / 100_000)

@@ -1,14 +1,25 @@
-"""One-shot RLNC baseline: known fractions, field-size trends, fast path."""
+"""One-shot RLNC baseline: known fractions, field-size trends, and the
+lockstep checked trial by trial against rlnc_trial."""
 
 import math
 
+import numpy as np
 import pytest
 
-from arcnc.baseline import (curve_rows, expected_attempts, rlnc_trial,
-                            sink_success_fractions)
+from arcnc import baseline
+from arcnc.baseline import (RlncResult, curve_rows, expected_attempts,
+                            rlnc_trial, sink_success_fractions)
 from arcnc.gf import field_new
+from arcnc.rng import SplitMix64
 from arcnc.topology import (Topology, combination_network,
-                            two_node_cycle_network)
+                            random_layered_dag, two_node_cycle_network)
+
+THREE_INPUT_SINK = Topology(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4),
+                                (3, 4)), source=0, sinks=(4,), m=2)
+BUTTERFLY = Topology(num_nodes=7,
+                     edges=((0, 1), (0, 2), (1, 3), (2, 3), (3, 4),
+                            (1, 5), (2, 6), (4, 5), (4, 6)),
+                     source=0, sinks=(5, 6), m=2)
 
 
 def test_per_sink_fraction_q8():
@@ -40,22 +51,23 @@ def test_success_monotone_in_q():
 
 
 def test_scalar_path_agrees_with_vectorized():
-    # m = 3 forces the generic per-trial loop; compare its q=8 per-sink
-    # fraction against the closed form rather than against the numpy path
-    # (different RNG streams).
-    topo = combination_network(4, 3)
-    p = (1 - 1 / 8) * (1 - 1 / 64) * (1 - 1 / 512)
-    fracs, _ = sink_success_fractions(topo, field_new(8), 4000, seed=4)
-    sigma = math.sqrt(p * (1 - p) / 4000)
-    for f in fracs.values():
-        assert abs(f - p) <= 4 * sigma
-    # and the vectorized m=2 path against the same construction
-    topo2 = combination_network(4, 2)
-    p2 = (1 - 1 / 8) * (1 - 1 / 64)
-    fracs2, _ = sink_success_fractions(topo2, field_new(8), 40000, seed=4)
-    sigma2 = math.sqrt(p2 * (1 - p2) / 40000)
-    for f in fracs2.values():
-        assert abs(f - p2) <= 4 * sigma2
+    # Trial i of the lockstep is rlnc_trial(topo, field, seed, i), so on
+    # the first 2000 trials its fractions equal the loop's, float for
+    # float.  Over more trials they agree with the closed form of a square
+    # sink of uniform columns at q = 8, on m = 3 and m = 2.
+    field = field_new(8)
+    for m, trials in ((3, 4000), (2, 40000)):
+        topo = combination_network(4, m)
+        results = [rlnc_trial(topo, field, 4, i) for i in range(2000)]
+        fracs, overall = sink_success_fractions(topo, field, 2000, seed=4)
+        assert fracs == {r: sum(res.per_sink[r] for res in results) / 2000
+                         for r in topo.sinks}
+        assert overall == sum(res.success for res in results) / 2000
+        p = math.prod(1 - 8 ** -i for i in range(1, m + 1))
+        fracs, _ = sink_success_fractions(topo, field, trials, seed=4)
+        sigma = math.sqrt(p * (1 - p) / trials)
+        for f in fracs.values():
+            assert abs(f - p) <= 4 * sigma
 
 
 def test_rlnc_trial_determinism():
@@ -92,9 +104,8 @@ def test_sink_with_more_than_m_inputs():
     # Sink 4 sees three relayed source columns, so it decodes iff the 2x3
     # matrix of uniform columns over GF(2) has rank 2: 42 of the 64
     # matrices.  Its rank test must read all three columns.
-    topo = Topology(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),
-                    source=0, sinks=(4,), m=2)
-    fracs, overall = sink_success_fractions(topo, field_new(2), 20000, seed=1)
+    fracs, overall = sink_success_fractions(THREE_INPUT_SINK, field_new(2),
+                                            20000, seed=1)
     p = 42 / 64
     sigma = math.sqrt(p * (1 - p) / 20000)
     assert abs(fracs[4] - p) <= 4 * sigma
@@ -102,13 +113,9 @@ def test_sink_with_more_than_m_inputs():
 
 
 def test_generic_path_on_butterfly():
-    # The butterfly has an interior coding node, so it is not
-    # combination-like and takes the scalar per-trial path.
-    topo = Topology(num_nodes=7,
-                    edges=((0, 1), (0, 2), (1, 3), (2, 3), (3, 4),
-                           (1, 5), (2, 6), (4, 5), (4, 6)),
-                    source=0, sinks=(5, 6), m=2)
-    fracs, overall = sink_success_fractions(topo, field_new(16), 2000, seed=6)
+    # The butterfly's interior coding node sums two draws times its inputs.
+    fracs, overall = sink_success_fractions(BUTTERFLY, field_new(16), 2000,
+                                            seed=6)
     assert set(fracs) == {5, 6}
     assert overall >= 0.8   # large field: coding succeeds almost always
 
@@ -116,6 +123,99 @@ def test_generic_path_on_butterfly():
 def test_cyclic_topology_rejected():
     with pytest.raises(ValueError):
         rlnc_trial(two_node_cycle_network(), field_new(4), seed=0)
+    with pytest.raises(ValueError, match="acyclic"):
+        sink_success_fractions(two_node_cycle_network(), field_new(4), 10,
+                               seed=0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_zero_trials_rejected(m):
+    # Was NaN with a RuntimeWarning at m = 2, ZeroDivisionError at m = 3.
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sink_success_fractions(combination_network(4, m), field_new(4), 0,
+                               seed=1)
+
+
+# Node 3 has no inputs: its out-edges carry zero vectors and it draws
+# nothing, while coding node 1 sums three inputs, one of them node 3's.
+ORPHAN_INPUT = Topology(4, ((0, 1), (0, 1), (3, 1), (1, 2), (1, 2), (3, 2)),
+                        source=0, sinks=(2,), m=2)
+TOPOLOGIES = {
+    "comb42": combination_network(4, 2),
+    "comb63": combination_network(6, 3),
+    "three-input-sink": THREE_INPUT_SINK,
+    "butterfly": BUTTERFLY,
+    "orphan-input": ORPHAN_INPUT,
+    **{f"dag-m{m}": random_layered_dag(SplitMix64(1), layers=3,
+                                       width=2 * m + 2, m=m)
+       for m in (1, 2, 3)},
+}
+
+
+def _reference(topo, field, seed, start, stop):
+    """rlnc_trial's verdicts, one row per sink, one column per trial."""
+    runs = [rlnc_trial(topo, field, seed, i).per_sink
+            for i in range(start, stop)]
+    return [[run[r] for run in runs] for r in topo.sinks]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 256])
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_lockstep_verdicts_equal_rlnc_trial(name, q):
+    topo = TOPOLOGIES[name]
+    field = field_new(q)
+    got = baseline._success_block(topo, field, 11, 5, 205)
+    assert got.tolist() == _reference(topo, field, 11, 5, 205)
+
+
+def test_chunks_do_not_change_fractions(monkeypatch):
+    # 50 trials in blocks of 7 (the last one short) give the fractions of
+    # one block of 50.
+    topo = BUTTERFLY
+    field = field_new(3)
+    whole = sink_success_fractions(topo, field, 50, seed=8)
+    monkeypatch.setattr(baseline, "_CHUNK", 7)
+    assert sink_success_fractions(topo, field, 50, seed=8) == whole
+
+
+@pytest.mark.parametrize("q", [3, 256])
+def test_rejected_trials_rerun_with_rlnc_trial(monkeypatch, q):
+    # Flag the last draw of every third trial as rejected: exactly those
+    # trials are re-run, and each re-run's verdicts (here negated, to tell
+    # them from the lockstep's) land in the trial's own column.
+    topo = combination_network(6, 3)
+    field = field_new(q)
+    want = _reference(topo, field, 3, 0, 90)
+    rerun = []
+
+    def flag(raw, q):
+        out = np.zeros(raw.shape, dtype=bool)
+        out[-1, 1::3] = True
+        return out
+
+    def negated(topo, field, seed, i):
+        rerun.append(i)
+        res = rlnc_trial(topo, field, seed, i)
+        return RlncResult({r: not ok for r, ok in res.per_sink.items()},
+                          not res.success, res.memory_bits_per_node)
+
+    monkeypatch.setattr(baseline, "_rejected", flag)
+    monkeypatch.setattr(baseline, "rlnc_trial", negated)
+    got = baseline._success_block(topo, field, 3, 0, 90)
+    assert rerun == list(range(1, 90, 3))
+    for row in want:
+        row[1::3] = [not ok for ok in row[1::3]]
+    assert got.tolist() == want
+
+
+def test_rejection_predicate_matches_randint():
+    # randint(q) rejects the draws at or above 2^64 - (2^64 mod q): the
+    # top one for q = 3, the top 6 for q = 10, none for a power of two.
+    raw = np.array([0, (1 << 64) - 7, (1 << 64) - 6, (1 << 64) - 2,
+                    (1 << 64) - 1], dtype=np.uint64)
+    assert baseline._rejected(raw, 3).tolist() == [0, 0, 0, 0, 1]
+    assert baseline._rejected(raw, 10).tolist() == [0, 0, 1, 1, 1]
+    assert not baseline._rejected(raw, 4).any()
 
 
 def test_expected_attempts():

@@ -14,7 +14,7 @@ from arcnc import batch, engine
 from arcnc.engine import SimConfig, TrialBlock, collect_campaign, run_trial
 from arcnc.gf import field_new
 from arcnc.polyalg import ToeplitzExpansion
-from arcnc.rng import SplitMix64
+from arcnc.rng import SplitMix64, trial_seed
 from arcnc.topology import (Topology, combination_network,
                             random_layered_dag, validate_multicast)
 
@@ -108,6 +108,14 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
     for cfg in (_lean(topo, q=3), SimConfig(topology=topo, field=F2)):
         collect_campaign(cfg, 5)
     assert blocks == []
+
+
+@pytest.mark.parametrize("base_seed", [0, 5, -1, -(1 << 70) - 3, 1 << 64,
+                                       (1 << 64) + 7, 3 << 90])
+def test_trial_seeds_match_trial_seed(base_seed):
+    for start, stop in ((0, 40), ((1 << 40) - 20, (1 << 40) + 20)):
+        want = [trial_seed(base_seed, i) for i in range(start, stop)]
+        assert batch.trial_seeds(base_seed, start, stop).tolist() == want
 
 
 def test_importing_the_engine_and_cli_does_not_import_numpy():

@@ -101,7 +101,7 @@ def test_m1_sink_success_is_nonzero_draw():
     cfg = SimConfig(topology=topo, field=F2, base_seed=21)
     summary = collect_campaign(cfg, 4000)
     for r in topo.sinks:
-        frac = summary.per_sink_success_by_t(r, 0)
+        frac = summary.per_sink_T_hist[r].get(0, 0) / summary.trials
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / 4000)
 
 
