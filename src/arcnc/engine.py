@@ -42,8 +42,8 @@ Conventions:
 Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
 `TrialBlock`, one list per per-trial quantity and one row per sink (T)
-and per node (L); `CampaignSummary.absorb_block` aggregates it and the
-CSV writers write it with one `writerows` each.  Lean GF(2) campaigns on
+and per node (L); `CampaignSummary.absorb_block` aggregates it and each
+CSV file gets its rows as one string.  Lean GF(2) campaigns on
 acyclic networks (no trace, kept kernels or overrides) run each block in
 lockstep with numpy (`batch.run_block`), with results equal to
 `run_trial`'s; every other block runs `run_trial` trial by trial and
@@ -52,7 +52,6 @@ transposes the results with `TrialBlock.of`, which imports no numpy.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import operator
 from collections import Counter
@@ -729,30 +728,28 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     topo = config.topology
     summary = CampaignSummary(trials=trials, q=config.field.q, m=topo.m,
                               d=len(topo.sinks), eta=eta(topo))
-    sink_writer = trial_writer = None
+    # Rows are written as csv.writer writes them: comma-separated, no
+    # quoting (no field needs it), "\r\n" line ends.
     if sink_csv is not None:
-        sink_writer = csv.writer(sink_csv)
-        sink_writer.writerow(TRIAL_SINK_COLUMNS)
+        sink_csv.write(",".join(TRIAL_SINK_COLUMNS) + "\r\n")
     if trial_csv is not None:
-        trial_writer = csv.writer(trial_csv)
-        trial_writer.writerow(TRIAL_SUMMARY_COLUMNS)
+        trial_csv.write(",".join(TRIAL_SUMMARY_COLUMNS) + "\r\n")
 
     def consume(block: TrialBlock):
         summary.absorb_block(block)
-        if sink_writer is not None:
-            sink_writer.writerows(
-                (trial, seed, r, ti, T_N, ok)
+        if sink_csv is not None:
+            sink_csv.write("".join(
+                f"{trial},{seed},{r},{ti},{T_N},{ok}\r\n"
                 for trial, seed, T_N, ok, Ts in zip(
                     block.trial, block.seed, block.T_N,
                     map(int, block.success), zip(*block.T.values()))
-                for r, ti in zip(block.T, Ts))
-        if trial_writer is not None:
-            trial_writer.writerows(
-                (trial, f"{avg_T:.10g}", f"{code_len:.10g}", f"{bits:.10g}",
-                 rounds)
+                for r, ti in zip(block.T, Ts)))
+        if trial_csv is not None:
+            trial_csv.write("".join(
+                f"{trial},{avg_T:.10g},{code_len:.10g},{bits:.10g},{rounds}\r\n"
                 for trial, avg_T, code_len, bits, rounds in zip(
                     block.trial, block.avg_T, block.avg_code_len,
-                    block.avg_memory_bits, block.rounds))
+                    block.avg_memory_bits, block.rounds)))
 
     size = BLOCK_TRIALS
     if workers > 1:

@@ -269,9 +269,9 @@ def _analysis_columns(topo, q, tol, t_max):
             ho[str(t)] = "N/A"
     cols["ho_bound_by_t"] = ho
     cols["eta"] = net_eta
-    # var_upper needs the combination-network parameter n = source degree.
+    # var_upper bounds comb(n, m) only, n the source's out-degree.
     n = len(topo.out_edges(topo.source))
-    if m >= 1 and n >= m and math.comb(n, m) == d:
+    if n >= m >= 1 and topo == combination_network(n, m):
         cols["var_upper"] = float(analysis.var_upper(n, m, q))
     return cols
 

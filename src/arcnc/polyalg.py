@@ -4,6 +4,11 @@ Implements the delay-domain algebra used by the protocol: truncated
 convolution, rank over F_q, the block-Toeplitz expansion and the
 Toeplitz-system decoder.
 
+One row echelon basis (_RowBasis) does the engine's elimination: the
+expansion's rank increments and the decoder both insert their rows into
+it.  rank_fq, a separate plain elimination, is the independent reference
+that the tests check the expansion against and the RLNC baseline's rank.
+
 ToeplitzExpansion is the one rank and valuation primitive.  Its rank
 increment at level L is #{i : d_i <= L}, where z^d_1 .. z^d_m are the
 invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain 1968;
@@ -14,9 +19,11 @@ and then with zero blocks up to level m*t, the largest valuation a
 non-zero m x m minor can have: the matrix has full rank iff some
 increment is m, and the rank deficits summed up to that level are
 d_1 + ... + d_m, the valuation of a square matrix's determinant.
-toeplitz_solve, elimination on the Toeplitz system, is the engine's
-decoder.  PolyMatrix.det, select_columns and the adjugate decoder
-sequential_decode are test oracles.
+toeplitz_solve, the engine's decoder, inserts the Toeplitz system's
+equations with the received symbols as one more column and reads the
+determined symbols off the reduced basis.  PolyMatrix.det,
+select_columns and the adjugate decoder sequential_decode are test
+oracles.
 """
 
 from __future__ import annotations
@@ -186,46 +193,69 @@ def rank_fq(rows, field: Field) -> int:
 
 
 # ---------------------------------------------------------------------------
-# incremental row bases (right-aligned column indexing)
+# the row echelon basis and the block Toeplitz expansion M_t
 # ---------------------------------------------------------------------------
-#
-# Rows of M_{t-1} reappear inside M_t shifted right by one block width, so
-# indexing columns from the right end makes the elimination state of M_{t-1}
-# directly reusable when extending to M_t.
 
-class _GenericRowBasis:
-    """Row basis over F_q; rows are {position: non-zero value} dicts."""
+class _RowBasis:
+    """Row echelon basis over F_q, the elimination behind every rank,
+    valuation and decode in this module.
+
+    A row is a list of field elements; its lead is its last non-zero
+    position.  A stored row has lead value 1 and keeps the list of its
+    other non-zero positions, so a reduction step needs no inverse.
+    """
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows = {}
+        self.rows = {}             # lead -> (row, its other non-zero positions)
 
-    def insert(self, row: dict) -> bool:
+    def insert(self, row: list) -> bool:
+        """Reduce `row` (taken over, not copied); True if the rank grew."""
         f = self.field
+        sub, mul = f.sub, f.mul
         rows = self.rows
-        while row:
-            lead = max(row)
+        for lead in range(len(row) - 1, -1, -1):
+            v = row[lead]
+            if not v:
+                continue
             b = rows.get(lead)
             if b is None:
-                rows[lead] = row
+                nz = [p for p in range(lead) if row[p]]
+                if v != 1:
+                    s = f.inv(v)
+                    for p in nz:
+                        row[p] = mul(s, row[p])
+                    row[lead] = 1
+                rows[lead] = (row, nz)
                 return True
-            fct = f.mul(row[lead], f.inv(b[lead]))
-            new = dict(row)
-            for p, v in b.items():
-                nv = f.sub(new.get(p, 0), f.mul(fct, v))
-                if nv:
-                    new[p] = nv
-                elif p in new:
-                    del new[p]
-            row = new
+            brow, bnz = b
+            row[lead] = 0
+            for p in bnz:
+                row[p] = sub(row[p], mul(v, brow[p]))
         return False
 
+    def reduce(self):
+        """Clear every lead position from the other rows (reduced form)."""
+        f = self.field
+        sub, mul = f.sub, f.mul
+        rows = self.rows
+        leads = sorted(rows)
+        # Rows with lower leads are already reduced, so clearing one lead
+        # puts no entry at another.
+        for i, lead in enumerate(leads):
+            row, nz = rows[lead]
+            hit = [b for b in leads[:i] if row[b]]
+            for b in hit:
+                brow, bnz = rows[b]
+                v = row[b]
+                row[b] = 0
+                for p in bnz:
+                    row[p] = sub(row[p], mul(v, brow[p]))
+            if hit:
+                rows[lead] = (row, [p for p in range(lead) if row[p]])
 
-# ---------------------------------------------------------------------------
-# block Toeplitz expansion M_t
-# ---------------------------------------------------------------------------
 
 class ToeplitzExpansion:
     """Incremental rank state of the expansions M_0, M_1, ..., M_t.
@@ -233,11 +263,10 @@ class ToeplitzExpansion:
     M_t has (t+1)*m rows and (t+1)*c columns; block (i, j) = F_{j-i} for
     j >= i and zero otherwise.  Extending by one coefficient matrix costs
     one insertion of m rows; the elimination state of M_{t-1} is reused.
-    The m top rows [F_0 .. F_t] are kept in right-aligned coordinates, so
-    extending shifts them by c and places F_t's entries in the low c
-    positions; rows already in the basis keep their positions.  The shift
-    builds each top row anew as a dict of up to (t+1)*c entries, so one
-    extend costs O(m*t*c) before any elimination.
+    Rows of M_{t-1} reappear inside M_t shifted right by one block width,
+    so columns are indexed from the right end: the m top rows [F_0 .. F_t]
+    are kept right-aligned, extending prepends F_t's row reversed, and
+    rows already in the basis keep their positions.
     """
 
     def __init__(self, field: Field, m: int, c: int):
@@ -245,8 +274,8 @@ class ToeplitzExpansion:
         self.m = m
         self.c = c
         self.t = -1                # degree of the last appended F_t
-        self.basis = _GenericRowBasis(field)
-        self.top = [{} for _ in range(m)]
+        self.basis = _RowBasis(field)
+        self.top = [[] for _ in range(m)]
 
     def extend(self, F_t) -> int:
         """Append coefficient matrix F_t; returns rank(M_t) - rank(M_{t-1})."""
@@ -258,13 +287,9 @@ class ToeplitzExpansion:
         insert = self.basis.insert
         inc = 0
         for r, Fr in enumerate(F_t):
-            # a new dict each step: the basis may keep the previous one
-            row = {p + c: v for p, v in top[r].items()}
-            for j, v in enumerate(Fr):
-                if v:
-                    row[c - 1 - j] = v
-            top[r] = row
-            if insert(row):
+            row = top[r] = Fr[::-1] + top[r]
+            # a copy: the basis reduces the rows it is given
+            if insert(row[:]):
                 inc += 1
         return inc
 
@@ -393,58 +418,30 @@ def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
     """
     c = len(Fs[0][0])
     D = len(Fs) - 1
-    nu = (horizon + 1) * m
-    rows = []
-    rhs = []
+    # Equation (t, col) reads sum_{i,j} x_{t-i,j} F_i[j][col] = y_{col,t}:
+    # y at position 0, x_{s,j} at 1 + s*m + j.  A combination of equations
+    # is an equation, so y rides along as the lowest column.
+    basis = _RowBasis(field)
     for t in range(horizon + 1):
         for col in range(c):
-            row = [0] * nu
+            row = [0] * ((t + 1) * m + 1)
+            row[0] = ys[col][t]
             for i in range(min(t, D) + 1):
                 Fi = Fs[i]
+                base = 1 + (t - i) * m
                 for j in range(m):
-                    v = Fi[j][col]
-                    if v:
-                        row[(t - i) * m + j] = v
-            rows.append(row)
-            rhs.append(ys[col][t])
-    # Reduced row echelon form with the right-hand side carried along.
-    # Entries of the pivot row left of its pivot are zero, and only its
-    # non-zero entries change the other rows.
-    sub, mul = field.sub, field.mul
-    pivots = {}                    # column -> row index
-    rank = 0
-    for col in range(nu):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rhs[rank], rhs[piv] = rhs[piv], rhs[rank]
-        prow = rows[rank]
-        pinv = field.inv(prow[col])
-        nz = [k for k in range(col, nu) if prow[k]]
-        for k in nz:
-            prow[k] = mul(pinv, prow[k])
-        prhs = rhs[rank] = mul(pinv, rhs[rank])
-        for r, row in enumerate(rows):
-            fct = row[col]
-            if fct and r != rank:
-                for k in nz:
-                    row[k] = sub(row[k], mul(fct, prow[k]))
-                rhs[r] = sub(rhs[r], mul(fct, prhs))
-        pivots[col] = rank
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rhs[r]:
-            raise ValueError("received streams inconsistent with the kernels")
-    free = [col for col in range(nu) if col not in pivots]
+                    row[base + j] = Fi[j][col]
+            basis.insert(row)
+    if 0 in basis.rows:            # a row reduced to 0 = y != 0
+        raise ValueError("received streams inconsistent with the kernels")
+    basis.reduce()
+    # x_{s,j} is determined exactly when no free unknown is left in its
+    # row; its value is then the row's y.
     out = [[None] * m for _ in range(horizon + 1)]
-    for col, r in pivots.items():
-        if all(rows[r][fc] == 0 for fc in free):
-            out[col // m][col % m] = rhs[r]
+    for lead, (row, nz) in basis.rows.items():
+        if nz in ([], [0]):
+            s, j = divmod(lead - 1, m)
+            out[s][j] = row[0]
     return out
 
 

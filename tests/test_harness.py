@@ -91,6 +91,24 @@ def test_run_deterministic_campaign_has_zero_variance(tmp_path):
     assert doc["var_avg_T"] == doc["se_avg_T"] == 0.0
 
 
+def test_var_upper_reported_for_combination_networks_only(tmp_path):
+    # C(source out-degree, m) = 3 = number of sinks, but this is no
+    # combination network, so the comb(n, m) bound does not apply.
+    dag = tmp_path / "dag.txt"
+    dag.write_text("nodes 5\nm 1\nsource 0\nsinks 2 3 4\n"
+                   "edge 0 1\nedge 0 2\nedge 1 3\nedge 1 4\nedge 0 4\n")
+    comb = tmp_path / "comb.txt"
+    assert run_cli("gen", "comb", "--n", "4", "--m", "2",
+                   "--out", str(comb)) == 0
+    for topo_file, want in ((dag, False), (comb, True)):
+        outdir = tmp_path / topo_file.stem
+        assert run_cli("run", "--topology", str(topo_file), "--q", "2",
+                       "--trials", "20", "--seed", "1", "--mode", "arcnc",
+                       "--no-verify", "--out", str(outdir)) == 0
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert ("var_upper" in doc["arcnc"]["analysis"]) == want
+
+
 def test_compare_adds_rlnc_section(tmp_path):
     outdir = tmp_path / "cmp"
     rc = run_cli("compare", "--n", "4", "--m", "2", "--q", "8",

@@ -1,6 +1,7 @@
 """Polynomial and polynomial-matrix algebra: arithmetic, decodability,
 determinants, the sequential decoder and its reference decoder."""
 
+import itertools
 import random
 
 import pytest
@@ -136,7 +137,7 @@ def _block_toeplitz(Fs):
             for i in range(n) for r in range(m)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 256])
 def test_toeplitz_extend_increment_is_explicit_rank_difference(q):
     fld = field_new(q)
     rng = random.Random(300 + q)
@@ -332,6 +333,46 @@ def test_toeplitz_solve_wide_matrix_and_inconsistency():
     ys[1][2] ^= 1   # corrupt one received symbol
     with pytest.raises(ValueError):
         toeplitz_solve(Fs, ys, 1, 3, F2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_toeplitz_solve_matches_brute_force_solution_set(q):
+    # Oracle: enumerate every message x through the horizon and keep those
+    # whose encoding is the received y.  toeplitz_solve must return exactly
+    # the coordinates that are constant over that set, with their values,
+    # and raise exactly when the set is empty.  Sparse kernels make
+    # rank-deficient systems with undetermined symbols common.
+    fld = field_new(q)
+    rng = random.Random(500 + q)
+    checked = {"empty": 0, "partial": 0, "full": 0}
+    for _ in range(60):
+        m, c = rng.randrange(1, 3), rng.randrange(1, 4)
+        horizon = rng.randrange(0, 4)
+        D = rng.randrange(0, horizon + 1)
+        Fs = [[[rng.randrange(q) if rng.random() < 0.5 else 0
+                for _ in range(c)] for _ in range(m)] for _ in range(D + 1)]
+        A = PolyMatrix.from_coeff_matrices(fld, Fs)
+        xs_of_y = {}
+        for flat in itertools.product(range(q), repeat=(horizon + 1) * m):
+            y = _encode(fld, [flat[j::m] for j in range(m)], A, horizon)
+            xs_of_y.setdefault(tuple(map(tuple, y)), []).append(flat)
+        encodings = list(xs_of_y)
+        for ys in (rng.choice(encodings),
+                   tuple(tuple(rng.randrange(q) for _ in range(horizon + 1))
+                         for _ in range(c))):
+            sols = xs_of_y.get(ys, [])
+            if not sols:
+                checked["empty"] += 1
+                with pytest.raises(ValueError):
+                    toeplitz_solve(Fs, [list(y) for y in ys], m, horizon, fld)
+                continue
+            want = [[sols[0][s * m + j]
+                     if len({x[s * m + j] for x in sols}) == 1 else None
+                     for j in range(m)] for s in range(horizon + 1)]
+            assert toeplitz_solve(Fs, [list(y) for y in ys], m, horizon,
+                                  fld) == want
+            checked["partial" if len(sols) > 1 else "full"] += 1
+    assert min(checked.values()) >= 10, checked
 
 
 def test_decoder_inconsistent_streams_rejected():
