@@ -8,9 +8,11 @@ is what the equivalence checks rely on.
 
 `rlnc_trial` is the reference: trial i draws from `rng.trial_rng(seed, i)`.
 `sink_success_fractions` runs those same trials in one numpy lockstep on
-any acyclic topology, each trial's SplitMix64 draws on its own lane, and
-re-runs with `rlnc_trial` the rare trial whose draws `randint` rejects.
-numpy is imported only when a lockstep block starts.
+any acyclic topology, each trial's SplitMix64 draws on its own lane, with
+the engine lockstep's array arithmetic and rejection test
+(`batch.array_field`, `batch._rejected`), and re-runs with `rlnc_trial`
+the rare trial whose draws `randint` rejects.  numpy is imported only when
+a lockstep block starts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import log2
 
 from .gf import Field
 from .polyalg import rank_fq
-from .rng import _MASK, trial_rng
+from .rng import trial_rng
 from .topology import Topology, eta, is_acyclic
 
 
@@ -81,11 +83,6 @@ def rlnc_trial(topo: Topology, field: Field, seed: int,
 _CHUNK = 1 << 12                   # trials per lockstep block
 
 
-def _rejected(raw, q: int):
-    """Where a raw draw is one that `SplitMix64.randint(q)` rejects."""
-    return raw > _MASK - (1 << 64) % q
-
-
 def _success_block(topo: Topology, field: Field, seed: int, start: int,
                    stop: int):
     """Per-sink verdicts (rows in `topo.sinks` order) of the trials
@@ -97,24 +94,19 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     import numpy as np
 
-    from .batch import _G, _mix64, trial_seeds
+    from .batch import _G, _mix64, _rejected, _values, array_field, \
+        trial_seeds
 
     m, q = topo.m, field.q
+    fld = array_field(q)
     state = trial_seeds(seed, start, stop)
     raws = []
 
     def draw():                        # SplitMix64.next64 on every lane
         state[:] += _G
         raws.append(_mix64(state))
-        return (raws[-1] % np.uint64(q)).astype(np.int64)
+        return _values(raws[-1], q)
 
-    mul = field.mul                    # add, sub and a prime mul take arrays
-    if field.kind != "prime":          # log 0 points into exp's zero tail
-        exp = np.array(field._exp + [0] * 2 * q)
-        log = np.array([2 * q - 2] + field._log[1:])
-
-        def mul(a, b):
-            return exp[log[a] + log[b]]
     zero = np.zeros((m, stop - start), dtype=np.int64)
     fvec = [None] * topo.num_edges
     for v in order:
@@ -127,7 +119,7 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
             else:
                 fvec[e] = zero
                 for ein in ins:
-                    fvec[e] = field.add(fvec[e], mul(draw(), fvec[ein]))
+                    fvec[e] = fld.add(fvec[e], fld.mul(draw(), fvec[ein]))
     # A sink's columns go one by one into an echelon basis with a slot per
     # pivot coordinate, on all (sink, trial) lanes at once: rank m fills
     # every slot.  Cross-multiplying clears a coordinate without inverses.
@@ -139,7 +131,7 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
         for p in range(m):
             if j:                      # column 0 finds every slot empty
                 a = np.where(basis[p, p] != 0, basis[p, p], 1)
-                v[p:] = field.sub(mul(a, v[p:]), mul(v[p], basis[p, p:]))
+                v[p:] = fld.submul(fld.mul(a, v[p:]), v[p], basis[p, p:])
             new = v[p] != 0
             np.copyto(basis[p], v, where=new)
             np.copyto(v, 0, where=new)

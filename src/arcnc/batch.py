@@ -1,62 +1,82 @@
-"""Lean GF(2) trials in lockstep: a block of trials advanced together in
-numpy, every result equal to `engine.run_trial`'s.
+"""Lean trials in lockstep: a block of trials advanced together in numpy,
+every result equal to `engine.run_trial`'s, in every field.
 
 Eligibility.  `engine.collect_campaign` runs a block here only where the
-output is provably the same as `run_trial`'s: q = 2, an acyclic topology,
-and none of `verify_decode`, `trace`, `keep_kernels` or kernel overrides.
-Every other campaign runs `run_trial`, which stays the reference; the
-differential tests compare each block with the `engine.TrialBlock` of
+output is provably the same as `run_trial`'s: an acyclic topology and
+none of `verify_decode`, `trace`, `keep_kernels` or kernel overrides, for
+any q.  Every other campaign runs `run_trial`, which stays the reference;
+the differential tests compare each block with the `engine.TrialBlock` of
 `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
-uint64 vector.  Step t first advances the state by m draws (the source
-symbols x_t, which a lean trial never reads), then by one draw for each
-coding pair in `_topo_static`'s `coding` order, counted only in trials
-that are still running and whose pair's head node had not ACKed before
-t.  A kernel coefficient is the low bit of `mix64(state)`, which is what
-`SplitMix64.randint(2)` returns.  So every trial consumes exactly the
-draws `run_trial` makes, in the same order.
+uint64 vector.  Step t first draws the m source symbols x_t (which a lean
+trial never reads), then one coefficient for each coding pair in
+`_topo_static`'s `coding` order, counted only in trials that are still
+running and whose pair's head node had not ACKed before t.  A draw is
+`mix64(state)` after the state advances by the SplitMix64 gamma, and the
+value is the draw mod q, which is what `SplitMix64.randint(q)` returns
+unless it rejects the draw.  For q a power of two it never does.  For any
+other q, `randint` rejects a draw at or above 2^64 - (2^64 mod q) and
+draws again, so the rest of that trial's draws would shift against the
+lockstep's.  Every draw of a running trial, x_t included, is checked with
+`randint`'s predicate (`_rejected`); a trial with a rejected draw is
+re-run from the start with `run_trial` and put into the block at its own
+position (trials are independent by index, so the result is the
+reference's own).  Every other trial consumes exactly the draws
+`run_trial` makes, in the same order.
 
-State.  Headers are m-bit masks, and a relay's out-edge reads the history
-of its root input edge.  The stopping rule is `polyalg.ToeplitzExpansion`
-over GF(2) with rows as uint64 bitmasks (bit p = column p from the right),
-run on every waiting (sink, trial) pair at once: step t appends the rows
-`top << c | F_t bits` to a basis that grows by c positions per step.  The
-basis is kept in reduced echelon form, one row slot per bit position: a
-pivot bit is set only in its own row, so a new row is reduced in one pass
-by XOR with the rows whose pivot bits it has set.  A non-zero remainder
-raises the rank; its lowest set bit becomes a pivot, cleared from the
-other rows.  A sink with fewer than c_max inputs gets zero columns, which
-leave every rank increment unchanged.  The ACK pass is `run_trial`'s.
+Arithmetic.  `array_field(q)` does F_q on int64 arrays of elements in
+[0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
+gather for mul, from the q x q product table for q <= 256 and from the
+exp/log tables above (log 0 points into a zero tail of exp); inverses
+from a table.  `baseline.sink_success_fractions` uses the same helper.
+
+State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
+reads the history of its root input edge.  The stopping rule is
+`polyalg.ToeplitzExpansion`, run on every waiting (sink, trial) pair at
+once: step t prepends F_t's rows, columns reversed, to the m top rows and
+inserts them into a basis that grows by c_max positions per step.  The
+basis (`_Basis`) is a dense reduced-echelon array over (pairs x positions
+x positions), the array form of `polyalg._RowBasis`: slot p holds the row
+whose pivot is position p, with value 1 there, and position p is zero in
+every other row.  The m new rows are reduced by one vectorized
+subtraction of `rows[:, pivots] @ basis`, then by each other; a non-zero
+remainder raises the rank, its lowest non-zero position becomes its
+pivot, and that position is cleared from the other rows.  A sink with
+fewer than c_max inputs gets zero columns, which leave every rank
+increment unchanged.  The ACK pass is `run_trial`'s.
+
+Room.  A block runs to `max_rounds`, and a trial still running then has
+failed, as in `run_trial`, unless its rank state runs out of room first:
+the dense basis holds at most `_BASIS_ENTRIES` entries, which only sinks
+that keep failing to decode for many steps come near.  GF(2) runs the
+same rank test with every row a uint64 bitmask (`_BitBasis`), about twice
+as fast as the dense basis on lean GF(2) campaigns, but a row holds only
+64 positions, (t + 1) * c_max at step t.  When the rank state has no room
+for another step, the trials still running are re-run with `run_trial`,
+as rejected ones are.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times, one `.tolist()` per column; no per-trial object is made.
-
-Cutoff and fallback.  A Toeplitz row of step t has (t + 1) * c_max bits,
-so the lockstep runs at most min(max_rounds, 64 // c_max) steps.  The
-trials still running then, every failed trial among them, are re-run from
-the start with `run_trial` and put into the block at their own positions;
-trials are independent by index, so their results are the reference's own.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import log2
 
 import numpy as np
 
 from .engine import TrialBlock, _batchable, _topo_static, run_trial
+from .gf import field_new
 from .rng import _GAMMA, _MASK, mix64
 
-__all__ = ["run_block", "trial_seeds"]
+__all__ = ["array_field", "run_block", "trial_seeds"]
 
 # numpy 1.x promotes uint64 mixed with a signed int to float64, so every
 # operand below is a np.uint64.
 _U = np.uint64
-_ONE = _U(1)
 _G = _U(_GAMMA)
-# column of the bit values 1 << p, one row per bit position p
-_BITS = (_ONE << np.arange(64, dtype=np.uint64))[:, None]
 
 
 def _mix64(z):
@@ -66,10 +86,85 @@ def _mix64(z):
     return z ^ (z >> _U(31))
 
 
+def _rejected(raw, q: int):
+    """Where a raw draw is one that `SplitMix64.randint(q)` rejects."""
+    return raw > _MASK - (1 << 64) % q
+
+
+def _values(raw, q: int):
+    """`SplitMix64.randint(q)`'s value of each raw draw, as int64, where
+    the draw is not rejected."""
+    if q & (q - 1):
+        return (raw % _U(q)).astype(np.int64)
+    return (raw & _U(q - 1)).astype(np.int64)
+
+
 def trial_seeds(base_seed: int, start: int, stop: int):
     """rng.trial_seed(base_seed, i) for i in range(start, stop), as uint64."""
     index = np.arange(start + 1, stop + 1, dtype=np.uint64)
     return _mix64(_U(mix64(base_seed)) ^ _mix64(index * _G))
+
+
+class _ArrayField:
+    """F_q on int64 arrays of elements in [0, q), with numpy broadcasting:
+    `add`, `mul`, `inv`, `dot` (the matrix product over the last two
+    axes), and the fused `submul(c, a, b)` = c - a*b and `subdot(c, a, b)`
+    = c - a @ b."""
+
+    def __init__(self, q: int):
+        if q & (q - 1):                # prime: products stay below 2^32
+
+            def mod(a):                # a % q; int64 remainder is slower
+                return a - a // q * q
+
+            self.add = lambda a, b: mod(a + b)
+            self.mul = lambda a, b: mod(a * b)
+            self.dot = lambda a, b: mod(a @ b)
+            self.submul = lambda c, a, b: mod(c - a * b)
+            self.subdot = lambda c, a, b: mod(c - a @ b)
+            inv = np.ones(q, dtype=np.int64)
+            base, e = np.arange(q, dtype=np.int64), q - 2
+            while e:                   # a^(p-2), square and multiply
+                if e & 1:
+                    inv = mod(inv * base)
+                base = mod(base * base)
+                e >>= 1
+        else:                          # GF(2^k): add is xor
+            if q == 2:
+                mul = np.bitwise_and
+                inv = np.arange(2, dtype=np.int64)
+            else:
+                fld = field_new(q)
+                # log 0 points into a zero tail of exp
+                exp = np.array(fld._exp + [0] * 2 * q, dtype=np.int64)
+                log = np.array([2 * q - 2] + fld._log[1:], dtype=np.int64)
+                inv = exp[(q - 1) - log]
+
+                def mul(a, b):
+                    return exp[log[a] + log[b]]
+
+                if q <= 256:           # one gather from the product table
+                    k = q.bit_length() - 1
+                    elements = np.arange(q, dtype=np.int64)
+                    prod = mul(elements[:, None], elements).ravel()
+
+                    def mul(a, b):
+                        return prod[(a << k) | b]
+
+            self.add = np.bitwise_xor
+            self.mul = mul
+            self.dot = lambda a, b: np.bitwise_xor.reduce(
+                mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
+            self.submul = lambda c, a, b: c ^ mul(a, b)
+            self.subdot = lambda c, a, b: c ^ self.dot(a, b)
+        inv[0] = 0
+        self.inv = inv.__getitem__
+
+
+@lru_cache(maxsize=8)
+def array_field(q: int) -> _ArrayField:
+    """The array arithmetic of F_q (q prime or a power of two <= 2^16)."""
+    return _ArrayField(q)
 
 
 @lru_cache(maxsize=32)
@@ -94,17 +189,20 @@ def _block_static(topo):
             pair[(ein, eout)] = len(heads)
             heads.append(head)
     # The source's pairs are consecutive in draw order, out-edge by
-    # out-edge, inputs -1..-m: its headers are the drawn bits themselves.
+    # out-edge, inputs -1..-m: its headers are the drawn values themselves.
     src_out = topo.out_edges(topo.source)
     src_first = pair[(-1, src_out[0])] if src_out else 0
-    conv = [(root[eout], [(pair[(ein, eout)], root[ein]) for ein in inputs[v]])
-            for v, eout in propagate if v != topo.source]
+    conv = [(root[eout],
+             np.array([pair[(ein, eout)] for ein in inputs[v]], dtype=np.intp),
+             np.array([root[ein] for ein in inputs[v]], dtype=np.intp))
+            for v, eout in propagate if v != topo.source and inputs[v]]
     sinks = list(topo.sinks)
     c_max = max(len(topo.in_edges(r)) for r in sinks)
+    # the input roots of each sink, last input first: F_t's row reversed
     in_roots = np.full((len(sinks), c_max), R, dtype=np.intp)
     for s, r in enumerate(sinks):
-        for j, e in enumerate(topo.in_edges(r)):
-            in_roots[s, j] = root[e]
+        for j, e in enumerate(reversed(topo.in_edges(r))):
+            in_roots[s, c_max - len(topo.in_edges(r)) + j] = root[e]
     others = [v for v in range(topo.num_nodes) if v not in topo.sinks]
     reach = np.array([[r in downstream[v] for r in sinks] for v in others],
                      dtype=bool).reshape(len(others), len(sinks))
@@ -115,54 +213,148 @@ def _block_static(topo):
     return dict(
         R=R, heads=np.array(heads, dtype=np.intp),
         src_roots=np.array([root[e] for e in src_out], dtype=np.intp),
-        src_first=src_first, conv=[c for c in conv if c[1]],
-        c_max=c_max, in_roots=in_roots,
+        src_first=src_first, conv=conv, c_max=c_max, in_roots=in_roots,
         sinks=sinks, sink_nodes=np.array(sinks, dtype=np.intp),
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
         code_heads=np.array([topo.head(e) for e in coding_out],
                             dtype=np.intp),
+        comps=np.arange(m, dtype=np.intp)[:, None],
+        # the m source-symbol draws of a step, as state offsets
+        xoffsets=(np.arange(1, m + 1, dtype=np.uint64) * _G)[:, None],
         xstep=_U(m * _GAMMA & _MASK),
-        bit_shift=np.arange(m, dtype=np.uint64)[:, None],
-        col_shift=np.arange(c_max - 1, -1, -1, dtype=np.uint64),
     )
 
 
-def _insert(basis, row):
-    """Insert `row` (a uint64 per column) into the reduced-echelon `basis`,
-    shape (positions, columns), in place; True where the rank grew.
+# Most entries a dense basis holds, 8 MiB of int64.  Only sinks that keep
+# failing to decode for many steps come near it (a sink whose max-flow is
+# below m never decodes); their trials then run `run_trial`, one at a time.
+_BASIS_ENTRIES = 1 << 20
 
-    basis[p] is the row whose pivot is bit p, or zero.
+
+class _Basis:
+    """`ToeplitzExpansion` of every waiting (sink, trial) pair over F_q.
+
+    `top` holds the m top rows, shape (pairs, m, positions), and `basis`
+    the reduced-echelon basis, shape (pairs, slots, positions): slot p
+    holds the row whose pivot is position p, or zero.
     """
-    P = len(basis)
-    row = row ^ np.bitwise_xor.reduce(basis * ((row & _BITS[:P]) != 0),
-                                      axis=0)
-    low = row & (~row + _ONE)          # lowest set bit: the new pivot
-    # XOR the remainder into row slot `low` (empty) and into every row
-    # that has bit `low` set, which clears it there.
-    basis ^= row * (((basis | _BITS[:P]) & low) != 0)
-    return row != 0
+
+    def __init__(self, fld, N: int, m: int):
+        self.fld = fld
+        self.top = np.zeros((N, m, 0), dtype=np.int64)
+        self.basis = np.zeros((N, 0, 0), dtype=np.int64)
+
+    def full(self, c: int) -> bool:
+        """True when c more positions would take the basis past
+        `_BASIS_ENTRIES`."""
+        N, P0 = self.basis.shape[:2]
+        return N * (P0 + c) ** 2 > _BASIS_ENTRIES
+
+    def keep(self, pairs):
+        self.top, self.basis = self.top[pairs], self.basis[pairs]
+
+    def extend(self, F):
+        """Append F_t, given as (c, m, pairs) with its columns reversed;
+        returns each pair's rank increment.
+
+        The m new rows are inserted as one: reduced by the stored rows in
+        one product, then by each other in turn, and their pivots cleared
+        from the stored rows in one product.
+        """
+        fld = self.fld
+        c, m, N = F.shape
+        P0 = self.basis.shape[1]
+        top = self.top = np.concatenate([F.transpose(2, 1, 0), self.top],
+                                        axis=2)
+        # rows of M_{t-1} are zero at the c new (highest) positions
+        old = np.concatenate([self.basis,
+                              np.zeros((N, P0, c), dtype=np.int64)], axis=2)
+        rows = fld.subdot(top, top[:, :, :P0], old) if P0 else top
+        lanes = np.arange(N)
+        new, pivots, inc = [], [], np.zeros(N, dtype=np.intp)
+        for r in range(m):
+            row = rows[:, r]
+            for pivot, other in zip(pivots, new):
+                row = fld.submul(row, row[lanes, pivot][:, None], other)
+            nz = row != 0
+            pivot = nz.argmax(axis=1)  # lowest non-zero position
+            row = fld.mul(row, fld.inv(row[lanes, pivot])[:, None])
+            new = [fld.submul(other, other[lanes, pivot][:, None], row)
+                   for other in new]
+            new.append(row)
+            pivots.append(pivot)
+            inc += nz.any(axis=1)
+        new, pivots = np.stack(new, axis=1), np.stack(pivots, axis=1)
+        if P0:
+            old = fld.subdot(old, np.take_along_axis(
+                old, pivots[:, None, :], axis=2), new)
+        basis = self.basis = np.concatenate(
+            [old, np.zeros((N, c, P0 + c), dtype=np.int64)], axis=1)
+        # A row that found no pivot is zero: it cleared nothing, and
+        # storing it at slot 0 would overwrite that slot's row.
+        n, r = np.nonzero(new.any(axis=2))
+        basis[n, pivots[n, r]] = new[n, r]
+        return inc
 
 
-def _extend(top, basis, bits, c):
-    """`ToeplitzExpansion.extend` on every column: F_t's rows as `bits`
-    (m, columns); returns the new top rows and basis and the increments."""
-    top = (top << _U(c)) | bits
-    basis = np.concatenate([basis, np.zeros((c, top.shape[1]),
-                                            dtype=np.uint64)])
-    inc = np.zeros(top.shape[1], dtype=np.intp)
-    for row in top:
-        inc += _insert(basis, row)
-    return top, basis, inc
+# bit p of a GF(2) row is its entry at position p
+_SHIFTS = np.arange(64, dtype=np.uint64)
+_BITS = (_U(1) << _SHIFTS)[:, None]
+
+
+class _BitBasis:
+    """`_Basis` over GF(2) with every row a uint64 bitmask, bit p its
+    entry at position p, so a row holds at most 64 positions.
+
+    `top` has shape (m, pairs) and `basis` (slots, pairs): slot p holds
+    the row whose pivot is bit p, or zero.  A row is reduced in one pass
+    by XOR with the rows whose pivot bits it has set; a non-zero
+    remainder's lowest set bit becomes its pivot and is cleared from the
+    other rows.
+    """
+
+    def __init__(self, N: int, m: int):
+        self.top = np.zeros((m, N), dtype=np.uint64)
+        self.basis = np.zeros((0, N), dtype=np.uint64)
+
+    def full(self, c: int) -> bool:
+        """True when c more positions would not fit a uint64 row."""
+        return len(self.basis) + c > 64
+
+    def keep(self, pairs):
+        self.top, self.basis = self.top[:, pairs], self.basis[:, pairs]
+
+    def extend(self, F):
+        """`_Basis.extend` on 0/1 entries."""
+        c, _, N = F.shape
+        self.top = (self.top << _U(c)) | np.bitwise_or.reduce(
+            F.astype(np.uint64) << _SHIFTS[:c, None, None], axis=0)
+        basis = self.basis = np.concatenate(
+            [self.basis, np.zeros((c, N), dtype=np.uint64)])
+        bits = _BITS[:len(basis)]
+        inc = np.zeros(N, dtype=np.intp)
+        for row in self.top:
+            row = row ^ np.bitwise_xor.reduce(basis * ((row & bits) != 0),
+                                              axis=0)
+            low = row & (~row + _U(1))
+            # XOR the remainder into slot `low` (empty) and into every row
+            # with bit `low` set, which clears it there.
+            basis ^= row * (((basis | bits) & low) != 0)
+            inc += row != 0
+        return inc
 
 
 def run_block(config, start: int, stop: int) -> TrialBlock:
     """`TrialBlock.of([run_trial(config, i) for i in range(start, stop)])`,
     computed in lockstep for a config that `engine._batchable` accepts."""
     if not _batchable(config):
-        raise ValueError("run_block needs a lean GF(2) config on an acyclic "
-                         "topology without overrides")
+        raise ValueError("run_block needs a lean config on an acyclic "
+                         "topology without trace, kept kernels or "
+                         "overrides")
     topo = config.topology
-    m = topo.m
+    m, q = topo.m, config.field.q
+    fld = array_field(q)
+    exact = not q & (q - 1)            # a power of two: no draw rejects
     st = _block_static(topo)
     B = stop - start
     state = trial_seeds(config.base_seed, start, stop)
@@ -175,44 +367,49 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     n_src = len(src_roots) * m
     conv = st["conv"]
     khist, fhist = [], []              # kept only for real-input pairs
+    redo = np.zeros(B, dtype=bool)     # trials re-run with run_trial
     # waiting (sink, trial) pairs and their Toeplitz rank state
     ws = np.repeat(np.arange(len(st["sinks"]), dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), len(st["sinks"]))
-    top = np.zeros((m, len(ws)), dtype=np.uint64)
-    basis = np.zeros((0, len(ws)), dtype=np.uint64)
+    rank = _BitBasis(len(ws), m) if q == 2 else _Basis(fld, len(ws), m)
     running = np.ones(B, dtype=bool)
-    steps = min(config.max_rounds, 64 // c_max)
     t = 0
-    while t < steps and running.any():
+    while t < config.max_rounds and running.any() and not rank.full(c_max):
         # ------------------------------------------------------ draws
+        if not exact:
+            redo |= running & _rejected(
+                _mix64(state + st["xoffsets"]), q).any(axis=0)
         state += st["xstep"]
         draw = running & (ack[heads] >= t)
         count = np.cumsum(draw, axis=0, dtype=np.uint64)
-        k = (_mix64(state + count * _G) & _ONE) * draw
+        raw = _mix64(state + count * _G)
+        if not exact:
+            redo |= (_rejected(raw, q) & draw).any(axis=0)
+        k = _values(raw, q) * draw
         if len(heads):
             state += count[-1] * _G
         # ------------------------------------------------ propagation
-        f = np.zeros((R + 1, B), dtype=np.uint64)
-        f[src_roots] = (k[src_first:src_first + n_src]
-                        .reshape(len(src_roots), m, B)
-                        << st["bit_shift"]).sum(axis=1, dtype=np.uint64)
+        f = np.zeros((R + 1, m, B), dtype=np.int64)
+        f[src_roots] = k[src_first:src_first + n_src].reshape(
+            len(src_roots), m, B)
         if conv:
             khist.append(k)
             fhist.append(f)
-            for rout, ins in conv:
-                acc = f[rout]
-                for p, rin in ins:
-                    for i in range(t + 1):
-                        acc ^= khist[i][p] * fhist[t - i][rin]
+            for rout, pairs, roots in conv:
+                kin = np.concatenate([khist[i][pairs] for i in range(t + 1)])
+                fin = np.concatenate([fhist[t - i][roots]
+                                      for i in range(t + 1)])
+                # sum over (delay, input) of k_i * f_{t-i}, per trial
+                f[rout] = fld.dot(fin.T, kin.T[:, :, None])[:, :, 0].T
         # ------------------------------------------------- rank test
-        heads_in = f[st["in_roots"][ws], wt[:, None]]         # (N, c_max)
-        bits = (((heads_in[:, None, :] >> st["bit_shift"]) & _ONE)
-                << st["col_shift"]).sum(axis=2, dtype=np.uint64)
-        top, basis, inc = _extend(top, basis, bits.T, c_max)
+        # F_t of every waiting pair, columns reversed: (c_max, m, N)
+        inc = rank.extend(f[st["in_roots"][ws].T[:, None], st["comps"],
+                            wt])
         done = inc == m
         ack[st["sink_nodes"][ws[done]], wt[done]] = t
         keep = ~done
-        ws, wt, top, basis = ws[keep], wt[keep], top[:, keep], basis[:, keep]
+        ws, wt = ws[keep], wt[keep]
+        rank.keep(keep)
         # -------------------------------------------------- ACK pass
         waiting = ack[st["sink_nodes"]] == never
         ready = ~(st["reach"][:, :, None] & waiting).any(axis=1)
@@ -221,12 +418,14 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
         running[:] = False
         running[wt] = True
         t += 1
-    return _block(config, st, start, seeds, ack, running)
+    if t < config.max_rounds:          # the rank state ran out of room
+        redo |= running
+    return _block(config, st, start, seeds, ack, redo)
 
 
-def _block(config, st, start, seeds, ack, running) -> TrialBlock:
+def _block(config, st, start, seeds, ack, redo) -> TrialBlock:
     """The TrialBlock of the lockstep's ACK times, with run_trial's
-    results at the positions of the trials still running."""
+    results at the positions where `redo` is set."""
     topo = config.topology
     V = topo.num_nodes
     B = len(seeds)
@@ -235,16 +434,20 @@ def _block(config, st, start, seeds, ack, running) -> TrialBlock:
     L = ack[st["near"]].max(axis=1) + 1
     n_code = len(st["code_heads"])
     code = ack[st["code_heads"]].sum(axis=0) + n_code
-    # The sums are small integers, so float64 division rounds them as
-    # run_trial's Python division does.
+    # The integer sums are small, so float64 division rounds them as
+    # run_trial's Python division does.  Memory bits are m * L_v * log2 q
+    # added up in node order, as run_trial adds them: log2 q is inexact
+    # unless q is a power of two.
+    bits = np.add.accumulate(topo.m * L * log2(config.field.q), axis=0)
     block = TrialBlock(
-        trial=list(range(start, start + B)), seed=seeds, success=[True] * B,
-        rounds=(T_N + 1).tolist(), T_N=T_N.tolist(),
-        avg_T=(T.sum(axis=0) / len(T)).tolist(),
+        trial=list(range(start, start + B)), seed=seeds,
+        success=(T_N < config.max_rounds).tolist(),
+        rounds=np.minimum(T_N + 1, config.max_rounds).tolist(),
+        T_N=T_N.tolist(), avg_T=(T.sum(axis=0) / len(T)).tolist(),
         avg_code_len=(code / n_code).tolist() if n_code else [0.0] * B,
-        avg_memory_bits=(topo.m * L.sum(axis=0) / V).tolist(),
+        avg_memory_bits=(bits[-1] / V).tolist(),
         T=dict(zip(st["sinks"], T.tolist())),
         L=dict(zip(range(V), L.tolist())))
-    for b in np.flatnonzero(running).tolist():
+    for b in np.flatnonzero(redo).tolist():
         block.put(b, run_trial(config, start + b))
     return block

@@ -43,11 +43,12 @@ Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
 `TrialBlock`, one list per per-trial quantity and one row per sink (T)
 and per node (L); `CampaignSummary.absorb_block` aggregates it and each
-CSV file gets its rows as one string.  Lean GF(2) campaigns on
-acyclic networks (no trace, kept kernels or overrides) run each block in
-lockstep with numpy (`batch.run_block`), with results equal to
-`run_trial`'s; every other block runs `run_trial` trial by trial and
-transposes the results with `TrialBlock.of`, which imports no numpy.
+CSV file gets its rows as one string.  Lean campaigns on acyclic
+networks (no trace, kept kernels or overrides), in any field, run each
+block in lockstep with numpy (`batch.run_block`), with results equal to
+`run_trial`'s; every other block (verified, traced or cyclic) runs
+`run_trial` trial by trial and transposes the results with
+`TrialBlock.of`, which imports no numpy.
 """
 
 from __future__ import annotations
@@ -533,7 +534,10 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     avg_code_len = sum(code_lens) / len(code_lens) if code_lens else 0.0
     d = len(topo.sinks)
     avg_T = sum(T.values()) / d
-    avg_memory_bits = sum(memory_bits.values()) / topo.num_nodes
+    # A left fold in node order: sum() compensates rounding on Python
+    # 3.12+, and the lockstep adds in node order too.
+    avg_memory_bits = reduce(operator.add, memory_bits.values()) \
+        / topo.num_nodes
     return TrialResult(
         trial=trial_index,
         seed=trial_seed(config.base_seed, trial_index),
@@ -691,18 +695,18 @@ TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
 
 
-# Most trials a campaign block holds.  A lean GF(2) block runs in lockstep
+# Most trials a campaign block holds.  A lean block runs in lockstep
 # (`batch.run_block`), whose arrays grow with the block.
 BLOCK_TRIALS = 128
 
 
 def _batchable(config: SimConfig) -> bool:
     """True when `batch.run_block` gives exactly `run_trial`'s results:
-    lean GF(2) trials on an acyclic topology, untraced, with no kept
-    kernels and no overrides."""
-    return (config.field.q == 2 and not config.verify_decode
-            and not config.trace and not config.keep_kernels
-            and not config.overrides and _topo_static(config.topology)[0])
+    lean trials in any field on an acyclic topology, untraced, with no
+    kept kernels and no overrides."""
+    return (not config.verify_decode and not config.trace
+            and not config.keep_kernels and not config.overrides
+            and _topo_static(config.topology)[0])
 
 
 def _run_block(args) -> TrialBlock:
@@ -751,9 +755,13 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
                     block.trial, block.avg_T, block.avg_code_len,
                     block.avg_memory_bits, block.rounds)))
 
+    lockstep = _batchable(config)
     size = BLOCK_TRIALS
     if workers > 1:
-        size = max(1, min(size, trials // (workers * 8)))
+        # Four lockstep blocks per worker, which gain from size but hold
+        # arrays, or eight run_trial blocks, which gain from balance.
+        per = 4 if lockstep else 8
+        size = max(1, min(size, trials // (workers * per)))
     tasks = ((config, i, min(i + size, trials))
              for i in range(0, trials, size))
     if workers <= 1:
@@ -761,6 +769,10 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
             consume(block)
     else:
         import multiprocessing
+        if lockstep:
+            # Forked workers inherit the lockstep (and numpy) instead of
+            # each importing it.
+            from . import batch  # noqa: F401
         with multiprocessing.Pool(workers) as pool:
             for block in pool.imap(_run_block, tasks):
                 consume(block)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arcnc import baseline
+from arcnc import baseline, batch
 from arcnc.baseline import (RlncResult, curve_rows, expected_attempts,
                             rlnc_trial, sink_success_fractions)
 from arcnc.gf import field_new
@@ -199,7 +199,7 @@ def test_rejected_trials_rerun_with_rlnc_trial(monkeypatch, q):
         return RlncResult({r: not ok for r, ok in res.per_sink.items()},
                           not res.success, res.memory_bits_per_node)
 
-    monkeypatch.setattr(baseline, "_rejected", flag)
+    monkeypatch.setattr(batch, "_rejected", flag)
     monkeypatch.setattr(baseline, "rlnc_trial", negated)
     got = baseline._success_block(topo, field, 3, 0, 90)
     assert rerun == list(range(1, 90, 3))
@@ -213,9 +213,9 @@ def test_rejection_predicate_matches_randint():
     # top one for q = 3, the top 6 for q = 10, none for a power of two.
     raw = np.array([0, (1 << 64) - 7, (1 << 64) - 6, (1 << 64) - 2,
                     (1 << 64) - 1], dtype=np.uint64)
-    assert baseline._rejected(raw, 3).tolist() == [0, 0, 0, 0, 1]
-    assert baseline._rejected(raw, 10).tolist() == [0, 0, 1, 1, 1]
-    assert not baseline._rejected(raw, 4).any()
+    assert batch._rejected(raw, 3).tolist() == [0, 0, 0, 0, 1]
+    assert batch._rejected(raw, 10).tolist() == [0, 0, 1, 1, 1]
+    assert not batch._rejected(raw, 4).any()
 
 
 def test_expected_attempts():

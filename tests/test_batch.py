@@ -1,7 +1,8 @@
-"""Lockstep lean GF(2) blocks: every result equals run_trial's, and
-campaigns take the lockstep path exactly where that holds."""
+"""Lockstep lean blocks in every field: every result equals run_trial's,
+and campaigns take the lockstep path exactly where that holds."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from arcnc.gf import field_new
 from arcnc.polyalg import ToeplitzExpansion
 from arcnc.rng import SplitMix64, trial_seed
 from arcnc.topology import (Topology, combination_network,
-                            random_layered_dag, validate_multicast)
+                            random_layered_dag, two_node_cycle_network,
+                            validate_multicast)
 
 F2 = field_new(2)
 
@@ -39,6 +41,7 @@ def _check_block(cfg, start, stop):
     got = batch.run_block(cfg, start, stop)
     want = TrialBlock.of([run_trial(cfg, i) for i in range(start, stop)])
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    return got
 
 
 @pytest.mark.parametrize("n, m, trials", [(4, 2, 200), (6, 2, 200),
@@ -77,15 +80,153 @@ def test_run_block_on_a_sink_with_out_edges():
                                   SINK_WITH_OUT_EDGE],
                          ids=["comb42", "comb63", "sinkout"])
 def test_run_block_falls_back_at_the_cutoff(topo, max_rounds):
-    # Trials still running after max_rounds steps fail; run_trial re-runs
-    # them, and those that stop at the last step finish in the lockstep.
+    # Trials still running after max_rounds steps fail in the lockstep,
+    # as those that stop at the last step finish there.
     cfg = _lean(topo, base_seed=11, max_rounds=max_rounds)
     _check_block(cfg, 5, 134)
 
 
+# q = 2 runs in the tests above.
+FIELDS = [3, 4, 5, 256]
+
+
+def _record_reruns(monkeypatch):
+    """The list of trial indices run_block hands to run_trial, in order."""
+    rerun = []
+    monkeypatch.setattr(batch, "run_trial",
+                        lambda cfg, i: rerun.append(i) or run_trial(cfg, i))
+    return rerun
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("n, m, trials", [(4, 2, 200), (6, 3, 100)])
+def test_run_block_matches_run_trial_in_every_field(n, m, trials, q):
+    _check_block(_lean(combination_network(n, m), q=q, base_seed=21), 0,
+                 trials)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_run_block_on_random_dags_in_every_field(m, q):
+    for seed in (0, 100):
+        topo = _first_valid_dag(seed, m)
+        _check_block(_lean(topo, q=q, base_seed=seed), 7, 107)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_run_block_on_unequal_in_degrees_and_sink_out_edges(q):
+    _check_block(_lean(_first_valid_dag(100, 2), q=q, base_seed=4), 0, 128)
+    _check_block(_lean(SINK_WITH_OUT_EDGE, q=q, base_seed=9), 0, 128)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+@pytest.mark.parametrize("topo", [combination_network(4, 2),
+                                  combination_network(6, 3),
+                                  SINK_WITH_OUT_EDGE],
+                         ids=["comb42", "comb63", "sinkout"])
+def test_failed_trials_finish_in_the_lockstep(topo, max_rounds, q,
+                                              monkeypatch):
+    # Blocks run to max_rounds in every field but GF(2), whose bitmask rows
+    # stop at 64 positions, and report the trials that fail themselves.
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(_lean(topo, q=q, base_seed=11, max_rounds=max_rounds),
+                       5, 134)
+    assert rerun == []
+    if max_rounds == 1 and q != 256:
+        assert not all(got.success)
+
+
+# Sink 34 reads 33 relays: a GF(2) row of step t has 33 * (t + 1) bits, so
+# the bitmask rows hold step 0 only.  Sink 35 reads two of the relays and
+# often needs more steps.
+WIDE_SINK = Topology(36, tuple((0, i) for i in range(1, 34))
+                     + tuple((i, 34) for i in range(1, 34))
+                     + ((1, 35), (2, 35)), source=0, sinks=(34, 35), m=2)
+
+
+def test_gf2_trials_past_64_positions_rerun_with_run_trial(monkeypatch):
+    assert validate_multicast(WIDE_SINK).ok
+    cfg = _lean(WIDE_SINK, base_seed=2)
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(cfg, 0, 64)
+    assert rerun == [i for i, tn in enumerate(got.T_N) if tn > 0]
+    assert 0 < len(rerun) < 64
+
+
+# Max-flow 1 < m: every input of sink 10 carries relay 1's one stream, so
+# the sink never decodes, and its rank state grows by 8 positions a step.
+NARROW_CUT = Topology(11, ((0, 1),) + tuple((1, i) for i in range(2, 10))
+                      + tuple((i, 10) for i in range(2, 10)),
+                      source=0, sinks=(10,), m=2)
+
+
+def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
+    assert not validate_multicast(NARROW_CUT).ok
+    cfg = _lean(NARROW_CUT, q=3, base_seed=1, max_rounds=6)
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(cfg, 0, 8)
+    assert rerun == [] and not any(got.success)
+    # room for 24 positions, three steps, on 8 waiting pairs
+    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 8 * 24 ** 2)
+    _check_block(cfg, 0, 8)
+    assert rerun == list(range(8))
+
+
+def test_rejected_draws_rerun_their_trials(monkeypatch):
+    # Flag one x_t draw (step 0, trial 3) and the kernel draws (step 1,
+    # trial 10) as rejected, and the same draws of a trial that stopped at
+    # step 0, which draws nothing at step 1: exactly trials 3 and 10 are
+    # re-run, each re-run's result (marked by rounds = -1, to tell it from
+    # the lockstep's) at its trial's own position.
+    cfg = _lean(combination_network(4, 2), q=3, base_seed=5)
+    want = TrialBlock.of([run_trial(cfg, i) for i in range(60)])
+    stopped = want.T_N.index(0)
+    assert want.T_N[3] > 0 and want.T_N[10] > 0
+    calls = []
+
+    def flag(raw, q):                  # x_t, then kernel draws, per step
+        out = np.zeros(raw.shape, dtype=bool)
+        step, kernel = divmod(len(calls), 2)
+        calls.append(raw.shape)
+        if (step, kernel) == (0, 0):
+            out[1, 3] = True
+        if step == 1:
+            out[0, stopped] = True
+            if kernel:
+                out[:, 10] = True
+        return out
+
+    rerun = []
+
+    def marked(config, i):
+        rerun.append(i)
+        return dataclasses.replace(run_trial(config, i), rounds=-1)
+
+    monkeypatch.setattr(batch, "_rejected", flag)
+    monkeypatch.setattr(batch, "run_trial", marked)
+    got = batch.run_block(cfg, 0, 60)
+    assert calls[:2] == [(2, 60), (8, 60)]
+    assert rerun == [3, 10]
+    want.rounds[3] = want.rounds[10] = -1
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def test_average_memory_bits_add_up_in_node_order():
+    # At q = 3 log2 q is inexact, so m * sum(L) * log2 q / V can differ in
+    # the last bit from run_trial's sum over the nodes in node order.
+    cfg = _lean(combination_network(4, 2), q=3, base_seed=21)
+    got = _check_block(cfg, 0, 40)
+    topo = cfg.topology
+    whole = [topo.m * sum(L) * math.log2(3) / topo.num_nodes
+             for L in zip(*got.L.values())]
+    assert any(a != b for a, b in zip(whole, got.avg_memory_bits))
+
+
 def test_run_block_rejects_configs_it_does_not_reproduce():
     topo = combination_network(4, 2)
-    for cfg in (_lean(topo, q=3), SimConfig(topology=topo, field=F2),
+    for cfg in (_lean(two_node_cycle_network(), q=3),
+                SimConfig(topology=topo, field=F2),
                 _lean(topo, keep_kernels=True), _lean(topo, trace=True)):
         with pytest.raises(ValueError):
             batch.run_block(cfg, 0, 4)
@@ -105,7 +246,11 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
     collect_campaign(_lean(topo), 300)
     assert blocks == [(0, 128), (128, 256), (256, 300)]
     blocks.clear()
-    for cfg in (_lean(topo, q=3), SimConfig(topology=topo, field=F2)):
+    collect_campaign(_lean(topo, q=3), 5)
+    assert blocks == [(0, 5)]
+    blocks.clear()
+    for cfg in (_lean(two_node_cycle_network(), q=3),
+                SimConfig(topology=topo, field=field_new(3))):
         collect_campaign(cfg, 5)
     assert blocks == []
 
@@ -120,7 +265,7 @@ def test_trial_seeds_match_trial_seed(base_seed):
 
 def test_importing_the_engine_and_cli_does_not_import_numpy():
     # numpy's import would add to every interpreter's start-up; only a
-    # lean GF(2) campaign needs it.
+    # lean campaign on an acyclic network needs it.
     src = Path(engine.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, arcnc.engine, arcnc.harness; "
@@ -135,7 +280,7 @@ import sys
 
 from arcnc import engine
 from arcnc.gf import field_new
-from arcnc.topology import combination_network
+from arcnc.topology import combination_network, two_node_cycle_network
 
 real_run_block = engine._run_block
 
@@ -143,25 +288,29 @@ real_run_block = engine._run_block
 def checked_run_block(args):
     block = real_run_block(args)
     if "numpy" in sys.modules:
-        raise RuntimeError("a q=3 block imported numpy")
+        raise RuntimeError("a run_trial block imported numpy")
     return block
 
 
 engine._run_block = checked_run_block
 
 if __name__ == "__main__":
-    cfg = engine.SimConfig(topology=combination_network(4, 2),
-                           field=field_new(3), verify_decode=False,
-                           verify_headers=False)
-    for workers in (1, 2):
-        engine.collect_campaign(cfg, 40, workers=workers)
+    verified = engine.SimConfig(topology=combination_network(4, 2),
+                                field=field_new(3))
+    cyclic = engine.SimConfig(topology=two_node_cycle_network(),
+                              field=field_new(3), verify_decode=False,
+                              verify_headers=False)
+    for cfg, trials in ((verified, 8), (cyclic, 40)):
+        for workers in (1, 2):
+            engine.collect_campaign(cfg, trials, workers=workers)
     print("numpy" in sys.modules)
 """
 
 
 def test_q3_campaigns_do_not_import_numpy(tmp_path):
     # Only the lockstep needs numpy; a pool worker that imports it grows by
-    # megabytes.  Every block, in-process and in the workers, checks.
+    # megabytes.  Verified and cyclic campaigns run run_trial blocks, and
+    # every block, in-process and in the workers, checks.
     script = tmp_path / "campaign.py"
     script.write_text(_NO_NUMPY_CAMPAIGN)
     src = Path(engine.__file__).resolve().parents[1]
@@ -175,10 +324,16 @@ def _row(c, *cols):
     return [int(j in cols) for j in range(c)]
 
 
+def _columns_reversed(blocks, dtype):
+    """F_t of every pair, m x c each, as the lockstep's (c, m, pairs)
+    array with its columns reversed."""
+    return np.array(blocks, dtype=dtype).transpose(2, 1, 0)[::-1]
+
+
 def test_reduced_echelon_basis_matches_toeplitz_expansion():
-    # Each column of the lockstep's arrays is one (sink, trial) rank state.
-    # With c = 32, F_0's column 0 sits at bit 31 after step 0 and at bit 63
-    # after step 1, and F_1's column 31 at bit 0.
+    # Each column of the GF(2) bitmask arrays is one (sink, trial) rank
+    # state.  With c = 32, F_0's column 0 sits at bit 31 after step 0 and
+    # at bit 63 after step 1, and F_1's column 31 at bit 0.
     c, m = 32, 2
     zero = _row(c)
     cases = [
@@ -193,16 +348,14 @@ def test_reduced_echelon_basis_matches_toeplitz_expansion():
                       for j in range(c)] for _ in range(m)]
                     for _ in range(2)) for _ in range(40)]
     n = len(cases)
-    top = np.zeros((m, n), dtype=np.uint64)
-    basis = np.zeros((0, n), dtype=np.uint64)
+    rank = batch._BitBasis(n, m)
     scalar = [ToeplitzExpansion(F2, m, c) for _ in cases]
     for t in range(2):
-        bits = np.array([[sum(v << (c - 1 - j) for j, v in enumerate(row))
-                          for row in case[t]] for case in cases],
-                        dtype=np.uint64).T
-        top, basis, inc = batch._extend(top, basis, bits, c)
+        inc = rank.extend(_columns_reversed([case[t] for case in cases],
+                                            np.int64))
         assert inc.tolist() == [te.extend(case[t])
                                 for te, case in zip(scalar, cases)]
+    basis = rank.basis
     # the first case has its pivots at bits 63 and 0
     pivots = [p for p in range(64) if basis[p, 0]]
     assert pivots == [0, 31, 32, 63]
@@ -213,3 +366,34 @@ def test_reduced_echelon_basis_matches_toeplitz_expansion():
                 assert row >> p & 1
                 assert not any(other >> p & 1 for q, other in enumerate(rows)
                                if q != p)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_dense_basis_matches_toeplitz_expansion(q):
+    # Each leading index of the dense arrays is one (sink, trial) rank
+    # state.  Entries drawn from {0, 1, q - 1} on a few columns, and whole
+    # zero blocks, make rank deficits common.
+    field = field_new(q)
+    m, c, steps, n = 2, 3, 4, 300
+    rand = SplitMix64(q)
+    pick = (0, 0, 1, q - 1)
+    cases = [[[[pick[rand.randint(4)] if j != 1 else 0 for j in range(c)]
+               for _ in range(m)] if rand.randint(4) else [[0] * c] * m
+              for _ in range(steps)] for _ in range(n)]
+    rank = batch._Basis(batch.array_field(q), n, m)
+    scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
+    deficits = 0
+    for t in range(steps):
+        inc = rank.extend(_columns_reversed([case[t] for case in cases],
+                                            np.int64))
+        want = [te.extend(case[t]) for te, case in zip(scalar, cases)]
+        assert inc.tolist() == want
+        deficits += sum(w < m for w in want)
+    assert deficits > n
+    # slot p holds a row with value 1 at position p, and position p is zero
+    # in every other row
+    for basis in rank.basis.tolist():
+        for p, row in enumerate(basis):
+            assert all(v == 0 for v in row) or row[p] == 1
+            assert all(other[p] == 0 for o, other in enumerate(basis)
+                       if o != p and any(basis[p]))

@@ -161,8 +161,8 @@ def _reference_output(cfg, trials):
 
 
 def test_campaign_deterministic_across_workers():
-    # 300 trials make 25 pool blocks at 3 workers and three in-process
-    # lockstep blocks at 1.
+    # 300 trials make 12 lockstep blocks in the pool at 3 workers and
+    # three in-process at 1.
     cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=8,
                     verify_decode=False, verify_headers=False)
     runs = [_campaign_output(cfg, 300, w) for w in (1, 2, 3)]
@@ -184,8 +184,8 @@ LEAN_53_Q3 = _lean_config(5, 3, q=3)
     pytest.param(LEAN_52, 1, 1, id="1"),
     pytest.param(LEAN_52, 4, 1, id="4"),
     pytest.param(LEAN_52, 129, 1, id="129"),     # two lockstep blocks
-    # Trials still running when the lockstep stops are re-run by run_trial
-    # inside their block: every trial at max_rounds=2, some at 4.
+    # Trials still running at max_rounds fail inside their lockstep
+    # block: every trial at max_rounds=2, some at 4.
     pytest.param(_lean_config(6, 3, max_rounds=2), 200, 1, id="fallback"),
     pytest.param(_lean_config(6, 3, max_rounds=4), 200, 1,
                  id="fallback-mixed"),
