@@ -33,28 +33,26 @@ from a table.  `baseline.sink_success_fractions` uses the same helper.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge.  The stopping rule is
-`polyalg.ToeplitzExpansion`, run on every waiting (sink, trial) pair at
-once: step t prepends F_t's rows, columns reversed, to the m top rows and
-inserts them into a basis that grows by c_max positions per step.  The
-basis (`_Basis`) is a dense reduced-echelon array over (pairs x positions
-x positions), the array form of `polyalg._RowBasis`: slot p holds the row
-whose pivot is position p, with value 1 there, and position p is zero in
-every other row.  The m new rows are reduced by one vectorized
-subtraction of `rows[:, pivots] @ basis`, then by each other; a non-zero
-remainder raises the rank, its lowest non-zero position becomes its
-pivot, and that position is cleared from the other rows.  A sink with
-fewer than c_max inputs gets zero columns, which leave every rank
-increment unchanged.  The ACK pass is `run_trial`'s.
+`polyalg.ToeplitzExpansion` on every waiting (sink, trial) pair at once:
+step t puts F_t's column in front of each of the pair's c_max equations
+(zero past its inputs) and inserts them into a basis that gains m
+positions.  `_Basis`, the array form of `polyalg._RowBasis`, is dense and
+reduced-echelon: slot p holds the row whose pivot is position p, with
+value 1 there, and position p is zero in every other row.  New equations
+are reduced by one vectorized subtraction of `rows[:, pivots] @ basis`,
+then by each other; a non-zero remainder raises the rank, and its lowest
+non-zero position becomes its pivot and is cleared from the other rows.
+The ACK pass is `run_trial`'s.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 the dense basis holds at most `_BASIS_ENTRIES` entries, which only sinks
 that keep failing to decode for many steps come near.  GF(2) runs the
-same rank test with every row a uint64 bitmask (`_BitBasis`), about twice
-as fast as the dense basis on lean GF(2) campaigns, but a row holds only
-64 positions, (t + 1) * c_max at step t.  When the rank state has no room
-for another step, the trials still running are re-run with `run_trial`,
-as rejected ones are.
+same rank test with every equation a uint64 bitmask (`_BitBasis`), about
+twice as fast as the dense basis on lean GF(2) campaigns, while the
+(t+1)*m positions of step t fit in 64 bits, whatever the in-degrees.
+When the rank state has no room for another step, the trials still
+running are re-run with `run_trial`, as rejected ones are.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times, one `.tolist()` per column; no per-trial object is made.
@@ -173,7 +171,7 @@ def _block_static(topo):
 
     Edges that share a history (a relay's out-edges and its input edge)
     share one root index; row R of a header array stays zero and pads
-    the inputs of sinks with fewer than c_max inputs.
+    each sink's input roots, in input order, to c_max.
     """
     (_, inputs, coding, relay_edges, propagate, _, neighbors, downstream,
      coding_out) = _topo_static(topo)
@@ -197,12 +195,10 @@ def _block_static(topo):
              np.array([root[ein] for ein in inputs[v]], dtype=np.intp))
             for v, eout in propagate if v != topo.source and inputs[v]]
     sinks = list(topo.sinks)
-    c_max = max(len(topo.in_edges(r)) for r in sinks)
-    # the input roots of each sink, last input first: F_t's row reversed
-    in_roots = np.full((len(sinks), c_max), R, dtype=np.intp)
-    for s, r in enumerate(sinks):
-        for j, e in enumerate(reversed(topo.in_edges(r))):
-            in_roots[s, c_max - len(topo.in_edges(r)) + j] = root[e]
+    ins = [[root[e] for e in topo.in_edges(r)] for r in sinks]
+    c_max = max(map(len, ins))
+    in_roots = np.array([r + [R] * (c_max - len(r)) for r in ins],
+                        dtype=np.intp)
     others = [v for v in range(topo.num_nodes) if v not in topo.sinks]
     reach = np.array([[r in downstream[v] for r in sinks] for v in others],
                      dtype=bool).reshape(len(others), len(sinks))
@@ -214,6 +210,7 @@ def _block_static(topo):
         R=R, heads=np.array(heads, dtype=np.intp),
         src_roots=np.array([root[e] for e in src_out], dtype=np.intp),
         src_first=src_first, conv=conv, c_max=c_max, in_roots=in_roots,
+        in_deg=np.array([len(r) for r in ins], dtype=np.intp),
         sinks=sinks, sink_nodes=np.array(sinks, dtype=np.intp),
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
         code_heads=np.array([topo.head(e) for e in coding_out],
@@ -234,49 +231,50 @@ _BASIS_ENTRIES = 1 << 20
 class _Basis:
     """`ToeplitzExpansion` of every waiting (sink, trial) pair over F_q.
 
-    `top` holds the m top rows, shape (pairs, m, positions), and `basis`
-    the reduced-echelon basis, shape (pairs, slots, positions): slot p
-    holds the row whose pivot is position p, or zero.
+    `eqs` holds each input's newest equation, shape (pairs, c, positions),
+    and `basis` the reduced-echelon basis, shape (pairs, slots, positions):
+    slot p holds the row whose pivot is position p, or zero.
     """
 
-    def __init__(self, fld, N: int, m: int):
+    def __init__(self, fld, N: int, c: int):
         self.fld = fld
-        self.top = np.zeros((N, m, 0), dtype=np.int64)
+        self.eqs = np.zeros((N, c, 0), dtype=np.int64)
         self.basis = np.zeros((N, 0, 0), dtype=np.int64)
 
-    def full(self, c: int) -> bool:
-        """True when c more positions would take the basis past
+    def full(self, m: int) -> bool:
+        """True when m more positions would take the basis past
         `_BASIS_ENTRIES`."""
         N, P0 = self.basis.shape[:2]
-        return N * (P0 + c) ** 2 > _BASIS_ENTRIES
+        return N * (P0 + m) ** 2 > _BASIS_ENTRIES
 
     def keep(self, pairs):
-        self.top, self.basis = self.top[pairs], self.basis[pairs]
+        self.eqs, self.basis = self.eqs[pairs], self.basis[pairs]
 
     def extend(self, F):
-        """Append F_t, given as (c, m, pairs) with its columns reversed;
-        returns each pair's rank increment.
+        """Put F_t, (c, m, pairs), in front of the first c equations, the
+        rest being zero padding; returns each pair's rank increment.
 
-        The m new rows are inserted as one: reduced by the stored rows in
-        one product, then by each other in turn, and their pivots cleared
-        from the stored rows in one product.
+        The new equations are reduced by the stored rows in one product,
+        then by each other, and their pivots cleared from the stored rows.
         """
         fld = self.fld
         c, m, N = F.shape
         P0 = self.basis.shape[1]
-        top = self.top = np.concatenate([F.transpose(2, 1, 0), self.top],
-                                        axis=2)
-        # rows of M_{t-1} are zero at the c new (highest) positions
+        eqs = self.eqs = np.concatenate([F.transpose(2, 0, 1),
+                                         self.eqs[:, :c]], axis=2)
+        # stored rows are zero at the m new (highest) positions
         old = np.concatenate([self.basis,
-                              np.zeros((N, P0, c), dtype=np.int64)], axis=2)
-        rows = fld.subdot(top, top[:, :, :P0], old) if P0 else top
+                              np.zeros((N, P0, m), dtype=np.int64)], axis=2)
+        rows = fld.subdot(eqs, eqs[:, :, :P0], old) if P0 else eqs
         lanes = np.arange(N)
         new, pivots, inc = [], [], np.zeros(N, dtype=np.intp)
-        for r in range(m):
+        for r in range(c):
             row = rows[:, r]
             for pivot, other in zip(pivots, new):
                 row = fld.submul(row, row[lanes, pivot][:, None], other)
             nz = row != 0
+            if not nz.any():           # zero in every pair: no rank
+                continue
             pivot = nz.argmax(axis=1)  # lowest non-zero position
             row = fld.mul(row, fld.inv(row[lanes, pivot])[:, None])
             new = [fld.submul(other, other[lanes, pivot][:, None], row)
@@ -284,16 +282,16 @@ class _Basis:
             new.append(row)
             pivots.append(pivot)
             inc += nz.any(axis=1)
-        new, pivots = np.stack(new, axis=1), np.stack(pivots, axis=1)
-        if P0:
-            old = fld.subdot(old, np.take_along_axis(
-                old, pivots[:, None, :], axis=2), new)
         basis = self.basis = np.concatenate(
-            [old, np.zeros((N, c, P0 + c), dtype=np.int64)], axis=1)
-        # A row that found no pivot is zero: it cleared nothing, and
-        # storing it at slot 0 would overwrite that slot's row.
-        n, r = np.nonzero(new.any(axis=2))
-        basis[n, pivots[n, r]] = new[n, r]
+            [old, np.zeros((N, m, P0 + m), dtype=np.int64)], axis=1)
+        if new:
+            new, pivots = np.stack(new, axis=1), np.stack(pivots, axis=1)
+            basis[:, :P0] = fld.subdot(old, np.take_along_axis(
+                old, pivots[:, None, :], axis=2), new)
+            # A row that found no pivot is zero: it cleared nothing, and
+            # storing it at slot 0 would overwrite that slot's row.
+            n, r = np.nonzero(new.any(axis=2))
+            basis[n, pivots[n, r]] = new[n, r]
         return inc
 
 
@@ -306,34 +304,34 @@ class _BitBasis:
     """`_Basis` over GF(2) with every row a uint64 bitmask, bit p its
     entry at position p, so a row holds at most 64 positions.
 
-    `top` has shape (m, pairs) and `basis` (slots, pairs): slot p holds
+    `eqs` has shape (c, pairs) and `basis` (slots, pairs): slot p holds
     the row whose pivot is bit p, or zero.  A row is reduced in one pass
     by XOR with the rows whose pivot bits it has set; a non-zero
     remainder's lowest set bit becomes its pivot and is cleared from the
     other rows.
     """
 
-    def __init__(self, N: int, m: int):
-        self.top = np.zeros((m, N), dtype=np.uint64)
+    def __init__(self, N: int, c: int):
+        self.eqs = np.zeros((c, N), dtype=np.uint64)
         self.basis = np.zeros((0, N), dtype=np.uint64)
 
-    def full(self, c: int) -> bool:
-        """True when c more positions would not fit a uint64 row."""
-        return len(self.basis) + c > 64
+    def full(self, m: int) -> bool:
+        """True when m more positions would not fit a uint64 row."""
+        return len(self.basis) + m > 64
 
     def keep(self, pairs):
-        self.top, self.basis = self.top[:, pairs], self.basis[:, pairs]
+        self.eqs, self.basis = self.eqs[:, pairs], self.basis[:, pairs]
 
     def extend(self, F):
         """`_Basis.extend` on 0/1 entries."""
-        c, _, N = F.shape
-        self.top = (self.top << _U(c)) | np.bitwise_or.reduce(
-            F.astype(np.uint64) << _SHIFTS[:c, None, None], axis=0)
+        c, m, N = F.shape
+        eqs = self.eqs = (self.eqs[:c] << _U(m)) | np.bitwise_or.reduce(
+            F.astype(np.uint64) << _SHIFTS[:m, None], axis=1)
         basis = self.basis = np.concatenate(
-            [self.basis, np.zeros((c, N), dtype=np.uint64)])
+            [self.basis, np.zeros((m, N), dtype=np.uint64)])
         bits = _BITS[:len(basis)]
         inc = np.zeros(N, dtype=np.intp)
-        for row in self.top:
+        for row in eqs:
             row = row ^ np.bitwise_xor.reduce(basis * ((row & bits) != 0),
                                               axis=0)
             low = row & (~row + _U(1))
@@ -362,7 +360,7 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
     ack = np.full((topo.num_nodes, B), never, dtype=np.int64)
-    heads, c_max, R = st["heads"], st["c_max"], st["R"]
+    heads, c, R = st["heads"], st["c_max"], st["R"]
     src_roots, src_first = st["src_roots"], st["src_first"]
     n_src = len(src_roots) * m
     conv = st["conv"]
@@ -371,10 +369,10 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     # waiting (sink, trial) pairs and their Toeplitz rank state
     ws = np.repeat(np.arange(len(st["sinks"]), dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), len(st["sinks"]))
-    rank = _BitBasis(len(ws), m) if q == 2 else _Basis(fld, len(ws), m)
+    rank = _BitBasis(len(ws), c) if q == 2 else _Basis(fld, len(ws), c)
     running = np.ones(B, dtype=bool)
     t = 0
-    while t < config.max_rounds and running.any() and not rank.full(c_max):
+    while t < config.max_rounds and running.any() and not rank.full(m):
         # ------------------------------------------------------ draws
         if not exact:
             redo |= running & _rejected(
@@ -402,8 +400,9 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
                 # sum over (delay, input) of k_i * f_{t-i}, per trial
                 f[rout] = fld.dot(fin.T, kin.T[:, :, None])[:, :, 0].T
         # ------------------------------------------------- rank test
-        # F_t of every waiting pair, columns reversed: (c_max, m, N)
-        inc = rank.extend(f[st["in_roots"][ws].T[:, None], st["comps"],
+        # F_t of every waiting pair, (c, m, N): zero past the widest sink
+        c = st["in_deg"][ws].max()
+        inc = rank.extend(f[st["in_roots"][ws, :c].T[:, None], st["comps"],
                             wt])
         done = inc == m
         ack[st["sink_nodes"][ws[done]], wt[done]] = t

@@ -762,8 +762,9 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
         # arrays, or eight run_trial blocks, which gain from balance.
         per = 4 if lockstep else 8
         size = max(1, min(size, trials // (workers * per)))
-    tasks = ((config, i, min(i + size, trials))
-             for i in range(0, trials, size))
+    starts = range(0, trials, size)
+    tasks = ((config, i, min(i + size, trials)) for i in starts)
+    workers = min(workers, len(starts))    # no idle worker processes
     if workers <= 1:
         for block in map(_run_block, tasks):
             consume(block)

@@ -4,26 +4,24 @@ Implements the delay-domain algebra used by the protocol: truncated
 convolution, rank over F_q, the block-Toeplitz expansion and the
 Toeplitz-system decoder.
 
-One row echelon basis (_RowBasis) does the engine's elimination: the
-expansion's rank increments and the decoder both insert their rows into
-it.  rank_fq, a separate plain elimination, is the independent reference
-that the tests check the expansion against and the RLNC baseline's rank.
+One row echelon basis (_RowBasis) on one layout, the Toeplitz system's
+equations (ToeplitzExpansion), does the engine's elimination.  rank_fq,
+a separate plain elimination, is the independent reference that the
+tests check the expansion against and the RLNC baseline's rank.
 
-ToeplitzExpansion is the one rank and valuation primitive.  Its rank
-increment at level L is #{i : d_i <= L}, where z^d_1 .. z^d_m are the
-invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain 1968;
-Forney 1970).  The engine's stopping rule reads it at the current level:
-an increment of m at level L means x_0 is determined by the received
-window through L.  det_valuation() extends an expansion with F_0 .. F_t
-and then with zero blocks up to level m*t, the largest valuation a
-non-zero m x m minor can have: the matrix has full rank iff some
-increment is m, and the rank deficits summed up to that level are
+ToeplitzExpansion is the one rank, valuation and decode primitive.  Its
+rank increment at level L is #{i : d_i <= L}, where z^d_1 .. z^d_m are
+the invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain
+1968; Forney 1970).  The engine's stopping rule reads it at the current
+level: an increment of m at level L means x_0 is determined by the
+received window through L.  det_valuation() extends an expansion with
+F_0 .. F_t and then with zero blocks up to level m*t, the largest
+valuation a non-zero m x m minor can have: the matrix has full rank iff
+some increment is m, and the rank deficits summed up to that level are
 d_1 + ... + d_m, the valuation of a square matrix's determinant.
-toeplitz_solve, the engine's decoder, inserts the Toeplitz system's
-equations with the received symbols as one more column and reads the
-determined symbols off the reduced basis.  PolyMatrix.det,
-select_columns and the adjugate decoder sequential_decode are test
-oracles.
+toeplitz_solve, the engine's decoder, extends one with the received
+symbols too and solves it.  PolyMatrix.det, select_columns and the
+adjugate decoder sequential_decode are test oracles.
 """
 
 from __future__ import annotations
@@ -211,8 +209,9 @@ class _RowBasis:
         self.field = field
         self.rows = {}             # lead -> (row, its other non-zero positions)
 
-    def insert(self, row: list) -> bool:
-        """Reduce `row` (taken over, not copied); True if the rank grew."""
+    def insert(self, row: list) -> int:
+        """Reduce `row` (taken over, not copied); the lead it is stored at,
+        or -1 if it reduced to zero."""
         f = self.field
         sub, mul = f.sub, f.mul
         rows = self.rows
@@ -229,12 +228,12 @@ class _RowBasis:
                         row[p] = mul(s, row[p])
                     row[lead] = 1
                 rows[lead] = (row, nz)
-                return True
+                return lead
             brow, bnz = b
             row[lead] = 0
             for p in bnz:
                 row[p] = sub(row[p], mul(v, brow[p]))
-        return False
+        return -1
 
     def reduce(self):
         """Clear every lead position from the other rows (reduced form)."""
@@ -261,12 +260,12 @@ class ToeplitzExpansion:
     """Incremental rank state of the expansions M_0, M_1, ..., M_t.
 
     M_t has (t+1)*m rows and (t+1)*c columns; block (i, j) = F_{j-i} for
-    j >= i and zero otherwise.  Extending by one coefficient matrix costs
-    one insertion of m rows; the elimination state of M_{t-1} is reused.
-    Rows of M_{t-1} reappear inside M_t shifted right by one block width,
-    so columns are indexed from the right end: the m top rows [F_0 .. F_t]
-    are kept right-aligned, extending prepends F_t's row reversed, and
-    rows already in the basis keep their positions.
+    j >= i and zero otherwise.  Its column (t, col) is the equation
+    y_{col,t} = sum_{s,j} x_{s,j} F_{t-s}[j][col], kept as a row with y at
+    position 0 and x_{s,j}'s coefficient at 1 + s*m + j.  Level t appends
+    the c equations of time t, each the previous one of its column with
+    F_t's column put in front of the x-part; the rank of the x-parts is
+    rank(M_t).  The symbols ride along: a combination of equations is one.
     """
 
     def __init__(self, field: Field, m: int, c: int):
@@ -275,23 +274,43 @@ class ToeplitzExpansion:
         self.c = c
         self.t = -1                # degree of the last appended F_t
         self.basis = _RowBasis(field)
-        self.top = [[] for _ in range(m)]
+        self.eqs = [[0] for _ in range(c)]   # newest equation per column
 
-    def extend(self, F_t) -> int:
-        """Append coefficient matrix F_t; returns rank(M_t) - rank(M_{t-1})."""
+    def extend(self, F_t, y_t=None) -> int:
+        """Append F_t and the c symbols y_t received at time t (default 0);
+        returns rank(M_t) - rank(M_{t-1})."""
         m, c = self.m, self.c
         if len(F_t) != m or any(len(r) != c for r in F_t):
             raise ValueError(f"coefficient matrix must be {m}x{c}")
         self.t += 1
-        top = self.top
+        eqs = self.eqs
         insert = self.basis.insert
         inc = 0
-        for r, Fr in enumerate(F_t):
-            row = top[r] = Fr[::-1] + top[r]
-            # a copy: the basis reduces the rows it is given
-            if insert(row[:]):
+        for col, F_col in enumerate(zip(*F_t)):
+            row = eqs[col] = [y_t[col] if y_t else 0, *F_col] + eqs[col][1:]
+            # a copy: the basis reduces the rows it is given.  A row stored
+            # at lead 0 reads 0 = y != 0 and is no rank.
+            if insert(row[:]) > 0:
                 inc += 1
         return inc
+
+    def solve(self):
+        """x_0 .. x_t as far as the received symbols determine them: a list
+        of m-lists with None in the undetermined positions.  Raises
+        ValueError if the symbols are inconsistent with the kernels."""
+        basis = self.basis
+        if 0 in basis.rows:        # a row reduced to 0 = y != 0
+            raise ValueError("received streams inconsistent with the kernels")
+        basis.reduce()
+        # x_{s,j} is determined exactly when no free unknown is left in its
+        # row; its value is then the row's y.
+        m = self.m
+        out = [[None] * m for _ in range(self.t + 1)]
+        for lead, (row, nz) in basis.rows.items():
+            if nz in ([], [0]):
+                s, j = divmod(lead - 1, m)
+                out[s][j] = row[0]
+        return out
 
 
 def det_valuation(Fs, field: Field, max_valuation=None):
@@ -407,42 +426,20 @@ def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
 
     The engine's decoder.  Fs are the coefficient matrices F_0..F_D (m
     rows, c >= m columns) and ys the c received streams through
-    `horizon`.  It works directly on the linear system
-    y_{e,t} = sum_i x_{t-i} F_i, so it needs no invertible column subset:
-    a message symbol is recovered exactly when the received window
-    determines it.
+    `horizon`.  It solves the Toeplitz system's equations through the
+    horizon, so it needs no invertible column subset: a message symbol is
+    recovered exactly when the received window determines it.
 
     Returns a list x[0..horizon], each entry an m-list with None in the
     positions the window leaves undetermined.  Raises ValueError if the
     received streams are inconsistent with the kernels.
     """
     c = len(Fs[0][0])
-    D = len(Fs) - 1
-    # Equation (t, col) reads sum_{i,j} x_{t-i,j} F_i[j][col] = y_{col,t}:
-    # y at position 0, x_{s,j} at 1 + s*m + j.  A combination of equations
-    # is an equation, so y rides along as the lowest column.
-    basis = _RowBasis(field)
+    te = ToeplitzExpansion(field, m, c)
+    zero = [[0] * c for _ in range(m)]
     for t in range(horizon + 1):
-        for col in range(c):
-            row = [0] * ((t + 1) * m + 1)
-            row[0] = ys[col][t]
-            for i in range(min(t, D) + 1):
-                Fi = Fs[i]
-                base = 1 + (t - i) * m
-                for j in range(m):
-                    row[base + j] = Fi[j][col]
-            basis.insert(row)
-    if 0 in basis.rows:            # a row reduced to 0 = y != 0
-        raise ValueError("received streams inconsistent with the kernels")
-    basis.reduce()
-    # x_{s,j} is determined exactly when no free unknown is left in its
-    # row; its value is then the row's y.
-    out = [[None] * m for _ in range(horizon + 1)]
-    for lead, (row, nz) in basis.rows.items():
-        if nz in ([], [0]):
-            s, j = divmod(lead - 1, m)
-            out[s][j] = row[0]
-    return out
+        te.extend(Fs[t] if t < len(Fs) else zero, [y[t] for y in ys])
+    return te.solve()
 
 
 def select_columns(F: PolyMatrix, m: int):

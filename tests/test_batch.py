@@ -137,28 +137,37 @@ def test_failed_trials_finish_in_the_lockstep(topo, max_rounds, q,
         assert not all(got.success)
 
 
-# Sink 34 reads 33 relays: a GF(2) row of step t has 33 * (t + 1) bits, so
-# the bitmask rows hold step 0 only.  Sink 35 reads two of the relays and
-# often needs more steps.
+# Sink 34 reads 33 relays, 33 equations a step over m = 2 new positions.
+# Sink 35 reads two of the relays and often needs more steps.
 WIDE_SINK = Topology(36, tuple((0, i) for i in range(1, 34))
                      + tuple((i, 34) for i in range(1, 34))
                      + ((1, 35), (2, 35)), source=0, sinks=(34, 35), m=2)
 
 
-def test_gf2_trials_past_64_positions_rerun_with_run_trial(monkeypatch):
+def test_wide_gf2_sink_stays_in_the_bitmask_lockstep(monkeypatch):
+    # A rank state grows by m positions a step, however many inputs the
+    # sink has, so a 33-input sink fits the bitmask rows for 32 steps.
     assert validate_multicast(WIDE_SINK).ok
-    cfg = _lean(WIDE_SINK, base_seed=2)
     rerun = _record_reruns(monkeypatch)
-    got = _check_block(cfg, 0, 64)
-    assert rerun == [i for i, tn in enumerate(got.T_N) if tn > 0]
-    assert 0 < len(rerun) < 64
+    got = _check_block(_lean(WIDE_SINK, base_seed=2), 0, 64)
+    assert rerun == [] and any(tn > 0 for tn in got.T_N)
 
 
 # Max-flow 1 < m: every input of sink 10 carries relay 1's one stream, so
-# the sink never decodes, and its rank state grows by 8 positions a step.
+# the sink never decodes, and its rank state grows by m = 2 positions a
+# step.
 NARROW_CUT = Topology(11, ((0, 1),) + tuple((1, i) for i in range(2, 10))
                       + tuple((i, 10) for i in range(2, 10)),
                       source=0, sinks=(10,), m=2)
+
+
+def test_gf2_trials_past_64_positions_rerun_with_run_trial(monkeypatch):
+    # The bitmask rows hold 32 steps of 2 positions; a sink that never
+    # decodes outlasts them when max_rounds is 33 or more.
+    cfg = _lean(NARROW_CUT, base_seed=2, max_rounds=33)
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(cfg, 0, 8)
+    assert rerun == list(range(8)) and not any(got.success)
 
 
 def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
@@ -167,8 +176,8 @@ def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
     rerun = _record_reruns(monkeypatch)
     got = _check_block(cfg, 0, 8)
     assert rerun == [] and not any(got.success)
-    # room for 24 positions, three steps, on 8 waiting pairs
-    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 8 * 24 ** 2)
+    # room for 6 positions, three steps, on 8 waiting pairs
+    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 8 * 6 ** 2)
     _check_block(cfg, 0, 8)
     assert rerun == list(range(8))
 
@@ -320,43 +329,42 @@ def test_q3_campaigns_do_not_import_numpy(tmp_path):
     assert out.strip() == "False"
 
 
-def _row(c, *cols):
-    return [int(j in cols) for j in range(c)]
-
-
-def _columns_reversed(blocks, dtype):
+def _columns(blocks):
     """F_t of every pair, m x c each, as the lockstep's (c, m, pairs)
-    array with its columns reversed."""
-    return np.array(blocks, dtype=dtype).transpose(2, 1, 0)[::-1]
+    array."""
+    return np.array(blocks, dtype=np.int64).transpose(2, 1, 0)
+
+
+def _ones(m, *cols):
+    """An m x c 0/1 matrix whose column k has its ones in rows cols[k]."""
+    return [[int(r in col) for col in cols] for r in range(m)]
 
 
 def test_reduced_echelon_basis_matches_toeplitz_expansion():
     # Each column of the GF(2) bitmask arrays is one (sink, trial) rank
-    # state.  With c = 32, F_0's column 0 sits at bit 31 after step 0 and
-    # at bit 63 after step 1, and F_1's column 31 at bit 0.
-    c, m = 32, 2
-    zero = _row(c)
+    # state.  With m = 32, F_0's row j sits at bit j after step 0 and at
+    # bit 32 + j after step 1, and F_1's row j at bit j.
+    m, c = 32, 2
     cases = [
-        ([_row(c, 0), _row(c, 31)], [_row(c, 31), _row(c, 0)]),
-        ([_row(c, 0, 31), _row(c, 0, 31)], [_row(c, 31), _row(c, 0, 31)]),
-        ([_row(c, 0), zero], [_row(c, 0), _row(c, 0, 31)]),
-        ([zero, zero], [_row(c, 0), _row(c, 31)]),
-        ([_row(c, 31), _row(c, 0, 31)], [_row(c, 0, 31), _row(c, 0)]),
+        (_ones(m, {0}, {31}), _ones(m, {0}, {31})),
+        (_ones(m, {0, 31}, {0, 31}), _ones(m, {31}, {0, 31})),
+        (_ones(m, {0}, ()), _ones(m, {0}, {0, 31})),
+        (_ones(m, (), ()), _ones(m, {0}, {31})),
+        (_ones(m, {31}, {0, 31}), _ones(m, {0, 31}, {0})),
     ]
     rand = SplitMix64(3)
     cases += [tuple([[rand.randint(2) if j in (0, 1, 30, 31) else 0
-                      for j in range(c)] for _ in range(m)]
+                      for _ in range(c)] for j in range(m)]
                     for _ in range(2)) for _ in range(40)]
     n = len(cases)
-    rank = batch._BitBasis(n, m)
+    rank = batch._BitBasis(n, c)
     scalar = [ToeplitzExpansion(F2, m, c) for _ in cases]
     for t in range(2):
-        inc = rank.extend(_columns_reversed([case[t] for case in cases],
-                                            np.int64))
+        inc = rank.extend(_columns([case[t] for case in cases]))
         assert inc.tolist() == [te.extend(case[t])
                                 for te, case in zip(scalar, cases)]
     basis = rank.basis
-    # the first case has its pivots at bits 63 and 0
+    # the first case has its pivots at bits 0 and 63
     pivots = [p for p in range(64) if basis[p, 0]]
     assert pivots == [0, 31, 32, 63]
     for col in range(n):
@@ -380,12 +388,11 @@ def test_dense_basis_matches_toeplitz_expansion(q):
     cases = [[[[pick[rand.randint(4)] if j != 1 else 0 for j in range(c)]
                for _ in range(m)] if rand.randint(4) else [[0] * c] * m
               for _ in range(steps)] for _ in range(n)]
-    rank = batch._Basis(batch.array_field(q), n, m)
+    rank = batch._Basis(batch.array_field(q), n, c)
     scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
     deficits = 0
     for t in range(steps):
-        inc = rank.extend(_columns_reversed([case[t] for case in cases],
-                                            np.int64))
+        inc = rank.extend(_columns([case[t] for case in cases]))
         want = [te.extend(case[t]) for te, case in zip(scalar, cases)]
         assert inc.tolist() == want
         deficits += sum(w < m for w in want)

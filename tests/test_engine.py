@@ -176,6 +176,36 @@ def _lean_config(n, m, q=2, **kw):
                      **kw)
 
 
+def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
+    # An in-process stand-in for multiprocessing.Pool records the pool
+    # size and starts no process.
+    import multiprocessing
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    cfg = _lean_config(4, 2)
+    want = _campaign_output(cfg, 10)
+    # 10 trials at 5000 workers are 10 one-trial blocks
+    assert _campaign_output(cfg, 10, workers=5000) == want
+    assert sizes == [10]
+    # one block runs in-process
+    assert _campaign_output(cfg, 1, workers=4) == _campaign_output(cfg, 1)
+    assert sizes == [10]
+
+
 LEAN_52 = _lean_config(5, 2)
 LEAN_53_Q3 = _lean_config(5, 3, q=3)
 

@@ -155,6 +155,38 @@ def test_toeplitz_extend_increment_is_explicit_rank_difference(q):
             prev = rank
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_toeplitz_extend_increments_do_not_depend_on_symbols(q):
+    # The received symbols ride along at position 0: an expansion fed them
+    # has the increments of one that is not, also when they are
+    # inconsistent and a row reduces to 0 = y != 0.  solve() raises
+    # exactly when appending y to M_t's rows raises its rank.
+    fld = field_new(q)
+    rng = random.Random(700 + q)
+    inconsistent = 0
+    for _ in range(60):
+        m, c = rng.randrange(1, 4), rng.randrange(1, 5)
+        plain = ToeplitzExpansion(fld, m, c)
+        fed = ToeplitzExpansion(fld, m, c)
+        Fs, ys = [], []
+        for t in range(4):
+            Fs.append([[rng.randrange(q) if rng.random() < 0.4 else 0
+                        for _ in range(c)] for _ in range(m)])
+            ys.append([rng.randrange(q) for _ in range(c)])
+            assert fed.extend(Fs[-1], ys[-1]) == plain.extend(Fs[-1])
+        M = _block_toeplitz(Fs)
+        y_row = [y for y_t in ys for y in y_t]
+        if rank_fq(M + [y_row], fld) > rank_fq(M, fld):
+            inconsistent += 1
+            with pytest.raises(ValueError):
+                fed.solve()
+        else:
+            fed.solve()
+        # with every symbol 0, whatever is determined is 0
+        assert {x for x_t in plain.solve() for x in x_t} <= {0, None}
+    assert 10 <= inconsistent < 60
+
+
 def test_decodable_known_cases():
     I = [[1, 0], [0, 1]]
     dup = [[1, 1], [1, 1]]
