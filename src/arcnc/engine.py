@@ -14,11 +14,10 @@ ascending (the source's virtual inputs -1..-m come in that order).
 
 Conventions:
   * The source has m virtual input edges with ids -1..-m carrying the
-    message streams; their global kernels are the unit vectors.
+    message streams; their global kernels are the unit vectors e_j.
   * In-degree-1 non-source nodes are relays: their local kernel is the
     constant 1 and they draw nothing.  On acyclic networks a relay's
-    out-edges share its input edge's symbol and header histories instead
-    of recomputing them.
+    out-edges share its input edge's history instead of recomputing it.
   * ACKs are control-plane and resolve instantaneously and transitively
     at end of step; a non-sink node ACKs once every sink it reaches has
     ACKed (at t = 0 if it reaches none), and an edge freezes at the end of
@@ -26,18 +25,22 @@ Conventions:
     growing: later steps append no coefficient to it.  Each node's ACK
     time is the one record of this: a sink's stopping time T is its ACK
     time, and an edge's freeze time is its head node's.
-  * Each edge keeps its header history; a sink's kernel blocks F_t (and
-    `final_F`) are read from the histories of its input edges.
-  * One rule computes every edge's step-t header and symbol: the local
-    kernels convolved with the input histories, truncated at t.  On a
-    cyclic network the step-t values of the edges also feed each other
-    through the time-0 kernel coefficients; the cyclic step convolves the
-    rest the same way and solves only that coupling, by substitution.
-  * Symbol streams are computed only when a trial is verified or traced;
-    lean trials propagate headers alone, on every topology, and report no
-    decoding delay.
-    The source symbols x_t are drawn in either case, so lean and
-    verified trials consume the same draw stream.
+  * Each edge, virtual inputs included, keeps one history: entry t holds
+    the header f_{e,t} at positions 0..m-1 and, in a verified or traced
+    trial, the symbol y_{e,t} at position m.  Virtual input -1-j holds
+    x_{j,t} under its constant header.  A sink's kernel blocks F_t (and
+    `final_F`), its received streams and the header check all read the
+    histories of its input edges.
+  * One rule computes every edge's step-t entry, header and symbol
+    alike: the local kernels convolved with the input histories,
+    truncated at t.  On a cyclic network the step-t entries of the edges
+    also feed each other through the time-0 kernel coefficients; the
+    cyclic step convolves the rest the same way and solves only that
+    coupling, by substitution.
+  * Lean trials keep headers alone (entries of width m), on every
+    topology, and report no decoding delay.  The source symbols x_t are
+    drawn in either case, so lean and verified trials consume the same
+    draw stream.
 
 Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
@@ -284,15 +287,17 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     strict_max = max((t for (_, _, t) in overrides), default=-1) \
         if config.strict_overrides else -1
 
-    xs = [[] for _ in range(m)]              # message streams
-    ysym = [[] for _ in range(topo.num_edges)]   # symbol stream per edge
-    fhist = [[] for _ in range(topo.num_edges)]  # header m-vector per edge, per t
+    # One history per edge: entry t is f_{e,t}, then y_{e,t} if symbols
+    # are kept.  Virtual input -1-j sits at hist[-1-j], counted from the
+    # end, and holds x_{j,t} under the header e_j at t = 0, zero after.
+    width = m + 1 if keep_symbols else m
+    E = topo.num_edges
+    hist = [[] for _ in range(E + m)]
     if acyclic:
         # A relay forwards its input unchanged, so its out-edges share the
-        # input edge's history lists (topological order resolves chains).
+        # input edge's history list (topological order resolves chains).
         for eout, ein in relay_edges:
-            ysym[eout] = ysym[ein]
-            fhist[eout] = fhist[ein]
+            hist[eout] = hist[ein]
 
     tes = {r: ToeplitzExpansion(fld, m, len(topo.in_edges(r))) for r in topo.sinks}
     ack_time = {}                            # node -> step at which it ACKed
@@ -320,87 +325,65 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                                  f"{_edge_name(eout)}, t={t}) = {val}")
 
     def conv_edge(v, eout, t, first=0):
-        """Header (and symbol, if kept) of edge eout at time t: the local
-        kernels convolved with the input histories, real inputs from delay
-        `first` on and virtual inputs at every delay."""
+        """Entry t of edge eout: the local kernels convolved with the input
+        histories at delays `first`..t."""
         add, mul = fld.add, fld.mul
-        ysum = 0
-        fsum = [0] * m
+        acc = [0] * width
         for ein in inputs[v]:
             k = kernels[(ein, eout)]
-            n = min(len(k), t + 1)
-            if ein < 0:
-                j = -ein - 1
-                # the virtual input's header is the constant unit vector,
-                # so only the i == t kernel coefficient contributes to f_t
-                if t < len(k) and k[t]:
-                    fsum[j] = add(fsum[j], k[t])
-                hist, lo = xs[j], 0
-            else:
-                fh = fhist[ein]
-                for i in range(first, n):
-                    ki = k[i]
-                    if ki:
-                        fv = fh[t - i]
-                        for j in range(m):
-                            if fv[j]:
-                                fsum[j] = add(fsum[j], mul(ki, fv[j]))
-                hist, lo = ysym[ein], first
-            if keep_symbols:
-                for i in range(lo, n):
-                    ki = k[i]
-                    if ki:
-                        ysum = add(ysum, mul(ki, hist[t - i]))
-        return ysum, fsum
+            h = hist[ein]
+            for i in range(first, min(len(k), t + 1)):
+                ki = k[i]
+                if ki:
+                    vec = h[t - i]
+                    for p in range(width):
+                        if vec[p]:
+                            acc[p] = add(acc[p], mul(ki, vec[p]))
+        return acc
 
     def step_acyclic(t):
         for v, eout in propagate:
-            ysum, fsum = conv_edge(v, eout, t)
-            fhist[eout].append(fsum)
-            if keep_symbols:
-                ysym[eout].append(ysum)
+            hist[eout].append(conv_edge(v, eout, t))
 
     def step_cyclic(t):
         add, mul = fld.add, fld.mul
-        E = topo.num_edges
-        # Known part: real inputs at delays i >= 1 plus virtual inputs.
-        by, bf = [0] * E, [None] * E
+        # Known part: every input at delays i >= 1.
+        b = [None] * E
         for v, eout in propagate:
-            by[eout], bf[eout] = conv_edge(v, eout, t, first=1)
-        # The time-0 coupling is nilpotent under the disjoint-path
+            b[eout] = conv_edge(v, eout, t, first=1)
+        # The time-0 coupling, the virtual inputs' entry t included, is
+        # nilpotent on the real edges under the disjoint-path
         # initialization, so substituting it from zero settles within |E|
         # + 1 substitutions; the iterates are partial sums of sum_i K0^i b.
         k0 = [(ein, eout, k[0]) for (ein, eout), k in kernels.items()
-              if ein >= 0 and k and k[0]]
-        cy, cf = [0] * E, [[0] * m for _ in range(E)]
+              if k and k[0]]
+        virtual = [hist[e][t] for e in range(-m, 0)]
+        cur = [[0] * width for _ in range(E)] + virtual
         for _ in range(E + 1):
-            ny, nf = list(by), [list(row) for row in bf]
+            nxt = [list(row) for row in b] + virtual
             for ein, eout, k in k0:
-                if keep_symbols and cy[ein]:
-                    ny[eout] = add(ny[eout], mul(k, cy[ein]))
-                fv = cf[ein]
-                for j in range(m):
-                    if fv[j]:
-                        nf[eout][j] = add(nf[eout][j], mul(k, fv[j]))
-            if ny == cy and nf == cf:
+                vec, acc = cur[ein], nxt[eout]
+                for p in range(width):
+                    if vec[p]:
+                        acc[p] = add(acc[p], mul(k, vec[p]))
+            if nxt == cur:
                 break
-            cy, cf = ny, nf
+            cur = nxt
         else:
             raise EngineError(
                 f"cyclic fixed point did not converge at t={t} "
                 "(time-0 kernel matrix is not nilpotent)")
         for e in range(E):
-            fhist[e].append(cf[e])
-            if keep_symbols:
-                ysym[e].append(cy[e])
+            hist[e].append(cur[e])
 
     def advance(t, tail):
         """Source symbols, kernel draws and propagation for step t."""
         if trace is not None:
             trace.append(f"t={t} (tail)" if tail else f"t={t}")
         xt = [rng.randint(q) for _ in range(m)]
-        for j in range(m):
-            xs[j].append(xt[j])
+        for j, x in enumerate(xt):
+            head = [int(t == 0 and i == j) for i in range(m)]
+            hist[-1 - j].append((head + [x])[:width])
         if trace is not None and not tail:
             trace.append(f"  x_{t} = {tuple(xt)}")
         draw_coefficients(t)
@@ -408,7 +391,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
 
     def block(r, t):
         """F_t of sink r: row i holds component i of each input header."""
-        heads = [fhist[e][t] for e in topo.in_edges(r)]
+        heads = [hist[e][t] for e in topo.in_edges(r)]
         return [[f[i] for f in heads] for i in range(m)]
 
     # ------------------------------------------------------------------ run
@@ -504,12 +487,13 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         for r, Fs in kernel.items():
             d = delta[r]
             try:
-                xhat = toeplitz_solve(Fs, [ysym[e] for e in topo.in_edges(r)],
-                                      m, horizon, fld)
+                xhat = toeplitz_solve(
+                    Fs, [[y[m] for y in hist[e]] for e in topo.in_edges(r)],
+                    m, horizon, fld)
             except ValueError as exc:
                 raise EngineError(f"sink {r}: {exc}") from exc
             for j in range(m):
-                want = xs[j][:horizon - d + 1]
+                want = [x[m] for x in hist[-1 - j][:horizon - d + 1]]
                 if [x[j] for x in xhat[:len(want)]] != want:
                     raise EngineError(
                         f"sink {r}: decode failure on symbol {j} "
@@ -518,7 +502,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                 trace.append(f"  sink {r}: delay delta={d}, decoded "
                              f"x_0..x_{horizon - d} verified")
         if config.verify_headers:
-            _verify_headers(topo, fld, fhist, ysym, xs, horizon)
+            _verify_headers(topo, fld, hist, horizon)
 
     # ----------------------------------------------------------- metrics
     for v in range(topo.num_nodes):
@@ -557,20 +541,23 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     )
 
 
-def _verify_headers(topo, fld, fhist, ysym, xs, horizon):
-    """Check y_e(z) = x(z) . f_e(z) on every sink input edge, exactly."""
+def _verify_headers(topo, fld, hist, horizon):
+    """Check y_e(z) = x(z) . f_e(z) on every sink input edge, exactly, in
+    the edge histories of `run_trial` (x_j read from hist[-1-j])."""
     add, mul = fld.add, fld.mul
     m = topo.m
+    x = [[entry[m] for entry in hist[-1 - j]] for j in range(m)]
     for r in topo.sinks:
         for e in topo.in_edges(r):
+            h = hist[e]
             for t in range(horizon + 1):
                 acc = 0
                 for i in range(t + 1):
-                    fv = fhist[e][i]
+                    fv = h[i]
                     for j in range(m):
                         if fv[j]:
-                            acc = add(acc, mul(fv[j], xs[j][t - i]))
-                if acc != ysym[e][t]:
+                            acc = add(acc, mul(fv[j], x[j][t - i]))
+                if acc != h[t][m]:
                     raise EngineError(
                         f"header inconsistency on edge e{e} at t={t}")
 
@@ -627,8 +614,11 @@ class CampaignSummary:
         return self.sum_T2 / (self.trials * self.d)
 
     def success_by_t(self, t: int) -> float:
-        """Fraction of trials with all sinks decodable by time t."""
-        return sum(c for tn, c in self.hist_T_N.items() if tn <= t) / self.trials
+        """Fraction of trials with all sinks decodable by time t.  A failed
+        trial's T_N is max_rounds, above every successful one's, so capping
+        the count at success_count leaves the failures out."""
+        done = sum(c for tn, c in self.hist_T_N.items() if tn <= t)
+        return min(done, self.success_count) / self.trials
 
     def mean_L(self) -> dict:
         return {v: s / self.trials for v, s in self.sum_L.items()}

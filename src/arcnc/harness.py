@@ -156,7 +156,7 @@ def _load_topology_arg(args):
                 topo = load_topology(fh.read())
         except OSError as exc:
             raise IOFailure(str(exc)) from exc
-    elif getattr(args, "n", None):
+    elif getattr(args, "n", None) is not None:
         topo = combination_network(args.n, args.m)
     else:
         raise ValueError("no topology: give --topology FILE or --n/--m")
@@ -192,7 +192,7 @@ def _write_text(path, text):
 
 def cmd_gen(args) -> int:
     if args.network == "comb":
-        if not args.n or not args.m:
+        if args.n is None or args.m is None:
             raise ValueError("gen comb needs --n and --m")
         topo = combination_network(args.n, args.m)
         _write_text(args.out, save_topology(topo))
@@ -375,7 +375,7 @@ def _fmt_exact(val) -> str:
 
 def cmd_bounds(args) -> int:
     m, q, n = args.m, args.q, args.n
-    if not (m and q and n):
+    if None in (m, q, n):
         raise ValueError("bounds needs --m, --q and --n")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")

@@ -19,7 +19,7 @@ from arcnc.engine import (CampaignSummary, EngineError, OverrideError,
                           collect_campaign, run_trial)
 from arcnc.gf import field_new
 from arcnc.harness import fig1_override_text, parse_override_script
-from arcnc.polyalg import PolyMatrix, select_columns
+from arcnc.polyalg import PolyMatrix, select_columns, toeplitz_solve
 from arcnc.rng import SplitMix64
 from arcnc.topology import (Topology, combination_network, random_layered_dag,
                             two_node_cycle_network, validate_multicast)
@@ -237,6 +237,19 @@ def test_success_by_t_monotone():
     vals = [summary.success_by_t(t) for t in range(tmax + 1)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == summary.success_fraction == 1.0
+
+
+def test_success_by_t_leaves_failed_trials_out():
+    # At max_rounds 2 most trials fail; their T_N is max_rounds, yet no
+    # failed trial is decodable at any t.
+    cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=1,
+                    max_rounds=2, verify_decode=False)
+    doc = collect_campaign(cfg, 2000).to_json_dict()
+    frac = doc["success_fraction"]
+    assert 0 < frac < 1
+    assert doc["hist_T_N"]["2"] + round(2000 * frac) == 2000
+    assert all(v <= frac for v in doc["success_by_t"])
+    assert doc["success_by_t"][-1] == frac
 
 
 def test_verified_trials_succeed():
@@ -470,6 +483,40 @@ def test_node_without_out_edges_acks_at_t0():
         assert res.T == {1: 1}
         assert res.L == {0: 2, 1: 2, 2: 2}
         assert res.avg_code_len == 1.5
+
+
+def test_verified_tail_reports_a_wrong_decode(monkeypatch):
+    # A decoder that gets one determined symbol wrong must not pass.
+    def flip_one(*args):
+        xhat = toeplitz_solve(*args)
+        xhat[0][0] ^= 1
+        return xhat
+
+    monkeypatch.setattr(engine, "toeplitz_solve", flip_one)
+    cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=5)
+    with pytest.raises(EngineError, match="decode failure on symbol 0"):
+        run_trial(cfg, 0)
+
+
+def test_header_check_reports_a_changed_symbol(monkeypatch):
+    # _verify_headers gets run_trial's edge histories; with one received
+    # symbol changed, y_e = x . f_e fails on that edge at that step.
+    seen = []
+
+    def capture(topo, fld, hist, horizon):
+        seen.append((topo, fld, hist, horizon))
+        return verify(topo, fld, hist, horizon)
+
+    verify = engine._verify_headers
+    monkeypatch.setattr(engine, "_verify_headers", capture)
+    topo = combination_network(4, 2)
+    run_trial(SimConfig(topology=topo, field=field_new(4), base_seed=5), 0)
+    (_, fld, hist, horizon), = seen
+    e = topo.in_edges(topo.sinks[0])[0]       # the first edge checked
+    hist[e][1][topo.m] ^= 1
+    with pytest.raises(EngineError,
+                       match=f"header inconsistency on edge e{e} at t=1"):
+        verify(topo, fld, hist, horizon)
 
 
 def test_benchmark_tracer_wraps_engine_names():

@@ -360,6 +360,17 @@ def test_bounds_rejects_bad_input(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--trials", "5"], ["compare", "--trials", "5"], ["trace"],
+    ["gen", "comb"], ["bounds"]], ids=lambda argv: argv[0])
+def test_n_zero_reports_the_range(tmp_path, capsys, argv):
+    # --n 0 is given, not missing: the user sees the range it breaks.
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--n", "0", "--m", "2", "--out", str(out)) == 1
+    assert "error: need 1 <= m <= n, got n=0, m=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _open_failing_on_write(monkeypatch, nth):
     """Make the harness's nth file opened for writing fail: disk full."""
     writes = []
