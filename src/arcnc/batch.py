@@ -1,12 +1,14 @@
-"""Lean trials in lockstep: a block of trials advanced together in numpy,
+"""Trials in lockstep: a block of trials advanced together in numpy,
 every result equal to `engine.run_trial`'s, in every field.
 
 Eligibility.  `engine.collect_campaign` runs a block here only where the
-output is provably the same as `run_trial`'s: an acyclic topology and
-none of `verify_decode`, `trace`, `keep_kernels` or kernel overrides, for
-any q.  Every other campaign runs `run_trial`, which stays the reference;
-the differential tests compare each block with the `engine.TrialBlock` of
-`run_trial`'s results.
+output is provably the same as `run_trial`'s: an acyclic topology, none
+of `trace`, `keep_kernels` or kernel overrides, any q, and either lean
+trials or verified ones (`verify_decode`) on a topology whose every sink
+has exactly m inputs, as every combination-network sink has.  Every other
+campaign (cyclic, traced, or verified with a wider sink) runs
+`run_trial`, which stays the reference; the differential tests compare
+each block with the `engine.TrialBlock` of `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
 uint64 vector.  Step t first draws the m source symbols x_t (which a lean
@@ -18,8 +20,8 @@ value is the draw mod q, which is what `SplitMix64.randint(q)` returns
 unless it rejects the draw.  For q a power of two it never does.  For any
 other q, `randint` rejects a draw at or above 2^64 - (2^64 mod q) and
 draws again, so the rest of that trial's draws would shift against the
-lockstep's.  Every draw of a running trial, x_t included, is checked with
-`randint`'s predicate (`_rejected`); a trial with a rejected draw is
+lockstep's.  Every draw of a running trial or of a verified trial in its
+tail, x_t included, is checked with `randint`'s predicate (`_rejected`); a trial with a rejected draw is
 re-run from the start with `run_trial` and put into the block at its own
 position (trials are independent by index, so the result is the
 reference's own).  Every other trial consumes exactly the draws
@@ -44,28 +46,55 @@ then by each other; a non-zero remainder raises the rank, and its lowest
 non-zero position becomes its pivot and is cleared from the other rows.
 The ACK pass is `run_trial`'s.
 
+Verified blocks.  The header arrays gain the symbol y at row m, and the
+m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
+so the source's out-edges convolve them as any node convolves its inputs.
+Each equation carries its y after the x-positions.  A pair stays in the
+rank state after its sink's ACK, until its trial's horizon
+H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  On a square
+sink delta_r, the valuation of the kernel matrix's determinant, is the
+sum of the invariant factors d_1 + ... + d_m (Massey & Sain 1968; Forney
+1970), which the stopping rule counts as the rank deficits m - inc_t of
+the steps before the ACK.  Tail steps draw only x_t, each checked for
+rejection.  Three checks, each an array operation, raise `EngineError`
+naming the trial and the sink: no equation reduces to 0 = y != 0; at H
+every x_{s,j} with s <= H - delta_r is determined and equals the drawn
+one; and, with `verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on
+each distinct sink input root at every step.  A failed check never
+falls back to `run_trial`, which would hide a lockstep fault.  In GF(2^k)
+each verified equation is k uint64 bit planes (`_PlaneBasis`); prime
+fields keep the dense basis, in sub-blocks of at most `_VERIFIED_PAIRS`
+pairs, since a verified pair stays until its horizon.
+
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 the dense basis holds at most `_BASIS_ENTRIES` entries, which only sinks
 that keep failing to decode for many steps come near.  GF(2) runs the
-same rank test with every equation a uint64 bitmask (`_BitBasis`), about
+lean rank test with every equation a uint64 bitmask (`_BitBasis`), about
 twice as fast as the dense basis on lean GF(2) campaigns, while the
-(t+1)*m positions of step t fit in 64 bits, whatever the in-degrees.
-When the rank state has no room for another step, the trials still
-running are re-run with `run_trial`, as rejected ones are.
+(t+1)*m positions of step t fit in 64 bits, whatever the in-degrees.  A
+verified GF(2^k) trial needs (H+1)*m x-positions and y in 64 bits; one
+whose horizon does not fit is re-run with `run_trial` when its last sink
+ACKs.  When the rank state has no room for another step, the trials
+still running or in their tail are re-run with `run_trial`, as rejected
+ones are.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
-times, one `.tolist()` per column; no per-trial object is made.
+times and delays, one `.tolist()` per column; no per-trial object is
+made.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from math import log2
+from operator import itemgetter
 
 import numpy as np
 
-from .engine import TrialBlock, _batchable, _topo_static, run_trial
+from .engine import (EngineError, TrialBlock, _batchable, _topo_static,
+                     run_trial)
 from .gf import field_new
 from .rng import _GAMMA, _MASK, mix64
 
@@ -190,12 +219,31 @@ def _block_static(topo):
     # out-edge, inputs -1..-m: its headers are the drawn values themselves.
     src_out = topo.out_edges(topo.source)
     src_first = pair[(-1, src_out[0])] if src_out else 0
-    conv = [(root[eout],
-             np.array([pair[(ein, eout)] for ein in inputs[v]], dtype=np.intp),
-             np.array([root[ein] for ein in inputs[v]], dtype=np.intp))
-            for v, eout in propagate if v != topo.source and inputs[v]]
+
+    def convolution(outs, ins, in_roots):
+        """(out-edge roots, draw index of each (out-edge, input) pair,
+        input roots) of one node."""
+        return (np.array([root[e] for e in outs], dtype=np.intp),
+                np.array([[pair[(ein, e)] for ein in ins] for e in outs],
+                         dtype=np.intp).reshape(len(outs), len(ins)),
+                np.array(in_roots, dtype=np.intp))
+
+    conv = [convolution([e for _, e in outs], inputs[v],
+                        [root[ein] for ein in inputs[v]])
+            for v, outs in groupby(propagate, key=itemgetter(0))
+            if v != topo.source and inputs[v]]
+    # In a verified block rows R+1 .. R+m of the header array are the
+    # virtual inputs, which carry x_t, and the source's out-edges convolve
+    # them like any other node's inputs.
+    src_conv = [convolution(src_out, inputs[topo.source],
+                            [R - ein for ein in inputs[topo.source]])
+                ] if src_out else []
     sinks = list(topo.sinks)
     ins = [[root[e] for e in topo.in_edges(r)] for r in sinks]
+    checked = {}                       # sink input root -> (edge, sink)
+    for r in sinks:
+        for e in topo.in_edges(r):
+            checked.setdefault(root[e], (e, r))
     c_max = max(map(len, ins))
     in_roots = np.array([r + [R] * (c_max - len(r)) for r in ins],
                         dtype=np.intp)
@@ -209,7 +257,9 @@ def _block_static(topo):
     return dict(
         R=R, heads=np.array(heads, dtype=np.intp),
         src_roots=np.array([root[e] for e in src_out], dtype=np.intp),
-        src_first=src_first, conv=conv, c_max=c_max, in_roots=in_roots,
+        src_first=src_first, conv=conv, src_conv=src_conv, c_max=c_max,
+        in_roots=in_roots, checked=list(checked.values()),
+        checked_roots=np.array(list(checked), dtype=np.intp),
         in_deg=np.array([len(r) for r in ins], dtype=np.intp),
         sinks=sinks, sink_nodes=np.array(sinks, dtype=np.intp),
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
@@ -227,32 +277,43 @@ def _block_static(topo):
 # below m never decodes); their trials then run `run_trial`, one at a time.
 _BASIS_ENTRIES = 1 << 20
 
+# Most (sink, trial) pairs a verified block keeps in a dense basis at once:
+# its pairs stay until the horizon, so longer blocks run in sub-blocks.
+_VERIFIED_PAIRS = 320
+
 
 class _Basis:
-    """`ToeplitzExpansion` of every waiting (sink, trial) pair over F_q.
+    """`ToeplitzExpansion` of every (sink, trial) pair in the lockstep over
+    F_q.
 
     `eqs` holds each input's newest equation, shape (pairs, c, positions),
     and `basis` the reduced-echelon basis, shape (pairs, slots, positions):
-    slot p holds the row whose pivot is position p, or zero.
+    slot p holds the row whose pivot is position p, or zero.  With
+    `symbols`, each row has one more position, last, for the received
+    symbol y, which no pivot takes.
     """
 
-    def __init__(self, fld, N: int, c: int):
+    def __init__(self, fld, N: int, c: int, symbols: bool = False):
         self.fld = fld
-        self.eqs = np.zeros((N, c, 0), dtype=np.int64)
-        self.basis = np.zeros((N, 0, 0), dtype=np.int64)
+        self.sym = int(symbols)
+        self.eqs = np.zeros((N, c, self.sym), dtype=np.int64)
+        self.basis = np.zeros((N, 0, self.sym), dtype=np.int64)
+        self.bad = np.zeros(N, dtype=bool)
 
     def full(self, m: int) -> bool:
         """True when m more positions would take the basis past
         `_BASIS_ENTRIES`."""
         N, P0 = self.basis.shape[:2]
-        return N * (P0 + m) ** 2 > _BASIS_ENTRIES
+        return N * (P0 + m) * (P0 + m + self.sym) > _BASIS_ENTRIES
 
     def keep(self, pairs):
         self.eqs, self.basis = self.eqs[pairs], self.basis[pairs]
 
-    def extend(self, F):
+    def extend(self, F, y=None):
         """Put F_t, (c, m, pairs), in front of the first c equations, the
-        rest being zero padding; returns each pair's rank increment.
+        rest being zero padding, with the symbols y, (c, pairs), if kept;
+        returns each pair's rank increment.  `bad` marks the pairs where
+        an equation reduced to 0 = y != 0.
 
         The new equations are reduced by the stored rows in one product,
         then by each other, and their pivots cleared from the stored rows.
@@ -260,20 +321,28 @@ class _Basis:
         fld = self.fld
         c, m, N = F.shape
         P0 = self.basis.shape[1]
-        eqs = self.eqs = np.concatenate([F.transpose(2, 0, 1),
-                                         self.eqs[:, :c]], axis=2)
-        # stored rows are zero at the m new (highest) positions
-        old = np.concatenate([self.basis,
-                              np.zeros((N, P0, m), dtype=np.int64)], axis=2)
+        P = P0 + m                     # x-positions; y follows them
+        parts = [F.transpose(2, 0, 1), self.eqs[:, :c, :P0]]
+        if self.sym:
+            parts.append(y.T[:, :, None])
+        eqs = self.eqs = np.concatenate(parts, axis=2)
+        # stored rows are zero at the m new (highest) x-positions
+        old = np.concatenate([self.basis[:, :, :P0],
+                              np.zeros((N, P0, m), dtype=np.int64),
+                              self.basis[:, :, P0:]], axis=2)
         rows = fld.subdot(eqs, eqs[:, :, :P0], old) if P0 else eqs
         lanes = np.arange(N)
         new, pivots, inc = [], [], np.zeros(N, dtype=np.intp)
+        bad = self.bad = np.zeros(N, dtype=bool)
         for r in range(c):
             row = rows[:, r]
             for pivot, other in zip(pivots, new):
                 row = fld.submul(row, row[lanes, pivot][:, None], other)
-            nz = row != 0
-            if not nz.any():           # zero in every pair: no rank
+            nz = row[:, :P] != 0
+            has = nz.any(axis=1)
+            if self.sym:
+                bad |= ~has & (row[:, P] != 0)
+            if not has.any():          # zero in every pair: no rank
                 continue
             pivot = nz.argmax(axis=1)  # lowest non-zero position
             row = fld.mul(row, fld.inv(row[lanes, pivot])[:, None])
@@ -281,9 +350,9 @@ class _Basis:
                    for other in new]
             new.append(row)
             pivots.append(pivot)
-            inc += nz.any(axis=1)
+            inc += has
         basis = self.basis = np.concatenate(
-            [old, np.zeros((N, m, P0 + m), dtype=np.int64)], axis=1)
+            [old, np.zeros((N, m, P + self.sym), dtype=np.int64)], axis=1)
         if new:
             new, pivots = np.stack(new, axis=1), np.stack(pivots, axis=1)
             basis[:, :P0] = fld.subdot(old, np.take_along_axis(
@@ -294,10 +363,19 @@ class _Basis:
             basis[n, pivots[n, r]] = new[n, r]
         return inc
 
+    def solved(self, pairs):
+        """x at every position of the chosen pairs, (pairs, positions), and
+        where the equations determine it: its slot holds the unit row."""
+        basis = self.basis[pairs]
+        P = basis.shape[1]
+        unit = (basis[:, :, :P] == np.eye(P, dtype=np.int64)).all(axis=2)
+        return basis[:, :, P], unit
+
 
 # bit p of a GF(2) row is its entry at position p
 _SHIFTS = np.arange(64, dtype=np.uint64)
 _BITS = (_U(1) << _SHIFTS)[:, None]
+_XBITS = ~(_U(1) << _U(63))            # every bit but a _PlaneBasis y bit
 
 
 class _BitBasis:
@@ -342,41 +420,175 @@ class _BitBasis:
         return inc
 
 
+class _PlaneBasis:
+    """`_Basis` with the symbols over GF(2^k), k >= 1, in the bitmask rows
+    of `_BitBasis`, one per bit of the entries: a row is k uint64 bit
+    planes, bit p of plane u holding bit u of the row's entry at position
+    p.  x-positions start at bit 0 and y sits at bit 63, so a row holds at
+    most 63 x-positions.
+
+    `eqs` has shape (c, k, pairs) and `basis` (slots, k, pairs): slot p
+    holds the row whose pivot is bit p, with entry 1 there, or zero.  A
+    product acts on whole planes: alpha (the element 2) times a row moves
+    plane u to u + 1 and folds the top plane back by the field's modulus,
+    and a row times any element is Horner's rule over the element's bits.
+    """
+
+    def __init__(self, N: int, c: int, q: int):
+        k = self.k = q.bit_length() - 1
+        self.inv = array_field(q).inv
+        low = field_new(q).modulus ^ q     # alpha^k; its bit 0 is set
+        self.fold = np.array([_MASK * (low >> u & 1) for u in range(1, k)],
+                             dtype=np.uint64)[:, None]
+        self.eqs = np.zeros((c, k, N), dtype=np.uint64)
+        self.basis = np.zeros((0, k, N), dtype=np.uint64)
+        self.bad = np.zeros(N, dtype=bool)
+
+    def full(self, m: int) -> bool:
+        """True when m more x-positions would not fit beside y."""
+        return len(self.basis) + m > 63
+
+    def keep(self, pairs):
+        self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
+
+    def _alpha(self, x):
+        """alpha times the rows x, (k, pairs)."""
+        out = np.concatenate([x[-1:], x[:-1]])
+        out[1:] ^= x[-1] & self.fold
+        return out
+
+    def _times(self, x, s):
+        """The rows x, (k, pairs), times the elements s, (pairs,)."""
+        bit = [_U(0) - ((s >> a) & 1).astype(np.uint64)
+               for a in range(self.k)]
+        out = x & bit[-1]
+        for a in range(self.k - 2, -1, -1):
+            out = self._alpha(out) ^ (x & bit[a])
+        return out
+
+    def extend(self, F, y):
+        """`_Basis.extend` with the symbols; each new equation is reduced
+        by the stored rows, then stored, in turn."""
+        c, m, N = F.shape
+        k = self.k
+        planes = np.arange(k)[:, None, None]
+        new = np.bitwise_or.reduce(
+            ((F[:, None] >> planes) & 1).astype(np.uint64)
+            << _SHIFTS[:m, None], axis=2)
+        new |= ((y[:, None] >> planes[:, 0]) & 1).astype(np.uint64) \
+            << _U(63)
+        eqs = self.eqs = ((self.eqs[:c] & _XBITS) << _U(m)) | new
+        basis = self.basis = np.concatenate(
+            [self.basis, np.zeros((m, k, N), dtype=np.uint64)])
+        bits = _BITS[:len(basis)]
+        weights = (1 << np.arange(k))[:, None]
+        inc = np.zeros(N, dtype=np.intp)
+        bad = self.bad = np.zeros(N, dtype=bool)
+        for row in eqs:
+            # subtract each stored row times the row's entry at its pivot:
+            # sums[a] adds up the stored rows whose entry has bit a set
+            sums = np.bitwise_xor.reduce(
+                basis * ((row[:, None] & bits) != 0)[:, :, None], axis=1)
+            acc = sums[-1]
+            for a in range(k - 2, -1, -1):
+                acc = self._alpha(acc) ^ sums[a]
+            row = row ^ acc
+            x = np.bitwise_or.reduce(row & _XBITS, axis=0)
+            bad |= (x == 0) & np.bitwise_or.reduce(row, axis=0).astype(bool)
+            low = x & (~x + _U(1))
+            # entry 1 at the pivot `low` (a row without one becomes zero)
+            lead = (((row & low) != 0) * weights).sum(axis=0)
+            row = self._times(row, self.inv(lead))
+            # Clear bit `low` from every stored row and store the row at
+            # slot `low`, which is empty: slot p takes the row times its
+            # own entry at `low`, slot `low` the row itself.
+            entry = (basis & low) != 0
+            entry[:, 0] |= (bits & low) != 0
+            shifted = [row]
+            for _ in range(k - 1):
+                shifted.append(self._alpha(shifted[-1]))
+            basis ^= np.bitwise_xor.reduce(
+                np.stack(shifted)[:, None] * entry.transpose(1, 0, 2)[
+                    :, :, None], axis=0)
+            inc += x != 0
+        return inc
+
+    def solved(self, pairs):
+        """`_Basis.solved`."""
+        basis = self.basis[:, :, pairs]
+        x = basis & _XBITS
+        unit = (x[:, 0] == _BITS[:len(basis)]) & ~x[:, 1:].any(axis=1)
+        values = ((basis >> _U(63)).astype(np.int64)
+                  << np.arange(self.k)[:, None]).sum(axis=1)
+        return values.T, unit.T
+
+
 def run_block(config, start: int, stop: int) -> TrialBlock:
     """`TrialBlock.of([run_trial(config, i) for i in range(start, stop)])`,
     computed in lockstep for a config that `engine._batchable` accepts."""
     if not _batchable(config):
-        raise ValueError("run_block needs a lean config on an acyclic "
-                         "topology without trace, kept kernels or "
-                         "overrides")
+        raise ValueError("run_block needs an acyclic topology without "
+                         "trace, kept kernels or overrides, and sinks with "
+                         "m inputs each when verified")
+    st = _block_static(config.topology)
+    size = stop - start
+    q = config.field.q
+    if config.verify_decode and q & (q - 1):
+        size = max(1, _VERIFIED_PAIRS // len(st["sinks"]))
+    seeds = trial_seeds(config.base_seed, start, stop)
+    ack, delta, redo = (np.concatenate(part, axis=-1) for part in zip(*(
+        _lockstep(config, st, start + i, seeds[i:i + size].copy())
+        for i in range(0, stop - start, size))))
+    return _block(config, st, start, seeds.tolist(), ack, delta, redo)
+
+
+def _lockstep(config, st, start: int, state):
+    """The ACK times (nodes, trials), the summed rank deficits (sinks,
+    trials) and the trials to re-run with `run_trial`, of the trials from
+    `start` on whose SplitMix64 states `state` holds (advanced in place)."""
     topo = config.topology
     m, q = topo.m, config.field.q
     fld = array_field(q)
     exact = not q & (q - 1)            # a power of two: no draw rejects
-    st = _block_static(topo)
-    B = stop - start
-    state = trial_seeds(config.base_seed, start, stop)
-    seeds = state.tolist()
+    verified = config.verify_decode
+    B = len(state)
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
     ack = np.full((topo.num_nodes, B), never, dtype=np.int64)
     heads, c, R = st["heads"], st["c_max"], st["R"]
     src_roots, src_first = st["src_roots"], st["src_first"]
     n_src = len(src_roots) * m
-    conv = st["conv"]
-    khist, fhist = [], []              # kept only for real-input pairs
+    conv = st["src_conv"] + st["conv"] if verified else st["conv"]
+    sink_nodes = st["sink_nodes"]
+    khist, fhist, xhist = [], [], []   # kept only where conv reads them
     redo = np.zeros(B, dtype=bool)     # trials re-run with run_trial
-    # waiting (sink, trial) pairs and their Toeplitz rank state
-    ws = np.repeat(np.arange(len(st["sinks"]), dtype=np.intp), B)
-    wt = np.tile(np.arange(B, dtype=np.intp), len(st["sinks"]))
-    rank = _BitBasis(len(ws), c) if q == 2 else _Basis(fld, len(ws), c)
-    running = np.ones(B, dtype=bool)
+    # (sink, trial) pairs and their Toeplitz rank state: a lean pair
+    # leaves at its sink's ACK, a verified one at its trial's horizon
+    ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
+    wt = np.tile(np.arange(B, dtype=np.intp), len(sink_nodes))
+    if not verified:
+        rank = _BitBasis(len(ws), c) if q == 2 else _Basis(fld, len(ws), c)
+    elif exact:
+        rank = _PlaneBasis(len(ws), c, q)
+    else:
+        rank = _Basis(fld, len(ws), c, symbols=True)
+    delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
+    horizon = np.full(B, -1, dtype=np.int64)
+    running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     t = 0
-    while t < config.max_rounds and running.any() and not rank.full(m):
+    while True:
+        # trials still running or, verified, in their tail
+        live = running | ((horizon >= t) & ~redo) if verified else running
+        if not live.any():
+            break
+        if rank.full(m):               # no room for another step
+            redo |= live
+            break
         # ------------------------------------------------------ draws
-        if not exact:
-            redo |= running & _rejected(
-                _mix64(state + st["xoffsets"]), q).any(axis=0)
+        if verified or not exact:
+            xraw = _mix64(state + st["xoffsets"])
+            if not exact:
+                redo |= live & _rejected(xraw, q).any(axis=0)
         state += st["xstep"]
         draw = running & (ack[heads] >= t)
         count = np.cumsum(draw, axis=0, dtype=np.uint64)
@@ -387,49 +599,128 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
         if len(heads):
             state += count[-1] * _G
         # ------------------------------------------------ propagation
-        f = np.zeros((R + 1, m, B), dtype=np.int64)
-        f[src_roots] = k[src_first:src_first + n_src].reshape(
-            len(src_roots), m, B)
+        f = np.zeros((R + 1 + m * verified, m + verified, B), dtype=np.int64)
+        if verified:                   # the virtual inputs: e_j, then x_t
+            xhist.append(_values(xraw, q))
+            f[R + 1:, m] = xhist[t]
+            if t == 0:
+                j = np.arange(m)
+                f[R + 1 + j, j] = 1
+        else:
+            f[src_roots] = k[src_first:src_first + n_src].reshape(
+                len(src_roots), m, B)
         if conv:
             khist.append(k)
             fhist.append(f)
-            for rout, pairs, roots in conv:
-                kin = np.concatenate([khist[i][pairs] for i in range(t + 1)])
-                fin = np.concatenate([fhist[t - i][roots]
-                                      for i in range(t + 1)])
-                # sum over (delay, input) of k_i * f_{t-i}, per trial
-                f[rout] = fld.dot(fin.T, kin.T[:, :, None])[:, :, 0].T
+            _propagate(fld, conv, khist, fhist)
+        if verified and config.verify_headers:
+            _check_headers(fld, st, fhist, xhist, live, start)
         # ------------------------------------------------- rank test
-        # F_t of every waiting pair, (c, m, N): zero past the widest sink
+        # F_t of every pair, (c, m, N): zero past the widest sink
         c = st["in_deg"][ws].max()
-        inc = rank.extend(f[st["in_roots"][ws, :c].T[:, None], st["comps"],
-                            wt])
+        roots = st["in_roots"][ws, :c].T
+        F = f[roots[:, None], st["comps"], wt]
+        inc = rank.extend(F, f[roots, m, wt]) if verified else rank.extend(F)
         done = inc == m
-        ack[st["sink_nodes"][ws[done]], wt[done]] = t
-        keep = ~done
-        ws, wt = ws[keep], wt[keep]
-        rank.keep(keep)
+        if verified:
+            if rank.bad.any():
+                n = rank.bad.argmax()
+                raise EngineError(
+                    f"trial {start + wt[n]}, sink {st['sinks'][ws[n]]}: "
+                    "received streams inconsistent with the kernels")
+            # the rank deficits before the sink's ACK sum to its delay
+            delta[ws, wt] += m - inc
+            done &= ack[sink_nodes[ws], wt] == never
+        ack[sink_nodes[ws[done]], wt[done]] = t
         # -------------------------------------------------- ACK pass
-        waiting = ack[st["sink_nodes"]] == never
+        waiting = ack[sink_nodes] == never
         ready = ~(st["reach"][:, :, None] & waiting).any(axis=1)
         others = st["others"]
         ack[others] = np.where(ready & (ack[others] == never), t, ack[others])
-        running[:] = False
-        running[wt] = True
+        left = waiting.any(axis=0)
+        if verified:
+            _set_horizons(m, q, t, running & ~left & ~redo, delta, horizon,
+                          redo)
+            fin = (horizon == t) & ~redo
+            if fin.any():
+                _check_decoded(st, rank, fin[wt], ws, wt, xhist, delta, t,
+                               start)
+        running = left & ~redo & (t + 1 < config.max_rounds)
+        keep = ((running | (horizon > t)) & ~redo)[wt] if verified \
+            else ~done
+        ws, wt = ws[keep], wt[keep]
+        rank.keep(keep)
         t += 1
-    if t < config.max_rounds:          # the rank state ran out of room
-        redo |= running
-    return _block(config, st, start, seeds, ack, redo)
+    return ack, delta, redo
 
 
-def _block(config, st, start, seeds, ack, redo) -> TrialBlock:
-    """The TrialBlock of the lockstep's ACK times, with run_trial's
-    results at the positions where `redo` is set."""
+def _propagate(fld, conv, khist, fhist):
+    """Fill in the entries of step t = len(fhist) - 1 that `conv` lists:
+    each node's local kernels convolved with its input histories."""
+    t = len(fhist) - 1
+    for routs, pairs, roots in conv:
+        kin = np.concatenate([khist[i][pairs] for i in range(t + 1)], axis=1)
+        fin = np.concatenate([fhist[t - i][roots] for i in range(t + 1)])
+        # sum over (delay, input) of k_i * f_{t-i}, per out-edge and trial
+        fhist[t][routs] = fld.dot(kin.transpose(2, 0, 1),
+                                  fin.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _set_horizons(m, q, t, stopped, delta, horizon, redo):
+    """Set the horizon H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s,
+    of the trials whose last sink ACKed at t (T_N = t): their pairs stay
+    in the rank state through step H.  In GF(2^k) a trial whose (H+1)*m
+    x-positions and y do not fit the 64-bit rows is re-run."""
+    if stopped.any():
+        horizon[stopped] = t + np.maximum(delta[:, stopped].max(axis=0),
+                                          t) + 1
+        if not q & (q - 1):
+            redo |= stopped & ((horizon + 1) * m + 1 > 64)
+
+
+def _check_headers(fld, st, fhist, xhist, live, start):
+    """y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink input root
+    of every live trial, at the step t just propagated."""
+    roots = st["checked_roots"]
+    m = len(xhist[0])
+    # f_{e,i} and x_{t-i} at position i*m + j
+    fe = np.concatenate([h[roots, :m] for h in fhist], axis=1)
+    xs = np.concatenate(xhist[::-1])
+    want = fld.dot(fe.transpose(2, 0, 1), xs.T[:, :, None])[:, :, 0].T
+    wrong = (want != fhist[-1][roots, m]) & live
+    if wrong.any():
+        i, b = np.argwhere(wrong)[0]
+        e, r = st["checked"][i]
+        raise EngineError(f"trial {start + b}, sink {r}: header "
+                          f"inconsistency on edge e{e} at t={len(xhist) - 1}")
+
+
+def _check_decoded(st, rank, sel, ws, wt, xhist, delta, H, start):
+    """Every x_{s,j} with s <= H - delta of the chosen pairs, whose trials
+    reach their horizon H now, is determined and equals the drawn one."""
+    m = len(xhist[0])
+    values, known = rank.solved(sel)
+    ws, wt = ws[sel], wt[sel]
+    d = delta[ws, wt]
+    sent = np.concatenate(xhist)[:, wt].T       # x_{s,j} at s*m + j
+    need = np.arange(values.shape[1]) < ((H - d + 1) * m)[:, None]
+    wrong = need & ~(known & (values == sent))
+    if wrong.any():
+        n, p = np.argwhere(wrong)[0]
+        raise EngineError(
+            f"trial {start + wt[n]}, sink {st['sinks'][ws[n]]}: decode "
+            f"failure on symbol {p % m} (delay {d[n]}, horizon {H})")
+
+
+def _block(config, st, start, seeds, ack, delta, redo) -> TrialBlock:
+    """The TrialBlock of the lockstep's ACK times and delays, with
+    run_trial's results at the positions where `redo` is set."""
     topo = config.topology
     V = topo.num_nodes
     B = len(seeds)
     T = ack[st["sink_nodes"]]
     T_N = T.max(axis=0)
+    success = (T_N < config.max_rounds).tolist()
     L = ack[st["near"]].max(axis=1) + 1
     n_code = len(st["code_heads"])
     code = ack[st["code_heads"]].sum(axis=0) + n_code
@@ -440,12 +731,15 @@ def _block(config, st, start, seeds, ack, redo) -> TrialBlock:
     bits = np.add.accumulate(topo.m * L * log2(config.field.q), axis=0)
     block = TrialBlock(
         trial=list(range(start, start + B)), seed=seeds,
-        success=(T_N < config.max_rounds).tolist(),
+        success=success,
         rounds=np.minimum(T_N + 1, config.max_rounds).tolist(),
         T_N=T_N.tolist(), avg_T=(T.sum(axis=0) / len(T)).tolist(),
         avg_code_len=(code / n_code).tolist() if n_code else [0.0] * B,
         avg_memory_bits=(bits[-1] / V).tolist(),
         T=dict(zip(st["sinks"], T.tolist())),
+        delta={r: [d if ok else None for d, ok in zip(row, success)]
+               for r, row in zip(st["sinks"], delta.tolist())}
+        if config.verify_decode else {r: [None] * B for r in st["sinks"]},
         L=dict(zip(range(V), L.tolist())))
     for b in np.flatnonzero(redo).tolist():
         block.put(b, run_trial(config, start + b))

@@ -44,14 +44,15 @@ Conventions:
 
 Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
-`TrialBlock`, one list per per-trial quantity and one row per sink (T)
-and per node (L); `CampaignSummary.absorb_block` aggregates it and each
-CSV file gets its rows as one string.  Lean campaigns on acyclic
+`TrialBlock`, one list per per-trial quantity and one row per sink (T,
+delta) and per node (L); `CampaignSummary.absorb_block` aggregates it
+and each CSV file gets its rows as one string.  Campaigns on acyclic
 networks (no trace, kept kernels or overrides), in any field, run each
 block in lockstep with numpy (`batch.run_block`), with results equal to
-`run_trial`'s; every other block (verified, traced or cyclic) runs
-`run_trial` trial by trial and transposes the results with
-`TrialBlock.of`, which imports no numpy.
+`run_trial`'s, when they are lean or, verified, when every sink has
+exactly m inputs; every other block (traced, cyclic, or verified with a
+wider sink) runs `run_trial` trial by trial and transposes the results
+with `TrialBlock.of`, which imports no numpy.
 """
 
 from __future__ import annotations
@@ -160,24 +161,28 @@ class TrialBlock:
     avg_code_len: list
     avg_memory_bits: list
     T: dict                     # sink -> T of each trial
+    delta: dict                 # sink -> delta of each trial (None in lean
+                                # and failed trials)
     L: dict                     # node -> L of each trial
 
     @classmethod
     def of(cls, results) -> "TrialBlock":
         """The block of a non-empty list of TrialResults, in list order."""
+        first = results[0]
         return cls(*([getattr(res, name) for res in results]
                      for name in _BLOCK_COLUMNS),
-                   T={r: [res.T[r] for res in results] for r in results[0].T},
-                   L={v: [res.L[v] for res in results] for v in results[0].L})
+                   T={r: [res.T[r] for res in results] for r in first.T},
+                   delta={r: [res.delta[r] for res in results]
+                          for r in first.delta},
+                   L={v: [res.L[v] for res in results] for v in first.L})
 
     def put(self, i: int, res: TrialResult):
         """Overwrite position i with the TrialResult `res`."""
         for name in _BLOCK_COLUMNS:
             getattr(self, name)[i] = getattr(res, name)
-        for r, row in self.T.items():
-            row[i] = res.T[r]
-        for v, row in self.L.items():
-            row[i] = res.L[v]
+        for name in ("T", "delta", "L"):
+            for k, row in getattr(self, name).items():
+                row[i] = getattr(res, name)[k]
 
 
 def _edge_name(eid: int) -> str:
@@ -543,20 +548,29 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
 
 def _verify_headers(topo, fld, hist, horizon):
     """Check y_e(z) = x(z) . f_e(z) on every sink input edge, exactly, in
-    the edge histories of `run_trial` (x_j read from hist[-1-j])."""
+    the edge histories of `run_trial` (x_j read from hist[-1-j]).  Edges
+    that share a history (a relay's out-edges) are checked once, under the
+    first such edge in sink order."""
     add, mul = fld.add, fld.mul
     m = topo.m
     x = [[entry[m] for entry in hist[-1 - j]] for j in range(m)]
+    seen = set()
     for r in topo.sinks:
         for e in topo.in_edges(r):
             h = hist[e]
+            if id(h) in seen:
+                continue
+            seen.add(id(h))
+            # the non-zero header coefficients (i, x_j, f_{e,i}[j]), by i
+            terms = [(i, x[j], fj) for i, fv in enumerate(h[:horizon + 1])
+                     for j, fj in enumerate(fv[:m]) if fj]
             for t in range(horizon + 1):
                 acc = 0
-                for i in range(t + 1):
-                    fv = h[i]
-                    for j in range(m):
-                        if fv[j]:
-                            acc = add(acc, mul(fv[j], x[j][t - i]))
+                for i, xj, fj in terms:
+                    if i > t:
+                        break
+                    if xj[t - i]:
+                        acc = add(acc, mul(fj, xj[t - i]))
                 if acc != h[t][m]:
                     raise EngineError(
                         f"header inconsistency on edge e{e} at t={t}")
@@ -692,11 +706,15 @@ BLOCK_TRIALS = 128
 
 def _batchable(config: SimConfig) -> bool:
     """True when `batch.run_block` gives exactly `run_trial`'s results:
-    lean trials in any field on an acyclic topology, untraced, with no
-    kept kernels and no overrides."""
-    return (not config.verify_decode and not config.trace
-            and not config.keep_kernels and not config.overrides
-            and _topo_static(config.topology)[0])
+    untraced trials in any field on an acyclic topology, with no kept
+    kernels and no overrides, lean or, when every sink has exactly m
+    inputs, verified."""
+    topo = config.topology
+    return (not config.trace and not config.keep_kernels
+            and not config.overrides and _topo_static(topo)[0]
+            and (not config.verify_decode
+                 or all(len(topo.in_edges(r)) == topo.m
+                        for r in topo.sinks)))
 
 
 def _run_block(args) -> TrialBlock:

@@ -233,9 +233,11 @@ def test_average_memory_bits_add_up_in_node_order():
 
 
 def test_run_block_rejects_configs_it_does_not_reproduce():
+    # A verified trial runs in lockstep only where every sink has m inputs.
     topo = combination_network(4, 2)
     for cfg in (_lean(two_node_cycle_network(), q=3),
-                SimConfig(topology=topo, field=F2),
+                SimConfig(topology=WIDE_SINK, field=F2),
+                SimConfig(topology=two_node_cycle_network(), field=F2),
                 _lean(topo, keep_kernels=True), _lean(topo, trace=True)):
         with pytest.raises(ValueError):
             batch.run_block(cfg, 0, 4)
@@ -258,8 +260,13 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
     collect_campaign(_lean(topo, q=3), 5)
     assert blocks == [(0, 5)]
     blocks.clear()
+    collect_campaign(SimConfig(topology=topo, field=field_new(3)), 5)
+    assert blocks == [(0, 5)]
+    blocks.clear()
     for cfg in (_lean(two_node_cycle_network(), q=3),
-                SimConfig(topology=topo, field=field_new(3))):
+                SimConfig(topology=two_node_cycle_network(),
+                          field=field_new(3)),
+                SimConfig(topology=WIDE_SINK, field=field_new(3))):
         collect_campaign(cfg, 5)
     assert blocks == []
 
@@ -289,7 +296,7 @@ import sys
 
 from arcnc import engine
 from arcnc.gf import field_new
-from arcnc.topology import combination_network, two_node_cycle_network
+from arcnc.topology import Topology, two_node_cycle_network
 
 real_run_block = engine._run_block
 
@@ -304,8 +311,11 @@ def checked_run_block(args):
 engine._run_block = checked_run_block
 
 if __name__ == "__main__":
-    verified = engine.SimConfig(topology=combination_network(4, 2),
-                                field=field_new(3))
+    # sink 34 has 33 inputs at m = 2
+    wide = Topology(36, tuple((0, i) for i in range(1, 34))
+                    + tuple((i, 34) for i in range(1, 34))
+                    + ((1, 35), (2, 35)), source=0, sinks=(34, 35), m=2)
+    verified = engine.SimConfig(topology=wide, field=field_new(3))
     cyclic = engine.SimConfig(topology=two_node_cycle_network(),
                               field=field_new(3), verify_decode=False,
                               verify_headers=False)
@@ -318,8 +328,9 @@ if __name__ == "__main__":
 
 def test_q3_campaigns_do_not_import_numpy(tmp_path):
     # Only the lockstep needs numpy; a pool worker that imports it grows by
-    # megabytes.  Verified and cyclic campaigns run run_trial blocks, and
-    # every block, in-process and in the workers, checks.
+    # megabytes.  Verified campaigns with a wider sink and cyclic campaigns
+    # run run_trial blocks, and every block, in-process and in the workers,
+    # checks.
     script = tmp_path / "campaign.py"
     script.write_text(_NO_NUMPY_CAMPAIGN)
     src = Path(engine.__file__).resolve().parents[1]
@@ -404,3 +415,242 @@ def test_dense_basis_matches_toeplitz_expansion(q):
             assert all(v == 0 for v in row) or row[p] == 1
             assert all(other[p] == 0 for o, other in enumerate(basis)
                        if o != p and any(basis[p]))
+
+
+# ---------------------------------------------------------------------------
+# verified blocks: the symbols, the tail up to the horizon and the checks
+# ---------------------------------------------------------------------------
+
+ALL_FIELDS = [2] + FIELDS
+
+
+def _verified(topo, q=2, **kw):
+    return SimConfig(topology=topo, field=field_new(q), **kw)
+
+
+def _square_dag(seed, m):
+    """A random layered DAG whose sinks are the last-layer nodes with
+    exactly m inputs; the other last-layer nodes reach no sink."""
+    while True:
+        topo = random_layered_dag(SplitMix64(seed), layers=3,
+                                  width=2 * m + 2, m=m)
+        sinks = tuple(r for r in topo.sinks if len(topo.in_edges(r)) == m)
+        if sinks:
+            topo = Topology(topo.num_nodes, topo.edges, source=0,
+                            sinks=sinks, m=m)
+            if validate_multicast(topo).ok:
+                return topo
+        seed += 1
+
+
+def _check_verified(cfg, start, stop):
+    """_check_block on a verified config: the blocks agree in every field,
+    the delay of every (sink, trial) pair included."""
+    got = _check_block(cfg, start, stop)
+    assert any(d is not None for row in got.delta.values() for d in row)
+    return got
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+@pytest.mark.parametrize("n, m, trials", [(4, 2, 200), (6, 3, 60)])
+def test_verified_run_block_matches_run_trial(n, m, trials, q, monkeypatch):
+    rerun = _record_reruns(monkeypatch)
+    _check_verified(_verified(combination_network(n, m), q=q, base_seed=23),
+                    0, trials)
+    assert len(rerun) < trials // 10
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_verified_run_block_on_square_random_dags(m, q):
+    for seed in (0, 100):
+        topo = _square_dag(seed, m)
+        assert engine._batchable(_verified(topo))
+        if m > 1:
+            # a node between the source and the sinks codes, so the
+            # propagation and the header check see more than the source
+            assert any(len(topo.in_edges(v)) > 1 and topo.out_edges(v)
+                       for v in range(1, topo.num_nodes))
+        _check_verified(_verified(topo, q=q, base_seed=seed), 3, 63)
+
+
+# Sink 4 codes onto an out-edge into sink 5, whose header check then reads
+# a coded edge, and its own ACK freezes that kernel.
+SQUARE_SINK_WITH_OUT_EDGE = Topology(
+    6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (4, 5), (3, 5)), source=0,
+    sinks=(4, 5), m=2)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+def test_verified_run_block_on_a_square_sink_with_out_edges(q):
+    assert validate_multicast(SQUARE_SINK_WITH_OUT_EDGE).ok
+    _check_verified(_verified(SQUARE_SINK_WITH_OUT_EDGE, q=q, base_seed=9),
+                    0, 128)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+@pytest.mark.parametrize("topo", [combination_network(4, 2),
+                                  combination_network(6, 3),
+                                  _square_dag(100, 2)],
+                         ids=["comb42", "comb63", "dag"])
+def test_verified_failed_trials_finish_in_the_lockstep(topo, max_rounds, q,
+                                                       monkeypatch):
+    # Failed trials stop at max_rounds; the trials that succeed run their
+    # tail past it, up to their horizon.
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(_verified(topo, q=q, base_seed=11,
+                                 max_rounds=max_rounds), 5, 134)
+    assert rerun == []
+    if max_rounds == 1:
+        assert not all(got.success)
+
+
+def test_verified_tail_runs_past_max_rounds(monkeypatch):
+    # At max_rounds 1 a trial succeeds only with T_N = 0; its horizon is
+    # 1, so its tail runs one step past max_rounds.
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(_verified(combination_network(4, 2), q=4,
+                                 base_seed=11, max_rounds=1), 0, 100)
+    assert rerun == [] and 0 < sum(got.success) < 100
+
+
+def test_verified_rejected_tail_draw_reruns_its_trial(monkeypatch):
+    # A trial with T_N = 0 has horizon 1: step 1 is its tail, which draws
+    # x_1 and no kernel coefficient.  A rejected x_1 re-runs it; flagging
+    # its (undrawn) kernel draws at step 1 re-runs nothing.
+    cfg = _verified(combination_network(4, 2), q=3, base_seed=5)
+    want = TrialBlock.of([run_trial(cfg, i) for i in range(40)])
+    tail, other = [b for b, tn in enumerate(want.T_N) if tn == 0][:2]
+    calls = []
+
+    def flag(raw, q):                  # x_t, then kernel draws, per step
+        out = np.zeros(raw.shape, dtype=bool)
+        step, kernel = divmod(len(calls), 2)
+        calls.append(raw.shape)
+        if step == 1:
+            out[:, other if kernel else tail] = True
+        return out
+
+    rerun = []
+
+    def marked(config, i):
+        rerun.append(i)
+        return dataclasses.replace(run_trial(config, i), rounds=-1)
+
+    monkeypatch.setattr(batch, "_rejected", flag)
+    monkeypatch.setattr(batch, "run_trial", marked)
+    got = batch.run_block(cfg, 0, 40)
+    assert calls[:2] == [(2, 40), (8, 40)]
+    assert rerun == [tail]
+    want.rounds[tail] = -1
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_verified_trials_past_64_positions_rerun_with_run_trial(q,
+                                                                monkeypatch):
+    # One sink with m = 8 inputs: a bitmask row holds 63 x-positions and
+    # y, so a trial whose horizon H has (H+1)*8 + 1 > 64 re-runs.
+    rerun = _record_reruns(monkeypatch)
+    cfg = _verified(combination_network(8, 8), q=q, base_seed=1)
+    _check_block(cfg, 0, 30)
+    if q == 2:
+        assert 0 < len(rerun) < 30
+
+
+def test_verified_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
+    cfg = _verified(combination_network(4, 2), q=3, base_seed=2)
+    rerun = _record_reruns(monkeypatch)
+    _check_verified(cfg, 0, 40)
+    assert rerun == []
+    # room for 6 x-positions and y, three steps, on 6 * 40 pairs
+    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 6 * 40 * 6 * 7)
+    _check_block(cfg, 0, 40)
+    assert 0 < len(rerun) < 40
+
+
+def test_verified_blocks_split_into_sub_blocks(monkeypatch):
+    # A dense basis holds at most _VERIFIED_PAIRS pairs: 6 sinks of
+    # comb(4,2) make sub-blocks of 2 trials.
+    monkeypatch.setattr(batch, "_VERIFIED_PAIRS", 12)
+    spans = []
+    real = batch._lockstep
+    monkeypatch.setattr(batch, "_lockstep", lambda config, st, i, state: (
+        spans.append((i, i + len(state))) or real(config, st, i, state)))
+    _check_verified(_verified(combination_network(4, 2), q=5, base_seed=3),
+                    0, 7)
+    assert spans == [(0, 2), (2, 4), (4, 6), (6, 7)]
+
+
+def _break_step(monkeypatch, t, change):
+    """Apply `change(f)` to the header array of step t right after the
+    lockstep propagates it."""
+    real = batch._propagate
+
+    def broken(fld, conv, khist, fhist):
+        real(fld, conv, khist, fhist)
+        if len(fhist) - 1 == t:
+            change(fhist[t])
+
+    monkeypatch.setattr(batch, "_propagate", broken)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_verified_lockstep_reports_a_wrong_decode(q, monkeypatch):
+    # A read-off that gets one determined symbol wrong must not pass.
+    cls = batch._Basis if q == 3 else batch._PlaneBasis
+    real = cls.solved
+
+    def flip_one(self, pairs):
+        values, known = real(self, pairs)
+        values[0, 0] = (values[0, 0] + 1) % q
+        return values, known
+
+    monkeypatch.setattr(cls, "solved", flip_one)
+    cfg = _verified(combination_network(4, 2), q=q, base_seed=5)
+    with pytest.raises(engine.EngineError,
+                       match=r"trial \d+, sink \d+: decode failure on "
+                             r"symbol 0"):
+        batch.run_block(cfg, 0, 8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("row", ["symbol", "header"])
+def test_verified_lockstep_checks_the_headers(q, row, monkeypatch):
+    # One changed entry at step 1 on the first sink input root of trial 2:
+    # y_e = x . f_e fails there, whichever of the two changed.
+    cfg = _verified(combination_network(4, 2), q=q, base_seed=5)
+    st = batch._block_static(cfg.topology)
+    root = st["checked_roots"][0]
+    e, r = st["checked"][0]
+
+    def change(f):
+        i = (root, cfg.topology.m if row == "symbol" else 0, 2)
+        f[i] = (f[i] + 1) % q
+
+    _break_step(monkeypatch, 1, change)
+    # A changed header coefficient f_{e,1} shows at the first t with
+    # x_{t-1} != 0 in its component, a changed symbol at t = 1.
+    with pytest.raises(engine.EngineError,
+                       match=f"trial 2, sink {r}: header inconsistency on "
+                             f"edge e{e} at t="):
+        batch.run_block(cfg, 0, 8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_verified_lockstep_without_header_check_reports_a_changed_symbol(
+        q, monkeypatch):
+    # With verify_headers off, a changed received symbol still fails the
+    # decode: the sink's equations no longer hold for the drawn x.
+    cfg = _verified(combination_network(4, 2), q=q, base_seed=5,
+                    verify_headers=False)
+    st = batch._block_static(cfg.topology)
+    m = cfg.topology.m
+
+    def change(f):
+        f[st["checked_roots"], m, 2] = (f[st["checked_roots"], m, 2] + 1) % q
+
+    _break_step(monkeypatch, 0, change)
+    with pytest.raises(engine.EngineError, match=r"trial 2, sink \d+: "):
+        batch.run_block(cfg, 0, 8)
