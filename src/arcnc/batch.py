@@ -3,12 +3,11 @@ every result equal to `engine.run_trial`'s, in every field.
 
 Eligibility.  `engine.collect_campaign` runs a block here only where the
 output is provably the same as `run_trial`'s: an acyclic topology, none
-of `trace`, `keep_kernels` or kernel overrides, any q, and either lean
-trials or verified ones (`verify_decode`) on a topology whose every sink
-has exactly m inputs, as every combination-network sink has.  Every other
-campaign (cyclic, traced, or verified with a wider sink) runs
-`run_trial`, which stays the reference; the differential tests compare
-each block with the `engine.TrialBlock` of `run_trial`'s results.
+of `trace`, `keep_kernels` or kernel overrides, any q, lean or verified
+(`verify_decode`) trials, and sinks of any in-degree.  Every other
+campaign (cyclic or traced) runs `run_trial`, which stays the reference;
+the differential tests compare each block with the `engine.TrialBlock`
+of `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
 uint64 vector.  Step t first draws the m source symbols x_t (which a lean
@@ -51,20 +50,20 @@ m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
 so the source's out-edges convolve them as any node convolves its inputs.
 Each equation carries its y after the x-positions.  A pair stays in the
 rank state after its sink's ACK, until its trial's horizon
-H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  On a square
-sink delta_r, the valuation of the kernel matrix's determinant, is the
-sum of the invariant factors d_1 + ... + d_m (Massey & Sain 1968; Forney
-1970), which the stopping rule counts as the rank deficits m - inc_t of
-the steps before the ACK.  Tail steps draw only x_t, each checked for
-rejection.  Three checks, each an array operation, raise `EngineError`
-naming the trial and the sink: no equation reduces to 0 = y != 0; at H
-every x_{s,j} with s <= H - delta_r is determined and equals the drawn
-one; and, with `verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on
-each distinct sink input root at every step.  A failed check never
-falls back to `run_trial`, which would hide a lockstep fault.  In GF(2^k)
-each verified equation is k uint64 bit planes (`_PlaneBasis`); prime
-fields keep the dense basis, in sub-blocks of at most `_VERIFIED_PAIRS`
-pairs, since a verified pair stays until its horizon.
+H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  On any sink
+delta_r is `run_trial`'s: the rank deficits m - inc_t of the steps
+before the ACK, summed, which is d_1 + ... + d_m for the invariant
+factors z^d_i of the kernel matrix (Massey & Sain 1968; Forney 1970).
+Tail steps draw only x_t, each checked for rejection.  Three checks, each
+an array operation, raise `EngineError` naming the trial and the sink:
+no equation reduces to 0 = y != 0; at H every x_{s,j} with s <= H -
+delta_r is determined and equals the drawn one; and, with
+`verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink
+input root at every step.  A failed check never falls back to
+`run_trial`, which would hide a lockstep fault.  In GF(2^k) each verified
+equation is k uint64 bit planes (`_PlaneBasis`); prime fields keep the
+dense basis, in sub-blocks of at most `_VERIFIED_PAIRS` pairs, since a
+verified pair stays until its horizon.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
@@ -528,8 +527,7 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     computed in lockstep for a config that `engine._batchable` accepts."""
     if not _batchable(config):
         raise ValueError("run_block needs an acyclic topology without "
-                         "trace, kept kernels or overrides, and sinks with "
-                         "m inputs each when verified")
+                         "trace, kept kernels or overrides")
     st = _block_static(config.topology)
     size = stop - start
     q = config.field.q

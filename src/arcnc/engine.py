@@ -37,6 +37,10 @@ Conventions:
     also feed each other through the time-0 kernel coefficients; the
     cyclic step convolves the rest the same way and solves only that
     coupling, by substitution.
+  * A sink's decoding delay delta is the sum of its stopping rule's rank
+    deficits m - inc_t through its ACK, on every topology: d_1 + ... + d_m
+    for the kernel matrix's invariant factors z^d_i, the least valuation
+    of its m x m minors (Massey & Sain 1968; Forney 1970).
   * Lean trials keep headers alone (entries of width m), on every
     topology, and report no decoding delay.  The source symbols x_t are
     drawn in either case, so lean and verified trials consume the same
@@ -47,17 +51,15 @@ pool task, and are merged in trial order.  A block comes back as a
 `TrialBlock`, one list per per-trial quantity and one row per sink (T,
 delta) and per node (L); `CampaignSummary.absorb_block` aggregates it
 and each CSV file gets its rows as one string.  Campaigns on acyclic
-networks (no trace, kept kernels or overrides), in any field, run each
-block in lockstep with numpy (`batch.run_block`), with results equal to
-`run_trial`'s, when they are lean or, verified, when every sink has
-exactly m inputs; every other block (traced, cyclic, or verified with a
-wider sink) runs `run_trial` trial by trial and transposes the results
-with `TrialBlock.of`, which imports no numpy.
+networks (no trace, kept kernels or overrides), lean or verified, in any
+field, run each block in lockstep with numpy (`batch.run_block`), with
+results equal to `run_trial`'s; every other block (traced or cyclic)
+runs `run_trial` trial by trial and transposes the results with
+`TrialBlock.of`, which imports no numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -65,7 +67,7 @@ from functools import lru_cache, reduce
 from math import log2
 
 from .gf import Field
-from .polyalg import ToeplitzExpansion, det_valuation, toeplitz_solve
+from .polyalg import ToeplitzExpansion, toeplitz_solve
 # Not called here; perfbench's tracer resolves these two names in engine.
 from .polyalg import select_columns, sequential_decode  # noqa: F401
 from .rng import trial_rng, trial_seed
@@ -130,7 +132,8 @@ class TrialResult:
     rounds: int                 # steps until all sinks decodable (or max_rounds)
     T: dict                     # sink -> ACK time (max_rounds if never ACKed)
     T_N: int
-    delta: dict                 # sink -> decoding delay; None in lean
+    delta: dict                 # sink -> decoding delay, the summed rank
+                                # deficits before its ACK; None in lean
                                 # and failed trials
     L: dict                     # node -> constraint length
     memory_bits: dict           # node -> m * L * log2(q)
@@ -305,6 +308,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             hist[eout] = hist[ein]
 
     tes = {r: ToeplitzExpansion(fld, m, len(topo.in_edges(r))) for r in topo.sinks}
+    deficit = dict.fromkeys(topo.sinks, 0)   # sink -> sum of m - inc to now
     ack_time = {}                            # node -> step at which it ACKed
 
     def draw_coefficients(t):
@@ -411,8 +415,11 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             # determined by the received window through t, which (by the
             # shift structure of the system) keeps every later symbol
             # decodable with delay <= t even while upstream kernels of
-            # still-waiting siblings continue to grow.
-            if tes[r].extend(block(r, t)) == m:
+            # still-waiting siblings continue to grow.  The deficits m - inc
+            # through the ACK sum to the sink's decoding delay.
+            inc = tes[r].extend(block(r, t))
+            deficit[r] += m - inc
+            if inc == m:
                 ack_time[r] = t
                 if trace is not None:
                     trace.append(f"  sink {r} decodable (T={t}); ACK")
@@ -448,49 +455,20 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     # Only a verified successful trial measures the delay.
     delta = dict.fromkeys(topo.sinks)
     if success and keep_symbols:
-        # A sink's decoding delay is the summed rank deficit of the first
-        # m-column subset, in lexicographic order, of its kernel matrix
-        # whose Toeplitz expansion, fed F_0 .. F_horizon and then zero
-        # blocks up to level m * horizon, reaches increment m: the
-        # valuation of that subset's determinant.  The horizon must reach
-        # last + delta + 1 for every sink to decode two symbols, where
-        # last is the step at which the last sink stopped, so the tail
-        # grows until the delays measured on it fit.  All kernels are
-        # frozen by now, so the tail draws only source symbols; cyclic
-        # feedback still extends the (rational) global kernels.
-        #
-        # A non-zero determinant has valuation at most cap: global kernels
-        # are N(z) / p(z) with p(0) = 1 and deg N <= E * last.  On cyclic
-        # networks a subset whose determinant is zero can look non-zero,
-        # with a valuation past the horizon, in the truncated matrix; once
-        # the horizon reaches limit, a summed deficit above cap skips it.
+        # The tail runs to the horizon last + max(max delta, T_N) + 1, where
+        # last = T_N is the step at which the last sink stopped, so every
+        # sink decodes at least two symbols.  All kernels are frozen by
+        # now, so the tail draws only source symbols; cyclic feedback still
+        # extends the (rational) global kernels.
+        delta = deficit
         last = rounds - 1
-        cap = m * topo.num_edges * last
-        limit = last + cap + 1
-        target = last + max(T.values()) + 1
-        while True:
-            while t <= target:
-                advance(t, tail=True)
-                t += 1
-            horizon = t - 1
-            bound = cap if horizon >= limit else None
-            kernel = {r: [block(r, i) for i in range(t)] for r in topo.sinks}
-            for r, Fs in kernel.items():
-                c = len(topo.in_edges(r))
-                for subset in itertools.combinations(range(c), m):
-                    delta[r] = det_valuation(
-                        [[[row[j] for j in subset] for row in F] for F in Fs],
-                        fld, bound)
-                    if delta[r] is not None:
-                        break
-                else:
-                    raise EngineError(f"sink {r}: no full-rank column subset")
-            target = last + max(max(delta.values()), max(T.values())) + 1
-            if target <= horizon:
-                break
-            target = min(target, limit)
-        for r, Fs in kernel.items():
+        while t <= last + max(max(delta.values()), last) + 1:
+            advance(t, tail=True)
+            t += 1
+        horizon = t - 1
+        for r in topo.sinks:
             d = delta[r]
+            Fs = [block(r, i) for i in range(t)]
             try:
                 xhat = toeplitz_solve(
                     Fs, [[y[m] for y in hist[e]] for e in topo.in_edges(r)],
@@ -706,15 +684,10 @@ BLOCK_TRIALS = 128
 
 def _batchable(config: SimConfig) -> bool:
     """True when `batch.run_block` gives exactly `run_trial`'s results:
-    untraced trials in any field on an acyclic topology, with no kept
-    kernels and no overrides, lean or, when every sink has exactly m
-    inputs, verified."""
-    topo = config.topology
+    untraced trials, lean or verified, in any field on an acyclic
+    topology, with no kept kernels and no overrides."""
     return (not config.trace and not config.keep_kernels
-            and not config.overrides and _topo_static(topo)[0]
-            and (not config.verify_decode
-                 or all(len(topo.in_edges(r)) == topo.m
-                        for r in topo.sinks)))
+            and not config.overrides and _topo_static(config.topology)[0])
 
 
 def _run_block(args) -> TrialBlock:

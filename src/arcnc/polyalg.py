@@ -14,14 +14,11 @@ rank increment at level L is #{i : d_i <= L}, where z^d_1 .. z^d_m are
 the invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain
 1968; Forney 1970).  The engine's stopping rule reads it at the current
 level: an increment of m at level L means x_0 is determined by the
-received window through L.  det_valuation() extends an expansion with
-F_0 .. F_t and then with zero blocks up to level m*t, the largest
-valuation a non-zero m x m minor can have: the matrix has full rank iff
-some increment is m, and the rank deficits summed up to that level are
-d_1 + ... + d_m, the valuation of a square matrix's determinant.
-toeplitz_solve, the engine's decoder, extends one with the received
-symbols too and solves it.  PolyMatrix.det, select_columns and the
-adjugate decoder sequential_decode are test oracles.
+received window through L, and the rank deficits summed up to that level
+are d_1 + ... + d_m, the sink's decoding delay.  toeplitz_solve, the
+engine's decoder, extends one with the received symbols too and solves
+it.  det_valuation, PolyMatrix.det, select_columns and the adjugate
+decoder sequential_decode are test oracles.
 """
 
 from __future__ import annotations
@@ -313,14 +310,14 @@ class ToeplitzExpansion:
         return out
 
 
-def det_valuation(Fs, field: Field, max_valuation=None):
+def det_valuation(Fs, field: Field):
     """Summed rank deficits of the kernel matrix F with coefficients
     F_0 .. F_t (m x c, c >= m): the valuation of det F when F is square.
 
-    The expansion is fed F_0 .. F_t, then zero blocks up to level m*t.
-    None exactly when F lacks full row rank over the rational functions
-    (det F = 0 when square), wide F included, or, with max_valuation,
-    when the summed deficits exceed it.
+    The expansion is fed F_0 .. F_t, then zero blocks up to level m*t,
+    the largest valuation a non-zero m x m minor can have.  None exactly
+    when F lacks full row rank over the rational functions (det F = 0
+    when square), wide F included.
     """
     m = len(Fs[0])
     c = len(Fs[0][0])
@@ -333,8 +330,6 @@ def det_valuation(Fs, field: Field, max_valuation=None):
         if inc == m:
             return deficit
         deficit += m - inc
-        if max_valuation is not None and deficit > max_valuation:
-            return None
     return None
 
 

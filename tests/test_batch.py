@@ -1,5 +1,6 @@
-"""Lockstep lean blocks in every field: every result equals run_trial's,
-and campaigns take the lockstep path exactly where that holds."""
+"""Lockstep blocks, lean and verified, in every field: every result
+equals run_trial's, and campaigns take the lockstep path exactly where
+that holds."""
 
 import dataclasses
 import math
@@ -233,11 +234,12 @@ def test_average_memory_bits_add_up_in_node_order():
 
 
 def test_run_block_rejects_configs_it_does_not_reproduce():
-    # A verified trial runs in lockstep only where every sink has m inputs.
+    # Cyclic, traced and kept-kernel configs run run_trial, lean or
+    # verified.
     topo = combination_network(4, 2)
     for cfg in (_lean(two_node_cycle_network(), q=3),
-                SimConfig(topology=WIDE_SINK, field=F2),
                 SimConfig(topology=two_node_cycle_network(), field=F2),
+                SimConfig(topology=topo, field=F2, trace=True),
                 _lean(topo, keep_kernels=True), _lean(topo, trace=True)):
         with pytest.raises(ValueError):
             batch.run_block(cfg, 0, 4)
@@ -260,13 +262,17 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
     collect_campaign(_lean(topo, q=3), 5)
     assert blocks == [(0, 5)]
     blocks.clear()
-    collect_campaign(SimConfig(topology=topo, field=field_new(3)), 5)
-    assert blocks == [(0, 5)]
+    # verified, with m inputs per sink and with 33 on one sink
+    for cfg in (SimConfig(topology=topo, field=field_new(3)),
+                SimConfig(topology=WIDE_SINK, field=field_new(3))):
+        collect_campaign(cfg, 5)
+    assert blocks == [(0, 5), (0, 5)]
     blocks.clear()
     for cfg in (_lean(two_node_cycle_network(), q=3),
                 SimConfig(topology=two_node_cycle_network(),
                           field=field_new(3)),
-                SimConfig(topology=WIDE_SINK, field=field_new(3))):
+                SimConfig(topology=WIDE_SINK, field=field_new(3),
+                          trace=True)):
         collect_campaign(cfg, 5)
     assert blocks == []
 
@@ -315,11 +321,13 @@ if __name__ == "__main__":
     wide = Topology(36, tuple((0, i) for i in range(1, 34))
                     + tuple((i, 34) for i in range(1, 34))
                     + ((1, 35), (2, 35)), source=0, sinks=(34, 35), m=2)
-    verified = engine.SimConfig(topology=wide, field=field_new(3))
+    traced = engine.SimConfig(topology=wide, field=field_new(3), trace=True)
     cyclic = engine.SimConfig(topology=two_node_cycle_network(),
-                              field=field_new(3), verify_decode=False,
-                              verify_headers=False)
-    for cfg, trials in ((verified, 8), (cyclic, 40)):
+                              field=field_new(3))
+    lean_cyclic = engine.SimConfig(topology=two_node_cycle_network(),
+                                   field=field_new(3), verify_decode=False,
+                                   verify_headers=False)
+    for cfg, trials in ((traced, 8), (cyclic, 40), (lean_cyclic, 40)):
         for workers in (1, 2):
             engine.collect_campaign(cfg, trials, workers=workers)
     print("numpy" in sys.modules)
@@ -328,8 +336,8 @@ if __name__ == "__main__":
 
 def test_q3_campaigns_do_not_import_numpy(tmp_path):
     # Only the lockstep needs numpy; a pool worker that imports it grows by
-    # megabytes.  Verified campaigns with a wider sink and cyclic campaigns
-    # run run_trial blocks, and every block, in-process and in the workers,
+    # megabytes.  Traced campaigns and cyclic ones, verified or lean, run
+    # run_trial blocks, and every block, in-process and in the workers,
     # checks.
     script = tmp_path / "campaign.py"
     script.write_text(_NO_NUMPY_CAMPAIGN)
@@ -472,6 +480,30 @@ def test_verified_run_block_on_square_random_dags(m, q):
             assert any(len(topo.in_edges(v)) > 1 and topo.out_edges(v)
                        for v in range(1, topo.num_nodes))
         _check_verified(_verified(topo, q=q, base_seed=seed), 3, 63)
+
+
+# Sink 12 reads three edges; its first full-rank column pair has a
+# determinant of valuation 10 in trial 27 at base seed 202, its delay 3.
+MULTIHOP = Topology(num_nodes=13, edges=(
+    (0, 1), (0, 2), (0, 3), (1, 4), (3, 4), (1, 5), (3, 5), (1, 6), (3, 6),
+    (4, 7), (5, 7), (6, 7), (4, 8), (4, 9), (5, 9), (6, 9), (8, 10), (9, 10),
+    (8, 11), (9, 11), (7, 12), (8, 12), (9, 12)),
+    source=0, sinks=(10, 11, 12), m=2)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS)
+@pytest.mark.parametrize("topo", [_first_valid_dag(seed, m) for m in (1, 2, 3)
+                                  for seed in (0, 100)]
+                         + [MULTIHOP, WIDE_SINK],
+                         ids=[f"dag-m{m}-{seed}" for m in (1, 2, 3)
+                              for seed in (0, 100)] + ["multihop", "wide"])
+def test_verified_run_block_on_wide_sinks(topo, q):
+    # The lean tests' random DAGs, the multihop DAG and the 33-input sink:
+    # on a sink with more than m inputs the delay is the summed rank
+    # deficits too.
+    assert any(len(topo.in_edges(r)) > topo.m for r in topo.sinks)
+    _check_verified(_verified(topo, q=q, base_seed=202, max_rounds=40),
+                    0, 60)
 
 
 # Sink 4 codes onto an out-edge into sink 5, whose header check then reads

@@ -210,15 +210,11 @@ def test_decodable_equals_det_oracle(q):
         Fs = [_random_rows(rng, m, m, q) for _ in range(t + 1)]
         det = PolyMatrix.from_coeff_matrices(fld, Fs).det()
         # None exactly when det = 0; otherwise the summed rank deficits are
-        # the determinant's valuation, and a cut-off below it gives None.
+        # the determinant's valuation.
         if det.is_zero():
             assert det_valuation(Fs, fld) is None
         else:
-            v = det.valuation()
-            assert det_valuation(Fs, fld) == v
-            assert det_valuation(Fs, fld, max_valuation=v) == v
-            if v:
-                assert det_valuation(Fs, fld, max_valuation=v - 1) is None
+            assert det_valuation(Fs, fld) == det.valuation()
     # Wide kernel matrices (c = m + 1) have full rank iff some m-column
     # subset has a non-zero determinant.
     rng = random.Random(200 + q)
