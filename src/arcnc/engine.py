@@ -40,7 +40,8 @@ Conventions:
   * A sink's decoding delay delta is the sum of its stopping rule's rank
     deficits m - inc_t through its ACK, on every topology: d_1 + ... + d_m
     for the kernel matrix's invariant factors z^d_i, the least valuation
-    of its m x m minors (Massey & Sain 1968; Forney 1970).
+    of its m x m minors (Massey & Sain 1968; Forney 1970).  A verified
+    sink decodes from that same expansion, fed y_t and run on to the horizon.
   * Lean trials keep headers alone (entries of width m), on every
     topology, and report no decoding delay.  The source symbols x_t are
     drawn in either case, so lean and verified trials consume the same
@@ -67,9 +68,9 @@ from functools import lru_cache, reduce
 from math import log2
 
 from .gf import Field
-from .polyalg import ToeplitzExpansion, toeplitz_solve
-# Not called here; perfbench's tracer resolves these two names in engine.
-from .polyalg import select_columns, sequential_decode  # noqa: F401
+from .polyalg import ToeplitzExpansion
+# Not called here; perfbench's tracer resolves these three names in engine.
+from .polyalg import select_columns, sequential_decode, toeplitz_solve  # noqa: F401
 from .rng import trial_rng, trial_seed
 from .topology import Topology, disjoint_paths, eta, is_acyclic
 
@@ -397,11 +398,15 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             trace.append(f"  x_{t} = {tuple(xt)}")
         draw_coefficients(t)
         (step_acyclic if acyclic else step_cyclic)(t)
+        if keep_symbols:    # ACKed sinks' expansions run on to the decode
+            for r in sinks & ack_time.keys():
+                tes[r].extend(*block(r, t))
 
     def block(r, t):
-        """F_t of sink r: row i holds component i of each input header."""
+        """F_t (row i: component i of each input header) and y_t of sink r."""
         heads = [hist[e][t] for e in topo.in_edges(r)]
-        return [[f[i] for f in heads] for i in range(m)]
+        return ([[f[i] for f in heads] for i in range(m)],
+                [f[m] for f in heads] if keep_symbols else None)
 
     # ------------------------------------------------------------------ run
     t = 0
@@ -417,7 +422,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             # decodable with delay <= t even while upstream kernels of
             # still-waiting siblings continue to grow.  The deficits m - inc
             # through the ACK sum to the sink's decoding delay.
-            inc = tes[r].extend(block(r, t))
+            inc = tes[r].extend(*block(r, t))
             deficit[r] += m - inc
             if inc == m:
                 ack_time[r] = t
@@ -468,11 +473,8 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         horizon = t - 1
         for r in topo.sinks:
             d = delta[r]
-            Fs = [block(r, i) for i in range(t)]
             try:
-                xhat = toeplitz_solve(
-                    Fs, [[y[m] for y in hist[e]] for e in topo.in_edges(r)],
-                    m, horizon, fld)
+                xhat = tes[r].solve()
             except ValueError as exc:
                 raise EngineError(f"sink {r}: {exc}") from exc
             for j in range(m):
@@ -519,7 +521,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         avg_code_len=avg_code_len,
         avg_memory_bits=avg_memory_bits,
         trace_lines=trace,
-        final_F={r: [block(r, i) for i in range(t)] for r in topo.sinks}
+        final_F={r: [block(r, i)[0] for i in range(t)] for r in topo.sinks}
         if config.keep_kernels else None,
     )
 

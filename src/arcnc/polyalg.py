@@ -15,10 +15,10 @@ the invariant factors of the kernel matrix over F_q[[z]] (Massey & Sain
 1968; Forney 1970).  The engine's stopping rule reads it at the current
 level: an increment of m at level L means x_0 is determined by the
 received window through L, and the rank deficits summed up to that level
-are d_1 + ... + d_m, the sink's decoding delay.  toeplitz_solve, the
-engine's decoder, extends one with the received symbols too and solves
-it.  det_valuation, PolyMatrix.det, select_columns and the adjugate
-decoder sequential_decode are test oracles.
+are d_1 + ... + d_m, the sink's decoding delay.  The engine decodes
+from that same expansion, extended with the received symbols through the
+horizon; toeplitz_solve is the tests' one call for both.  det_valuation,
+PolyMatrix.det, select_columns and sequential_decode are test oracles.
 """
 
 from __future__ import annotations
@@ -419,11 +419,9 @@ class PolyMatrix:
 def toeplitz_solve(Fs, ys, m: int, horizon: int, field: Field):
     """Decode x from y(z) = x(z) F(z) by elimination on the Toeplitz system.
 
-    The engine's decoder.  Fs are the coefficient matrices F_0..F_D (m
-    rows, c >= m columns) and ys the c received streams through
-    `horizon`.  It solves the Toeplitz system's equations through the
-    horizon, so it needs no invertible column subset: a message symbol is
-    recovered exactly when the received window determines it.
+    ToeplitzExpansion's extend through `horizon` and solve in one call,
+    for the tests.  Fs are F_0..F_D (m x c, c >= m; zero blocks past D)
+    and ys the c received streams.
 
     Returns a list x[0..horizon], each entry an m-list with None in the
     positions the window leaves undetermined.  Raises ValueError if the

@@ -20,7 +20,7 @@ from arcnc.engine import (CampaignSummary, EngineError, OverrideError,
                           collect_campaign, run_trial)
 from arcnc.gf import field_new
 from arcnc.harness import fig1_override_text, parse_override_script
-from arcnc.polyalg import PolyMatrix, toeplitz_solve
+from arcnc.polyalg import PolyMatrix, ToeplitzExpansion
 from arcnc.rng import SplitMix64
 from arcnc.topology import (Topology, combination_network, random_layered_dag,
                             two_node_cycle_network, validate_multicast)
@@ -494,14 +494,41 @@ def test_node_without_out_edges_acks_at_t0():
 
 def test_verified_tail_reports_a_wrong_decode(monkeypatch):
     # A decoder that gets one determined symbol wrong must not pass.
-    def flip_one(*args):
-        xhat = toeplitz_solve(*args)
+    solve = ToeplitzExpansion.solve
+
+    def flip_one(self):
+        xhat = solve(self)
         xhat[0][0] ^= 1
         return xhat
 
-    monkeypatch.setattr(engine, "toeplitz_solve", flip_one)
+    monkeypatch.setattr(ToeplitzExpansion, "solve", flip_one)
     cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=5)
     with pytest.raises(EngineError, match="decode failure on symbol 0"):
+        run_trial(cfg, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_changed_symbol_in_the_stopping_rule_fails_the_decode(monkeypatch, q):
+    # The stopping rule's expansion takes in the received symbols and is
+    # the one the sink decodes from.  Changing y_1 on the first sink's
+    # first input as it goes in either makes the system inconsistent or
+    # changes a decoded x_s with s <= 1, which the check must catch.
+    extend = ToeplitzExpansion.extend
+    fld = field_new(q)
+    first = []                  # the first expansion extended: sinks[0]'s
+
+    def change_y1(self, F_t, y_t=None):
+        if not first:
+            first.append(self)
+        if self is first[0] and self.t == 0:
+            y_t = [fld.add(y_t[0], 1), *y_t[1:]]
+        return extend(self, F_t, y_t)
+
+    monkeypatch.setattr(ToeplitzExpansion, "extend", change_y1)
+    topo = combination_network(4, 2)
+    cfg = SimConfig(topology=topo, field=fld, base_seed=5)
+    with pytest.raises(EngineError, match=rf"sink {topo.sinks[0]}: "
+                       r"(received streams inconsistent|decode failure)"):
         run_trial(cfg, 0)
 
 
@@ -533,7 +560,8 @@ def test_benchmark_tracer_wraps_engine_names():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tracing = types.ModuleType("tracing")
     exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
-    cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=5)
+    topo = combination_network(4, 2)
+    cfg = SimConfig(topology=topo, field=F2, base_seed=5, keep_kernels=True)
     want = run_trial(cfg, 3)
     tracer = tracing.Tracer()
     tracer.install()
@@ -543,8 +571,11 @@ def test_benchmark_tracer_wraps_engine_names():
         tracer.uninstall()
     assert engine.run_trial is run_trial
     assert got == want
-    # one Toeplitz decode per sink, no cofactor algebra
-    assert tracer.counts["polyalg.toeplitz_solve"] == 6
+    # one Toeplitz expansion per sink, extended once a step through the
+    # horizon and decoded in place; no cofactor algebra
+    horizon = len(want.final_F[topo.sinks[0]]) - 1
+    assert tracer.counts["polyalg.extend"] == len(topo.sinks) * (horizon + 1)
+    assert tracer.counts["polyalg.toeplitz_solve"] == 0
     assert tracer.counts["polyalg.det"] == 0
     assert tracer.counts["polyalg.select_columns"] == 0
 
