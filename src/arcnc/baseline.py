@@ -1,18 +1,18 @@
 """One-shot RLNC baseline for field-size / delay / memory comparisons.
 
-Every coding node draws one scalar coefficient per adjacent (input, output)
-pair, uniformly over F_q; in-degree-1 relays forward their input unchanged.
-A sink succeeds when its scalar global kernel matrix has rank m.  This is
-exactly the simulator's behaviour truncated to constraint length 1, which
-is what the equivalence checks rely on.
+One-shot RLNC is the engine cut at constraint length 1: every coding node
+draws one scalar coefficient per adjacent (input, output) pair, uniformly
+over F_q, and in-degree-1 relays forward their input unchanged.  A sink
+succeeds when its scalar global kernel matrix has rank m.
 
-`rlnc_trial` is the reference: trial i draws from `rng.trial_rng(seed, i)`.
-`sink_success_fractions` runs those same trials in one numpy lockstep on
-any acyclic topology, each trial's SplitMix64 draws on its own lane, with
-the engine lockstep's array arithmetic and rejection test
-(`batch.array_field`, `batch._rejected`), and re-runs with `rlnc_trial`
-the rare trial whose draws `randint` rejects.  numpy is imported only when
-a lockstep block starts.
+Trial i draws from `rng.trial_rng(seed, i)` one coefficient per coding
+pair in the engine's draw order (see `engine`), with no source symbols
+x_0: pair p of `_topo_static`'s `coding` list takes the trial's draw
+p + 1.  `rlnc_trial` is the reference.  `sink_success_fractions` runs the
+same trials as step 0 of the engine lockstep, on `batch`'s arrays (its
+draws, header propagation and sink input roots), one numpy lane per
+trial, and re-runs with `rlnc_trial` the rare trial whose draws `randint`
+rejects.  numpy is imported only when a lockstep block starts.
 """
 
 from __future__ import annotations
@@ -36,32 +36,35 @@ class RlncResult:
 
 
 def _global_vectors(topo: Topology, field: Field, rng):
-    """Scalar global kernel vector (length m) per edge, topological order."""
+    """Scalar global kernel vector (length m) of every edge, by edge id.
+
+    Every coefficient is drawn first, in the engine's draw order (nodes by
+    id, out-edges, inputs), the source coding its virtual inputs -1..-m,
+    whose vectors are the unit vectors e_j, and relays drawing nothing.
+    The vectors then follow in a topological walk of `topo`."""
     acyclic, order = is_acyclic(topo)
     if not acyclic:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
-    m = topo.m
-    q = field.q
-    fvec = [None] * topo.num_edges
+    m, q = topo.m, field.q
+    ins = {v: topo.in_edges(v) for v in range(topo.num_nodes)}
+    ins[topo.source] = [-1 - j for j in range(m)]
+    local = {e: [rng.randint(q) for _ in ins[v]]
+             for v in range(topo.num_nodes)
+             if v == topo.source or len(ins[v]) != 1
+             for e in topo.out_edges(v)}
+    fvec = {-1 - j: [int(i == j) for i in range(m)] for j in range(m)}
     for v in order:
-        ins = topo.in_edges(v)
-        if v == topo.source:
-            for e in topo.out_edges(v):
-                fvec[e] = [rng.randint(q) for _ in range(m)]
-        elif len(ins) == 1:
-            src = fvec[ins[0]]
-            for e in topo.out_edges(v):
-                fvec[e] = list(src)
-        else:
-            for e in topo.out_edges(v):
-                acc = [0] * m
-                for ein in ins:
-                    k = rng.randint(q)
-                    if k:
-                        fe = fvec[ein]
-                        for i in range(m):
-                            acc[i] = field.add(acc[i], field.mul(k, fe[i]))
-                fvec[e] = acc
+        for e in topo.out_edges(v):
+            if e not in local:         # a relay
+                fvec[e] = fvec[ins[v][0]]
+                continue
+            acc = [0] * m
+            for k, ein in zip(local[e], ins[v]):
+                if k:
+                    fe = fvec[ein]
+                    for i in range(m):
+                        acc[i] = field.add(acc[i], field.mul(k, fe[i]))
+            fvec[e] = acc
     return fvec
 
 
@@ -86,48 +89,35 @@ _CHUNK = 1 << 12                   # trials per lockstep block
 def _success_block(topo: Topology, field: Field, seed: int, start: int,
                    stop: int):
     """Per-sink verdicts (rows in `topo.sinks` order) of the trials
-    `rlnc_trial(topo, field, seed, i)`, start <= i < stop: the walk of
-    `_global_vectors` with one numpy lane per trial.  A trial with a
-    rejected draw draws more than the walk; it is re-run with rlnc_trial."""
-    acyclic, order = is_acyclic(topo)
-    if not acyclic:
+    `rlnc_trial(topo, field, seed, i)`, start <= i < stop: step 0 of the
+    engine lockstep without x_0.  A trial with a rejected draw draws more
+    than one value per pair; it is re-run with rlnc_trial."""
+    if not is_acyclic(topo)[0]:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     import numpy as np
 
-    from .batch import _G, _mix64, _rejected, _values, array_field, \
-        trial_seeds
+    from .batch import (_G, _block_static, _mix64, _propagate, _rejected,
+                        _values, array_field, trial_seeds)
 
-    m, q = topo.m, field.q
+    m, q, B = topo.m, field.q, stop - start
     fld = array_field(q)
-    state = trial_seeds(seed, start, stop)
-    raws = []
-
-    def draw():                        # SplitMix64.next64 on every lane
-        state[:] += _G
-        raws.append(_mix64(state))
-        return _values(raws[-1], q)
-
-    zero = np.zeros((m, stop - start), dtype=np.int64)
-    fvec = [None] * topo.num_edges
-    for v in order:
-        ins = topo.in_edges(v)
-        for e in topo.out_edges(v):
-            if v == topo.source:
-                fvec[e] = np.array([draw() for _ in range(m)])
-            elif len(ins) == 1:
-                fvec[e] = fvec[ins[0]]
-            else:
-                fvec[e] = zero
-                for ein in ins:
-                    fvec[e] = fld.add(fvec[e], fld.mul(draw(), fvec[ein]))
-    # A sink's columns go one by one into an echelon basis with a slot per
-    # pivot coordinate, on all (sink, trial) lanes at once: rank m fills
-    # every slot.  Cross-multiplying clears a coordinate without inverses.
-    ins = [topo.in_edges(r) for r in topo.sinks]
-    basis = np.zeros((m, m, len(ins), stop - start), dtype=np.int64)
-    for j in range(max(map(len, ins))):
-        v = np.stack([fvec[es[j]] if j < len(es) else zero for es in ins],
-                     axis=1)                           # (m, sinks, trials)
+    st = _block_static(topo)
+    draws = np.arange(1, len(st["heads"]) + 1, dtype=np.uint64)[:, None]
+    raw = _mix64(trial_seeds(seed, start, stop) + draws * _G)
+    k = _values(raw, q)                            # (pairs, trials)
+    f = np.zeros((st["R"] + 1, m, B), dtype=np.int64)
+    src_roots, first = st["src_roots"], st["src_first"]
+    f[src_roots] = k[first:first + len(src_roots) * m].reshape(
+        len(src_roots), m, B)
+    _propagate(fld, st["conv"], [k], [f])
+    # A sink's columns, padded with the zero row R, go one by one into an
+    # echelon basis with a slot per pivot coordinate, on all (sink, trial)
+    # lanes at once: rank m fills every slot.  Cross-multiplying clears a
+    # coordinate without inverses.
+    in_roots = st["in_roots"]
+    basis = np.zeros((m, m, len(in_roots), B), dtype=np.int64)
+    for j, roots in enumerate(in_roots.T):
+        v = f[roots].transpose(1, 0, 2)            # (m, sinks, trials)
         for p in range(m):
             if j:                      # column 0 finds every slot empty
                 a = np.where(basis[p, p] != 0, basis[p, p], 1)
@@ -136,7 +126,7 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
             np.copyto(basis[p], v, where=new)
             np.copyto(v, 0, where=new)
     ok = (basis[range(m), range(m)] != 0).all(axis=0)
-    for b in np.flatnonzero(_rejected(np.array(raws), q).any(axis=0)):
+    for b in np.flatnonzero(_rejected(raw, q).any(axis=0)):
         res = rlnc_trial(topo, field, seed, start + int(b))
         ok[:, b] = [res.per_sink[r] for r in topo.sinks]
     return ok

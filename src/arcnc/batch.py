@@ -10,19 +10,20 @@ the differential tests compare each block with the `engine.TrialBlock`
 of `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
-uint64 vector.  Step t first draws the m source symbols x_t (which a lean
-trial never reads), then one coefficient for each coding pair in
-`_topo_static`'s `coding` order, counted only in trials that are still
-running and whose pair's head node had not ACKed before t.  A draw is
-`mix64(state)` after the state advances by the SplitMix64 gamma, and the
-value is the draw mod q, which is what `SplitMix64.randint(q)` returns
-unless it rejects the draw.  For q a power of two it never does.  For any
-other q, `randint` rejects a draw at or above 2^64 - (2^64 mod q) and
-draws again, so the rest of that trial's draws would shift against the
-lockstep's.  Every draw of a running trial or of a verified trial in its
-tail, x_t included, is checked with `randint`'s predicate (`_rejected`); a trial with a rejected draw is
-re-run from the start with `run_trial` and put into the block at its own
-position (trials are independent by index, so the result is the
+uint64 vector and draws in `engine`'s order: step t first draws the m
+source symbols x_t (which a lean trial never reads), then one coefficient
+for each coding pair in `_topo_static`'s `coding` order, counted only in
+trials that are still running and whose pair's head node had not ACKed
+before t.  A draw is `mix64(state)` after the state advances by the
+SplitMix64 gamma, and the value is the draw mod q, which is what
+`SplitMix64.randint(q)` returns unless it rejects the draw.  For q a
+power of two it never does.  For any other q, `randint` rejects a draw
+at or above 2^64 - (2^64 mod q) and draws again, so the rest of that
+trial's draws would shift against the lockstep's.  Every draw of a
+running trial or of a verified trial in its tail, x_t included, is
+checked with `randint`'s predicate (`_rejected`); a trial with a rejected
+draw is re-run from the start with `run_trial` and put into the block at
+its own position (trials are independent by index, so the result is the
 reference's own).  Every other trial consumes exactly the draws
 `run_trial` makes, in the same order.
 
@@ -30,7 +31,8 @@ Arithmetic.  `array_field(q)` does F_q on int64 arrays of elements in
 [0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
 gather for mul, from the q x q product table for q <= 256 and from the
 exp/log tables above (log 0 points into a zero tail of exp); inverses
-from a table.  `baseline.sink_success_fractions` uses the same helper.
+from a table.  `baseline.sink_success_fractions` runs step 0 of the
+lockstep with the same helpers.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge.  The stopping rule is
@@ -67,16 +69,17 @@ verified pair stays until its horizon.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
-the dense basis holds at most `_BASIS_ENTRIES` entries, which only sinks
-that keep failing to decode for many steps come near.  GF(2) runs the
-lean rank test with every equation a uint64 bitmask (`_BitBasis`), about
-twice as fast as the dense basis on lean GF(2) campaigns, while the
-(t+1)*m positions of step t fit in 64 bits, whatever the in-degrees.  A
-verified GF(2^k) trial needs (H+1)*m x-positions and y in 64 bits; one
-whose horizon does not fit is re-run with `run_trial` when its last sink
-ACKs.  When the rank state has no room for another step, the trials
-still running or in their tail are re-run with `run_trial`, as rejected
-ones are.
+when the rank state has no room for the m positions of another step, the
+trials still running or in their tail are re-run with `run_trial`, as
+rejected ones are.  The dense basis holds at most
+`_BASIS_ENTRIES` entries, which only sinks that keep failing to decode
+for many steps come near.  GF(2) runs the lean rank test with every
+equation a uint64 bitmask (`_BitBasis`), about twice as fast as the dense
+basis on lean GF(2) campaigns, while the (t+1)*m positions of step t fit
+in 64 bits, whatever the in-degrees.  A verified GF(2^k) row holds
+(t+1)*m x-positions beside y in 64 bits (`_PlaneBasis`), so a trial
+whose horizon H has (H+1)*m > 63 is still in its tail at the first step
+without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -637,8 +640,7 @@ def _lockstep(config, st, start: int, state):
         ack[others] = np.where(ready & (ack[others] == never), t, ack[others])
         left = waiting.any(axis=0)
         if verified:
-            _set_horizons(m, q, t, running & ~left & ~redo, delta, horizon,
-                          redo)
+            _set_horizons(t, running & ~left & ~redo, delta, horizon)
             fin = (horizon == t) & ~redo
             if fin.any():
                 _check_decoded(st, rank, fin[wt], ws, wt, xhist, delta, t,
@@ -664,16 +666,13 @@ def _propagate(fld, conv, khist, fhist):
                                   fin.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def _set_horizons(m, q, t, stopped, delta, horizon, redo):
+def _set_horizons(t, stopped, delta, horizon):
     """Set the horizon H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s,
     of the trials whose last sink ACKed at t (T_N = t): their pairs stay
-    in the rank state through step H.  In GF(2^k) a trial whose (H+1)*m
-    x-positions and y do not fit the 64-bit rows is re-run."""
+    in the rank state through step H."""
     if stopped.any():
         horizon[stopped] = t + np.maximum(delta[:, stopped].max(axis=0),
                                           t) + 1
-        if not q & (q - 1):
-            redo |= stopped & ((horizon + 1) * m + 1 > 64)
 
 
 def _check_headers(fld, st, fhist, xhist, live, start):

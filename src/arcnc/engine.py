@@ -6,11 +6,16 @@ propagate by truncated convolution, sinks test decodability each step via
 the block-Toeplitz rank condition, and acknowledgements freeze upstream
 kernel growth per edge.
 
-Determinism: a trial is fully determined by (base_seed, trial_index).
-Draws happen in a fixed order each step: first the source symbols x_t
-(component index ascending), then one coefficient per unfrozen coding
-adjacent pair, nodes in ascending id order, out-edges ascending, inputs
-ascending (the source's virtual inputs -1..-m come in that order).
+Determinism: a trial is fully determined by (base_seed, trial_index),
+and draws from the SplitMix64 stream `rng.trial_rng(base_seed,
+trial_index)` in this order, which the lockstep (`batch`) and the one-shot
+RLNC baseline (`baseline`) follow too.  Each step t draws first the
+source symbols x_t (component index ascending), then one coefficient per
+coding adjacent pair whose kernel is not frozen: nodes in ascending id
+order, out-edges ascending, inputs ascending (the source is a coding node
+over its virtual inputs -1..-m, in that order; relays draw nothing).
+`_topo_static`'s `coding` lists the pairs in this order.  A one-shot RLNC
+trial is step 0 without x_0: coding pair p takes the trial's draw p + 1.
 
 Conventions:
   * The source has m virtual input edges with ids -1..-m carrying the

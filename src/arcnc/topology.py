@@ -218,8 +218,8 @@ def _max_flow(topo: Topology, sink: int):
     """Unit-capacity max-flow source->sink by BFS augmentation.
 
     Augmenting paths explore edges in ascending id order, so the result is
-    deterministic.  Returns (flow value, set of saturated forward edges,
-    used-edge flags list).
+    deterministic.  Returns (flow value, used-edge flags list): entry e
+    is True where forward edge e carries flow.
     """
     used = [False] * topo.num_edges   # forward edge carries flow
     flow = 0

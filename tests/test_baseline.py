@@ -140,6 +140,21 @@ def test_zero_trials_rejected(m):
 # nothing, while coding node 1 sums three inputs, one of them node 3's.
 ORPHAN_INPUT = Topology(4, ((0, 1), (0, 1), (3, 1), (1, 2), (1, 2), (3, 2)),
                         source=0, sinks=(2,), m=2)
+
+
+def _relabelled(topo):
+    """topo with its non-source nodes numbered backwards, so that coding
+    nodes come in id order before the coding nodes upstream of them: the
+    engine's draw order (node ids) then differs from a topological walk."""
+    n = topo.num_nodes
+
+    def new(v):
+        return v and n - v             # the source, node 0, keeps its id
+
+    return Topology(n, tuple((new(u), new(v)) for u, v in topo.edges),
+                    source=0, sinks=tuple(map(new, topo.sinks)), m=topo.m)
+
+
 TOPOLOGIES = {
     "comb42": combination_network(4, 2),
     "comb63": combination_network(6, 3),
@@ -149,6 +164,8 @@ TOPOLOGIES = {
     **{f"dag-m{m}": random_layered_dag(SplitMix64(1), layers=3,
                                        width=2 * m + 2, m=m)
        for m in (1, 2, 3)},
+    "dag-relabelled": _relabelled(random_layered_dag(
+        SplitMix64(1), layers=4, width=4, m=2)),
 }
 
 
@@ -159,7 +176,7 @@ def _reference(topo, field, seed, start, stop):
     return [[run[r] for run in runs] for r in topo.sinks]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 256])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 256, 1 << 16])
 @pytest.mark.parametrize("name", TOPOLOGIES)
 def test_lockstep_verdicts_equal_rlnc_trial(name, q):
     topo = TOPOLOGIES[name]

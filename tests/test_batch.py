@@ -89,6 +89,9 @@ def test_run_block_falls_back_at_the_cutoff(topo, max_rounds):
 
 # q = 2 runs in the tests above.
 FIELDS = [3, 4, 5, 256]
+# Above q = 256 a product goes through the exp/log tables, not the product
+# table, and a verified row has 16 bit planes.
+BIG = 1 << 16
 
 
 def _record_reruns(monkeypatch):
@@ -99,7 +102,7 @@ def _record_reruns(monkeypatch):
     return rerun
 
 
-@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("q", FIELDS + [BIG])
 @pytest.mark.parametrize("n, m, trials", [(4, 2, 200), (6, 3, 100)])
 def test_run_block_matches_run_trial_in_every_field(n, m, trials, q):
     _check_block(_lean(combination_network(n, m), q=q, base_seed=21), 0,
@@ -459,7 +462,7 @@ def _check_verified(cfg, start, stop):
     return got
 
 
-@pytest.mark.parametrize("q", ALL_FIELDS)
+@pytest.mark.parametrize("q", ALL_FIELDS + [BIG])
 @pytest.mark.parametrize("n, m, trials", [(4, 2, 200), (6, 3, 60)])
 def test_verified_run_block_matches_run_trial(n, m, trials, q, monkeypatch):
     rerun = _record_reruns(monkeypatch)
