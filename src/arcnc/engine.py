@@ -730,12 +730,15 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     def consume(block: TrialBlock):
         summary.absorb_block(block)
         if sink_csv is not None:
-            sink_csv.write("".join(
-                f"{trial},{seed},{r},{ti},{T_N},{ok}\r\n"
-                for trial, seed, T_N, ok, Ts in zip(
-                    block.trial, block.seed, block.T_N,
-                    map(int, block.success), zip(*block.T.values()))
-                for r, ti in zip(block.T, Ts)))
+            rows = []
+            for trial, seed, T_N, ok, Ts in zip(
+                    block.trial, block.seed, block.T_N, block.success,
+                    zip(*block.T.values())):
+                # The columns a trial's sinks share are formatted once.
+                head, tail = f"{trial},{seed},", f",{T_N},{ok:d}\r\n"
+                rows += [f"{head}{r},{ti}{tail}"
+                         for r, ti in zip(block.T, Ts)]
+            sink_csv.write("".join(rows))
         if trial_csv is not None:
             trial_csv.write("".join(
                 f"{trial},{avg_T:.10g},{code_len:.10g},{bits:.10g},{rounds}\r\n"
@@ -745,11 +748,19 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
 
     lockstep = _batchable(config)
     size = BLOCK_TRIALS
-    if workers > 1:
-        # Four lockstep blocks per worker, which gain from size but hold
-        # arrays, or eight run_trial blocks, which gain from balance.
-        per = 4 if lockstep else 8
-        size = max(1, min(size, trials // (workers * per)))
+    if workers > 1 and lockstep:
+        # The fewest blocks of at most BLOCK_TRIALS trials, `per` for each
+        # worker, as even in size as possible: a lockstep block pays its
+        # numpy dispatch at every step whatever its size, about 1 ms a
+        # block on comb(6,3) at q=3 (500 lean trials took 38 ms as 9
+        # blocks of 62 and 33 ms as 4 blocks of 125, process time in one
+        # process on a 2-core shared host).
+        per = -(-trials // (workers * BLOCK_TRIALS))
+        size = -(-trials // (workers * per))
+    elif workers > 1:
+        # Eight run_trial blocks per worker, which cost nothing per block
+        # and gain from balance.
+        size = max(1, min(size, trials // (workers * 8)))
     starts = range(0, trials, size)
     tasks = ((config, i, min(i + size, trials)) for i in starts)
     workers = min(workers, len(starts))    # no idle worker processes

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcnc import engine
-from arcnc.engine import (CampaignSummary, EngineError, OverrideError,
-                          SimConfig,
+from arcnc.engine import (BLOCK_TRIALS, CampaignSummary, EngineError,
+                          OverrideError, SimConfig,
                           TRIAL_SINK_COLUMNS, TRIAL_SUMMARY_COLUMNS,
                           collect_campaign, run_trial)
 from arcnc.gf import field_new
@@ -162,8 +162,8 @@ def _reference_output(cfg, trials):
 
 
 def test_campaign_deterministic_across_workers():
-    # 300 trials make 12 lockstep blocks in the pool at 3 workers and
-    # three in-process at 1.
+    # 300 trials make three lockstep blocks of 100 in the pool at 3
+    # workers, four of 75 at 2 and three in-process (128, 128, 44) at 1.
     cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=8,
                     verify_decode=False, verify_headers=False)
     runs = [_campaign_output(cfg, 300, w) for w in (1, 2, 3)]
@@ -179,13 +179,14 @@ def _lean_config(n, m, q=2, **kw):
 
 def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
     # An in-process stand-in for multiprocessing.Pool records the pool
-    # size and starts no process.
+    # size and the (start, stop) of every block, and starts no process.
     import multiprocessing
-    sizes = []
+    sizes, blocks = [], []
 
     class Pool:
         def __init__(self, processes):
             sizes.append(processes)
+            blocks.clear()
 
         def __enter__(self):
             return self
@@ -194,6 +195,8 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
             return False
 
         def imap(self, func, tasks):
+            tasks = list(tasks)
+            blocks.extend((start, stop) for _, start, stop in tasks)
             return map(func, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", Pool)
@@ -205,6 +208,22 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
     # one block runs in-process
     assert _campaign_output(cfg, 1, workers=4) == _campaign_output(cfg, 1)
     assert sizes == [10]
+    # A lockstep campaign takes the fewest blocks of at most BLOCK_TRIALS
+    # trials, the same number for each worker.
+    assert _campaign_output(cfg, 500, workers=2) == _campaign_output(cfg, 500)
+    assert blocks == [(0, 125), (125, 250), (250, 375), (375, 500)]
+    assert (_campaign_output(cfg, 1025, workers=2)
+            == _campaign_output(cfg, 1025))
+    assert len(blocks) == 10 and blocks[-1][1] == 1025
+    assert max(stop - start for start, stop in blocks) <= BLOCK_TRIALS
+    # run_trial blocks (here cyclic) stay at eight for each worker.
+    cyclic = SimConfig(topology=two_node_cycle_network(), field=F2,
+                       base_seed=4, verify_decode=False,
+                       verify_headers=False)
+    assert (_campaign_output(cyclic, 64, workers=2)
+            == _campaign_output(cyclic, 64))
+    assert blocks == [(i, i + 4) for i in range(0, 64, 4)]
+    assert sizes == [10, 2, 2, 2]
 
 
 LEAN_52 = _lean_config(5, 2)
@@ -222,6 +241,7 @@ LEAN_53_Q3 = _lean_config(5, 3, q=3)
                  id="fallback-mixed"),
     pytest.param(LEAN_53_Q3, 60, 1, id="q3-workers1"),
     pytest.param(LEAN_53_Q3, 60, 2, id="q3-workers2"),
+    pytest.param(LEAN_53_Q3, 600, 2, id="q3-workers2-rounds"),
 ])
 def test_campaign_sizes_match_absorbed_run_trials(cfg, trials, workers):
     got = _campaign_output(cfg, trials, workers)
