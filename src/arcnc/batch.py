@@ -27,12 +27,14 @@ its own position (trials are independent by index, so the result is the
 reference's own).  Every other trial consumes exactly the draws
 `run_trial` makes, in the same order.
 
-Arithmetic.  `array_field(q)` does F_q on int64 arrays of elements in
+Arithmetic.  `array_field(q)` does F_q on integer arrays of elements in
 [0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
 gather for mul, from the q x q product table for q <= 256 and from the
 exp/log tables above (log 0 points into a zero tail of exp); inverses
-from a table.  `baseline.sink_success_fractions` runs step 0 of the
-lockstep with the same helpers.
+from a table.  Its `dtype` is the type the dense rank state is kept in:
+int32 in GF(2^k) and for primes below 2^10, int64 for larger primes.
+Headers and draws stay int64.  `baseline.sink_success_fractions` runs
+step 0 of the lockstep with the same helpers.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge.  The stopping rule is
@@ -41,11 +43,13 @@ step t puts F_t's column in front of each of the pair's c_max equations
 (zero past its inputs) and inserts them into a basis that gains m
 positions.  `_Basis`, the array form of `polyalg._RowBasis`, is dense and
 reduced-echelon: slot p holds the row whose pivot is position p, with
-value 1 there, and position p is zero in every other row.  New equations
-are reduced by one vectorized subtraction of `rows[:, pivots] @ basis`,
-then by each other; a non-zero remainder raises the rank, and its lowest
-non-zero position becomes its pivot and is cleared from the other rows.
-The ACK pass is `run_trial`'s.
+value 1 there, and position p is zero in every other row.  Every rank
+state puts the pairs last, (slots, positions, pairs) for `_Basis`, so each
+array operation runs along the long pair axis.  New equations are reduced
+by the stored rows in one product summed over the slot axis, then by each
+other; a non-zero remainder raises the rank, and its lowest non-zero
+position becomes its pivot, is cleared from the stored rows in one more
+such product, and takes slot p by a put.  The ACK pass is `run_trial`'s.
 
 Verified blocks.  The header arrays gain the symbol y at row m, and the
 m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
@@ -71,15 +75,17 @@ Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 when the rank state has no room for the m positions of another step, the
 trials still running or in their tail are re-run with `run_trial`, as
-rejected ones are.  The dense basis holds at most
-`_BASIS_ENTRIES` entries, which only sinks that keep failing to decode
-for many steps come near.  GF(2) runs the lean rank test with every
-equation a uint64 bitmask (`_BitBasis`), about twice as fast as the dense
-basis on lean GF(2) campaigns, while the (t+1)*m positions of step t fit
-in 64 bits, whatever the in-degrees.  A verified GF(2^k) row holds
-(t+1)*m x-positions beside y in 64 bits (`_PlaneBasis`), so a trial
-whose horizon H has (H+1)*m > 63 is still in its tail at the first step
-without room, and is re-run there.
+rejected ones are.  The dense basis holds at most `_BASIS_ENTRIES`
+entries, which only sinks that keep failing to decode for many steps come
+near; so a row has at most 2^10 positions, a sum of products in a prime
+field below 2^10 stays below 2^30, in int32, and a step's products hold
+at most c_max times as many entries as the basis.  GF(2) runs the lean
+rank test with every equation a uint64 bitmask (`_BitBasis`), about twice
+as fast as the dense basis on lean GF(2) campaigns, while the (t+1)*m
+positions of step t fit in 64 bits, whatever the in-degrees.  A verified
+GF(2^k) row holds (t+1)*m x-positions beside y in 64 bits
+(`_PlaneBasis`), so a trial whose horizon H has (H+1)*m > 63 is still in
+its tail at the first step without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -135,12 +141,21 @@ def trial_seeds(base_seed: int, start: int, stop: int):
 
 
 class _ArrayField:
-    """F_q on int64 arrays of elements in [0, q), with numpy broadcasting:
-    `add`, `mul`, `inv`, `dot` (the matrix product over the last two
-    axes), and the fused `submul(c, a, b)` = c - a*b and `subdot(c, a, b)`
-    = c - a @ b."""
+    """F_q on integer arrays of elements in [0, q), with numpy
+    broadcasting: `add`, `mul`, `inv`, `dot` (the matrix product over the
+    last two axes), and the fused `submul(c, a, b)` = c - a*b and
+    `subsum(c, a, b)` = c - sum_s a[s]*b[s], summed over the first axis.
+
+    `dtype` is the narrowest integer type the rank state can reduce in:
+    int32 in GF(2^k) and for primes q < 2^10, where a sum of at most 2^10
+    products stays below 2^30 (`_BASIS_ENTRIES` caps a dense row at 2^10
+    positions), and int64 for larger primes.  The tables are of `dtype`;
+    the operations take either type.
+    """
 
     def __init__(self, q: int):
+        dtype = self.dtype = np.dtype(
+            np.int64 if q & (q - 1) and q >= 1 << 10 else np.int32)
         if q & (q - 1):                # prime: products stay below 2^32
 
             def mod(a):                # a % q; int64 remainder is slower
@@ -150,9 +165,11 @@ class _ArrayField:
             self.mul = lambda a, b: mod(a * b)
             self.dot = lambda a, b: mod(a @ b)
             self.submul = lambda c, a, b: mod(c - a * b)
-            self.subdot = lambda c, a, b: mod(c - a @ b)
-            inv = np.ones(q, dtype=np.int64)
-            base, e = np.arange(q, dtype=np.int64), q - 2
+            # add.reduce would accumulate int32 in int64
+            self.subsum = lambda c, a, b: mod(
+                c - np.add.reduce(a * b, axis=0, dtype=dtype))
+            inv = np.ones(q, dtype=dtype)
+            base, e = np.arange(q, dtype=dtype), q - 2
             while e:                   # a^(p-2), square and multiply
                 if e & 1:
                     inv = mod(inv * base)
@@ -161,12 +178,12 @@ class _ArrayField:
         else:                          # GF(2^k): add is xor
             if q == 2:
                 mul = np.bitwise_and
-                inv = np.arange(2, dtype=np.int64)
+                inv = np.arange(2, dtype=dtype)
             else:
                 fld = field_new(q)
                 # log 0 points into a zero tail of exp
-                exp = np.array(fld._exp + [0] * 2 * q, dtype=np.int64)
-                log = np.array([2 * q - 2] + fld._log[1:], dtype=np.int64)
+                exp = np.array(fld._exp + [0] * 2 * q, dtype=dtype)
+                log = np.array([2 * q - 2] + fld._log[1:], dtype=dtype)
                 inv = exp[(q - 1) - log]
 
                 def mul(a, b):
@@ -174,7 +191,7 @@ class _ArrayField:
 
                 if q <= 256:           # one gather from the product table
                     k = q.bit_length() - 1
-                    elements = np.arange(q, dtype=np.int64)
+                    elements = np.arange(q, dtype=dtype)
                     prod = mul(elements[:, None], elements).ravel()
 
                     def mul(a, b):
@@ -185,7 +202,8 @@ class _ArrayField:
             self.dot = lambda a, b: np.bitwise_xor.reduce(
                 mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
             self.submul = lambda c, a, b: c ^ mul(a, b)
-            self.subdot = lambda c, a, b: c ^ self.dot(a, b)
+            self.subsum = lambda c, a, b: c ^ np.bitwise_xor.reduce(
+                mul(a, b), axis=0)
         inv[0] = 0
         self.inv = inv.__getitem__
 
@@ -274,9 +292,10 @@ def _block_static(topo):
     )
 
 
-# Most entries a dense basis holds, 8 MiB of int64.  Only sinks that keep
-# failing to decode for many steps come near it (a sink whose max-flow is
-# below m never decodes); their trials then run `run_trial`, one at a time.
+# Most entries a dense basis holds, 4 MiB in int32 (8 MiB in the int64 of
+# primes above 2^10).  Only sinks that keep failing to decode for many
+# steps come near it (a sink whose max-flow is below m never decodes);
+# their trials then run `run_trial`, one at a time.
 _BASIS_ENTRIES = 1 << 20
 
 # Most (sink, trial) pairs a verified block keeps in a dense basis at once:
@@ -286,11 +305,11 @@ _VERIFIED_PAIRS = 320
 
 class _Basis:
     """`ToeplitzExpansion` of every (sink, trial) pair in the lockstep over
-    F_q.
+    F_q, in the field's `dtype`.
 
-    `eqs` holds each input's newest equation, shape (pairs, c, positions),
-    and `basis` the reduced-echelon basis, shape (pairs, slots, positions):
-    slot p holds the row whose pivot is position p, or zero.  With
+    `eqs` holds each input's newest equation, shape (c, positions, pairs),
+    and `basis` the reduced-echelon basis, shape (slots, positions,
+    pairs): slot p holds the row whose pivot is position p, or zero.  With
     `symbols`, each row has one more position, last, for the received
     symbol y, which no pivot takes.
     """
@@ -298,18 +317,18 @@ class _Basis:
     def __init__(self, fld, N: int, c: int, symbols: bool = False):
         self.fld = fld
         self.sym = int(symbols)
-        self.eqs = np.zeros((N, c, self.sym), dtype=np.int64)
-        self.basis = np.zeros((N, 0, self.sym), dtype=np.int64)
+        self.eqs = np.zeros((c, self.sym, N), dtype=fld.dtype)
+        self.basis = np.zeros((0, self.sym, N), dtype=fld.dtype)
         self.bad = np.zeros(N, dtype=bool)
 
     def full(self, m: int) -> bool:
         """True when m more positions would take the basis past
         `_BASIS_ENTRIES`."""
-        N, P0 = self.basis.shape[:2]
+        P0, _, N = self.basis.shape
         return N * (P0 + m) * (P0 + m + self.sym) > _BASIS_ENTRIES
 
     def keep(self, pairs):
-        self.eqs, self.basis = self.eqs[pairs], self.basis[pairs]
+        self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
 
     def extend(self, F, y=None):
         """Put F_t, (c, m, pairs), in front of the first c equations, the
@@ -317,61 +336,71 @@ class _Basis:
         returns each pair's rank increment.  `bad` marks the pairs where
         an equation reduced to 0 = y != 0.
 
-        The new equations are reduced by the stored rows in one product,
-        then by each other, and their pivots cleared from the stored rows.
+        The new equations are reduced by the stored rows in one product
+        summed over the slots, then by each other, and their pivots are
+        cleared from the stored rows in one more.
         """
         fld = self.fld
         c, m, N = F.shape
-        P0 = self.basis.shape[1]
+        P0 = len(self.basis)
         P = P0 + m                     # x-positions; y follows them
-        parts = [F.transpose(2, 0, 1), self.eqs[:, :c, :P0]]
+        W = P + self.sym
+        eqs = np.empty((c, W, N), dtype=fld.dtype)
+        eqs[:, :m] = F
+        eqs[:, m:] = self.eqs[:c]      # the old y, if kept, is overwritten
         if self.sym:
-            parts.append(y.T[:, :, None])
-        eqs = self.eqs = np.concatenate(parts, axis=2)
+            eqs[:, P] = y
+        self.eqs = eqs
+        # slot P is spare: it takes the rows that find no pivot
+        basis = np.zeros((P + 1, W, N), dtype=fld.dtype)
         # stored rows are zero at the m new (highest) x-positions
-        old = np.concatenate([self.basis[:, :, :P0],
-                              np.zeros((N, P0, m), dtype=np.int64),
-                              self.basis[:, :, P0:]], axis=2)
-        rows = fld.subdot(eqs, eqs[:, :, :P0], old) if P0 else eqs
+        old = basis[:P0]
+        old[:, :P0] = self.basis[:, :P0]
+        old[:, P:] = self.basis[:, P0:]
+        rows = fld.subsum(eqs, eqs[:, :P0].swapaxes(0, 1)[:, :, None],
+                          old[:, None]) if P0 else eqs
         lanes = np.arange(N)
-        new, pivots, inc = [], [], np.zeros(N, dtype=np.intp)
+        new, pivots, slots = [], [], []
+        inc = np.zeros(N, dtype=np.intp)
         bad = self.bad = np.zeros(N, dtype=bool)
-        for r in range(c):
-            row = rows[:, r]
+        for row in rows:
             for pivot, other in zip(pivots, new):
-                row = fld.submul(row, row[lanes, pivot][:, None], other)
-            nz = row[:, :P] != 0
-            has = nz.any(axis=1)
+                row = fld.submul(row, row[pivot, lanes], other)
+            nz = row[:P] != 0
+            has = nz.any(axis=0)
             if self.sym:
-                bad |= ~has & (row[:, P] != 0)
+                bad |= ~has & (row[P] != 0)
             if not has.any():          # zero in every pair: no rank
                 continue
-            pivot = nz.argmax(axis=1)  # lowest non-zero position
-            row = fld.mul(row, fld.inv(row[lanes, pivot])[:, None])
-            new = [fld.submul(other, other[lanes, pivot][:, None], row)
+            pivot = nz.argmax(axis=0)  # lowest non-zero position
+            # a row without a pivot becomes zero: inv(0) = 0
+            row = fld.mul(row, fld.inv(row[pivot, lanes]))
+            new = [fld.submul(other, other[pivot, lanes], row)
                    for other in new]
             new.append(row)
             pivots.append(pivot)
+            slots.append(np.where(has, pivot, P))
             inc += has
-        basis = self.basis = np.concatenate(
-            [old, np.zeros((N, m, P + self.sym), dtype=np.int64)], axis=1)
         if new:
-            new, pivots = np.stack(new, axis=1), np.stack(pivots, axis=1)
-            basis[:, :P0] = fld.subdot(old, np.take_along_axis(
-                old, pivots[:, None, :], axis=2), new)
-            # A row that found no pivot is zero: it cleared nothing, and
-            # storing it at slot 0 would overwrite that slot's row.
-            n, r = np.nonzero(new.any(axis=2))
-            basis[n, pivots[n, r]] = new[n, r]
+            new = np.stack(new)
+            if P0:
+                old[:] = fld.subsum(old, old[:, np.stack(pivots), lanes]
+                                    .swapaxes(0, 1)[:, :, None],
+                                    new[:, None])
+            # row r of pair n goes to slot slots[r][n]
+            at = np.arange(W)[:, None] * N + lanes
+            np.put(basis, np.stack(slots)[:, None] * (W * N) + at, new)
+        self.basis = basis[:P]
         return inc
 
     def solved(self, pairs):
         """x at every position of the chosen pairs, (pairs, positions), and
         where the equations determine it: its slot holds the unit row."""
-        basis = self.basis[pairs]
-        P = basis.shape[1]
-        unit = (basis[:, :, :P] == np.eye(P, dtype=np.int64)).all(axis=2)
-        return basis[:, :, P], unit
+        basis = self.basis[:, :, pairs]
+        P = len(basis)
+        unit = (basis[:, :P] == np.eye(P, dtype=basis.dtype)[:, :, None]
+                ).all(axis=1)
+        return basis[:, P].T, unit.T
 
 
 # bit p of a GF(2) row is its entry at position p
@@ -677,7 +706,14 @@ def _set_horizons(t, stopped, delta, horizon):
 
 def _check_headers(fld, st, fhist, xhist, live, start):
     """y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink input root
-    of every live trial, at the step t just propagated."""
+    of every live trial, at the step t just propagated.
+
+    Where a sink input is a source out-edge, as on every combination
+    network, f_{e,i} is the source's drawn kernel and `_propagate` made
+    y_{e,t} as this same sum, so the check catches only a fault after
+    propagation there; it is independent where a coding node sits between
+    the source and the sink.  The decode check (`_check_decoded`) is the
+    end-to-end one on every topology."""
     roots = st["checked_roots"]
     m = len(xhist[0])
     # f_{e,i} and x_{t-i} at position i*m + j

@@ -400,7 +400,7 @@ def test_reduced_echelon_basis_matches_toeplitz_expansion():
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_dense_basis_matches_toeplitz_expansion(q):
-    # Each leading index of the dense arrays is one (sink, trial) rank
+    # Each last index of the dense arrays is one (sink, trial) rank
     # state.  Entries drawn from {0, 1, q - 1} on a few columns, and whole
     # zero blocks, make rank deficits common.
     field = field_new(q)
@@ -421,11 +421,91 @@ def test_dense_basis_matches_toeplitz_expansion(q):
     assert deficits > n
     # slot p holds a row with value 1 at position p, and position p is zero
     # in every other row
-    for basis in rank.basis.tolist():
+    for basis in rank.basis.transpose(2, 0, 1).tolist():
         for p, row in enumerate(basis):
             assert all(v == 0 for v in row) or row[p] == 1
             assert all(other[p] == 0 for o, other in enumerate(basis)
                        if o != p and any(basis[p]))
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_plane_basis_matches_toeplitz_expansion(q):
+    # Each last index of the bit-plane arrays is one (sink, trial) rank
+    # state with its symbols: y_t = sum_s x_s F_{t-s} of drawn x, with one
+    # symbol changed in every other case, so that some cases turn
+    # inconsistent, at some step, and others never do.
+    field = field_new(q)
+    m, c, steps, n = 2, 3, 6, 300
+    rand = SplitMix64(q)
+    pick = (0, 0, 1, q - 1)
+    cases = [[[[pick[rand.randint(4)] if j != 1 else 0 for j in range(c)]
+               for _ in range(m)] if rand.randint(4) else [[0] * c] * m
+              for _ in range(steps)] for _ in range(n)]
+    xs = [[[rand.randint(q) for _ in range(m)] for _ in range(steps)]
+          for _ in cases]
+    ys = []
+    for i, (case, x) in enumerate(zip(cases, xs)):
+        y = [[0] * c for _ in range(steps)]
+        for t in range(steps):
+            for s in range(t + 1):
+                for j in range(m):
+                    for col in range(c):
+                        y[t][col] = field.add(y[t][col], field.mul(
+                            x[s][j], case[t - s][j][col]))
+        if i % 2:
+            t, col = rand.randint(steps), rand.randint(c)
+            y[t][col] = field.add(y[t][col], 1 + rand.randint(q - 1))
+        ys.append(y)
+    rank = batch._PlaneBasis(n, c, q)
+    scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
+    for t in range(steps):
+        was = [0 in te.basis.rows for te in scalar]
+        inc = rank.extend(_columns([case[t] for case in cases]),
+                          np.array([y[t] for y in ys]).T)
+        assert inc.tolist() == [te.extend(case[t], y[t]) for te, case, y
+                                in zip(scalar, cases, ys)]
+        # `bad` marks the pairs whose equations reduced to 0 = y != 0 at
+        # this step, which the scalar basis stores at lead 0
+        now = [0 in te.basis.rows for te in scalar]
+        assert ([b for b, w in zip(rank.bad.tolist(), was) if not w]
+                == [b for b, w in zip(now, was) if not w])
+    assert 0 < sum(now) < n // 2
+    # slot p holds a row with entry 1 at position p, and position p is
+    # zero in every other row
+    k, P = q.bit_length() - 1, steps * m
+    basis = rank.basis.tolist()
+    for i in range(n):
+        rows = [[sum((basis[s][u][i] >> p & 1) << u for u in range(k))
+                 for p in range(P)] for s in range(P)]
+        for p, row in enumerate(rows):
+            assert not any(row) or row[p] == 1
+            assert not any(row) or all(other[p] == 0 for o, other in
+                                       enumerate(rows) if o != p)
+    # the consistent cases determine the x that scalar `solve` does, the
+    # drawn x where no symbol was changed
+    values, unit = rank.solved(np.ones(n, dtype=bool))
+    for i, te in enumerate(scalar):
+        if not now[i]:
+            want = [v for x in te.solve() for v in x]
+            assert [v if u else None for v, u in zip(values[i].tolist(),
+                                                    unit[i].tolist())] == want
+            assert i % 2 or all(v in (None, x) for v, x in
+                                zip(want, [x for s in xs[i] for x in s]))
+
+
+# 1021 is the largest prime below 2^10, whose dense basis reduces in int32,
+# and 1031 the smallest above, whose basis takes int64; GF(2^16) reduces
+# in int32.
+@pytest.mark.parametrize("q, dtype, verify", [
+    (1021, np.int32, False), (1021, np.int32, True),
+    (1031, np.int64, False), (1031, np.int64, True),
+    (BIG, np.int32, False)])
+def test_dense_basis_dtype_boundary(q, dtype, verify):
+    assert batch.array_field(q).dtype == dtype
+    _check_block(SimConfig(topology=combination_network(4, 2),
+                           field=field_new(q), base_seed=29,
+                           verify_decode=verify, verify_headers=verify),
+                 0, 200)
 
 
 # ---------------------------------------------------------------------------

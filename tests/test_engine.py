@@ -179,14 +179,22 @@ def _lean_config(n, m, q=2, **kw):
 
 def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
     # An in-process stand-in for multiprocessing.Pool records the pool
-    # size and the (start, stop) of every block, and starts no process.
+    # size and the (start, stop) of every block it is given, and starts no
+    # process; every block run, in the parent or the stand-in, is recorded
+    # too.
     import multiprocessing
-    sizes, blocks = [], []
+    sizes, children, ran = [], [], []
+    run_block = engine._run_block
+
+    def record(task):
+        ran.append(task[1:])
+        return run_block(task)
 
     class Pool:
         def __init__(self, processes):
             sizes.append(processes)
-            blocks.clear()
+            children.clear()
+            ran.clear()
 
         def __enter__(self):
             return self
@@ -196,34 +204,48 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
 
         def imap(self, func, tasks):
             tasks = list(tasks)
-            blocks.extend((start, stop) for _, start, stop in tasks)
+            children.extend((start, stop) for _, start, stop in tasks)
             return map(func, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(engine, "_run_block", record)
+
+    def split(cfg, trials, workers):
+        """The output at `workers` equals workers=1's, and the parent ran
+        blocks 0, w, 2w, ... beside w - 1 children, which ran the others.
+        Returns every block's (start, stop), in trial order."""
+        want = _campaign_output(cfg, trials)
+        assert _campaign_output(cfg, trials, workers=workers) == want
+        w = sizes[-1] + 1
+        assert ran[0][0] == 0 and ran[-1][1] == trials
+        assert all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+        assert [b for b in ran if b not in children] == ran[::w]
+        assert children == [b for i, b in enumerate(ran) if i % w]
+        return list(ran)
+
     cfg = _lean_config(4, 2)
-    want = _campaign_output(cfg, 10)
-    # 10 trials at 5000 workers are 10 one-trial blocks
-    assert _campaign_output(cfg, 10, workers=5000) == want
-    assert sizes == [10]
+    # 10 trials at 5000 workers are 10 one-trial blocks: the parent and 9
+    # children
+    assert split(cfg, 10, 5000) == [(i, i + 1) for i in range(10)]
+    assert sizes == [9]
     # one block runs in-process
     assert _campaign_output(cfg, 1, workers=4) == _campaign_output(cfg, 1)
-    assert sizes == [10]
+    assert sizes == [9]
     # A lockstep campaign takes the fewest blocks of at most BLOCK_TRIALS
     # trials, the same number for each worker.
-    assert _campaign_output(cfg, 500, workers=2) == _campaign_output(cfg, 500)
-    assert blocks == [(0, 125), (125, 250), (250, 375), (375, 500)]
-    assert (_campaign_output(cfg, 1025, workers=2)
-            == _campaign_output(cfg, 1025))
-    assert len(blocks) == 10 and blocks[-1][1] == 1025
+    assert split(cfg, 500, 2) == [(0, 125), (125, 250), (250, 375),
+                                  (375, 500)]
+    blocks = split(cfg, 1025, 2)
+    assert len(blocks) == 10
     assert max(stop - start for start, stop in blocks) <= BLOCK_TRIALS
+    assert len(split(cfg, 1025, 3)) == 9
+    assert sizes[-3:] == [1, 1, 2]
     # run_trial blocks (here cyclic) stay at eight for each worker.
     cyclic = SimConfig(topology=two_node_cycle_network(), field=F2,
                        base_seed=4, verify_decode=False,
                        verify_headers=False)
-    assert (_campaign_output(cyclic, 64, workers=2)
-            == _campaign_output(cyclic, 64))
-    assert blocks == [(i, i + 4) for i in range(0, 64, 4)]
-    assert sizes == [10, 2, 2, 2]
+    assert split(cyclic, 64, 2) == [(i, i + 4) for i in range(0, 64, 4)]
+    assert sizes[-1] == 1
 
 
 LEAN_52 = _lean_config(5, 2)
