@@ -49,7 +49,9 @@ array operation runs along the long pair axis.  New equations are reduced
 by the stored rows in one product summed over the slot axis, then by each
 other; a non-zero remainder raises the rank, and its lowest non-zero
 position becomes its pivot, is cleared from the stored rows in one more
-such product, and takes slot p by a put.  The ACK pass is `run_trial`'s.
+such product, and takes slot p by a put.  `_PlaneBasis` is the same
+basis bit-packed, in GF(2) and in verified GF(2^k) blocks.  The ACK pass
+is `run_trial`'s.
 
 Verified blocks.  The header arrays gain the symbol y at row m, and the
 m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
@@ -66,10 +68,10 @@ no equation reduces to 0 = y != 0; at H every x_{s,j} with s <= H -
 delta_r is determined and equals the drawn one; and, with
 `verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink
 input root at every step.  A failed check never falls back to
-`run_trial`, which would hide a lockstep fault.  In GF(2^k) each verified
-equation is k uint64 bit planes (`_PlaneBasis`); prime fields keep the
-dense basis, in sub-blocks of at most `_VERIFIED_PAIRS` pairs, since a
-verified pair stays until its horizon.
+`run_trial`, which would hide a lockstep fault.  In GF(2^k) a verified
+block keeps its equations bit-packed (`_PlaneBasis`), y at bit 63;
+prime fields keep the dense basis, in sub-blocks of at most
+`_VERIFIED_PAIRS` pairs, since a verified pair stays until its horizon.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
@@ -79,13 +81,12 @@ rejected ones are.  The dense basis holds at most `_BASIS_ENTRIES`
 entries, which only sinks that keep failing to decode for many steps come
 near; so a row has at most 2^10 positions, a sum of products in a prime
 field below 2^10 stays below 2^30, in int32, and a step's products hold
-at most c_max times as many entries as the basis.  GF(2) runs the lean
-rank test with every equation a uint64 bitmask (`_BitBasis`), about twice
-as fast as the dense basis on lean GF(2) campaigns, while the (t+1)*m
-positions of step t fit in 64 bits, whatever the in-degrees.  A verified
-GF(2^k) row holds (t+1)*m x-positions beside y in 64 bits
-(`_PlaneBasis`), so a trial whose horizon H has (H+1)*m > 63 is still in
-its tail at the first step without room, and is re-run there.
+at most c_max times as many entries as the basis.  A bit-packed row
+holds the (t+1)*m positions of step t, whatever the in-degrees: 64 in a
+lean block, 63 beside y in a verified one.  So a lean GF(2) trial runs
+bit-packed for 64 // m steps, and a verified trial whose horizon H has
+(H+1)*m > 63 is still in its tail at the first step without room, and is
+re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -142,7 +143,7 @@ def trial_seeds(base_seed: int, start: int, stop: int):
 
 class _ArrayField:
     """F_q on integer arrays of elements in [0, q), with numpy
-    broadcasting: `add`, `mul`, `inv`, `dot` (the matrix product over the
+    broadcasting: `mul`, `inv`, `dot` (the matrix product over the
     last two axes), and the fused `submul(c, a, b)` = c - a*b and
     `subsum(c, a, b)` = c - sum_s a[s]*b[s], summed over the first axis.
 
@@ -161,7 +162,6 @@ class _ArrayField:
             def mod(a):                # a % q; int64 remainder is slower
                 return a - a // q * q
 
-            self.add = lambda a, b: mod(a + b)
             self.mul = lambda a, b: mod(a * b)
             self.dot = lambda a, b: mod(a @ b)
             self.submul = lambda c, a, b: mod(c - a * b)
@@ -197,7 +197,6 @@ class _ArrayField:
                     def mul(a, b):
                         return prod[(a << k) | b]
 
-            self.add = np.bitwise_xor
             self.mul = mul
             self.dot = lambda a, b: np.bitwise_xor.reduce(
                 mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
@@ -403,81 +402,45 @@ class _Basis:
         return basis[:, P].T, unit.T
 
 
-# bit p of a GF(2) row is its entry at position p
+# bit p of a bit-packed row is its entry at position p
 _SHIFTS = np.arange(64, dtype=np.uint64)
 _BITS = (_U(1) << _SHIFTS)[:, None]
-_XBITS = ~(_U(1) << _U(63))            # every bit but a _PlaneBasis y bit
-
-
-class _BitBasis:
-    """`_Basis` over GF(2) with every row a uint64 bitmask, bit p its
-    entry at position p, so a row holds at most 64 positions.
-
-    `eqs` has shape (c, pairs) and `basis` (slots, pairs): slot p holds
-    the row whose pivot is bit p, or zero.  A row is reduced in one pass
-    by XOR with the rows whose pivot bits it has set; a non-zero
-    remainder's lowest set bit becomes its pivot and is cleared from the
-    other rows.
-    """
-
-    def __init__(self, N: int, c: int):
-        self.eqs = np.zeros((c, N), dtype=np.uint64)
-        self.basis = np.zeros((0, N), dtype=np.uint64)
-
-    def full(self, m: int) -> bool:
-        """True when m more positions would not fit a uint64 row."""
-        return len(self.basis) + m > 64
-
-    def keep(self, pairs):
-        self.eqs, self.basis = self.eqs[:, pairs], self.basis[:, pairs]
-
-    def extend(self, F):
-        """`_Basis.extend` on 0/1 entries."""
-        c, m, N = F.shape
-        eqs = self.eqs = (self.eqs[:c] << _U(m)) | np.bitwise_or.reduce(
-            F.astype(np.uint64) << _SHIFTS[:m, None], axis=1)
-        basis = self.basis = np.concatenate(
-            [self.basis, np.zeros((m, N), dtype=np.uint64)])
-        bits = _BITS[:len(basis)]
-        inc = np.zeros(N, dtype=np.intp)
-        for row in eqs:
-            row = row ^ np.bitwise_xor.reduce(basis * ((row & bits) != 0),
-                                              axis=0)
-            low = row & (~row + _U(1))
-            # XOR the remainder into slot `low` (empty) and into every row
-            # with bit `low` set, which clears it there.
-            basis ^= row * (((basis | bits) & low) != 0)
-            inc += row != 0
-        return inc
+_Y = _U(1) << _U(63)                   # the y bit of a row with symbols
+_XBITS = ~_Y
 
 
 class _PlaneBasis:
-    """`_Basis` with the symbols over GF(2^k), k >= 1, in the bitmask rows
-    of `_BitBasis`, one per bit of the entries: a row is k uint64 bit
-    planes, bit p of plane u holding bit u of the row's entry at position
-    p.  x-positions start at bit 0 and y sits at bit 63, so a row holds at
-    most 63 x-positions.
+    """`_Basis` over GF(2^k), k >= 1, with every row bit-packed: k uint64
+    bit planes, bit p of plane u holding bit u of the row's entry at
+    position p.  x-positions start at bit 0, so a row holds 64 of them;
+    with `symbols`, y sits at bit 63, beside 63 x-positions.
 
     `eqs` has shape (c, k, pairs) and `basis` (slots, k, pairs): slot p
     holds the row whose pivot is bit p, with entry 1 there, or zero.  A
     product acts on whole planes: alpha (the element 2) times a row moves
     plane u to u + 1 and folds the top plane back by the field's modulus,
     and a row times any element is Horner's rule over the element's bits.
+    In GF(2) a row is one plane and a plain bitmask.
     """
 
-    def __init__(self, N: int, c: int, q: int):
+    def __init__(self, N: int, c: int, q: int, symbols: bool = False):
         k = self.k = q.bit_length() - 1
+        self.sym = symbols
         self.inv = array_field(q).inv
         low = field_new(q).modulus ^ q     # alpha^k; its bit 0 is set
         self.fold = np.array([_MASK * (low >> u & 1) for u in range(1, k)],
                              dtype=np.uint64)[:, None]
+        self.planes = np.arange(k)[:, None, None]
+        self.weights = 1 << self.planes[:, 0]
+        self.unit = np.zeros((64, k, 1), dtype=np.uint64)
+        self.unit[:, 0] = _BITS            # bit p on plane 0 of slot p
         self.eqs = np.zeros((c, k, N), dtype=np.uint64)
         self.basis = np.zeros((0, k, N), dtype=np.uint64)
         self.bad = np.zeros(N, dtype=bool)
 
     def full(self, m: int) -> bool:
-        """True when m more x-positions would not fit beside y."""
-        return len(self.basis) + m > 63
+        """True when m more x-positions would not fit a row."""
+        return len(self.basis) + m > 64 - self.sym
 
     def keep(self, pairs):
         self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
@@ -497,50 +460,52 @@ class _PlaneBasis:
             out = self._alpha(out) ^ (x & bit[a])
         return out
 
-    def extend(self, F, y):
-        """`_Basis.extend` with the symbols; each new equation is reduced
-        by the stored rows, then stored, in turn."""
+    def extend(self, F, y=None):
+        """`_Basis.extend`; each new equation is reduced by the stored
+        rows, then stored, in turn."""
         c, m, N = F.shape
         k = self.k
-        planes = np.arange(k)[:, None, None]
+        planes = self.planes
+        # bit u of each entry, on plane u; a GF(2) entry is its own bit
+        F = (F[:, None] >> planes) & 1 if k > 1 else F[:, None]
         new = np.bitwise_or.reduce(
-            ((F[:, None] >> planes) & 1).astype(np.uint64)
-            << _SHIFTS[:m, None], axis=2)
-        new |= ((y[:, None] >> planes[:, 0]) & 1).astype(np.uint64) \
-            << _U(63)
-        eqs = self.eqs = ((self.eqs[:c] & _XBITS) << _U(m)) | new
+            F.astype(np.uint64) << _SHIFTS[:m, None], axis=2)
+        old = self.eqs[:c]
+        if self.sym:
+            new |= ((y[:, None] >> planes[:, 0]) & 1).astype(np.uint64) \
+                << _U(63)
+            old = old & _XBITS
+            bad = self.bad = np.zeros(N, dtype=bool)
+        eqs = self.eqs = (old << _U(m)) | new
         basis = self.basis = np.concatenate(
             [self.basis, np.zeros((m, k, N), dtype=np.uint64)])
-        bits = _BITS[:len(basis)]
-        weights = (1 << np.arange(k))[:, None]
+        bits = _BITS[:len(basis), None]
+        unit = self.unit[:len(basis)]
         inc = np.zeros(N, dtype=np.intp)
-        bad = self.bad = np.zeros(N, dtype=bool)
         for row in eqs:
-            # subtract each stored row times the row's entry at its pivot:
-            # sums[a] adds up the stored rows whose entry has bit a set
-            sums = np.bitwise_xor.reduce(
-                basis * ((row[:, None] & bits) != 0)[:, :, None], axis=1)
-            acc = sums[-1]
-            for a in range(k - 2, -1, -1):
-                acc = self._alpha(acc) ^ sums[a]
+            # subtract each stored row times the row's entry at its pivot,
+            # by Horner's rule over the entry's bits, top plane first
+            for a in range(k - 1, -1, -1):
+                part = np.bitwise_xor.reduce(
+                    basis * ((row[a] & bits) != 0), axis=0)
+                acc = part if a == k - 1 else self._alpha(acc) ^ part
             row = row ^ acc
-            x = np.bitwise_or.reduce(row & _XBITS, axis=0)
-            bad |= (x == 0) & np.bitwise_or.reduce(row, axis=0).astype(bool)
-            low = x & (~x + _U(1))
-            # entry 1 at the pivot `low` (a row without one becomes zero)
-            lead = (((row & low) != 0) * weights).sum(axis=0)
-            row = self._times(row, self.inv(lead))
+            x = np.bitwise_or.reduce(row, axis=0) if k > 1 else row[0]
+            if self.sym:               # only y is left: 0 = y != 0
+                bad |= x == _Y
+                x = x & _XBITS
+            low = x & -x               # the lowest set bit
+            if k > 1:                  # entry 1 at the pivot `low`
+                lead = (((row & low) != 0) * self.weights).sum(axis=0)
+                row = self._times(row, self.inv(lead))
             # Clear bit `low` from every stored row and store the row at
-            # slot `low`, which is empty: slot p takes the row times its
-            # own entry at `low`, slot `low` the row itself.
-            entry = (basis & low) != 0
-            entry[:, 0] |= (bits & low) != 0
-            shifted = [row]
-            for _ in range(k - 1):
-                shifted.append(self._alpha(shifted[-1]))
-            basis ^= np.bitwise_xor.reduce(
-                np.stack(shifted)[:, None] * entry.transpose(1, 0, 2)[
-                    :, :, None], axis=0)
+            # slot `low`, which is empty: slot p takes alpha^a times the
+            # row for each bit a of its entry at `low`, slot `low` the row.
+            hit = ((basis | unit) & low) != 0
+            for a in range(k):
+                if a:
+                    row = self._alpha(row)
+                basis ^= row * hit[:, a:a + 1]
             inc += x != 0
         return inc
 
@@ -596,12 +561,8 @@ def _lockstep(config, st, start: int, state):
     # leaves at its sink's ACK, a verified one at its trial's horizon
     ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), len(sink_nodes))
-    if not verified:
-        rank = _BitBasis(len(ws), c) if q == 2 else _Basis(fld, len(ws), c)
-    elif exact:
-        rank = _PlaneBasis(len(ws), c, q)
-    else:
-        rank = _Basis(fld, len(ws), c, symbols=True)
+    rank = _PlaneBasis(len(ws), c, q, verified) if q == 2 or (
+        verified and exact) else _Basis(fld, len(ws), c, verified)
     delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
@@ -650,7 +611,7 @@ def _lockstep(config, st, start: int, state):
         c = st["in_deg"][ws].max()
         roots = st["in_roots"][ws, :c].T
         F = f[roots[:, None], st["comps"], wt]
-        inc = rank.extend(F, f[roots, m, wt]) if verified else rank.extend(F)
+        inc = rank.extend(F, f[roots, m, wt] if verified else None)
         done = inc == m
         if verified:
             if rank.bad.any():

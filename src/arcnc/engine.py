@@ -684,8 +684,9 @@ TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
 
 
-# Most trials a campaign block holds.  A lean block runs in lockstep
-# (`batch.run_block`), whose arrays grow with the block.
+# Most trials a campaign block holds.  A block that `_batchable` accepts,
+# lean or verified, runs in lockstep (`batch.run_block`), whose arrays grow
+# with the block.
 BLOCK_TRIALS = 128
 
 

@@ -174,6 +174,15 @@ def test_gf2_trials_past_64_positions_rerun_with_run_trial(monkeypatch):
     assert rerun == list(range(8)) and not any(got.success)
 
 
+def test_lean_gf2_rows_hold_64_positions(monkeypatch):
+    # A lean row keeps bit 63 for an x-position: 32 steps of 2 positions
+    # fill it exactly, so at max_rounds 32 no trial re-runs.
+    cfg = _lean(NARROW_CUT, base_seed=2, max_rounds=32)
+    rerun = _record_reruns(monkeypatch)
+    got = _check_block(cfg, 0, 8)
+    assert rerun == [] and not any(got.success)
+
+
 def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
     assert not validate_multicast(NARROW_CUT).ok
     cfg = _lean(NARROW_CUT, q=3, base_seed=1, max_rounds=6)
@@ -363,9 +372,9 @@ def _ones(m, *cols):
 
 
 def test_reduced_echelon_basis_matches_toeplitz_expansion():
-    # Each column of the GF(2) bitmask arrays is one (sink, trial) rank
-    # state.  With m = 32, F_0's row j sits at bit j after step 0 and at
-    # bit 32 + j after step 1, and F_1's row j at bit j.
+    # Each column of the GF(2) bit-packed arrays, one plane, is one
+    # (sink, trial) rank state.  With m = 32, F_0's row j sits at bit j
+    # after step 0 and at bit 32 + j after step 1, and F_1's row j at bit j.
     m, c = 32, 2
     cases = [
         (_ones(m, {0}, {31}), _ones(m, {0}, {31})),
@@ -379,13 +388,13 @@ def test_reduced_echelon_basis_matches_toeplitz_expansion():
                       for _ in range(c)] for j in range(m)]
                     for _ in range(2)) for _ in range(40)]
     n = len(cases)
-    rank = batch._BitBasis(n, c)
+    rank = batch._PlaneBasis(n, c, 2)
     scalar = [ToeplitzExpansion(F2, m, c) for _ in cases]
     for t in range(2):
         inc = rank.extend(_columns([case[t] for case in cases]))
         assert inc.tolist() == [te.extend(case[t])
                                 for te, case in zip(scalar, cases)]
-    basis = rank.basis
+    basis = rank.basis[:, 0]
     # the first case has its pivots at bits 0 and 63
     pivots = [p for p in range(64) if basis[p, 0]]
     assert pivots == [0, 31, 32, 63]
@@ -428,7 +437,7 @@ def test_dense_basis_matches_toeplitz_expansion(q):
                        if o != p and any(basis[p]))
 
 
-@pytest.mark.parametrize("q", [4, 8])
+@pytest.mark.parametrize("q", [2, 4, 8, 2**16])
 def test_plane_basis_matches_toeplitz_expansion(q):
     # Each last index of the bit-plane arrays is one (sink, trial) rank
     # state with its symbols: y_t = sum_s x_s F_{t-s} of drawn x, with one
@@ -456,7 +465,7 @@ def test_plane_basis_matches_toeplitz_expansion(q):
             t, col = rand.randint(steps), rand.randint(c)
             y[t][col] = field.add(y[t][col], 1 + rand.randint(q - 1))
         ys.append(y)
-    rank = batch._PlaneBasis(n, c, q)
+    rank = batch._PlaneBasis(n, c, q, symbols=True)
     scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
     for t in range(steps):
         was = [0 in te.basis.rows for te in scalar]
