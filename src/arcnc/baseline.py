@@ -8,11 +8,11 @@ succeeds when its scalar global kernel matrix has rank m.
 Trial i draws from `rng.trial_rng(seed, i)` one coefficient per coding
 pair in the engine's draw order (see `engine`), with no source symbols
 x_0: pair p of `_topo_static`'s `coding` list takes the trial's draw
-p + 1.  `rlnc_trial` is the reference.  `sink_success_fractions` runs the
-same trials as step 0 of the engine lockstep, on `batch`'s arrays (its
-draws, header propagation and sink input roots), one numpy lane per
-trial, and re-runs with `rlnc_trial` the rare trial whose draws `randint`
-rejects.  numpy is imported only when a lockstep block starts.
+p + 1, its value the draw mod q.  `rlnc_trial` is the reference.
+`sink_success_fractions` runs the same trials as step 0 of the engine
+lockstep, on `batch`'s arrays (its draws, header propagation and sink
+input roots), one numpy lane per trial; every trial stays in its lane.
+numpy is imported only when a lockstep block starts.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
                    stop: int):
     """Per-sink verdicts (rows in `topo.sinks` order) of the trials
     `rlnc_trial(topo, field, seed, i)`, start <= i < stop: step 0 of the
-    engine lockstep without x_0.  A trial with a rejected draw draws more
-    than one value per pair; it is re-run with rlnc_trial."""
+    engine lockstep without x_0."""
     if not is_acyclic(topo)[0]:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     import numpy as np
 
-    from .batch import (_G, _block_static, _mix64, _propagate, _rejected,
-                        _values, array_field, trial_seeds)
+    from .batch import (_G, _block_static, _mix64, _propagate, _values,
+                        array_field, trial_seeds)
 
     m, q, B = topo.m, field.q, stop - start
     fld = array_field(q)
@@ -125,11 +124,7 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
             new = v[p] != 0
             np.copyto(basis[p], v, where=new)
             np.copyto(v, 0, where=new)
-    ok = (basis[range(m), range(m)] != 0).all(axis=0)
-    for b in np.flatnonzero(_rejected(raw, q).any(axis=0)):
-        res = rlnc_trial(topo, field, seed, start + int(b))
-        ok[:, b] = [res.per_sink[r] for r in topo.sinks]
-    return ok
+    return (basis[range(m), range(m)] != 0).all(axis=0)
 
 
 def sink_success_fractions(topo: Topology, field: Field, trials: int,

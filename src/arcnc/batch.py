@@ -15,17 +15,11 @@ source symbols x_t (which a lean trial never reads), then one coefficient
 for each coding pair in `_topo_static`'s `coding` order, counted only in
 trials that are still running and whose pair's head node had not ACKed
 before t.  A draw is `mix64(state)` after the state advances by the
-SplitMix64 gamma, and the value is the draw mod q, which is what
-`SplitMix64.randint(q)` returns unless it rejects the draw.  For q a
-power of two it never does.  For any other q, `randint` rejects a draw
-at or above 2^64 - (2^64 mod q) and draws again, so the rest of that
-trial's draws would shift against the lockstep's.  Every draw of a
-running trial or of a verified trial in its tail, x_t included, is
-checked with `randint`'s predicate (`_rejected`); a trial with a rejected
-draw is re-run from the start with `run_trial` and put into the block at
-its own position (trials are independent by index, so the result is the
-reference's own).  Every other trial consumes exactly the draws
-`run_trial` makes, in the same order.
+SplitMix64 gamma, and the value is the draw mod q, as
+`SplitMix64.randint(q)` returns it.  A lean block skips the x_t draws by
+advancing the state past them.  So every trial consumes exactly the draws
+`run_trial` makes, in the same order, and leaves the lockstep only for
+room (below).
 
 Arithmetic.  `array_field(q)` does F_q on integer arrays of elements in
 [0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
@@ -62,9 +56,9 @@ H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  On any sink
 delta_r is `run_trial`'s: the rank deficits m - inc_t of the steps
 before the ACK, summed, which is d_1 + ... + d_m for the invariant
 factors z^d_i of the kernel matrix (Massey & Sain 1968; Forney 1970).
-Tail steps draw only x_t, each checked for rejection.  Three checks, each
-an array operation, raise `EngineError` naming the trial and the sink:
-no equation reduces to 0 = y != 0; at H every x_{s,j} with s <= H -
+Tail steps draw only x_t.  Three checks, each an array operation, raise
+`EngineError` naming the trial and the sink: no equation reduces to
+0 = y != 0; at H every x_{s,j} with s <= H -
 delta_r is determined and equals the drawn one; and, with
 `verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink
 input root at every step.  A failed check never falls back to
@@ -76,17 +70,19 @@ prime fields keep the dense basis, in sub-blocks of at most
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 when the rank state has no room for the m positions of another step, the
-trials still running or in their tail are re-run with `run_trial`, as
-rejected ones are.  The dense basis holds at most `_BASIS_ENTRIES`
-entries, which only sinks that keep failing to decode for many steps come
-near; so a row has at most 2^10 positions, a sum of products in a prime
-field below 2^10 stays below 2^30, in int32, and a step's products hold
-at most c_max times as many entries as the basis.  A bit-packed row
-holds the (t+1)*m positions of step t, whatever the in-degrees: 64 in a
-lean block, 63 beside y in a verified one.  So a lean GF(2) trial runs
-bit-packed for 64 // m steps, and a verified trial whose horizon H has
-(H+1)*m > 63 is still in its tail at the first step without room, and is
-re-run there.
+trials still running or in their tail are re-run from the start with
+`run_trial` and put into the block at their own positions (trials are
+independent by index, so each result is the reference's own).  This is
+the only way a trial leaves the lockstep.  The dense basis holds at most
+`_BASIS_ENTRIES` entries for the whole block, which only sinks that keep
+failing to decode for many steps come near; so a row has at most 2^10
+positions, a sum of products in a prime field below 2^10 stays below
+2^30, in int32, and a step's products hold at most c_max times as many
+entries as the basis.  A bit-packed row holds the (t+1)*m positions of
+step t, whatever the in-degrees: 64 in a lean block, 63 beside y in a
+verified one.  So a lean GF(2) trial runs bit-packed for 64 // m steps,
+and a verified trial whose horizon H has (H+1)*m > 63 is still in its
+tail at the first step without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -122,14 +118,9 @@ def _mix64(z):
     return z ^ (z >> _U(31))
 
 
-def _rejected(raw, q: int):
-    """Where a raw draw is one that `SplitMix64.randint(q)` rejects."""
-    return raw > _MASK - (1 << 64) % q
-
-
 def _values(raw, q: int):
-    """`SplitMix64.randint(q)`'s value of each raw draw, as int64, where
-    the draw is not rejected."""
+    """`SplitMix64.randint(q)`'s value of each raw draw, raw mod q, as
+    int64; a mask for q a power of two, which is about twice as fast."""
     if q & (q - 1):
         return (raw % _U(q)).astype(np.int64)
     return (raw & _U(q - 1)).astype(np.int64)
@@ -544,7 +535,6 @@ def _lockstep(config, st, start: int, state):
     topo = config.topology
     m, q = topo.m, config.field.q
     fld = array_field(q)
-    exact = not q & (q - 1)            # a power of two: no draw rejects
     verified = config.verify_decode
     B = len(state)
     never = config.max_rounds          # run_trial's ACK time of a node that
@@ -556,43 +546,37 @@ def _lockstep(config, st, start: int, state):
     conv = st["src_conv"] + st["conv"] if verified else st["conv"]
     sink_nodes = st["sink_nodes"]
     khist, fhist, xhist = [], [], []   # kept only where conv reads them
-    redo = np.zeros(B, dtype=bool)     # trials re-run with run_trial
+    redo = np.zeros(B, dtype=bool)     # trials out of room: run_trial
     # (sink, trial) pairs and their Toeplitz rank state: a lean pair
     # leaves at its sink's ACK, a verified one at its trial's horizon
     ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), len(sink_nodes))
     rank = _PlaneBasis(len(ws), c, q, verified) if q == 2 or (
-        verified and exact) else _Basis(fld, len(ws), c, verified)
+        verified and not q & (q - 1)) else _Basis(fld, len(ws), c, verified)
     delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     t = 0
     while True:
         # trials still running or, verified, in their tail
-        live = running | ((horizon >= t) & ~redo) if verified else running
+        live = running | (horizon >= t) if verified else running
         if not live.any():
             break
         if rank.full(m):               # no room for another step
-            redo |= live
+            redo = live
             break
         # ------------------------------------------------------ draws
-        if verified or not exact:
-            xraw = _mix64(state + st["xoffsets"])
-            if not exact:
-                redo |= live & _rejected(xraw, q).any(axis=0)
+        if verified:
+            xhist.append(_values(_mix64(state + st["xoffsets"]), q))
         state += st["xstep"]
         draw = running & (ack[heads] >= t)
         count = np.cumsum(draw, axis=0, dtype=np.uint64)
-        raw = _mix64(state + count * _G)
-        if not exact:
-            redo |= (_rejected(raw, q) & draw).any(axis=0)
-        k = _values(raw, q) * draw
+        k = _values(_mix64(state + count * _G), q) * draw
         if len(heads):
             state += count[-1] * _G
         # ------------------------------------------------ propagation
         f = np.zeros((R + 1 + m * verified, m + verified, B), dtype=np.int64)
         if verified:                   # the virtual inputs: e_j, then x_t
-            xhist.append(_values(xraw, q))
             f[R + 1:, m] = xhist[t]
             if t == 0:
                 j = np.arange(m)
@@ -630,14 +614,13 @@ def _lockstep(config, st, start: int, state):
         ack[others] = np.where(ready & (ack[others] == never), t, ack[others])
         left = waiting.any(axis=0)
         if verified:
-            _set_horizons(t, running & ~left & ~redo, delta, horizon)
-            fin = (horizon == t) & ~redo
+            _set_horizons(t, running & ~left, delta, horizon)
+            fin = horizon == t
             if fin.any():
                 _check_decoded(st, rank, fin[wt], ws, wt, xhist, delta, t,
                                start)
-        running = left & ~redo & (t + 1 < config.max_rounds)
-        keep = ((running | (horizon > t)) & ~redo)[wt] if verified \
-            else ~done
+        running = left & (t + 1 < config.max_rounds)
+        keep = (running | (horizon > t))[wt] if verified else ~done
         ws, wt = ws[keep], wt[keep]
         rank.keep(keep)
         t += 1

@@ -232,11 +232,13 @@ def _trial_result_json(res) -> dict:
 
 
 def cmd_trace(args) -> int:
+    if args.max_rounds < 1:
+        raise ValueError("--max-rounds must be >= 1")
+    field = field_new(args.q)
     topo = _load_topology_arg(args)
     if not args.override:
         raise ValueError("trace needs --override SCRIPT")
     overrides = _read_overrides(args.override)
-    field = field_new(args.q)
     cfg = SimConfig(topology=topo, field=field, max_rounds=args.max_rounds,
                     base_seed=args.seed, overrides=overrides,
                     strict_overrides=True, trace=True)
@@ -281,12 +283,14 @@ def cmd_run(args) -> int:
         raise ValueError("--trials must be >= 1")
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
+    if args.max_rounds < 1:
+        raise ValueError("--max-rounds must be >= 1")
     if not args.tol > 0:
         raise ValueError("--tol must be positive")
+    field = field_new(args.q)
     topo = _load_topology_arg(args)
     if args.mode in ("rlnc", "both") and not is_acyclic(topo)[0]:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
-    field = field_new(args.q)
     overrides = _read_overrides(args.override) if args.override else None
     # Output is buffered and written only once every pass has finished, so
     # a failed campaign leaves no output directory behind.

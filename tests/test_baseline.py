@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from arcnc import baseline, batch
-from arcnc.baseline import (RlncResult, curve_rows, expected_attempts,
-                            rlnc_trial, sink_success_fractions)
+from arcnc.baseline import (curve_rows, expected_attempts, rlnc_trial,
+                            sink_success_fractions)
 from arcnc.gf import field_new
 from arcnc.rng import SplitMix64
 from arcnc.topology import (Topology, combination_network,
@@ -195,44 +195,18 @@ def test_chunks_do_not_change_fractions(monkeypatch):
     assert sink_success_fractions(topo, field, 50, seed=8) == whole
 
 
-@pytest.mark.parametrize("q", [3, 256])
-def test_rejected_trials_rerun_with_rlnc_trial(monkeypatch, q):
-    # Flag the last draw of every third trial as rejected: exactly those
-    # trials are re-run, and each re-run's verdicts (here negated, to tell
-    # them from the lockstep's) land in the trial's own column.
-    topo = combination_network(6, 3)
-    field = field_new(q)
-    want = _reference(topo, field, 3, 0, 90)
-    rerun = []
-
-    def flag(raw, q):
-        out = np.zeros(raw.shape, dtype=bool)
-        out[-1, 1::3] = True
-        return out
-
-    def negated(topo, field, seed, i):
-        rerun.append(i)
-        res = rlnc_trial(topo, field, seed, i)
-        return RlncResult({r: not ok for r, ok in res.per_sink.items()},
-                          not res.success, res.memory_bits_per_node)
-
-    monkeypatch.setattr(batch, "_rejected", flag)
-    monkeypatch.setattr(baseline, "rlnc_trial", negated)
-    got = baseline._success_block(topo, field, 3, 0, 90)
-    assert rerun == list(range(1, 90, 3))
-    for row in want:
-        row[1::3] = [not ok for ok in row[1::3]]
-    assert got.tolist() == want
-
-
-def test_rejection_predicate_matches_randint():
-    # randint(q) rejects the draws at or above 2^64 - (2^64 mod q): the
-    # top one for q = 3, the top 6 for q = 10, none for a power of two.
-    raw = np.array([0, (1 << 64) - 7, (1 << 64) - 6, (1 << 64) - 2,
-                    (1 << 64) - 1], dtype=np.uint64)
-    assert batch._rejected(raw, 3).tolist() == [0, 0, 0, 0, 1]
-    assert batch._rejected(raw, 10).tolist() == [0, 0, 1, 1, 1]
-    assert not batch._rejected(raw, 4).any()
+def test_a_value_is_one_draw_mod_q(monkeypatch):
+    # randint takes one draw per value, even the top draw 2^64 - 1, whose
+    # value at q = 3 is (2^64 - 1) % 3 = 0; the lockstep's values are the
+    # same draw mod q, in a prime field of any size.
+    draws = iter([(1 << 64) - 1, 5])
+    monkeypatch.setattr(SplitMix64, "next64", lambda self: next(draws))
+    rng = SplitMix64(0)
+    assert rng.randint(3) == 0 and rng.randint(3) == 2
+    raw = [(1 << 64) - 1, (1 << 64) - 2, 0]
+    for q in (3, 65521):
+        got = batch._values(np.array(raw, dtype=np.uint64), q)
+        assert got.tolist() == [v % q for v in raw]
 
 
 def test_expected_attempts():

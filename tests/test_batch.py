@@ -195,45 +195,6 @@ def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
     assert rerun == list(range(8))
 
 
-def test_rejected_draws_rerun_their_trials(monkeypatch):
-    # Flag one x_t draw (step 0, trial 3) and the kernel draws (step 1,
-    # trial 10) as rejected, and the same draws of a trial that stopped at
-    # step 0, which draws nothing at step 1: exactly trials 3 and 10 are
-    # re-run, each re-run's result (marked by rounds = -1, to tell it from
-    # the lockstep's) at its trial's own position.
-    cfg = _lean(combination_network(4, 2), q=3, base_seed=5)
-    want = TrialBlock.of([run_trial(cfg, i) for i in range(60)])
-    stopped = want.T_N.index(0)
-    assert want.T_N[3] > 0 and want.T_N[10] > 0
-    calls = []
-
-    def flag(raw, q):                  # x_t, then kernel draws, per step
-        out = np.zeros(raw.shape, dtype=bool)
-        step, kernel = divmod(len(calls), 2)
-        calls.append(raw.shape)
-        if (step, kernel) == (0, 0):
-            out[1, 3] = True
-        if step == 1:
-            out[0, stopped] = True
-            if kernel:
-                out[:, 10] = True
-        return out
-
-    rerun = []
-
-    def marked(config, i):
-        rerun.append(i)
-        return dataclasses.replace(run_trial(config, i), rounds=-1)
-
-    monkeypatch.setattr(batch, "_rejected", flag)
-    monkeypatch.setattr(batch, "run_trial", marked)
-    got = batch.run_block(cfg, 0, 60)
-    assert calls[:2] == [(2, 60), (8, 60)]
-    assert rerun == [3, 10]
-    want.rounds[3] = want.rounds[10] = -1
-    assert dataclasses.asdict(got) == dataclasses.asdict(want)
-
-
 def test_average_memory_bits_add_up_in_node_order():
     # At q = 3 log2 q is inexact, so m * sum(L) * log2 q / V can differ in
     # the last bit from run_trial's sum over the nodes in node order.
@@ -637,38 +598,6 @@ def test_verified_tail_runs_past_max_rounds(monkeypatch):
     got = _check_block(_verified(combination_network(4, 2), q=4,
                                  base_seed=11, max_rounds=1), 0, 100)
     assert rerun == [] and 0 < sum(got.success) < 100
-
-
-def test_verified_rejected_tail_draw_reruns_its_trial(monkeypatch):
-    # A trial with T_N = 0 has horizon 1: step 1 is its tail, which draws
-    # x_1 and no kernel coefficient.  A rejected x_1 re-runs it; flagging
-    # its (undrawn) kernel draws at step 1 re-runs nothing.
-    cfg = _verified(combination_network(4, 2), q=3, base_seed=5)
-    want = TrialBlock.of([run_trial(cfg, i) for i in range(40)])
-    tail, other = [b for b, tn in enumerate(want.T_N) if tn == 0][:2]
-    calls = []
-
-    def flag(raw, q):                  # x_t, then kernel draws, per step
-        out = np.zeros(raw.shape, dtype=bool)
-        step, kernel = divmod(len(calls), 2)
-        calls.append(raw.shape)
-        if step == 1:
-            out[:, other if kernel else tail] = True
-        return out
-
-    rerun = []
-
-    def marked(config, i):
-        rerun.append(i)
-        return dataclasses.replace(run_trial(config, i), rounds=-1)
-
-    monkeypatch.setattr(batch, "_rejected", flag)
-    monkeypatch.setattr(batch, "run_trial", marked)
-    got = batch.run_block(cfg, 0, 40)
-    assert calls[:2] == [(2, 40), (8, 40)]
-    assert rerun == [tail]
-    want.rounds[tail] = -1
-    assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 @pytest.mark.parametrize("q", [2, 4])

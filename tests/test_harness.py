@@ -344,6 +344,27 @@ def test_campaign_rejects_bad_tol_before_any_work(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("flags, message", [
+    (["--q", "6"], "6 is neither prime nor a power of 2"),
+    (["--max-rounds", "0"], "--max-rounds must be >= 1")],
+    ids=["q6", "max-rounds0"])
+@pytest.mark.parametrize("argv", [
+    ["run"], ["run", "--mode", "rlnc"], ["compare"], ["trace"]],
+    ids=["run", "run-rlnc", "compare", "trace"])
+def test_bad_field_and_max_rounds_fail_before_the_topology_loads(
+        tmp_path, monkeypatch, capsys, argv, flags, message):
+    # Building comb(16, 4) and its max-flow check takes seconds.
+    def fail(*args, **kwargs):
+        raise AssertionError("topology loaded")
+
+    monkeypatch.setattr(harness, "_load_topology_arg", fail)
+    outdir = tmp_path / "out"
+    assert run_cli(*argv, "--n", "16", "--m", "4", *flags,
+                   "--out", str(outdir)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
     (["--q", "1"], "field order 1 out of supported range"),
     (["--q", "6"], "6 is neither prime nor a power of 2"),
     (["--q", "-3"], "field order -3 out of supported range"),
