@@ -9,10 +9,13 @@ Trial i draws from `rng.trial_rng(seed, i)` one coefficient per coding
 pair in the engine's draw order (see `engine`), with no source symbols
 x_0: pair p of `_topo_static`'s `coding` list takes the trial's draw
 p + 1, its value the draw mod q.  `rlnc_trial` is the reference.
-`sink_success_fractions` runs the same trials as step 0 of the engine
-lockstep, on `batch`'s arrays (its draws, header propagation and sink
-input roots), one numpy lane per trial; every trial stays in its lane.
-numpy is imported only when a lockstep block starts.
+`sink_success_fractions` runs the same trials in the engine lockstep
+itself, `batch._lockstep` cut at one round, lean, one numpy lane per
+trial: each trial's SplitMix64 state starts m draws back, so that the m
+x_0 draws a lean step skips are none, and a sink succeeds when it ACKs
+at step 0.  A trial whose step 0 does not fit the rank state's room
+takes `rlnc_trial`'s verdicts.  numpy is imported only when a lockstep
+block starts.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
+from .engine import SimConfig
 from .gf import Field
 from .polyalg import rank_fq
 from .rng import trial_rng
@@ -83,54 +87,37 @@ def rlnc_trial(topo: Topology, field: Field, seed: int,
                       memory_bits_per_node=m * log2(field.q))
 
 
-_CHUNK = 1 << 12                   # trials per lockstep block
-
-
 def _success_block(topo: Topology, field: Field, seed: int, start: int,
                    stop: int):
     """Per-sink verdicts (rows in `topo.sinks` order) of the trials
-    `rlnc_trial(topo, field, seed, i)`, start <= i < stop: step 0 of the
-    engine lockstep without x_0."""
+    `rlnc_trial(topo, field, seed, i)`, start <= i < stop: the engine
+    lockstep cut at one round, with the x_0 draws taken back."""
     if not is_acyclic(topo)[0]:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     import numpy as np
 
-    from .batch import (_G, _block_static, _mix64, _propagate, _values,
-                        array_field, trial_seeds)
+    from .batch import _block_static, _lockstep, trial_seeds
 
-    m, q, B = topo.m, field.q, stop - start
-    fld = array_field(q)
     st = _block_static(topo)
-    draws = np.arange(1, len(st["heads"]) + 1, dtype=np.uint64)[:, None]
-    raw = _mix64(trial_seeds(seed, start, stop) + draws * _G)
-    k = _values(raw, q)                            # (pairs, trials)
-    f = np.zeros((st["R"] + 1, m, B), dtype=np.int64)
-    src_roots, first = st["src_roots"], st["src_first"]
-    f[src_roots] = k[first:first + len(src_roots) * m].reshape(
-        len(src_roots), m, B)
-    _propagate(fld, st["conv"], [k], [f])
-    # A sink's columns, padded with the zero row R, go one by one into an
-    # echelon basis with a slot per pivot coordinate, on all (sink, trial)
-    # lanes at once: rank m fills every slot.  Cross-multiplying clears a
-    # coordinate without inverses.
-    in_roots = st["in_roots"]
-    basis = np.zeros((m, m, len(in_roots), B), dtype=np.int64)
-    for j, roots in enumerate(in_roots.T):
-        v = f[roots].transpose(1, 0, 2)            # (m, sinks, trials)
-        for p in range(m):
-            if j:                      # column 0 finds every slot empty
-                a = np.where(basis[p, p] != 0, basis[p, p], 1)
-                v[p:] = fld.submul(fld.mul(a, v[p:]), v[p], basis[p, p:])
-            new = v[p] != 0
-            np.copyto(basis[p], v, where=new)
-            np.copyto(v, 0, where=new)
-    return (basis[range(m), range(m)] != 0).all(axis=0)
+    config = SimConfig(topology=topo, field=field, max_rounds=1,
+                       base_seed=seed, verify_decode=False)
+    # A lean step skips the m x_0 draws, which one-shot RLNC never makes:
+    # starting m draws back, coding pair p takes the trial's draw p + 1.
+    ack, _, redo = _lockstep(config, st, start,
+                             trial_seeds(seed, start, stop) - st["xstep"])
+    # an ACK at step 0 is a rank increment of m: F_0 has rank m
+    ok = ack[st["sink_nodes"]] == 0
+    for b in np.flatnonzero(redo).tolist():     # out of room
+        ok[:, b] = list(rlnc_trial(topo, field, seed, start + b)
+                        .per_sink.values())
+    return ok
 
 
 def sink_success_fractions(topo: Topology, field: Field, trials: int,
                            seed: int):
     """Per-sink and overall success fractions of the trials
-    `rlnc_trial(topo, field, seed, i)`, i < trials, run in lockstep.
+    `rlnc_trial(topo, field, seed, i)`, i < trials, run in lockstep, in
+    the largest blocks whose step 0 fits the dense rank state's room.
 
     Returns (per_sink fraction dict, overall fraction).
     """
@@ -138,9 +125,12 @@ def sink_success_fractions(topo: Topology, field: Field, trials: int,
         raise ValueError("trials must be >= 1")
     import numpy as np
 
+    from .batch import _room
+
+    size = max(1, _room(topo.m, topo.m) // len(topo.sinks))
     ok = np.hstack([_success_block(topo, field, seed, i,
-                                   min(i + _CHUNK, trials))
-                    for i in range(0, trials, _CHUNK)])
+                                   min(i + size, trials))
+                    for i in range(0, trials, size)])
     counts = ok.sum(axis=1).tolist()
     return ({r: c / trials for r, c in zip(topo.sinks, counts)},
             int(ok.all(axis=0).sum()) / trials)

@@ -27,8 +27,8 @@ gather for mul, from the q x q product table for q <= 256 and from the
 exp/log tables above (log 0 points into a zero tail of exp); inverses
 from a table.  Its `dtype` is the type the dense rank state is kept in:
 int32 in GF(2^k) and for primes below 2^10, int64 for larger primes.
-Headers and draws stay int64.  `baseline.sink_success_fractions` runs
-step 0 of the lockstep with the same helpers.
+Headers and draws stay int64.  `baseline.sink_success_fractions` is
+`_lockstep` itself, cut at one round.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge.  The stopping rule is
@@ -71,11 +71,12 @@ Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 when the rank state has no room for the m positions of another step, the
 trials still running or in their tail are re-run from the start with
-`run_trial` and put into the block at their own positions (trials are
-independent by index, so each result is the reference's own).  This is
-the only way a trial leaves the lockstep.  The dense basis holds at most
-`_BASIS_ENTRIES` entries for the whole block, which only sinks that keep
-failing to decode for many steps come near; so a row has at most 2^10
+`run_trial` (`baseline.rlnc_trial` in the RLNC pass) and put into the
+block at their own positions (trials are independent by index, so each
+result is the reference's own).  This is the only way a trial leaves
+the lockstep.  The dense basis holds at most `_BASIS_ENTRIES` entries
+for the whole block (`_room`), which only sinks that keep failing to
+decode for many steps come near; so a row has at most 2^10
 positions, a sum of products in a prime field below 2^10 stays below
 2^30, in int32, and a step's products hold at most c_max times as many
 entries as the basis.  A bit-packed row holds the (t+1)*m positions of
@@ -288,6 +289,13 @@ def _block_static(topo):
 # their trials then run `run_trial`, one at a time.
 _BASIS_ENTRIES = 1 << 20
 
+
+def _room(positions: int, width: int) -> int:
+    """Most (sink, trial) pairs a dense basis holds in `_BASIS_ENTRIES`
+    with `positions` slots of `width` entries each."""
+    return _BASIS_ENTRIES // (positions * width)
+
+
 # Most (sink, trial) pairs a verified block keeps in a dense basis at once:
 # its pairs stay until the horizon, so longer blocks run in sub-blocks.
 _VERIFIED_PAIRS = 320
@@ -315,7 +323,7 @@ class _Basis:
         """True when m more positions would take the basis past
         `_BASIS_ENTRIES`."""
         P0, _, N = self.basis.shape
-        return N * (P0 + m) * (P0 + m + self.sym) > _BASIS_ENTRIES
+        return N > _room(P0 + m, P0 + m + self.sym)
 
     def keep(self, pairs):
         self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
@@ -378,8 +386,8 @@ class _Basis:
                                     .swapaxes(0, 1)[:, :, None],
                                     new[:, None])
             # row r of pair n goes to slot slots[r][n]
-            at = np.arange(W)[:, None] * N + lanes
-            np.put(basis, np.stack(slots)[:, None] * (W * N) + at, new)
+            basis[np.stack(slots)[:, None], np.arange(W)[:, None],
+                  lanes] = new
         self.basis = basis[:P]
         return inc
 
@@ -530,7 +538,7 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
 
 def _lockstep(config, st, start: int, state):
     """The ACK times (nodes, trials), the summed rank deficits (sinks,
-    trials) and the trials to re-run with `run_trial`, of the trials from
+    trials) and the trials out of room, to re-run, of the trials from
     `start` on whose SplitMix64 states `state` holds (advanced in place)."""
     topo = config.topology
     m, q = topo.m, config.field.q
@@ -546,7 +554,7 @@ def _lockstep(config, st, start: int, state):
     conv = st["src_conv"] + st["conv"] if verified else st["conv"]
     sink_nodes = st["sink_nodes"]
     khist, fhist, xhist = [], [], []   # kept only where conv reads them
-    redo = np.zeros(B, dtype=bool)     # trials out of room: run_trial
+    redo = np.zeros(B, dtype=bool)     # trials out of room: re-run
     # (sink, trial) pairs and their Toeplitz rank state: a lean pair
     # leaves at its sink's ACK, a verified one at its trial's horizon
     ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
@@ -556,12 +564,9 @@ def _lockstep(config, st, start: int, state):
     delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
+    live = running                     # and, verified, trials in their tail
     t = 0
     while True:
-        # trials still running or, verified, in their tail
-        live = running | (horizon >= t) if verified else running
-        if not live.any():
-            break
         if rank.full(m):               # no room for another step
             redo = live
             break
@@ -620,7 +625,10 @@ def _lockstep(config, st, start: int, state):
                 _check_decoded(st, rank, fin[wt], ws, wt, xhist, delta, t,
                                start)
         running = left & (t + 1 < config.max_rounds)
-        keep = (running | (horizon > t))[wt] if verified else ~done
+        live = running | (horizon > t) if verified else running
+        if not live.any():
+            break
+        keep = live[wt] if verified else ~done
         ws, wt = ws[keep], wt[keep]
         rank.keep(keep)
         t += 1
