@@ -11,11 +11,12 @@ x_0: pair p of `_topo_static`'s `coding` list takes the trial's draw
 p + 1, its value the draw mod q.  `rlnc_trial` is the reference.
 `sink_success_fractions` runs the same trials in the engine lockstep
 itself, `batch._lockstep` cut at one round, lean, one numpy lane per
-trial: each trial's SplitMix64 state starts m draws back, so that the m
-x_0 draws a lean step skips are none, and a sink succeeds when it ACKs
-at step 0.  A trial whose step 0 does not fit the rank state's room
-takes `rlnc_trial`'s verdicts.  numpy is imported only when a lockstep
-block starts.
+trial, in the slices `batch._lockstep_slices` sizes: each trial's
+SplitMix64 state starts m draws back, so that the m x_0 draws a lean
+step skips are none, and a sink succeeds when it ACKs at step 0.  A
+trial whose step 0 does not fit the rank state's room takes
+`rlnc_trial`'s verdicts.  numpy is imported only when a lockstep block
+starts.
 """
 
 from __future__ import annotations
@@ -96,17 +97,17 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
     import numpy as np
 
-    from .batch import _block_static, _lockstep, trial_seeds
+    from .batch import _block_static, _lockstep_slices
 
     st = _block_static(topo)
     config = SimConfig(topology=topo, field=field, max_rounds=1,
                        base_seed=seed, verify_decode=False)
     # A lean step skips the m x_0 draws, which one-shot RLNC never makes:
     # starting m draws back, coding pair p takes the trial's draw p + 1.
-    ack, _, redo = _lockstep(config, st, start,
-                             trial_seeds(seed, start, stop) - st["xstep"])
-    # an ACK at step 0 is a rank increment of m: F_0 has rank m
-    ok = ack[st["sink_nodes"]] == 0
+    # An ACK at step 0 is a rank increment of m: F_0 has rank m.
+    ok, redo = (np.concatenate(part, axis=-1) for part in zip(*(
+        (ack[st["sink_nodes"]] == 0, out) for ack, _, out in
+        _lockstep_slices(config, st, start, stop, back=topo.m))))
     for b in np.flatnonzero(redo).tolist():     # out of room
         ok[:, b] = list(rlnc_trial(topo, field, seed, start + b)
                         .per_sink.values())
@@ -116,21 +117,13 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
 def sink_success_fractions(topo: Topology, field: Field, trials: int,
                            seed: int):
     """Per-sink and overall success fractions of the trials
-    `rlnc_trial(topo, field, seed, i)`, i < trials, run in lockstep, in
-    the largest blocks whose step 0 fits the dense rank state's room.
+    `rlnc_trial(topo, field, seed, i)`, i < trials.
 
     Returns (per_sink fraction dict, overall fraction).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    import numpy as np
-
-    from .batch import _room
-
-    size = max(1, _room(topo.m, topo.m) // len(topo.sinks))
-    ok = np.hstack([_success_block(topo, field, seed, i,
-                                   min(i + size, trials))
-                    for i in range(0, trials, size)])
+    ok = _success_block(topo, field, seed, 0, trials)
     counts = ok.sum(axis=1).tolist()
     return ({r: c / trials for r, c in zip(topo.sinks, counts)},
             int(ok.all(axis=0).sum()) / trials)

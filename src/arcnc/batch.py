@@ -64,7 +64,7 @@ delta_r is determined and equals the drawn one; and, with
 input root at every step.  A failed check never falls back to
 `run_trial`, which would hide a lockstep fault.  In GF(2^k) a verified
 block keeps its equations bit-packed (`_PlaneBasis`), y at bit 63;
-prime fields keep the dense basis, in sub-blocks of at most
+prime fields keep the dense basis, in slices of at most
 `_VERIFIED_PAIRS` pairs, since a verified pair stays until its horizon.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
@@ -74,16 +74,18 @@ trials still running or in their tail are re-run from the start with
 `run_trial` (`baseline.rlnc_trial` in the RLNC pass) and put into the
 block at their own positions (trials are independent by index, so each
 result is the reference's own).  This is the only way a trial leaves
-the lockstep.  The dense basis holds at most `_BASIS_ENTRIES` entries
-for the whole block (`_room`), which only sinks that keep failing to
-decode for many steps come near; so a row has at most 2^10
-positions, a sum of products in a prime field below 2^10 stays below
-2^30, in int32, and a step's products hold at most c_max times as many
-entries as the basis.  A bit-packed row holds the (t+1)*m positions of
-step t, whatever the in-degrees: 64 in a lean block, 63 beside y in a
-verified one.  So a lean GF(2) trial runs bit-packed for 64 // m steps,
-and a verified trial whose horizon H has (H+1)*m > 63 is still in its
-tail at the first step without room, and is re-run there.
+the lockstep.  A block runs in slices (`_lockstep_slices`) whose step 0
+keeps its per-trial arrays (ACK times, draws, headers, F_0) within
+`_BASIS_ENTRIES` entries, and the dense basis holds at most as many for
+the whole slice, which only sinks that keep failing to decode for many
+steps come near; so a row has at most 2^10 positions, a sum of products
+in a prime field below 2^10 stays below 2^30, in int32, and a step's
+products hold at most c_max times as many entries as the basis.  A
+bit-packed row holds the (t+1)*m positions of step t, whatever the
+in-degrees: 64 in a lean block, 63 beside y in a verified one.  So a
+lean GF(2) trial runs bit-packed for 64 // m steps, and a verified
+trial whose horizon H has (H+1)*m > 63 is still in its tail at the
+first step without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -284,20 +286,13 @@ def _block_static(topo):
 
 
 # Most entries a dense basis holds, 4 MiB in int32 (8 MiB in the int64 of
-# primes above 2^10).  Only sinks that keep failing to decode for many
-# steps come near it (a sink whose max-flow is below m never decodes);
-# their trials then run `run_trial`, one at a time.
+# primes above 2^10), and most a slice's step 0 holds in its per-trial
+# arrays.  Only sinks that keep failing to decode for many steps bring a
+# basis near it; their trials are then re-run, one at a time.
 _BASIS_ENTRIES = 1 << 20
 
-
-def _room(positions: int, width: int) -> int:
-    """Most (sink, trial) pairs a dense basis holds in `_BASIS_ENTRIES`
-    with `positions` slots of `width` entries each."""
-    return _BASIS_ENTRIES // (positions * width)
-
-
 # Most (sink, trial) pairs a verified block keeps in a dense basis at once:
-# its pairs stay until the horizon, so longer blocks run in sub-blocks.
+# its pairs stay until the horizon, so longer blocks run in more slices.
 _VERIFIED_PAIRS = 320
 
 
@@ -323,7 +318,7 @@ class _Basis:
         """True when m more positions would take the basis past
         `_BASIS_ENTRIES`."""
         P0, _, N = self.basis.shape
-        return N > _room(P0 + m, P0 + m + self.sym)
+        return N * (P0 + m) * (P0 + m + self.sym) > _BASIS_ENTRIES
 
     def keep(self, pairs):
         self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
@@ -525,15 +520,27 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
         raise ValueError("run_block needs an acyclic topology without "
                          "trace, kept kernels or overrides")
     st = _block_static(config.topology)
-    size = stop - start
-    q = config.field.q
+    ack, delta, redo = (np.concatenate(part, axis=-1) for part in zip(
+        *_lockstep_slices(config, st, start, stop)))
+    seeds = trial_seeds(config.base_seed, start, stop).tolist()
+    return _block(config, st, start, seeds, ack, delta, redo)
+
+
+def _lockstep_slices(config, st, start: int, stop: int, back: int = 0):
+    """`_lockstep` of the trials start..stop-1 of `config`, their states
+    moved `back` draws back, in the slices Room (above) sizes, in order."""
+    topo = config.topology
+    m, q = topo.m, config.field.q
+    v = int(config.verify_decode)
+    per = (topo.num_nodes + len(st["heads"]) + (st["R"] + 1 + m * v) * (m + v)
+           + len(st["sinks"]) * st["c_max"] * m)
+    size = max(1, _BASIS_ENTRIES // per)
     if config.verify_decode and q & (q - 1):
-        size = max(1, _VERIFIED_PAIRS // len(st["sinks"]))
-    seeds = trial_seeds(config.base_seed, start, stop)
-    ack, delta, redo = (np.concatenate(part, axis=-1) for part in zip(*(
-        _lockstep(config, st, start + i, seeds[i:i + size].copy())
-        for i in range(0, stop - start, size))))
-    return _block(config, st, start, seeds.tolist(), ack, delta, redo)
+        size = max(1, min(size, _VERIFIED_PAIRS // len(st["sinks"])))
+    back = _U(back * _GAMMA & _MASK)
+    for i in range(start, stop, size):
+        yield _lockstep(config, st, i, trial_seeds(
+            config.base_seed, i, min(i + size, stop)) - back)
 
 
 def _lockstep(config, st, start: int, state):

@@ -185,36 +185,38 @@ def test_lockstep_verdicts_equal_rlnc_trial(name, q):
     assert got.tolist() == _reference(topo, field, 11, 5, 205)
 
 
-def _spy_blocks(monkeypatch):
-    """The (start, stop) of every `_success_block` call, in order."""
-    blocks = []
-    block = baseline._success_block
+def _spy_slices(monkeypatch):
+    """The (start, stop) of every `batch._lockstep` call, in order."""
+    slices = []
+    real = batch._lockstep
 
-    def spy(topo, field, seed, start, stop):
-        blocks.append((start, stop))
-        return block(topo, field, seed, start, stop)
+    def spy(config, st, start, state):
+        slices.append((start, start + len(state)))
+        return real(config, st, start, state)
 
-    monkeypatch.setattr(baseline, "_success_block", spy)
-    return blocks
+    monkeypatch.setattr(batch, "_lockstep", spy)
+    return slices
 
 
 def test_chunks_do_not_change_fractions(monkeypatch):
-    # 50 trials in blocks of 7 (the last one short) give the fractions of
-    # one block of 50.  A butterfly trial's step 0 takes 2 sinks x m^2 = 8
-    # entries of the dense rank state, so a room of 56 holds 7 trials.
+    # 50 trials in slices of 7 (the last one short) give the fractions of
+    # one slice of 50.  A butterfly trial's step 0 takes 29 entries in its
+    # per-trial arrays (7 ACK times, 6 draws, 4 x m headers, 2 sinks x 2
+    # inputs x m of F_0), so 7 x 29 entries hold 7 trials.
     topo = BUTTERFLY
     field = field_new(3)
     whole = sink_success_fractions(topo, field, 50, seed=8)
-    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 7 * 8)
-    blocks = _spy_blocks(monkeypatch)
+    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 7 * 29)
+    slices = _spy_slices(monkeypatch)
     assert sink_success_fractions(topo, field, 50, seed=8) == whole
-    assert blocks == [(i, min(i + 7, 50)) for i in range(0, 50, 7)]
+    assert slices == [(i, min(i + 7, 50)) for i in range(0, 50, 7)]
 
 
 def test_trials_out_of_room_take_rlnc_trial(monkeypatch):
-    # With room for 7 entries, not even one butterfly trial's step 0 (8
-    # entries) fits at q = 3: each trial runs alone, leaves the lockstep
-    # and takes rlnc_trial's verdicts, never the engine's run_trial.
+    # With room for 7 entries, not even one butterfly trial's step 0 (2
+    # sinks x m^2 = 8 entries of the dense basis) fits at q = 3: each trial
+    # runs alone, leaves the lockstep and takes rlnc_trial's verdicts,
+    # never the engine's run_trial.
     topo = BUTTERFLY
     field = field_new(3)
     results = [rlnc_trial(topo, field, 8, i) for i in range(30)]
@@ -224,12 +226,12 @@ def test_trials_out_of_room_take_rlnc_trial(monkeypatch):
 
     monkeypatch.setattr(batch, "run_trial", fail)
     monkeypatch.setattr(batch, "_BASIS_ENTRIES", 7)
-    blocks = _spy_blocks(monkeypatch)
+    slices = _spy_slices(monkeypatch)
     fracs, overall = sink_success_fractions(topo, field, 30, seed=8)
     assert fracs == {r: sum(res.per_sink[r] for res in results) / 30
                      for r in topo.sinks}
     assert overall == sum(res.success for res in results) / 30
-    assert blocks == [(i, i + 1) for i in range(30)]
+    assert slices == [(i, i + 1) for i in range(30)]
 
 
 def test_a_value_is_one_draw_mod_q(monkeypatch):
