@@ -76,11 +76,16 @@ block at their own positions (trials are independent by index, so each
 result is the reference's own).  This is the only way a trial leaves
 the lockstep.  A block runs in slices (`_lockstep_slices`) whose step 0
 keeps its per-trial arrays (ACK times, draws, headers, F_0) within
-`_BASIS_ENTRIES` entries, and the dense basis holds at most as many for
-the whole slice, which only sinks that keep failing to decode for many
-steps come near; so a row has at most 2^10 positions, a sum of products
-in a prime field below 2^10 stays below 2^30, in int32, and a step's
-products hold at most c_max times as many entries as the basis.  A
+`_BASIS_ENTRIES` entries.  A lean slice holds at most
+`engine._lean_block_trials` trials, a lean campaign block's size, which
+the RLNC pass takes too; in a dense basis it starts with at most
+`_BASIS_ENTRIES // (4 m^2)` (sink, trial) pairs, so that step 1's 2m
+positions fit even if no pair ACKed at step 0.  The dense basis holds at
+most `_BASIS_ENTRIES` entries for the whole slice, which only sinks that
+keep failing to decode for many steps come near; so a row has at most
+2^10 positions, a sum of products in a prime field below 2^10 stays
+below 2^30, in int32, and a step's products hold at most c_max times as
+many entries as the basis.  A
 bit-packed row holds the (t+1)*m positions of step t, whatever the
 in-degrees: 64 in a lean block, 63 beside y in a verified one.  So a
 lean GF(2) trial runs bit-packed for 64 // m steps, and a verified
@@ -101,9 +106,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .engine import (EngineError, TrialBlock, _batchable, _topo_static,
-                     run_trial)
-from .gf import field_new
+from .engine import (EngineError, TrialBlock, _batchable,
+                     _lean_block_trials, _topo_static, run_trial)
+from .gf import DEFAULT_MODULI, field_new
 from .rng import _GAMMA, _MASK, mix64
 
 __all__ = ["array_field", "run_block", "trial_seeds"]
@@ -421,7 +426,7 @@ class _PlaneBasis:
         k = self.k = q.bit_length() - 1
         self.sym = symbols
         self.inv = array_field(q).inv
-        low = field_new(q).modulus ^ q     # alpha^k; its bit 0 is set
+        low = DEFAULT_MODULI[k] ^ q        # alpha^k; its bit 0 is set
         self.fold = np.array([_MASK * (low >> u & 1) for u in range(1, k)],
                              dtype=np.uint64)[:, None]
         self.planes = np.arange(k)[:, None, None]
@@ -532,11 +537,18 @@ def _lockstep_slices(config, st, start: int, stop: int, back: int = 0):
     topo = config.topology
     m, q = topo.m, config.field.q
     v = int(config.verify_decode)
+    sinks = len(st["sinks"])
     per = (topo.num_nodes + len(st["heads"]) + (st["R"] + 1 + m * v) * (m + v)
-           + len(st["sinks"]) * st["c_max"] * m)
-    size = max(1, _BASIS_ENTRIES // per)
-    if config.verify_decode and q & (q - 1):
-        size = max(1, min(size, _VERIFIED_PAIRS // len(st["sinks"])))
+           + sinks * st["c_max"] * m)
+    size = _BASIS_ENTRIES // per
+    if config.verify_decode:
+        if q & (q - 1):
+            size = min(size, _VERIFIED_PAIRS // sinks)
+    else:
+        size = min(size, _lean_block_trials(topo))
+        if q != 2:     # dense: step 1's 2m positions fit, ACKs or not
+            size = min(size, _BASIS_ENTRIES // (4 * m * m * sinks))
+    size = max(1, size)
     back = _U(back * _GAMMA & _MASK)
     for i in range(start, stop, size):
         yield _lockstep(config, st, i, trial_seeds(

@@ -684,10 +684,27 @@ TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
 
 
-# Most trials a campaign block holds.  A block that `_batchable` accepts,
-# lean or verified, runs in lockstep (`batch.run_block`), whose arrays grow
-# with the block.
+# Most trials a verified or `run_trial` campaign block holds, and fewest a
+# lean lockstep block may hold.
 BLOCK_TRIALS = 128
+
+# Sink equation entries (sinks x c_max x m per trial, c_max the largest
+# sink in-degree) a lean lockstep block holds, if that is more than
+# BLOCK_TRIALS trials.  A lockstep step pays a fixed numpy cost whatever
+# the block's size, and its work grows with these entries, not with the
+# trials.  2^17 makes 728 trials on comb(6,3), 1,170 on comb(8,2) and 128
+# on comb(10,3) or wider; against 128-trial blocks, lean campaigns took
+# 1.1-2.0x less process time on the narrow shapes measured and 0.99-1.2x
+# on the wide ones (a 2-core shared host, outputs equal).
+BLOCK_ENTRIES = 1 << 17
+
+
+def _lean_block_trials(topo: Topology) -> int:
+    """Most trials a lean lockstep block on `topo` holds, in a campaign
+    block and in `batch`'s slices of one (the RLNC pass's too)."""
+    c_max = max(len(topo.in_edges(r)) for r in topo.sinks)
+    return max(BLOCK_TRIALS,
+               BLOCK_ENTRIES // (len(topo.sinks) * c_max * topo.m))
 
 
 def _batchable(config: SimConfig) -> bool:
@@ -748,22 +765,29 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
                     block.avg_memory_bits, block.rounds)))
 
     lockstep = _batchable(config)
-    size = BLOCK_TRIALS
-    if workers > 1 and lockstep:
-        # The fewest blocks of at most BLOCK_TRIALS trials, `per` for each
-        # worker, as even in size as possible: a lockstep block pays its
-        # numpy dispatch at every step whatever its size, about 1 ms a
-        # block on comb(6,3) at q=3 (500 lean trials took 38 ms as 9
-        # blocks of 62 and 33 ms as 4 blocks of 125, process time in one
-        # process on a 2-core shared host).
-        per = -(-trials // (workers * BLOCK_TRIALS))
-        size = -(-trials // (workers * per))
-    elif workers > 1:
+    if lockstep:
+        # The fewest blocks of at most the lockstep's size, even in size,
+        # since a lockstep block pays numpy's fixed cost at every step
+        # whatever its size; their count is a multiple of `workers` if
+        # more than one.  A lean campaign of one block forks no child: a
+        # child takes about 2.5 ms to start and a thousand copy-on-write
+        # faults in the parent, more than one lean block's share saves.
+        # A verified trial costs ten times a lean one, so a verified
+        # campaign always splits among the workers.
+        verified = config.verify_decode
+        blocks = -(-trials // (BLOCK_TRIALS if verified
+                               else _lean_block_trials(topo)))
+        if blocks > 1 or verified:
+            blocks = min(trials, blocks + -blocks % workers)
+        bounds = [trials * i // blocks for i in range(blocks + 1)]
+    else:
         # Eight run_trial blocks per worker, which cost nothing per block
         # and gain from balance.
-        size = max(1, min(size, trials // (workers * 8)))
-    tasks = [(config, i, min(i + size, trials))
-             for i in range(0, trials, size)]
+        size = BLOCK_TRIALS
+        if workers > 1:
+            size = max(1, min(size, trials // (workers * 8)))
+        bounds = [*range(0, trials, size), trials]
+    tasks = [(config, i, j) for i, j in zip(bounds, bounds[1:])]
     workers = min(workers, len(tasks))     # no idle worker processes
     if workers <= 1:
         for block in map(_run_block, tasks):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arcnc import baseline, batch
+from arcnc import baseline, batch, engine
 from arcnc.baseline import (curve_rows, expected_attempts, rlnc_trial,
                             sink_success_fractions)
 from arcnc.gf import field_new
@@ -202,14 +202,23 @@ def test_chunks_do_not_change_fractions(monkeypatch):
     # 50 trials in slices of 7 (the last one short) give the fractions of
     # one slice of 50.  A butterfly trial's step 0 takes 29 entries in its
     # per-trial arrays (7 ACK times, 6 draws, 4 x m headers, 2 sinks x 2
-    # inputs x m of F_0), so 7 x 29 entries hold 7 trials.
+    # inputs x m of F_0), and its 2 sinks' dense basis takes 2 x (2m)^2 =
+    # 32 at step 1, so 7 x 32 entries hold 7 trials.
     topo = BUTTERFLY
     field = field_new(3)
     whole = sink_success_fractions(topo, field, 50, seed=8)
-    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 7 * 29)
-    slices = _spy_slices(monkeypatch)
-    assert sink_success_fractions(topo, field, 50, seed=8) == whole
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "_BASIS_ENTRIES", 7 * 32)
+        slices = _spy_slices(patch)
+        assert sink_success_fractions(topo, field, 50, seed=8) == whole
     assert slices == [(i, min(i + 7, 50)) for i in range(0, 50, 7)]
+    # The RLNC pass slices as a lean campaign block: with BLOCK_ENTRIES at
+    # 1, at most BLOCK_TRIALS = 128 trials.
+    whole = sink_success_fractions(topo, field, 300, seed=8)
+    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 1)
+    slices = _spy_slices(monkeypatch)
+    assert sink_success_fractions(topo, field, 300, seed=8) == whole
+    assert slices == [(0, 128), (128, 256), (256, 300)]
 
 
 def test_trials_out_of_room_take_rlnc_trial(monkeypatch):

@@ -195,6 +195,27 @@ def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
     assert rerun == list(range(8))
 
 
+def test_wide_prime_field_lean_block_stays_in_the_lockstep(monkeypatch):
+    # comb(11,4) has 330 sinks of m = 4 inputs, so its lean block holds
+    # BLOCK_TRIALS = 128 trials; in one slice their dense basis would have
+    # no room at step 1.  Slices of 2^20 // (4 m^2 x 330) = 49 trials
+    # each have room for step 1 even if no sink ACKs at step 0.
+    cfg = _lean(combination_network(11, 4), q=3, base_seed=7)
+    trials = engine._lean_block_trials(cfg.topology)
+    assert trials == engine.BLOCK_TRIALS
+    put = []
+    real = TrialBlock.put
+    monkeypatch.setattr(TrialBlock, "put", lambda self, i, res: (
+        put.append(i), real(self, i, res)))
+    got = batch.run_block(cfg, 0, trials)
+    assert put == []
+    # the first trials, against run_trial's
+    head = {k: {r: row[:4] for r, row in v.items()} if isinstance(v, dict)
+            else v[:4] for k, v in dataclasses.asdict(got).items()}
+    want = TrialBlock.of([run_trial(cfg, i) for i in range(4)])
+    assert head == dataclasses.asdict(want)
+
+
 def test_average_memory_bits_add_up_in_node_order():
     # At q = 3 log2 q is inexact, so m * sum(L) * log2 q / V can differ in
     # the last bit from run_trial's sum over the nodes in node order.
@@ -229,8 +250,14 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
     real = batch.run_block
     monkeypatch.setattr(batch, "run_block", spy)
     topo = combination_network(4, 2)
-    collect_campaign(_lean(topo), 300)
-    assert blocks == [(0, 128), (128, 256), (256, 300)]
+    # 2^17 // (6 sinks x 2 inputs x m=2) = 5461 lean trials a block:
+    # 10,923 trials make three even blocks
+    collect_campaign(_lean(topo), 10_923)
+    assert blocks == [(0, 3641), (3641, 7282), (7282, 10_923)]
+    blocks.clear()
+    # a verified block holds BLOCK_TRIALS = 128 trials
+    collect_campaign(SimConfig(topology=topo, field=F2), 300)
+    assert blocks == [(0, 100), (100, 200), (200, 300)]
     blocks.clear()
     collect_campaign(_lean(topo, q=3), 5)
     assert blocks == [(0, 5)]

@@ -161,11 +161,14 @@ def _reference_output(cfg, trials):
     return sinks.getvalue(), per_trial.getvalue(), summary.to_json_dict()
 
 
-def test_campaign_deterministic_across_workers():
-    # 300 trials make three lockstep blocks of 100 in the pool at 3
-    # workers, four of 75 at 2 and three in-process (128, 128, 44) at 1.
+def test_campaign_deterministic_across_workers(monkeypatch):
+    # With BLOCK_ENTRIES at 1 a lean block holds BLOCK_TRIALS = 128
+    # trials, so 300 trials make three lockstep blocks of 100 in-process
+    # at 1 worker and in the pool at 3, and four of 75 at 2.
+    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 1)
     cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=8,
                     verify_decode=False, verify_headers=False)
+    assert engine._lean_block_trials(cfg.topology) == BLOCK_TRIALS
     runs = [_campaign_output(cfg, 300, w) for w in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0] == _reference_output(cfg, 300)
@@ -223,22 +226,33 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
         assert children == [b for i, b in enumerate(ran) if i % w]
         return list(ran)
 
+    # 10 verified trials at 5000 workers are 10 one-trial blocks: the
+    # parent and 9 children
+    verified = SimConfig(topology=combination_network(4, 2), field=F2,
+                         base_seed=13)
+    assert split(verified, 10, 5000) == [(i, i + 1) for i in range(10)]
+    assert sizes == [9]
+    # A verified campaign takes the fewest blocks of at most BLOCK_TRIALS
+    # trials, the same number for each worker, as even as can be.
+    assert split(verified, 300, 2) == [(0, 75), (75, 150), (150, 225),
+                                       (225, 300)]
+    assert sizes[-1] == 1
+    # A lean block holds max(BLOCK_TRIALS, BLOCK_ENTRIES // (sinks x
+    # c_max x m)) trials: 2^17 // (6 x 2 x 2) on comb(4,2), here cut to
+    # 250 trials.
     cfg = _lean_config(4, 2)
-    # 10 trials at 5000 workers are 10 one-trial blocks: the parent and 9
-    # children
-    assert split(cfg, 10, 5000) == [(i, i + 1) for i in range(10)]
-    assert sizes == [9]
-    # one block runs in-process
+    assert engine._lean_block_trials(cfg.topology) == 5461
+    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 6 * 2 * 2 * 250)
+    # one block runs in-process: one trial, or one lean block
     assert _campaign_output(cfg, 1, workers=4) == _campaign_output(cfg, 1)
-    assert sizes == [9]
-    # A lockstep campaign takes the fewest blocks of at most BLOCK_TRIALS
-    # trials, the same number for each worker.
-    assert split(cfg, 500, 2) == [(0, 125), (125, 250), (250, 375),
-                                  (375, 500)]
-    blocks = split(cfg, 1025, 2)
-    assert len(blocks) == 10
-    assert max(stop - start for start, stop in blocks) <= BLOCK_TRIALS
-    assert len(split(cfg, 1025, 3)) == 9
+    assert _campaign_output(cfg, 250, workers=2) == _campaign_output(cfg, 250)
+    assert len(sizes) == 2
+    # More than one lean block: the fewest, rounded up to the same number
+    # for each worker.
+    assert split(cfg, 500, 2) == [(0, 250), (250, 500)]
+    assert split(cfg, 501, 2) == [(0, 125), (125, 250), (250, 375),
+                                  (375, 501)]
+    assert len(split(cfg, 1025, 3)) == 6
     assert sizes[-3:] == [1, 1, 2]
     # run_trial blocks (here cyclic) stay at eight for each worker.
     cyclic = SimConfig(topology=two_node_cycle_network(), field=F2,
@@ -248,22 +262,43 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
     assert sizes[-1] == 1
 
 
+def test_one_block_lean_campaign_forks_no_child(monkeypatch):
+    # comb(6,3) holds 2^17 // (20 sinks x 3 inputs x m=3) = 728 lean
+    # trials a block, so 500 trials at 2 workers run in the parent alone.
+    import multiprocessing
+
+    def no_pool(*args, **kw):
+        raise AssertionError("a pool was built")
+
+    cfg = _lean_config(6, 3, q=3)
+    want = _campaign_output(cfg, 500)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert _campaign_output(cfg, 500, workers=2) == want
+
+
 LEAN_52 = _lean_config(5, 2)
 LEAN_53_Q3 = _lean_config(5, 3, q=3)
+# trials a lean lockstep block holds: 3276 and 1456
+LEAN_52_BLOCK = engine._lean_block_trials(LEAN_52.topology)
+LEAN_53_Q3_BLOCK = engine._lean_block_trials(LEAN_53_Q3.topology)
 
 
 @pytest.mark.parametrize("cfg, trials, workers", [
     pytest.param(LEAN_52, 1, 1, id="1"),
     pytest.param(LEAN_52, 4, 1, id="4"),
-    pytest.param(LEAN_52, 129, 1, id="129"),     # two lockstep blocks
+    # two lockstep blocks
+    pytest.param(LEAN_52, LEAN_52_BLOCK + 1, 1, id="129"),
     # Trials still running at max_rounds fail inside their lockstep
     # block: every trial at max_rounds=2, some at 4.
     pytest.param(_lean_config(6, 3, max_rounds=2), 200, 1, id="fallback"),
     pytest.param(_lean_config(6, 3, max_rounds=4), 200, 1,
                  id="fallback-mixed"),
     pytest.param(LEAN_53_Q3, 60, 1, id="q3-workers1"),
-    pytest.param(LEAN_53_Q3, 60, 2, id="q3-workers2"),
-    pytest.param(LEAN_53_Q3, 600, 2, id="q3-workers2-rounds"),
+    # two lockstep blocks, one in a child
+    pytest.param(LEAN_53_Q3, LEAN_53_Q3_BLOCK + 1, 2, id="q3-workers2"),
+    # three blocks' worth, rounded up to four, two in a child
+    pytest.param(LEAN_53_Q3, 2 * LEAN_53_Q3_BLOCK + 1, 2,
+                 id="q3-workers2-rounds"),
 ])
 def test_campaign_sizes_match_absorbed_run_trials(cfg, trials, workers):
     got = _campaign_output(cfg, trials, workers)
