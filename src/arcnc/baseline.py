@@ -11,12 +11,11 @@ x_0: pair p of `_topo_static`'s `coding` list takes the trial's draw
 p + 1, its value the draw mod q.  `rlnc_trial` is the reference.
 `sink_success_fractions` runs the same trials in the engine lockstep
 itself, `batch._lockstep` cut at one round, lean, one numpy lane per
-trial, in the slices `batch._lockstep_slices` sizes: each trial's
-SplitMix64 state starts m draws back, so that the m x_0 draws a lean
-step skips are none, and a sink succeeds when it ACKs at step 0.  A
-trial whose step 0 does not fit the rank state's room takes
-`rlnc_trial`'s verdicts.  numpy is imported only when a lockstep block
-starts.
+trial, in the slices of `batch`'s one sizing rule, and counts their
+verdicts slice by slice: each trial's SplitMix64 state starts m draws
+back, so that the m x_0 draws a lean step skips are none, and a sink
+succeeds when it ACKs at step 0, which every slice runs.  numpy is
+imported only when a lockstep slice starts.
 """
 
 from __future__ import annotations
@@ -88,15 +87,14 @@ def rlnc_trial(topo: Topology, field: Field, seed: int,
                       memory_bits_per_node=m * log2(field.q))
 
 
-def _success_block(topo: Topology, field: Field, seed: int, start: int,
-                   stop: int):
+def _verdicts(topo: Topology, field: Field, seed: int, start: int,
+              stop: int):
     """Per-sink verdicts (rows in `topo.sinks` order) of the trials
-    `rlnc_trial(topo, field, seed, i)`, start <= i < stop: the engine
-    lockstep cut at one round, with the x_0 draws taken back."""
+    `rlnc_trial(topo, field, seed, i)`, start <= i < stop, one bool array
+    per lockstep slice, in trial order: the engine lockstep cut at one
+    round, with the x_0 draws taken back."""
     if not is_acyclic(topo)[0]:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")
-    import numpy as np
-
     from .batch import _block_static, _lockstep_slices
 
     st = _block_static(topo)
@@ -105,13 +103,8 @@ def _success_block(topo: Topology, field: Field, seed: int, start: int,
     # A lean step skips the m x_0 draws, which one-shot RLNC never makes:
     # starting m draws back, coding pair p takes the trial's draw p + 1.
     # An ACK at step 0 is a rank increment of m: F_0 has rank m.
-    ok, redo = (np.concatenate(part, axis=-1) for part in zip(*(
-        (ack[st["sink_nodes"]] == 0, out) for ack, _, out in
-        _lockstep_slices(config, st, start, stop, back=topo.m))))
-    for b in np.flatnonzero(redo).tolist():     # out of room
-        ok[:, b] = list(rlnc_trial(topo, field, seed, start + b)
-                        .per_sink.values())
-    return ok
+    for ack, _, _ in _lockstep_slices(config, st, start, stop, back=topo.m):
+        yield ack[st["sink_nodes"]] == 0
 
 
 def sink_success_fractions(topo: Topology, field: Field, trials: int,
@@ -123,10 +116,12 @@ def sink_success_fractions(topo: Topology, field: Field, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ok = _success_block(topo, field, seed, 0, trials)
-    counts = ok.sum(axis=1).tolist()
-    return ({r: c / trials for r, c in zip(topo.sinks, counts)},
-            int(ok.all(axis=0).sum()) / trials)
+    counts = overall = 0
+    for ok in _verdicts(topo, field, seed, 0, trials):
+        counts = counts + ok.sum(axis=1)
+        overall += int(ok.all(axis=0).sum())
+    return ({r: c / trials for r, c in zip(topo.sinks, counts.tolist())},
+            overall / trials)
 
 
 def curve_rows(topo: Topology, q: int, fracs: dict):

@@ -62,35 +62,34 @@ Tail steps draw only x_t.  Three checks, each an array operation, raise
 delta_r is determined and equals the drawn one; and, with
 `verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink
 input root at every step.  A failed check never falls back to
-`run_trial`, which would hide a lockstep fault.  In GF(2^k) a verified
-block keeps its equations bit-packed (`_PlaneBasis`), y at bit 63;
-prime fields keep the dense basis, in slices of at most
-`_VERIFIED_PAIRS` pairs, since a verified pair stays until its horizon.
+`run_trial`, which would hide a lockstep fault.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
-when the rank state has no room for the m positions of another step, the
-trials still running or in their tail are re-run from the start with
-`run_trial` (`baseline.rlnc_trial` in the RLNC pass) and put into the
-block at their own positions (trials are independent by index, so each
-result is the reference's own).  This is the only way a trial leaves
-the lockstep.  A block runs in slices (`_lockstep_slices`) whose step 0
-keeps its per-trial arrays (ACK times, draws, headers, F_0) within
-`_BASIS_ENTRIES` entries.  A lean slice holds at most
-`engine._lean_block_trials` trials, a lean campaign block's size, which
-the RLNC pass takes too; in a dense basis it starts with at most
-`_BASIS_ENTRIES // (4 m^2)` (sink, trial) pairs, so that step 1's 2m
-positions fit even if no pair ACKed at step 0.  The dense basis holds at
-most `_BASIS_ENTRIES` entries for the whole slice, which only sinks that
-keep failing to decode for many steps come near; so a row has at most
-2^10 positions, a sum of products in a prime field below 2^10 stays
-below 2^30, in int32, and a step's products hold at most c_max times as
-many entries as the basis.  A
-bit-packed row holds the (t+1)*m positions of step t, whatever the
-in-degrees: 64 in a lean block, 63 beside y in a verified one.  So a
-lean GF(2) trial runs bit-packed for 64 // m steps, and a verified
-trial whose horizon H has (H+1)*m > 63 is still in its tail at the
-first step without room, and is re-run there.
+when, at a step t >= 1, the rank state has no room for m more positions,
+the trials still running or in their tail are re-run from the start
+with `run_trial` and put into the block at their own positions (trials
+are independent by index, so each result is the reference's own).  This
+is the only way a trial leaves the lockstep; step 0 always runs, so the
+RLNC pass, cut at one round, never leaves it.  One rule, `_slice_trials`,
+sizes every slice of trials run in lockstep, and a campaign block is one
+slice: step 0 keeps the slice's per-trial arrays (ACK times, draws,
+headers, F_0) within `_BASIS_ENTRIES` entries; a verified slice holds at
+most `BLOCK_TRIALS` trials, in a prime field at most `_VERIFIED_PAIRS`
+(sink, trial) pairs; a lean one at most max(`BLOCK_TRIALS`,
+`BLOCK_ENTRIES` // (sinks * c_max * m)) trials, and in a dense basis at
+most `_BASIS_ENTRIES // (4 m^2)` pairs, so that step 1's 2m positions
+fit even if no pair ACKed at step 0.  From step 1 on the dense basis
+holds at most `_BASIS_ENTRIES` entries, which only sinks that keep
+failing to decode for many steps come near; so a row reduced by a sum
+of products has at most 2^10 positions, the sum in a prime field below
+2^10 stays below 2^30, in int32, and a step's products hold at most
+c_max times as many entries as the basis.  Rows are bit-packed only if
+step 0's m positions fit one: 64 in a lean block, 63 beside y in a
+verified one, and step t needs (t+1)*m, whatever the in-degrees.  So a
+lean GF(2) trial runs bit-packed for 64 // m steps, and a verified trial
+whose horizon H has (H+1)*m > 63 is still in its tail at the first step
+without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -106,8 +105,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .engine import (EngineError, TrialBlock, _batchable,
-                     _lean_block_trials, _topo_static, run_trial)
+from .engine import (BLOCK_TRIALS, EngineError, TrialBlock, _batchable,
+                     _topo_static, run_trial)
 from .gf import DEFAULT_MODULI, field_new
 from .rng import _GAMMA, _MASK, mix64
 
@@ -290,15 +289,23 @@ def _block_static(topo):
     )
 
 
-# Most entries a dense basis holds, 4 MiB in int32 (8 MiB in the int64 of
-# primes above 2^10), and most a slice's step 0 holds in its per-trial
-# arrays.  Only sinks that keep failing to decode for many steps bring a
-# basis near it; their trials are then re-run, one at a time.
+# Most entries a dense basis holds from step 1 on, 4 MiB in int32 (8 MiB in
+# the int64 of primes above 2^10), and most a slice's step 0 holds in its
+# per-trial arrays unless one trial needs more.  Only sinks that keep
+# failing to decode bring a basis near it; their trials are then re-run.
 _BASIS_ENTRIES = 1 << 20
 
-# Most (sink, trial) pairs a verified block keeps in a dense basis at once:
-# its pairs stay until the horizon, so longer blocks run in more slices.
+# Most (sink, trial) pairs a verified slice keeps in a dense basis at once:
+# its pairs stay until the horizon.
 _VERIFIED_PAIRS = 320
+
+# Sink equation entries (sinks x c_max x m a trial) a lean slice holds, if
+# more than BLOCK_TRIALS trials: a step pays a fixed numpy cost, and its
+# work grows with these entries.  2^17 makes 728 trials on comb(6,3) and 128
+# on comb(10,3) or wider; against 128-trial blocks, lean campaigns took
+# 1.1-2.0x less process time on the narrow shapes and 0.99-1.2x on the wide
+# ones (a 2-core shared host, outputs equal).
+BLOCK_ENTRIES = 1 << 17
 
 
 class _Basis:
@@ -531,24 +538,37 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     return _block(config, st, start, seeds, ack, delta, redo)
 
 
-def _lockstep_slices(config, st, start: int, stop: int, back: int = 0):
-    """`_lockstep` of the trials start..stop-1 of `config`, their states
-    moved `back` draws back, in the slices Room (above) sizes, in order."""
+def _bit_packed(config) -> bool:
+    """True when the lockstep's rank state is a `_PlaneBasis` (Room)."""
+    q, v = config.field.q, config.verify_decode
+    return (q == 2 or v and not q & (q - 1)) and config.topology.m <= 64 - v
+
+
+def _slice_trials(config, st) -> int:
+    """Most trials a lockstep slice of `config` holds, by Room's one rule
+    (above); `st` is `_block_static(config.topology)`."""
     topo = config.topology
     m, q = topo.m, config.field.q
     v = int(config.verify_decode)
     sinks = len(st["sinks"])
-    per = (topo.num_nodes + len(st["heads"]) + (st["R"] + 1 + m * v) * (m + v)
-           + sinks * st["c_max"] * m)
-    size = _BASIS_ENTRIES // per
-    if config.verify_decode:
+    eqs = sinks * st["c_max"] * m          # a trial's sink equation entries
+    size = _BASIS_ENTRIES // (topo.num_nodes + len(st["heads"])
+                              + (st["R"] + 1 + m * v) * (m + v) + eqs)
+    if v:
+        size = min(size, BLOCK_TRIALS)
         if q & (q - 1):
             size = min(size, _VERIFIED_PAIRS // sinks)
     else:
-        size = min(size, _lean_block_trials(topo))
-        if q != 2:     # dense: step 1's 2m positions fit, ACKs or not
+        size = min(size, max(BLOCK_TRIALS, BLOCK_ENTRIES // eqs))
+        if not _bit_packed(config):    # step 1's 2m positions fit
             size = min(size, _BASIS_ENTRIES // (4 * m * m * sinks))
-    size = max(1, size)
+    return max(1, size)
+
+
+def _lockstep_slices(config, st, start: int, stop: int, back: int = 0):
+    """`_lockstep` of the trials start..stop-1 of `config`, their states
+    moved `back` draws back, in slices of `_slice_trials`, in order."""
+    size = _slice_trials(config, st)
     back = _U(back * _GAMMA & _MASK)
     for i in range(start, stop, size):
         yield _lockstep(config, st, i, trial_seeds(
@@ -578,15 +598,15 @@ def _lockstep(config, st, start: int, state):
     # leaves at its sink's ACK, a verified one at its trial's horizon
     ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), len(sink_nodes))
-    rank = _PlaneBasis(len(ws), c, q, verified) if q == 2 or (
-        verified and not q & (q - 1)) else _Basis(fld, len(ws), c, verified)
+    rank = _PlaneBasis(len(ws), c, q, verified) if _bit_packed(config) \
+        else _Basis(fld, len(ws), c, verified)
     delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     live = running                     # and, verified, trials in their tail
     t = 0
     while True:
-        if rank.full(m):               # no room for another step
+        if t and rank.full(m):         # no room for another step
             redo = live
             break
         # ------------------------------------------------------ draws

@@ -59,14 +59,16 @@ delta) and per node (L); `CampaignSummary.absorb_block` aggregates it
 and each CSV file gets its rows as one string.  Campaigns on acyclic
 networks (no trace, kept kernels or overrides), lean or verified, in any
 field, run each block in lockstep with numpy (`batch.run_block`), with
-results equal to `run_trial`'s; every other block (traced or cyclic)
-runs `run_trial` trial by trial and transposes the results with
-`TrialBlock.of`, which imports no numpy.
+results equal to `run_trial`'s, one lockstep slice (`batch._slice_trials`)
+per block; every other block (traced or cyclic) runs `run_trial` trial by
+trial and transposes the results with `TrialBlock.of`, which imports no
+numpy.  A campaign runs no more processes than the CPUs it may use.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
@@ -684,27 +686,9 @@ TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
 
 
-# Most trials a verified or `run_trial` campaign block holds, and fewest a
-# lean lockstep block may hold.
+# Most trials a `run_trial` campaign block or a verified lockstep slice
+# holds, and fewest a lean lockstep slice may hold (`batch._slice_trials`).
 BLOCK_TRIALS = 128
-
-# Sink equation entries (sinks x c_max x m per trial, c_max the largest
-# sink in-degree) a lean lockstep block holds, if that is more than
-# BLOCK_TRIALS trials.  A lockstep step pays a fixed numpy cost whatever
-# the block's size, and its work grows with these entries, not with the
-# trials.  2^17 makes 728 trials on comb(6,3), 1,170 on comb(8,2) and 128
-# on comb(10,3) or wider; against 128-trial blocks, lean campaigns took
-# 1.1-2.0x less process time on the narrow shapes measured and 0.99-1.2x
-# on the wide ones (a 2-core shared host, outputs equal).
-BLOCK_ENTRIES = 1 << 17
-
-
-def _lean_block_trials(topo: Topology) -> int:
-    """Most trials a lean lockstep block on `topo` holds, in a campaign
-    block and in `batch`'s slices of one (the RLNC pass's too)."""
-    c_max = max(len(topo.in_edges(r)) for r in topo.sinks)
-    return max(BLOCK_TRIALS,
-               BLOCK_ENTRIES // (len(topo.sinks) * c_max * topo.m))
 
 
 def _batchable(config: SimConfig) -> bool:
@@ -719,7 +703,6 @@ def _run_block(args) -> TrialBlock:
     """Trials start..stop-1 of a campaign, in trial order."""
     config, start, stop = args
     if _batchable(config):
-        # numpy is imported here, not with the package.
         from .batch import run_block
         return run_block(config, start, stop)
     return TrialBlock.of([run_trial(config, i) for i in range(start, stop)])
@@ -764,20 +747,23 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
                     block.trial, block.avg_T, block.avg_code_len,
                     block.avg_memory_bits, block.rounds)))
 
-    lockstep = _batchable(config)
-    if lockstep:
-        # The fewest blocks of at most the lockstep's size, even in size,
-        # since a lockstep block pays numpy's fixed cost at every step
-        # whatever its size; their count is a multiple of `workers` if
-        # more than one.  A lean campaign of one block forks no child: a
-        # child takes about 2.5 ms to start and a thousand copy-on-write
-        # faults in the parent, more than one lean block's share saves.
-        # A verified trial costs ten times a lean one, so a verified
-        # campaign always splits among the workers.
-        verified = config.verify_decode
-        blocks = -(-trials // (BLOCK_TRIALS if verified
-                               else _lean_block_trials(topo)))
-        if blocks > 1 or verified:
+    # Output never depends on the worker count, so workers beyond the
+    # CPUs this process may use would only add processes.
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1)
+    if _batchable(config):
+        # numpy is imported here, not with the package, and forked workers
+        # inherit it.  A block is one lockstep slice: the fewest blocks of
+        # at most `batch._slice_trials` trials, even in size; their count
+        # is a multiple of `workers` if more than one.  A lean campaign of
+        # one block forks no child: a child takes about 2.5 ms to start
+        # and a thousand copy-on-write faults in the parent, more than one
+        # lean block's share saves.  A verified trial costs ten times a
+        # lean one, so a verified campaign always splits among the workers.
+        from . import batch
+        blocks = -(-trials // batch._slice_trials(
+            config, batch._block_static(topo)))
+        if blocks > 1 or config.verify_decode:
             blocks = min(trials, blocks + -blocks % workers)
         bounds = [trials * i // blocks for i in range(blocks + 1)]
     else:
@@ -794,10 +780,6 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
             consume(block)
     else:
         import multiprocessing
-        if lockstep:
-            # Forked workers inherit the lockstep (and numpy) instead of
-            # each importing it.
-            from . import batch  # noqa: F401
         # The parent runs blocks 0, w, 2w, ... itself beside w - 1 forked
         # children, which run the rest: it computes instead of waiting on
         # w children, and one process fewer is forked.  Blocks are still

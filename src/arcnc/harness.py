@@ -271,9 +271,11 @@ def _analysis_columns(topo, q, tol, t_max):
             ho[str(t)] = "N/A"
     cols["ho_bound_by_t"] = ho
     cols["eta"] = net_eta
-    # var_upper bounds comb(n, m) only, n the source's out-degree.
+    # var_upper bounds comb(n, m) only, n the source's out-degree: built
+    # only if the node and edge counts match comb(n, m)'s.
     n = len(topo.out_edges(topo.source))
-    if n >= m >= 1 and topo == combination_network(n, m):
+    if (topo.num_nodes, topo.num_edges) == (1 + n + d, n + m * d) \
+            and d == math.comb(n, m) and topo == combination_network(n, m):
         cols["var_upper"] = float(analysis.var_upper(n, m, q))
     return cols
 
@@ -387,9 +389,9 @@ def cmd_bounds(args) -> int:
     if args.t_max < 0:
         raise ValueError("--t-max must be >= 0")
     d = math.comb(n, m)
-    topo = combination_network(n, m)
-    net_eta = eta(topo)
-    sink_eta = eta(topo, topo.sinks[0])
+    # eta of comb(n, m): the source's n out-edges, m of them on each sink's
+    # paths; the intermediates are relays and draw nothing.
+    net_eta, sink_eta = n, m
     rows = []
 
     def row(quantity, t, value, mode):

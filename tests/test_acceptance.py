@@ -147,6 +147,30 @@ def test_criterion_04_stopping_time_series(camp42):
             "series has 1-Q(2) = 19/64 and 1-Q(3) = 71/512")
 
 
+def test_stopping_time_exact_law(camp42):
+    # Beside criterion 04: a comb(n, m) sink's kernel matrix is Haar-random
+    # over F_q[[z]], so T = max d_i over its invariant factors z^d_i, whose
+    # type follows the finite-m Cohen-Lenstra law (Cohen & Lenstra 1984;
+    # Friedman & Washington 1989).  At (q, m) = (2, 2): P(T > t) = 5/8,
+    # 41/128, 329/2048 and 2633/32768 for t = 0..3, and E[T] = 19/15.
+    summary, _ = camp42
+    n = summary.trials
+    law = [Fraction(5, 8), Fraction(41, 128), Fraction(329, 2048),
+           Fraction(2633, 32768)]
+    worst = 0.0
+    for r, hist in summary.per_sink_T_hist.items():
+        for t, p in enumerate(law):
+            freq = sum(k for ti, k in hist.items() if ti > t) / n
+            worst = max(worst, abs(freq - p) / math.sqrt(p * (1 - p) / n))
+    mean, se = summary.mean_avg_T, summary.se_avg_T
+    z_mean = abs(mean - 19 / 15) / se
+    ok = worst <= 3 and z_mean <= 3
+    report("L", ok, f"P(T>t), t=0..3, worst |z| {worst:.2f} over "
+           f"{len(summary.per_sink_T_hist)} sinks; mean avg_T {mean:.5f} "
+           f"vs 19/15 = {19 / 15:.5f}, |z| {z_mean:.2f}")
+    assert ok
+
+
 def test_criterion_05_success_bound(camp42):
     summary, _ = camp42
     n_eta = eta(combination_network(4, 2))

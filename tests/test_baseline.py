@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arcnc import baseline, batch, engine
+from arcnc import baseline, batch
 from arcnc.baseline import (curve_rows, expected_attempts, rlnc_trial,
                             sink_success_fractions)
 from arcnc.gf import field_new
@@ -181,7 +181,8 @@ def _reference(topo, field, seed, start, stop):
 def test_lockstep_verdicts_equal_rlnc_trial(name, q):
     topo = TOPOLOGIES[name]
     field = field_new(q)
-    got = baseline._success_block(topo, field, 11, 5, 205)
+    got = np.concatenate(list(baseline._verdicts(topo, field, 11, 5, 205)),
+                         axis=1)
     assert got.tolist() == _reference(topo, field, 11, 5, 205)
 
 
@@ -215,24 +216,25 @@ def test_chunks_do_not_change_fractions(monkeypatch):
     # The RLNC pass slices as a lean campaign block: with BLOCK_ENTRIES at
     # 1, at most BLOCK_TRIALS = 128 trials.
     whole = sink_success_fractions(topo, field, 300, seed=8)
-    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(batch, "BLOCK_ENTRIES", 1)
     slices = _spy_slices(monkeypatch)
     assert sink_success_fractions(topo, field, 300, seed=8) == whole
     assert slices == [(0, 128), (128, 256), (256, 300)]
 
 
-def test_trials_out_of_room_take_rlnc_trial(monkeypatch):
+def test_a_lone_trial_runs_step_0_past_the_room(monkeypatch):
     # With room for 7 entries, not even one butterfly trial's step 0 (2
     # sinks x m^2 = 8 entries of the dense basis) fits at q = 3: each trial
-    # runs alone, leaves the lockstep and takes rlnc_trial's verdicts,
-    # never the engine's run_trial.
+    # runs alone, and its step 0 runs all the same, in the lockstep; it
+    # calls neither rlnc_trial nor the engine's run_trial.
     topo = BUTTERFLY
     field = field_new(3)
     results = [rlnc_trial(topo, field, 8, i) for i in range(30)]
 
     def fail(*args):
-        raise AssertionError("run_trial called")
+        raise AssertionError("a reference trial was called")
 
+    monkeypatch.setattr(baseline, "rlnc_trial", fail)
     monkeypatch.setattr(batch, "run_trial", fail)
     monkeypatch.setattr(batch, "_BASIS_ENTRIES", 7)
     slices = _spy_slices(monkeypatch)

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcnc import batch, engine
+from arcnc import baseline, batch, engine
+from arcnc.baseline import rlnc_trial, sink_success_fractions
 from arcnc.engine import SimConfig, TrialBlock, collect_campaign, run_trial
 from arcnc.gf import field_new
 from arcnc.polyalg import ToeplitzExpansion
@@ -183,6 +184,27 @@ def test_lean_gf2_rows_hold_64_positions(monkeypatch):
     assert rerun == [] and not any(got.success)
 
 
+@pytest.mark.parametrize("m", [63, 64, 65])
+def test_one_sink_at_the_bit_plane_boundary(m, monkeypatch):
+    # comb(m,m) in GF(2): a lean row holds m = 63 and 64 x-positions, a
+    # verified one 63 beside y, and a rank state whose step 0 does not fit
+    # a row is dense.  Step 0 runs in the lockstep either way, so the RLNC
+    # pass gives rlnc_trial's verdicts without calling it.
+    topo = combination_network(m, m)
+    results = [rlnc_trial(topo, F2, 3, i) for i in range(10)]
+    with monkeypatch.context() as patch:
+        patch.setattr(baseline, "rlnc_trial", None)     # never called
+        fracs, overall = sink_success_fractions(topo, F2, 10, 3)
+    assert fracs == {r: sum(res.per_sink[r] for res in results) / 10
+                     for r in topo.sinks}
+    assert overall == sum(res.success for res in results) / 10
+    for verify in (False, True):
+        cfg = SimConfig(topology=topo, field=F2, base_seed=3,
+                        verify_decode=verify, verify_headers=verify)
+        assert batch._bit_packed(cfg) == (m <= 64 - verify)
+        _check_block(cfg, 0, 4)
+
+
 def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
     assert not validate_multicast(NARROW_CUT).ok
     cfg = _lean(NARROW_CUT, q=3, base_seed=1, max_rounds=6)
@@ -196,19 +218,21 @@ def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
 
 
 def test_wide_prime_field_lean_block_stays_in_the_lockstep(monkeypatch):
-    # comb(11,4) has 330 sinks of m = 4 inputs, so its lean block holds
-    # BLOCK_TRIALS = 128 trials; in one slice their dense basis would have
-    # no room at step 1.  Slices of 2^20 // (4 m^2 x 330) = 49 trials
-    # each have room for step 1 even if no sink ACKs at step 0.
+    # comb(11,4) has 330 sinks of m = 4 inputs.  A lean slice, and so a
+    # campaign block, holds 2^20 // (4 m^2 x 330) = 49 trials, so that
+    # step 1 has room even if no sink ACKs at step 0: in 128-trial
+    # slices the dense basis would have none.
     cfg = _lean(combination_network(11, 4), q=3, base_seed=7)
-    trials = engine._lean_block_trials(cfg.topology)
-    assert trials == engine.BLOCK_TRIALS
-    put = []
-    real = TrialBlock.put
+    assert batch._slice_trials(cfg, batch._block_static(cfg.topology)) == 49
+    put, spans = [], []
+    real_put, real_lockstep = TrialBlock.put, batch._lockstep
     monkeypatch.setattr(TrialBlock, "put", lambda self, i, res: (
-        put.append(i), real(self, i, res)))
-    got = batch.run_block(cfg, 0, trials)
-    assert put == []
+        put.append(i), real_put(self, i, res)))
+    monkeypatch.setattr(batch, "_lockstep", lambda config, st, i, state: (
+        spans.append((i, i + len(state))) or real_lockstep(config, st, i,
+                                                           state)))
+    got = batch.run_block(cfg, 0, 98)
+    assert put == [] and spans == [(0, 49), (49, 98)]
     # the first trials, against run_trial's
     head = {k: {r: row[:4] for r, row in v.items()} if isinstance(v, dict)
             else v[:4] for k, v in dataclasses.asdict(got).items()}
@@ -275,6 +299,40 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
                           trace=True)):
         collect_campaign(cfg, 5)
     assert blocks == []
+
+
+@pytest.mark.parametrize("cfg, trials, size", [
+    # bit-packed lean, dense lean, verified in a prime field (320 pairs
+    # over 6 sinks) and verified in GF(4)
+    pytest.param(_lean(combination_network(4, 2)), 6000, 5461,
+                 id="lean-q2"),
+    pytest.param(_lean(combination_network(6, 3), q=3), 1500, 728,
+                 id="lean-q3"),
+    pytest.param(SimConfig(topology=combination_network(4, 2),
+                           field=field_new(3)), 120, 53,
+                 id="verified-q3"),
+    pytest.param(SimConfig(topology=combination_network(6, 3),
+                           field=field_new(4)), 130, 128,
+                 id="verified-q4"),
+])
+def test_a_campaign_block_is_one_lockstep_slice(cfg, trials, size,
+                                                monkeypatch):
+    # collect_campaign sizes its blocks by the lockstep's one rule, so each
+    # block runs as one slice: the fewest blocks of at most `size` trials,
+    # as even as can be.
+    assert batch._slice_trials(cfg, batch._block_static(cfg.topology)) \
+        == size
+    blocks, spans = [], []
+    real_block, real_lockstep = batch.run_block, batch._lockstep
+    monkeypatch.setattr(batch, "run_block", lambda config, i, j: (
+        blocks.append((i, j)) or real_block(config, i, j)))
+    monkeypatch.setattr(batch, "_lockstep", lambda config, st, i, state: (
+        spans.append((i, i + len(state))) or real_lockstep(config, st, i,
+                                                           state)))
+    collect_campaign(cfg, trials)
+    n = -(-trials // size)
+    assert blocks == spans == [(trials * i // n, trials * (i + 1) // n)
+                               for i in range(n)]
 
 
 @pytest.mark.parametrize("base_seed", [0, 5, -1, -(1 << 70) - 3, 1 << 64,

@@ -7,13 +7,14 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcnc import engine
+from arcnc import batch, engine
 from arcnc.engine import (BLOCK_TRIALS, CampaignSummary, EngineError,
                           OverrideError, SimConfig,
                           TRIAL_SINK_COLUMNS, TRIAL_SUMMARY_COLUMNS,
@@ -161,14 +162,26 @@ def _reference_output(cfg, trials):
     return sinks.getvalue(), per_trial.getvalue(), summary.to_json_dict()
 
 
+def _slice_trials(cfg):
+    """Trials a lockstep slice, and so a campaign block, of `cfg` holds."""
+    return batch._slice_trials(cfg, batch._block_static(cfg.topology))
+
+
+def _cpus(monkeypatch, n):
+    """Let the process see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def test_campaign_deterministic_across_workers(monkeypatch):
-    # With BLOCK_ENTRIES at 1 a lean block holds BLOCK_TRIALS = 128
+    # With BLOCK_ENTRIES at 1 a lean slice holds BLOCK_TRIALS = 128
     # trials, so 300 trials make three lockstep blocks of 100 in-process
     # at 1 worker and in the pool at 3, and four of 75 at 2.
-    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(batch, "BLOCK_ENTRIES", 1)
+    _cpus(monkeypatch, 3)
     cfg = SimConfig(topology=combination_network(4, 2), field=F2, base_seed=8,
                     verify_decode=False, verify_headers=False)
-    assert engine._lean_block_trials(cfg.topology) == BLOCK_TRIALS
+    assert _slice_trials(cfg) == BLOCK_TRIALS
     runs = [_campaign_output(cfg, 300, w) for w in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0] == _reference_output(cfg, 300)
@@ -212,6 +225,7 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", Pool)
     monkeypatch.setattr(engine, "_run_block", record)
+    _cpus(monkeypatch, 64)
 
     def split(cfg, trials, workers):
         """The output at `workers` equals workers=1's, and the parent ran
@@ -226,8 +240,8 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
         assert children == [b for i, b in enumerate(ran) if i % w]
         return list(ran)
 
-    # 10 verified trials at 5000 workers are 10 one-trial blocks: the
-    # parent and 9 children
+    # 10 verified trials at 5000 workers, with 64 usable CPUs, are 10
+    # one-trial blocks: the parent and 9 children
     verified = SimConfig(topology=combination_network(4, 2), field=F2,
                          base_seed=13)
     assert split(verified, 10, 5000) == [(i, i + 1) for i in range(10)]
@@ -241,8 +255,9 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
     # c_max x m)) trials: 2^17 // (6 x 2 x 2) on comb(4,2), here cut to
     # 250 trials.
     cfg = _lean_config(4, 2)
-    assert engine._lean_block_trials(cfg.topology) == 5461
-    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 6 * 2 * 2 * 250)
+    assert _slice_trials(cfg) == 5461
+    monkeypatch.setattr(batch, "BLOCK_ENTRIES", 6 * 2 * 2 * 250)
+    assert _slice_trials(cfg) == 250
     # one block runs in-process: one trial, or one lean block
     assert _campaign_output(cfg, 1, workers=4) == _campaign_output(cfg, 1)
     assert _campaign_output(cfg, 250, workers=2) == _campaign_output(cfg, 250)
@@ -260,6 +275,24 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
                        verify_headers=False)
     assert split(cyclic, 64, 2) == [(i, i + 4) for i in range(0, 64, 4)]
     assert sizes[-1] == 1
+    # With 4 usable CPUs, 5000 workers are 4: the parent and 3 children,
+    # in 4 verified blocks, 8 run_trial blocks each.
+    _cpus(monkeypatch, 4)
+    assert split(verified, 10, 5000) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    assert sizes[-1] == 3
+    assert split(cyclic, 64, 5000) == [(i, i + 2) for i in range(0, 64, 2)]
+    assert sizes[-1] == 3
+    # Without sched_getaffinity the CPUs are os.cpu_count()'s: 3, or 1
+    # where it is unknown, and then no pool is built.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert split(verified, 10, 5000) == [(0, 3), (3, 6), (6, 10)]
+    assert sizes[-1] == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    pools = len(sizes)
+    assert _campaign_output(verified, 10, workers=5000) == \
+        _campaign_output(verified, 10)
+    assert len(sizes) == pools
 
 
 def test_one_block_lean_campaign_forks_no_child(monkeypatch):
@@ -279,8 +312,8 @@ def test_one_block_lean_campaign_forks_no_child(monkeypatch):
 LEAN_52 = _lean_config(5, 2)
 LEAN_53_Q3 = _lean_config(5, 3, q=3)
 # trials a lean lockstep block holds: 3276 and 1456
-LEAN_52_BLOCK = engine._lean_block_trials(LEAN_52.topology)
-LEAN_53_Q3_BLOCK = engine._lean_block_trials(LEAN_53_Q3.topology)
+LEAN_52_BLOCK = _slice_trials(LEAN_52)
+LEAN_53_Q3_BLOCK = _slice_trials(LEAN_53_Q3)
 
 
 @pytest.mark.parametrize("cfg, trials, workers", [

@@ -3,12 +3,13 @@ byte-identical reruns."""
 
 import csv
 import json
+import time
 
 import pytest
 
 from arcnc import harness
 from arcnc.harness import main
-from arcnc.topology import combination_network, load_topology
+from arcnc.topology import combination_network, eta, load_topology
 
 
 def run_cli(*argv):
@@ -152,6 +153,48 @@ def test_bounds_na_cells(tmp_path):
     assert cells[("ho_bound_network", "1")] == "N/A"
     assert cells[("et_upper", "")] == "5/3"
     assert cells[("et_lower", "")] == "3/5"
+
+
+def test_bounds_eta_is_the_combination_networks(tmp_path):
+    # bounds gives comb(n, m) eta = n and per-sink eta = m without
+    # building the network; they equal the counts on the network itself.
+    out = tmp_path / "bounds.csv"
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            assert run_cli("bounds", "--n", str(n), "--m", str(m), "--q",
+                           "2", "--t-max", "0", "--out", str(out)) == 0
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+            etas = {r["quantity"]: int(r["eta"]) for r in rows
+                    if r["quantity"].startswith("ho_bound")}
+            topo = combination_network(n, m)
+            assert etas["ho_bound_network"] == eta(topo)
+            assert {eta(topo, r) for r in topo.sinks} == \
+                {etas["ho_bound_sink"]}
+
+
+def test_wide_networks_are_not_built_to_count_or_compare(tmp_path,
+                                                         monkeypatch):
+    # comb(40, 20) has about 1.4e11 sinks: bounds gets its eta without
+    # building it, and run compares a file topology with comb(n, m) only
+    # once the node and edge counts match.
+    def refuse(n, m):
+        raise AssertionError(f"comb({n},{m}) built")
+
+    monkeypatch.setattr(harness, "combination_network", refuse)
+    out = tmp_path / "bounds.csv"
+    start = time.monotonic()
+    assert run_cli("bounds", "--n", "40", "--m", "20", "--q", "2",
+                   "--out", str(out)) == 0
+    assert time.monotonic() - start < 1
+    # a fan: the source, 40 relays and one sink of m = 20
+    fan = tmp_path / "fan.txt"
+    fan.write_text("nodes 42\nm 20\nsource 0\nsinks 41\n" + "".join(
+        f"edge 0 {i}\nedge {i} 41\n" for i in range(1, 41)))
+    outdir = tmp_path / "fan"
+    assert run_cli("run", "--topology", str(fan), "--q", "2", "--trials",
+                   "10", "--no-verify", "--out", str(outdir)) == 0
+    doc = json.loads((outdir / "summary.json").read_text())
+    assert "var_upper" not in doc["arcnc"]["analysis"]
 
 
 def test_config_file_with_cli_precedence(tmp_path):
