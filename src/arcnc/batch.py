@@ -25,10 +25,13 @@ Arithmetic.  `array_field(q)` does F_q on integer arrays of elements in
 [0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
 gather for mul, from the q x q product table for q <= 256 and from the
 exp/log tables above (log 0 points into a zero tail of exp); inverses
-from a table.  Its `dtype` is the type the dense rank state is kept in:
-int32 in GF(2^k) and for primes below 2^10, int64 for larger primes.
-Headers and draws stay int64.  `baseline.sink_success_fractions` is
-`_lockstep` itself, cut at one round.
+from a table.  Its `dtype` is the type headers and the dense rank state
+are kept in: int32 in GF(2^k); in a prime field below 2^10 the narrowest
+signed type that holds (q-1)^2, so a product or c - a*b never overflows
+(int8 up to q = 11, int16 up to 181, int32 up to 1021), and int64 for
+larger primes.  Draws stay int64, and a matrix product (`dot`) sums in
+int64.  `baseline.sink_success_fractions` is `_lockstep` itself, cut at
+one round.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge.  The stopping rule is
@@ -83,13 +86,14 @@ fit even if no pair ACKed at step 0.  From step 1 on the dense basis
 holds at most `_BASIS_ENTRIES` entries, which only sinks that keep
 failing to decode for many steps come near; so a row reduced by a sum
 of products has at most 2^10 positions, the sum in a prime field below
-2^10 stays below 2^30, in int32, and a step's products hold at most
-c_max times as many entries as the basis.  Rows are bit-packed only if
-step 0's m positions fit one: 64 in a lean block, 63 beside y in a
-verified one, and step t needs (t+1)*m, whatever the in-degrees.  So a
-lean GF(2) trial runs bit-packed for 64 // m steps, and a verified trial
-whose horizon H has (H+1)*m > 63 is still in its tail at the first step
-without room, and is re-run there.
+2^10 is taken in a type that holds 2^10 (q-1)^2 (int16 up to q = 5,
+int32 up to 1021) and brought back to `dtype` after its mod, and a
+step's products hold at most c_max times as many entries as the basis.
+Rows are bit-packed only if step 0's m positions fit one: 64 in a lean
+block, 63 beside y in a verified one, and step t needs (t+1)*m, whatever
+the in-degrees.  So a lean GF(2) trial runs bit-packed for 64 // m steps,
+and a verified trial whose horizon H has (H+1)*m > 63 is still in its
+tail at the first step without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column; no per-trial object is
@@ -139,6 +143,12 @@ def trial_seeds(base_seed: int, start: int, stop: int):
     return _mix64(_U(mix64(base_seed)) ^ _mix64(index * _G))
 
 
+def _narrowest(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds -bound .. bound."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32)
+                if bound <= np.iinfo(t).max)
+
+
 class _ArrayField:
     """F_q on integer arrays of elements in [0, q), with numpy
     broadcasting: `mul`, `inv`, `dot` (the matrix product over the
@@ -146,26 +156,35 @@ class _ArrayField:
     `subsum(c, a, b)` = c - sum_s a[s]*b[s], summed over the first axis.
 
     `dtype` is the narrowest integer type the rank state can reduce in:
-    int32 in GF(2^k) and for primes q < 2^10, where a sum of at most 2^10
-    products stays below 2^30 (`_BASIS_ENTRIES` caps a dense row at 2^10
-    positions), and int64 for larger primes.  The tables are of `dtype`;
-    the operations take either type.
+    int32 in GF(2^k); for primes q < 2^10 the narrowest signed type that
+    holds (q-1)^2, the largest product, so c - a*b lies in it too, as
+    does -q(q-1), the most negative multiple of q that `mod` subtracts;
+    int64 for larger primes.  `subsum` sums its at most 2^10 products
+    (`_BASIS_ENTRIES` caps a dense row at 2^10 positions) in a type that
+    holds 2^10 (q-1)^2 and returns `dtype`; `dot` sums in int64, whatever
+    its operands' types.  The tables are of `dtype`; the operations take
+    any integer type.
     """
 
     def __init__(self, q: int):
-        dtype = self.dtype = np.dtype(
-            np.int64 if q & (q - 1) and q >= 1 << 10 else np.int32)
-        if q & (q - 1):                # prime: products stay below 2^32
+        if q & (q - 1) and q < 1 << 10:
+            dtype = _narrowest((q - 1) ** 2)
+            acc = _narrowest((q - 1) ** 2 << 10)
+        else:
+            dtype = acc = np.dtype(np.int64 if q & (q - 1) else np.int32)
+        self.dtype = dtype
+        if q & (q - 1):                # prime
 
             def mod(a):                # a % q; int64 remainder is slower
                 return a - a // q * q
 
             self.mul = lambda a, b: mod(a * b)
-            self.dot = lambda a, b: mod(a @ b)
+            self.dot = lambda a, b: mod(np.matmul(a, b, dtype=np.int64))
             self.submul = lambda c, a, b: mod(c - a * b)
-            # add.reduce would accumulate int32 in int64
+            # add.reduce would accumulate a narrow type in int64
             self.subsum = lambda c, a, b: mod(
-                c - np.add.reduce(a * b, axis=0, dtype=dtype))
+                c - np.add.reduce(a * b, axis=0, dtype=acc)).astype(
+                    dtype, copy=False)
             inv = np.ones(q, dtype=dtype)
             base, e = np.arange(q, dtype=dtype), q - 2
             while e:                   # a^(p-2), square and multiply
@@ -289,8 +308,9 @@ def _block_static(topo):
     )
 
 
-# Most entries a dense basis holds from step 1 on, 4 MiB in int32 (8 MiB in
-# the int64 of primes above 2^10), and most a slice's step 0 holds in its
+# Most entries a dense basis holds from step 1 on, 1 MiB in the int8 of
+# primes up to 11 (2 MiB in int16, 4 MiB in int32 and 8 MiB in the int64 of
+# primes above 2^10), and most a slice's step 0 holds in its
 # per-trial arrays unless one trial needs more.  Only sinks that keep
 # failing to decode bring a basis near it; their trials are then re-run.
 _BASIS_ENTRIES = 1 << 20
@@ -619,7 +639,7 @@ def _lockstep(config, st, start: int, state):
         if len(heads):
             state += count[-1] * _G
         # ------------------------------------------------ propagation
-        f = np.zeros((R + 1 + m * verified, m + verified, B), dtype=np.int64)
+        f = np.zeros((R + 1 + m * verified, m + verified, B), dtype=fld.dtype)
         if verified:                   # the virtual inputs: e_j, then x_t
             f[R + 1:, m] = xhist[t]
             if t == 0:

@@ -718,6 +718,8 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     topo = config.topology
     summary = CampaignSummary(trials=trials, q=config.field.q, m=topo.m,
                               d=len(topo.sinks), eta=eta(topo))
@@ -731,14 +733,17 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     def consume(block: TrialBlock):
         summary.absorb_block(block)
         if sink_csv is not None:
+            # Each sink's "sink,T" cells are formatted once per value, and
+            # the columns a trial's sinks share once per trial.
+            cells = [{t: f"{r},{t}" for t in set(Ts)}
+                     for r, Ts in block.T.items()]
             rows = []
-            for trial, seed, T_N, ok, Ts in zip(
+            for trial, seed, T_N, ok, *Ts in zip(
                     block.trial, block.seed, block.T_N, block.success,
-                    zip(*block.T.values())):
-                # The columns a trial's sinks share are formatted once.
+                    *block.T.values()):
                 head, tail = f"{trial},{seed},", f",{T_N},{ok:d}\r\n"
-                rows += [f"{head}{r},{ti}{tail}"
-                         for r, ti in zip(block.T, Ts)]
+                rows.append(head + (tail + head).join(
+                    map(dict.__getitem__, cells, Ts)) + tail)
             sink_csv.write("".join(rows))
         if trial_csv is not None:
             trial_csv.write("".join(

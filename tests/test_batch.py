@@ -550,17 +550,43 @@ def test_plane_basis_matches_toeplitz_expansion(q):
 
 # 1021 is the largest prime below 2^10, whose dense basis reduces in int32,
 # and 1031 the smallest above, whose basis takes int64; GF(2^16) reduces
-# in int32.
+# in int32.  Below 2^10 a prime's entries are of the narrowest type that
+# holds (q-1)^2: 11 is the largest prime in int8 and 13 the smallest in
+# int16, 181 the largest in int16 and 191 the smallest in int32.
 @pytest.mark.parametrize("q, dtype, verify", [
     (1021, np.int32, False), (1021, np.int32, True),
     (1031, np.int64, False), (1031, np.int64, True),
-    (BIG, np.int32, False)])
+    (BIG, np.int32, False),
+    (11, np.int8, False), (11, np.int8, True),
+    (13, np.int16, False), (13, np.int16, True),
+    (181, np.int16, False), (181, np.int16, True),
+    (191, np.int32, False), (191, np.int32, True)])
 def test_dense_basis_dtype_boundary(q, dtype, verify):
     assert batch.array_field(q).dtype == dtype
     _check_block(SimConfig(topology=combination_network(4, 2),
                            field=field_new(q), base_seed=29,
                            verify_decode=verify, verify_headers=verify),
                  0, 200)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 181, 191, 1021, 1031])
+def test_prime_field_sums_do_not_overflow(q):
+    # Every operand at its largest, q - 1, against Python ints mod q: a
+    # sum of 2^10 products (a dense row's most positions), a product and
+    # c - a*b, in the field's dtype, and a matrix product of 2^10 terms.
+    fld = batch.array_field(q)
+    top = q - 1
+    c = np.array([0, 1, top], dtype=fld.dtype)
+    big = np.full((1 << 10, 3), top, dtype=fld.dtype)
+    got = fld.subsum(c, big, big)
+    assert got.dtype == fld.dtype
+    assert got.tolist() == [(x - (top * top << 10)) % q for x in (0, 1, top)]
+    a = np.full(3, top, dtype=fld.dtype)
+    assert fld.submul(c, a, a).tolist() == [(x - top * top) % q
+                                            for x in (0, 1, top)]
+    assert fld.mul(a, a).tolist() == [top * top % q] * 3
+    row = np.full((1, 1 << 10), top, dtype=fld.dtype)
+    assert fld.dot(row, row.T).tolist() == [[(top * top << 10) % q]]
 
 
 # ---------------------------------------------------------------------------

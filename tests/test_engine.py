@@ -162,6 +162,18 @@ def _reference_output(cfg, trials):
     return sinks.getvalue(), per_trial.getvalue(), summary.to_json_dict()
 
 
+def test_sink_csv_rows_equal_csv_writer_rows():
+    # Sink ids and stopping times of two digits and more: every row of the
+    # sink CSV is the one csv.writer writes for run_trial's result.
+    cfg = SimConfig(topology=combination_network(6, 4), field=F2,
+                    base_seed=3, verify_decode=False, verify_headers=False)
+    got, want = _campaign_output(cfg, 300), _reference_output(cfg, 300)
+    assert got == want
+    rows = [row.split(",") for row in want[0].splitlines()[1:]]
+    assert max(int(r[2]) for r in rows) >= 10
+    assert sum(int(r[3]) >= 10 for r in rows) >= 2
+
+
 def _slice_trials(cfg):
     """Trials a lockstep slice, and so a campaign block, of `cfg` holds."""
     return batch._slice_trials(cfg, batch._block_static(cfg.topology))
@@ -507,6 +519,19 @@ def test_max_rounds_validation():
     with pytest.raises(ValueError):
         collect_campaign(SimConfig(topology=combination_network(4, 2),
                                    field=F2), 0)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_campaign_rejects_fewer_than_one_worker(monkeypatch, workers):
+    # Rejected before any block runs, on a verified campaign, which always
+    # splits among the workers, as on a lean one of one block.
+    monkeypatch.setattr(engine, "_run_block", lambda task: pytest.fail(
+        "a block ran"))
+    for verify in (True, False):
+        cfg = SimConfig(topology=combination_network(4, 2), field=F2,
+                        verify_decode=verify, verify_headers=verify)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            collect_campaign(cfg, 10, workers=workers)
 
 
 def _first_valid_dag(seed, m, layers=3):
