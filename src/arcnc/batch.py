@@ -34,21 +34,39 @@ int64.  `baseline.sink_success_fractions` is `_lockstep` itself, cut at
 one round.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
-reads the history of its root input edge.  The stopping rule is
-`polyalg.ToeplitzExpansion` on every waiting (sink, trial) pair at once:
-step t puts F_t's column in front of each of the pair's c_max equations
-(zero past its inputs) and inserts them into a basis that gains m
-positions.  `_Basis`, the array form of `polyalg._RowBasis`, is dense and
-reduced-echelon: slot p holds the row whose pivot is position p, with
-value 1 there, and position p is zero in every other row.  Every rank
-state puts the pairs last, (slots, positions, pairs) for `_Basis`, so each
-array operation runs along the long pair axis.  New equations are reduced
-by the stored rows in one product summed over the slot axis, then by each
-other; a non-zero remainder raises the rank, and its lowest non-zero
-position becomes its pivot, is cleared from the stored rows in one more
-such product, and takes slot p by a put.  `_PlaneBasis` is the same
-basis bit-packed, in GF(2) and in verified GF(2^k) blocks.  The ACK pass
-is `run_trial`'s.
+reads the history of its root input edge; where a step reads earlier
+steps (a convolution past the source, or a verified block's checks),
+the draws, header arrays and x of all steps are stacked in `_Steps`,
+whose step axis doubles when full, so a read is one slice or
+gather.  The stopping rule is `polyalg.ToeplitzExpansion` on every
+waiting (sink, trial) pair at once: step t puts F_t's column in front
+of each of the pair's c_max equations (zero past its inputs) and
+inserts them into a basis that gains m positions.  `_Basis`, the array
+form of `polyalg._RowBasis`, is dense and reduced-echelon: slot p holds
+the row whose pivot is position p, with value 1 there, and position p
+is zero in every other row.  Every rank state puts the pairs last,
+(slots, positions, pairs) for `_Basis`, so each array operation runs
+along the long pair axis.  New equations are reduced by the stored rows
+in one product summed over the slot axis, then by each other; a
+non-zero remainder raises the rank, and its lowest non-zero position,
+found as a weighted max (`_first_true`), becomes its pivot, is cleared
+from the stored rows in one more such product, and takes slot p by a
+put.  `_PlaneBasis` is the same basis bit-packed, in GF(2) and in
+verified GF(2^k) blocks.  The ACK pass is `run_trial`'s, with the
+waiting sinks downstream of each node counted by one float64 product.
+
+Entries move by flat offset.  Once a slice, `_lockstep` computes each
+pair's offsets into the ACK times, the delays and a step's header array
+(in its copy with the component axis first), and compacts them with the
+pairs; it reads a pair's entries with `take` and writes them with a flat
+store.  The rank states read a pair's entry at its pivot the same way and
+keep pairs by `take` of their indices: on numpy 2.4 a multi-array fancy
+index costs 2.5-4x a `take` of flat offsets, and a boolean mask several
+times a `take` of its `flatnonzero`.  The one exception is `_Basis`'s slot
+store, a put of whole rows.  A flat write goes through `reshape(-1)`,
+which is a view only of a C-contiguous array, so only such arrays are
+written that way: `take` returns one, but a fancy index such as
+a[:, idx] need not, and a write through its reshape would land in a copy.
 
 Verified blocks.  The header arrays gain the symbol y at row m, and the
 m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
@@ -284,8 +302,10 @@ def _block_static(topo):
     in_roots = np.array([r + [R] * (c_max - len(r)) for r in ins],
                         dtype=np.intp)
     others = [v for v in range(topo.num_nodes) if v not in topo.sinks]
+    # 1 where the sink is downstream of the node, in float64, so that one
+    # matrix product counts a step's waiting sinks downstream of each node
     reach = np.array([[r in downstream[v] for r in sinks] for v in others],
-                     dtype=bool).reshape(len(others), len(sinks))
+                     dtype=np.float64).reshape(len(others), len(sinks))
     # L of a node is 1 + the latest ACK among it and its neighbours.
     width = 1 + max(len(neighbors[v]) for v in range(topo.num_nodes))
     near = np.array([[v] + sorted(neighbors[v]) + [v] * (width - 1 - len(
@@ -301,7 +321,6 @@ def _block_static(topo):
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
         code_heads=np.array([topo.head(e) for e in coding_out],
                             dtype=np.intp),
-        comps=np.arange(m, dtype=np.intp)[:, None],
         # the m source-symbol draws of a step, as state offsets
         xoffsets=(np.arange(1, m + 1, dtype=np.uint64) * _G)[:, None],
         xstep=_U(m * _GAMMA & _MASK),
@@ -326,6 +345,16 @@ _VERIFIED_PAIRS = 320
 # 1.1-2.0x less process time on the narrow shapes and 0.99-1.2x on the wide
 # ones (a 2-core shared host, outputs equal).
 BLOCK_ENTRIES = 1 << 17
+
+
+def _first_true(nz):
+    """The lowest True position in each column of the bool array nz,
+    (P, pairs), or P where a column has none: P minus the largest of the
+    weights P - p of its True entries, several times faster than argmax
+    along a short first axis."""
+    P = len(nz)
+    desc = np.arange(P, 0, -1, dtype=_narrowest(P))[:, None]
+    return P - (nz * desc).max(axis=0).astype(np.intp)
 
 
 class _Basis:
@@ -353,7 +382,9 @@ class _Basis:
         return N * (P0 + m) * (P0 + m + self.sym) > _BASIS_ENTRIES
 
     def keep(self, pairs):
-        self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
+        """Keep the pairs at the indices `pairs`, in order."""
+        self.eqs = self.eqs.take(pairs, axis=2)
+        self.basis = self.basis.take(pairs, axis=2)
 
     def extend(self, F, y=None):
         """Put F_t, (c, m, pairs), in front of the first c equations, the
@@ -363,7 +394,8 @@ class _Basis:
 
         The new equations are reduced by the stored rows in one product
         summed over the slots, then by each other, and their pivots are
-        cleared from the stored rows in one more.
+        cleared from the stored rows in one more.  A pair's entry at its
+        pivot is read at the flat offset pivot * pairs + pair.
         """
         fld = self.fld
         c, m, N = F.shape
@@ -385,32 +417,33 @@ class _Basis:
         rows = fld.subsum(eqs, eqs[:, :P0].swapaxes(0, 1)[:, :, None],
                           old[:, None]) if P0 else eqs
         lanes = np.arange(N)
-        new, pivots, slots = [], [], []
+        new, offsets, slots = [], [], []
         inc = np.zeros(N, dtype=np.intp)
         bad = self.bad = np.zeros(N, dtype=bool)
-        for row in rows:
-            for pivot, other in zip(pivots, new):
-                row = fld.submul(row, row[pivot, lanes], other)
-            nz = row[:P] != 0
-            has = nz.any(axis=0)
+        for row in rows:               # C-contiguous: reshape(-1) views
+            for at, other in zip(offsets, new):
+                row = fld.submul(row, row.reshape(-1).take(at), other)
+            slot = _first_true(row[:P] != 0)   # the pivot, or P
+            has = slot != P
             if self.sym:
                 bad |= ~has & (row[P] != 0)
             if not has.any():          # zero in every pair: no rank
                 continue
-            pivot = nz.argmax(axis=0)  # lowest non-zero position
-            # a row without a pivot becomes zero: inv(0) = 0
-            row = fld.mul(row, fld.inv(row[pivot, lanes]))
-            new = [fld.submul(other, other[pivot, lanes], row)
+            # each pair's entry at its pivot is at flat offset `at`; a row
+            # without a pivot reads position 0 and becomes zero: inv(0) = 0
+            at = slot % P * N + lanes
+            row = fld.mul(row, fld.inv(row.reshape(-1).take(at)))
+            new = [fld.submul(other, other.reshape(-1).take(at), row)
                    for other in new]
             new.append(row)
-            pivots.append(pivot)
-            slots.append(np.where(has, pivot, P))
+            offsets.append(at)
+            slots.append(slot)
             inc += has
         if new:
             new = np.stack(new)
             if P0:
-                old[:] = fld.subsum(old, old[:, np.stack(pivots), lanes]
-                                    .swapaxes(0, 1)[:, :, None],
+                old[:] = fld.subsum(old, old.reshape(P0, -1).take(
+                    np.stack(offsets), axis=1).swapaxes(0, 1)[:, :, None],
                                     new[:, None])
             # row r of pair n goes to slot slots[r][n]
             basis[np.stack(slots)[:, None], np.arange(W)[:, None],
@@ -419,9 +452,10 @@ class _Basis:
         return inc
 
     def solved(self, pairs):
-        """x at every position of the chosen pairs, (pairs, positions), and
-        where the equations determine it: its slot holds the unit row."""
-        basis = self.basis[:, :, pairs]
+        """x at every position of the pairs at the indices `pairs`, (pairs,
+        positions), and where the equations determine it: its slot holds
+        the unit row."""
+        basis = self.basis.take(pairs, axis=2)
         P = len(basis)
         unit = (basis[:, :P] == np.eye(P, dtype=basis.dtype)[:, :, None]
                 ).all(axis=1)
@@ -469,7 +503,9 @@ class _PlaneBasis:
         return len(self.basis) + m > 64 - self.sym
 
     def keep(self, pairs):
-        self.eqs, self.basis = self.eqs[:, :, pairs], self.basis[:, :, pairs]
+        """`_Basis.keep`."""
+        self.eqs = self.eqs.take(pairs, axis=2)
+        self.basis = self.basis.take(pairs, axis=2)
 
     def _alpha(self, x):
         """alpha times the rows x, (k, pairs)."""
@@ -537,7 +573,7 @@ class _PlaneBasis:
 
     def solved(self, pairs):
         """`_Basis.solved`."""
-        basis = self.basis[:, :, pairs]
+        basis = self.basis.take(pairs, axis=2)
         x = basis & _XBITS
         unit = (x[:, 0] == _BITS[:len(basis)]) & ~x[:, 1:].any(axis=1)
         values = ((basis >> _U(63)).astype(np.int64)
@@ -595,6 +631,24 @@ def _lockstep_slices(config, st, start: int, stop: int, back: int = 0):
             config.base_seed, i, min(i + size, stop)) - back)
 
 
+class _Steps:
+    """Arrays of one shape, one per step, stacked along a first (step)
+    axis whose length doubles when it is full: `a[:t + 1]` holds steps
+    0..t."""
+
+    def __init__(self, shape, dtype):
+        self.a = np.zeros((4, *shape), dtype=dtype)
+
+    def at(self, t: int):
+        """Step t's array, zero until written, a C-contiguous view; t is
+        at most one past the last step asked for."""
+        if t == len(self.a):
+            a = np.zeros((2 * t, *self.a.shape[1:]), dtype=self.a.dtype)
+            a[:t] = self.a
+            self.a = a
+        return self.a[t]
+
+
 def _lockstep(config, st, start: int, state):
     """The ACK times (nodes, trials), the summed rank deficits (sinks,
     trials) and the trials out of room, to re-run, of the trials from
@@ -603,6 +657,7 @@ def _lockstep(config, st, start: int, state):
     m, q = topo.m, config.field.q
     fld = array_field(q)
     verified = config.verify_decode
+    v = int(verified)
     B = len(state)
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
@@ -612,15 +667,29 @@ def _lockstep(config, st, start: int, state):
     n_src = len(src_roots) * m
     conv = st["src_conv"] + st["conv"] if verified else st["conv"]
     sink_nodes = st["sink_nodes"]
-    khist, fhist, xhist = [], [], []   # kept only where conv reads them
+    shape = (R + 1 + m * v, m + v, B)  # a step's header array
+    if conv:                           # the histories conv reads
+        khist = _Steps((len(heads), B), np.int64)
+        fhist = _Steps(shape, fld.dtype)
+    if verified:
+        xhist = _Steps((m, B), np.int64)
     redo = np.zeros(B, dtype=bool)     # trials out of room: re-run
     # (sink, trial) pairs and their Toeplitz rank state: a lean pair
-    # leaves at its sink's ACK, a verified one at its trial's horizon
+    # leaves at its sink's ACK, a verified one at its trial's horizon.
+    # A pair's entries are read and written by flat offset, kept beside
+    # it: in ack at `ao` and in delta at `do`, through reshape(-1) views
+    # of those C-contiguous arrays; and each input's column of a step's
+    # header array at `fo`, root * B + trial, in its copy with the
+    # component axis first.
     ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), len(sink_nodes))
+    fo = st["in_roots"].take(ws, axis=0).T * B + wt
+    ao = sink_nodes.take(ws) * B + wt
+    do = ws * B + wt
     rank = _PlaneBasis(len(ws), c, q, verified) if _bit_packed(config) \
         else _Basis(fld, len(ws), c, verified)
     delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
+    acks, deltas = ack.reshape(-1), delta.reshape(-1)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     live = running                     # and, verified, trials in their tail
@@ -631,7 +700,8 @@ def _lockstep(config, st, start: int, state):
             break
         # ------------------------------------------------------ draws
         if verified:
-            xhist.append(_values(_mix64(state + st["xoffsets"]), q))
+            x = xhist.at(t)
+            x[:] = _values(_mix64(state + st["xoffsets"]), q)
         state += st["xstep"]
         draw = running & (ack[heads] >= t)
         count = np.cumsum(draw, axis=0, dtype=np.uint64)
@@ -639,9 +709,9 @@ def _lockstep(config, st, start: int, state):
         if len(heads):
             state += count[-1] * _G
         # ------------------------------------------------ propagation
-        f = np.zeros((R + 1 + m * verified, m + verified, B), dtype=fld.dtype)
+        f = fhist.at(t) if conv else np.zeros(shape, dtype=fld.dtype)
         if verified:                   # the virtual inputs: e_j, then x_t
-            f[R + 1:, m] = xhist[t]
+            f[R + 1:, m] = x
             if t == 0:
                 j = np.arange(m)
                 f[R + 1 + j, j] = 1
@@ -649,17 +719,15 @@ def _lockstep(config, st, start: int, state):
             f[src_roots] = k[src_first:src_first + n_src].reshape(
                 len(src_roots), m, B)
         if conv:
-            khist.append(k)
-            fhist.append(f)
-            _propagate(fld, conv, khist, fhist)
+            khist.at(t)[:] = k
+            _propagate(fld, conv, khist.a, fhist.a, t)
         if verified and config.verify_headers:
-            _check_headers(fld, st, fhist, xhist, live, start)
+            _check_headers(fld, st, fhist.a, xhist.a, t, live, start)
         # ------------------------------------------------- rank test
-        # F_t of every pair, (c, m, N): zero past the widest sink
-        c = st["in_deg"][ws].max()
-        roots = st["in_roots"][ws, :c].T
-        F = f[roots[:, None], st["comps"], wt]
-        inc = rank.extend(F, f[roots, m, wt] if verified else None)
+        # F_t of every pair, (c, m, N), zero past the widest sink, and y
+        Fy = f.transpose(1, 0, 2).reshape(m + v, -1).take(
+            fo[:st["in_deg"].take(ws).max()], axis=1)
+        inc = rank.extend(Fy[:m].swapaxes(0, 1), Fy[m] if verified else None)
         done = inc == m
         if verified:
             if rank.bad.any():
@@ -668,12 +736,14 @@ def _lockstep(config, st, start: int, state):
                     f"trial {start + wt[n]}, sink {st['sinks'][ws[n]]}: "
                     "received streams inconsistent with the kernels")
             # the rank deficits before the sink's ACK sum to its delay
-            delta[ws, wt] += m - inc
-            done &= ack[sink_nodes[ws], wt] == never
-        ack[sink_nodes[ws[done]], wt[done]] = t
+            deltas[do] += m - inc
+            done &= acks.take(ao) == never
+        acks[ao.take(np.flatnonzero(done))] = t
         # -------------------------------------------------- ACK pass
         waiting = ack[sink_nodes] == never
-        ready = ~(st["reach"][:, :, None] & waiting).any(axis=1)
+        # a node is ready when no waiting sink is downstream: the float64
+        # product counts them exactly
+        ready = st["reach"] @ waiting == 0
         others = st["others"]
         ack[others] = np.where(ready & (ack[others] == never), t, ack[others])
         left = waiting.any(axis=0)
@@ -681,29 +751,36 @@ def _lockstep(config, st, start: int, state):
             _set_horizons(t, running & ~left, delta, horizon)
             fin = horizon == t
             if fin.any():
-                _check_decoded(st, rank, fin[wt], ws, wt, xhist, delta, t,
+                sel = np.flatnonzero(fin.take(wt))
+                _check_decoded(st, rank, sel, ws.take(sel), wt.take(sel),
+                               deltas.take(do.take(sel)), xhist.a[:t + 1],
                                start)
         running = left & (t + 1 < config.max_rounds)
         live = running | (horizon > t) if verified else running
         if not live.any():
             break
-        keep = live[wt] if verified else ~done
-        ws, wt = ws[keep], wt[keep]
+        keep = np.flatnonzero(live.take(wt) if verified else ~done)
+        ws, wt, ao, do = (a.take(keep) for a in (ws, wt, ao, do))
+        fo = fo.take(keep, axis=1)
         rank.keep(keep)
         t += 1
     return ack, delta, redo
 
 
-def _propagate(fld, conv, khist, fhist):
-    """Fill in the entries of step t = len(fhist) - 1 that `conv` lists:
-    each node's local kernels convolved with its input histories."""
-    t = len(fhist) - 1
+def _propagate(fld, conv, khist, fhist, t):
+    """Fill in the entries of step t that `conv` lists: each node's local
+    kernels convolved with its input histories.  `khist` and `fhist` hold
+    the draws and the header arrays of steps 0..t (and zeros after), one
+    per step along their first axis."""
+    B = fhist.shape[-1]
     for routs, pairs, roots in conv:
-        kin = np.concatenate([khist[i][pairs] for i in range(t + 1)], axis=1)
-        fin = np.concatenate([fhist[t - i][roots] for i in range(t + 1)])
+        # k_i and f_{t-i} at (delay i, input), for each trial
+        kin = khist[:t + 1, pairs].transpose(3, 1, 0, 2).reshape(
+            B, len(routs), -1)
+        fin = fhist[t::-1, roots].transpose(3, 0, 1, 2).reshape(
+            B, kin.shape[2], -1)
         # sum over (delay, input) of k_i * f_{t-i}, per out-edge and trial
-        fhist[t][routs] = fld.dot(kin.transpose(2, 0, 1),
-                                  fin.transpose(2, 0, 1)).transpose(1, 2, 0)
+        fhist[t, routs] = fld.dot(kin, fin).transpose(1, 2, 0)
 
 
 def _set_horizons(t, stopped, delta, horizon):
@@ -711,13 +788,15 @@ def _set_horizons(t, stopped, delta, horizon):
     of the trials whose last sink ACKed at t (T_N = t): their pairs stay
     in the rank state through step H."""
     if stopped.any():
-        horizon[stopped] = t + np.maximum(delta[:, stopped].max(axis=0),
-                                          t) + 1
+        b = np.flatnonzero(stopped)
+        horizon[b] = t + np.maximum(delta.take(b, axis=1).max(axis=0), t) + 1
 
 
-def _check_headers(fld, st, fhist, xhist, live, start):
+def _check_headers(fld, st, fhist, xhist, t, live, start):
     """y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink input root
-    of every live trial, at the step t just propagated.
+    of every live trial, at the step t just propagated; `fhist` and
+    `xhist` hold the header arrays and the drawn x of steps 0..t, one per
+    step along their first axis.
 
     Where a sink input is a source out-edge, as on every combination
     network, f_{e,i} is the source's drawn kernel and `_propagate` made
@@ -726,27 +805,30 @@ def _check_headers(fld, st, fhist, xhist, live, start):
     the source and the sink.  The decode check (`_check_decoded`) is the
     end-to-end one on every topology."""
     roots = st["checked_roots"]
-    m = len(xhist[0])
+    _, m, B = xhist.shape
     # f_{e,i} and x_{t-i} at position i*m + j
-    fe = np.concatenate([h[roots, :m] for h in fhist], axis=1)
-    xs = np.concatenate(xhist[::-1])
-    want = fld.dot(fe.transpose(2, 0, 1), xs.T[:, :, None])[:, :, 0].T
-    wrong = (want != fhist[-1][roots, m]) & live
+    fe = fhist[:t + 1, roots, :m].transpose(3, 1, 0, 2).reshape(
+        B, len(roots), -1)
+    xs = xhist[t::-1].reshape(-1, B)
+    want = fld.dot(fe, xs.T[:, :, None])[:, :, 0].T
+    wrong = (want != fhist[t, roots, m]) & live
     if wrong.any():
         i, b = np.argwhere(wrong)[0]
         e, r = st["checked"][i]
         raise EngineError(f"trial {start + b}, sink {r}: header "
-                          f"inconsistency on edge e{e} at t={len(xhist) - 1}")
+                          f"inconsistency on edge e{e} at t={t}")
 
 
-def _check_decoded(st, rank, sel, ws, wt, xhist, delta, H, start):
-    """Every x_{s,j} with s <= H - delta of the chosen pairs, whose trials
-    reach their horizon H now, is determined and equals the drawn one."""
-    m = len(xhist[0])
+def _check_decoded(st, rank, sel, ws, wt, d, xs, start):
+    """Every x_{s,j} with s <= H - d of the pairs at the indices `sel`,
+    whose trials reach their horizon H now, is determined and equals the
+    drawn one; ws, wt and d are those pairs' sinks, trials and delays, and
+    xs holds the drawn x of steps 0..H, one per step along its first
+    axis."""
+    steps, m, B = xs.shape
+    H = steps - 1
     values, known = rank.solved(sel)
-    ws, wt = ws[sel], wt[sel]
-    d = delta[ws, wt]
-    sent = np.concatenate(xhist)[:, wt].T       # x_{s,j} at s*m + j
+    sent = xs.reshape(-1, B).take(wt, axis=1).T  # x_{s,j} at s*m + j
     need = np.arange(values.shape[1]) < ((H - d + 1) * m)[:, None]
     wrong = need & ~(known & (values == sent))
     if wrong.any():

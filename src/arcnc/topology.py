@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class TopologyError(ValueError):
@@ -57,6 +58,13 @@ class Topology:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _coding_heads(self) -> tuple:
+        """The head of each out-edge of a coding node, in edge id order:
+        `eta`'s links, listed once per topology."""
+        cn = set(coding_nodes(self))
+        return tuple(v for u, v in self.edges if u in cn)
 
     def in_edges(self, v: int):
         """Ids of edges entering v, ascending."""
@@ -214,14 +222,47 @@ def save_topology(topo: Topology) -> str:
 # flow machinery
 # ---------------------------------------------------------------------------
 
+def _ancestors(topo: Topology, sink: int) -> set:
+    """The nodes from which `sink` is reachable, itself included, by
+    reverse BFS."""
+    up = {sink}
+    frontier = [sink]
+    while frontier:
+        for eid in topo.in_edges(frontier.pop()):
+            u = topo.tail(eid)
+            if u not in up:
+                up.add(u)
+                frontier.append(u)
+    return up
+
+
 def _max_flow(topo: Topology, sink: int):
     """Unit-capacity max-flow source->sink by BFS augmentation.
 
     Augmenting paths explore edges in ascending id order, so the result is
     deterministic.  Returns (flow value, used-edge flags list): entry e
     is True where forward edge e carries flow.
+
+    The search visits only the nodes from which the sink is reachable.
+    An augmenting path runs through such nodes alone, so every edge that
+    carries flow joins two of them; from any other node the residual
+    graph leads only to nodes like it, which never discover one of them.
+    Skipping those nodes leaves every BFS parent, and so the flow, as a
+    search of the whole graph finds them.
     """
     used = [False] * topo.num_edges   # forward edge carries flow
+    up = _ancestors(topo, sink)
+    if topo.source not in up:
+        return 0, used
+    # each node's arcs among `up`, ascending edge id: an in-edge of a
+    # node of `up` comes from one, so they are the in-edges of `up`
+    ins = {v: [(e, topo.tail(e)) for e in topo.in_edges(v)] for v in up}
+    outs = {v: [] for v in up}
+    for w, arcs in ins.items():
+        for e, u in arcs:
+            outs[u].append((e, w))
+    for arcs in outs.values():
+        arcs.sort()
     flow = 0
     while True:
         # BFS over residual graph: forward unused edges, backward used edges.
@@ -231,13 +272,11 @@ def _max_flow(topo: Topology, sink: int):
         while qi < len(queue) and sink not in parent:
             v = queue[qi]
             qi += 1
-            for eid in topo.out_edges(v):
-                w = topo.head(eid)
+            for eid, w in outs[v]:
                 if not used[eid] and w not in parent:
                     parent[w] = (eid, True)
                     queue.append(w)
-            for eid in topo.in_edges(v):
-                w = topo.tail(eid)
+            for eid, w in ins[v]:
                 if used[eid] and w not in parent:
                     parent[w] = (eid, False)
                     queue.append(w)
@@ -319,21 +358,11 @@ def eta(topo: Topology, sink: int | None = None) -> int:
     Counts out-edges of coding nodes; with `sink` given, only links lying
     on some path to that sink (the per-sink success-bound exponent).
     """
-    cn = set(coding_nodes(topo))
-    eids = [e for e in range(topo.num_edges) if topo.tail(e) in cn]
+    heads = topo._coding_heads
     if sink is None:
-        return len(eids)
-    # Nodes from which the sink is reachable, by reverse BFS.
-    reaches = {sink}
-    frontier = [sink]
-    while frontier:
-        v = frontier.pop()
-        for eid in topo.in_edges(v):
-            u = topo.tail(eid)
-            if u not in reaches:
-                reaches.add(u)
-                frontier.append(u)
-    return sum(1 for e in eids if topo.head(e) in reaches)
+        return len(heads)
+    up = _ancestors(topo, sink)
+    return sum(1 for v in heads if v in up)
 
 
 def is_acyclic(topo: Topology):

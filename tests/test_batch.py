@@ -538,7 +538,7 @@ def test_plane_basis_matches_toeplitz_expansion(q):
                                        enumerate(rows) if o != p)
     # the consistent cases determine the x that scalar `solve` does, the
     # drawn x where no symbol was changed
-    values, unit = rank.solved(np.ones(n, dtype=bool))
+    values, unit = rank.solved(np.arange(n))
     for i, te in enumerate(scalar):
         if not now[i]:
             want = [v for x in te.solve() for v in x]
@@ -752,9 +752,9 @@ def _break_step(monkeypatch, t, change):
     lockstep propagates it."""
     real = batch._propagate
 
-    def broken(fld, conv, khist, fhist):
-        real(fld, conv, khist, fhist)
-        if len(fhist) - 1 == t:
+    def broken(fld, conv, khist, fhist, step):
+        real(fld, conv, khist, fhist, step)
+        if step == t:
             change(fhist[t])
 
     monkeypatch.setattr(batch, "_propagate", broken)
@@ -818,3 +818,43 @@ def test_verified_lockstep_without_header_check_reports_a_changed_symbol(
     _break_step(monkeypatch, 0, change)
     with pytest.raises(engine.EngineError, match=r"trial 2, sink \d+: "):
         batch.run_block(cfg, 0, 8)
+
+
+@pytest.mark.parametrize("P", [1, 2, 7, 300, 1024])
+def test_first_true_is_argmax_or_past_the_end(P):
+    # _first_true gives argmax(axis=0) where a column has a True entry and
+    # P where it has none
+    rng = np.random.default_rng(P)
+    for density in (0.0, 0.01, 0.3, 1.0):
+        nz = rng.random((P, 500)) < density
+        nz[:, :3] = False              # all-zero columns in every case
+        nz[-1, 3] = True               # a column whose only entry is last
+        got = batch._first_true(nz)
+        assert got.dtype == np.intp
+        assert ((got % P) == nz.argmax(axis=0)).all()
+        assert ((got == P) == ~nz.any(axis=0)).all()
+
+
+@pytest.mark.parametrize("q, plane", [(3, False), (4, False), (2, True),
+                                      (4, True)])
+@pytest.mark.parametrize("symbols", [False, True])
+def test_keep_by_index_equals_boolean_selection(q, plane, symbols):
+    n, m, c = 40, 2, 3
+    rng = np.random.default_rng(q)
+
+    def state():
+        rank = batch._PlaneBasis(n, c, q, symbols) if plane else \
+            batch._Basis(batch.array_field(q), n, c, symbols)
+        for _ in range(2):
+            rank.extend(rng.integers(0, q, (c, m, n)),
+                        rng.integers(0, q, (c, n)) if symbols else None)
+        return rank
+
+    rank = state()
+    mask = rng.random(n) < 0.5
+    want = rank.eqs[:, :, mask], rank.basis[:, :, mask]
+    assert want[1].any()
+    rank.keep(np.flatnonzero(mask))
+    assert (rank.eqs == want[0]).all() and (rank.basis == want[1]).all()
+    assert rank.eqs.shape == want[0].shape
+    assert rank.basis.shape == want[1].shape

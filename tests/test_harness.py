@@ -3,7 +3,11 @@ byte-identical reruns."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -471,3 +475,26 @@ def test_run_write_failure_keeps_existing_directory_as_it_was(
     assert "No space left on device" in capsys.readouterr().err
     assert [p.name for p in outdir.iterdir()] == ["summary.json"]
     assert (outdir / "summary.json").read_text() == "old\n"
+
+
+def test_main_calls_in_one_process_match_fresh_processes(monkeypatch,
+                                                         capsys):
+    # main builds its parser once per process; calls after a usage error
+    # and with other subcommands and options still parse as in a fresh
+    # interpreter.  Usage text wraps at COLUMNS, set alike in both.
+    calls = [["gen", "comb", "--n", "5", "--m", "3"],
+             ["run", "--n", "4", "--m", "2", "--mode", "bogus"],
+             ["bounds", "--n", "4", "--m", "2", "--q", "3", "--t-max", "2"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = [subprocess.run([sys.executable, "-m", "arcnc", *argv],
+                            capture_output=True, env=env)
+             for argv in calls]
+    assert [p.returncode for p in fresh] == [0, 1, 0]
+    for argv, proc in zip(calls, fresh):
+        assert main(argv) == proc.returncode
+        out = capsys.readouterr()
+        assert (out.out.encode(), out.err.encode()) == (proc.stdout,
+                                                        proc.stderr)
+    assert harness.build_parser() is harness.build_parser()

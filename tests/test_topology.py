@@ -5,7 +5,7 @@ import math
 import pytest
 
 from arcnc.rng import SplitMix64
-from arcnc.topology import (Topology, TopologyError, coding_nodes,
+from arcnc.topology import (Topology, TopologyError, _max_flow, coding_nodes,
                             combination_network, disjoint_paths, eta,
                             is_acyclic, load_topology, random_layered_dag,
                             save_topology, two_node_cycle_network,
@@ -162,3 +162,86 @@ def test_topology_hashable_and_adjacency():
     for e in range(topo.num_edges):
         assert e in topo.out_edges(topo.tail(e))
         assert e in topo.in_edges(topo.head(e))
+
+
+# The max-flow search over the whole graph and eta's scan of every edge,
+# as they were before each searched only the nodes that reach the sink:
+# the oracles of `_max_flow` and `eta`.
+def _max_flow_whole_graph(topo, sink):
+    used = [False] * topo.num_edges
+    flow = 0
+    while True:
+        parent = {topo.source: None}
+        queue = [topo.source]
+        qi = 0
+        while qi < len(queue) and sink not in parent:
+            v = queue[qi]
+            qi += 1
+            for eid in topo.out_edges(v):
+                w = topo.head(eid)
+                if not used[eid] and w not in parent:
+                    parent[w] = (eid, True)
+                    queue.append(w)
+            for eid in topo.in_edges(v):
+                w = topo.tail(eid)
+                if used[eid] and w not in parent:
+                    parent[w] = (eid, False)
+                    queue.append(w)
+        if sink not in parent:
+            return flow, used
+        v = sink
+        while v != topo.source:
+            eid, fwd = parent[v]
+            used[eid] = fwd
+            v = topo.tail(eid) if fwd else topo.head(eid)
+        flow += 1
+
+
+def _eta_rescan(topo, sink=None):
+    cn = set(coding_nodes(topo))
+    eids = [e for e in range(topo.num_edges) if topo.tail(e) in cn]
+    if sink is None:
+        return len(eids)
+    reaches = {sink}
+    frontier = [sink]
+    while frontier:
+        v = frontier.pop()
+        for eid in topo.in_edges(v):
+            u = topo.tail(eid)
+            if u not in reaches:
+                reaches.add(u)
+                frontier.append(u)
+    return sum(1 for e in eids if topo.head(e) in reaches)
+
+
+def _flow_cases():
+    comb = combination_network(5, 3)
+    victim = comb.out_edges(comb.source)[1]
+    cases = {f"comb{n}{m}": combination_network(n, m)
+             for n, m in ((4, 2), (6, 3), (5, 5), (8, 2))}
+    cases["comb53-cut"] = Topology(
+        num_nodes=comb.num_nodes, source=comb.source, sinks=comb.sinks,
+        m=comb.m, edges=tuple(e for i, e in enumerate(comb.edges)
+                              if i != victim))
+    cases["cycle"] = two_node_cycle_network()
+    # sink 3 is out of the source's reach; node 4 reaches no sink
+    cases["unreachable"] = Topology(
+        num_nodes=5, edges=((0, 1), (2, 3), (0, 4), (4, 1), (1, 4)),
+        source=0, sinks=(1, 3), m=1)
+    rng = SplitMix64(7)
+    for layers, width, m in ((2, 3, 1), (3, 4, 2), (4, 5, 2), (3, 6, 3)):
+        for i in range(3):
+            cases[f"dag-{layers}x{width}-m{m}-{i}"] = random_layered_dag(
+                rng, layers=layers, width=width, m=m)
+    return cases
+
+
+@pytest.mark.parametrize("name, topo", _flow_cases().items())
+def test_max_flow_and_eta_equal_the_whole_graph_search(name, topo):
+    for r in topo.sinks:
+        assert _max_flow(topo, r) == _max_flow_whole_graph(topo, r)
+        assert eta(topo, r) == _eta_rescan(topo, r)
+    assert eta(topo) == _eta_rescan(topo)
+    report = validate_multicast(topo)
+    assert report.flows == {r: _max_flow_whole_graph(topo, r)[0]
+                            for r in topo.sinks}
