@@ -103,8 +103,8 @@ def _verdicts(topo: Topology, field: Field, seed: int, start: int,
     # A lean step skips the m x_0 draws, which one-shot RLNC never makes:
     # starting m draws back, coding pair p takes the trial's draw p + 1.
     # An ACK at step 0 is a rank increment of m: F_0 has rank m.
-    for ack, _, _ in _lockstep_slices(config, st, start, stop, back=topo.m):
-        yield ack[st["sink_nodes"]] == 0
+    for T, _ in _lockstep_slices(config, st, start, stop, back=topo.m):
+        yield T == 0
 
 
 def sink_success_fractions(topo: Topology, field: Field, trials: int,

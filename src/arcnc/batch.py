@@ -52,21 +52,29 @@ non-zero remainder raises the rank, and its lowest non-zero position,
 found as a weighted max (`_first_true`), becomes its pivot, is cleared
 from the stored rows in one more such product, and takes slot p by a
 put.  `_PlaneBasis` is the same basis bit-packed, in GF(2) and in
-verified GF(2^k) blocks.  The ACK pass is `run_trial`'s, with the
-waiting sinks downstream of each node counted by one float64 product.
+verified GF(2^k) blocks.  The ACK pass is `run_trial`'s: one bool array
+marks the nodes that have not ACKed, the other nodes' rows first, then
+the sinks', so that a step's draws take their head nodes' rows from it;
+a sink's row is cleared at its ACK, and the other nodes' rows are set
+at once from the waiting sinks downstream of each node, counted by one
+float64 product.  The lockstep keeps only the sinks' ACK times; a node
+other than a sink ACKs with the last sink downstream of it, at t = 0 if
+it reaches none, so the block derives the others' from them.
 
 Entries move by flat offset.  Once a slice, `_lockstep` computes each
-pair's offsets into the ACK times, the delays and a step's header array
-(in its copy with the component axis first), and compacts them with the
-pairs; it reads a pair's entries with `take` and writes them with a flat
-store.  The rank states read a pair's entry at its pivot the same way and
-keep pairs by `take` of their indices: on numpy 2.4 a multi-array fancy
+pair's offsets into the sinks' ACK times and waiting flags, the delays
+and a step's header array (in its copy with the component axis first),
+in one index array that one `take` a step compacts with the pairs; it
+reads a pair's entries with `take` and writes them with a flat store.
+The rank states read a pair's entry at its pivot the same way and keep
+pairs by `take` of their indices: on numpy 2.4 a multi-array fancy
 index costs 2.5-4x a `take` of flat offsets, and a boolean mask several
-times a `take` of its `flatnonzero`.  The one exception is `_Basis`'s slot
-store, a put of whole rows.  A flat write goes through `reshape(-1)`,
-which is a view only of a C-contiguous array, so only such arrays are
-written that way: `take` returns one, but a fancy index such as
-a[:, idx] need not, and a write through its reshape would land in a copy.
+times a `take` of its `flatnonzero`.  The one exception is `_Basis`'s
+slot store, a put of whole rows.  A flat write goes through
+`reshape(-1)`, which is a view only of a C-contiguous array, so only
+such arrays are written that way: `take` returns one, but a fancy index
+such as a[:, idx] need not, and a write through its reshape would land
+in a copy.
 
 Verified blocks.  The header arrays gain the symbol y at row m, and the
 m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
@@ -89,8 +97,9 @@ Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 when, at a step t >= 1, the rank state has no room for m more positions,
 the trials still running or in their tail are re-run from the start
-with `run_trial` and put into the block at their own positions (trials
-are independent by index, so each result is the reference's own).  This
+with `run_trial`, whose sink ACK times and delays are written into the
+lockstep's arrays at their own positions (trials are independent by
+index, so each result is the reference's own).  This
 is the only way a trial leaves the lockstep; step 0 always runs, so the
 RLNC pass, cut at one round, never leaves it.  One rule, `_slice_trials`,
 sizes every slice of trials run in lockstep, and a campaign block is one
@@ -114,8 +123,10 @@ and a verified trial whose horizon H has (H+1)*m > 63 is still in its
 tail at the first step without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
-times and delays, one `.tolist()` per column; no per-trial object is
-made.
+times and delays, one `.tolist()` per column, with its counts: each
+sink's T histogram in one `bincount` over the sinks' rows, offset by
+sink, the T_N histogram in another, and the sum of T^2 and each node's
+sum of L as array sums.  No per-trial object is made.
 """
 
 from __future__ import annotations
@@ -141,18 +152,19 @@ _G = _U(_GAMMA)
 
 
 def _mix64(z):
-    """rng.mix64 on a uint64 array."""
-    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-    return z ^ (z >> _U(31))
+    """rng.mix64 on the uint64 array z, in place; returns z."""
+    z ^= z >> _U(30)
+    z *= _U(0xBF58476D1CE4E5B9)
+    z ^= z >> _U(27)
+    z *= _U(0x94D049BB133111EB)
+    z ^= z >> _U(31)
+    return z
 
 
 def _values(raw, q: int):
     """`SplitMix64.randint(q)`'s value of each raw draw, raw mod q, as
-    int64; a mask for q a power of two, which is about twice as fast."""
-    if q & (q - 1):
-        return (raw % _U(q)).astype(np.int64)
-    return (raw & _U(q - 1)).astype(np.int64)
+    uint64; a mask for q a power of two, which is about twice as fast."""
+    return raw % _U(q) if q & (q - 1) else raw & _U(q - 1)
 
 
 def trial_seeds(base_seed: int, start: int, stop: int):
@@ -302,6 +314,9 @@ def _block_static(topo):
     in_roots = np.array([r + [R] * (c_max - len(r)) for r in ins],
                         dtype=np.intp)
     others = [v for v in range(topo.num_nodes) if v not in topo.sinks]
+    # `heads` gives each draw's head node as its row in the lockstep's node
+    # array, where the other nodes' rows come first, then the sinks'
+    row = dict(zip(others + sinks, range(topo.num_nodes)))
     # 1 where the sink is downstream of the node, in float64, so that one
     # matrix product counts a step's waiting sinks downstream of each node
     reach = np.array([[r in downstream[v] for r in sinks] for v in others],
@@ -311,7 +326,7 @@ def _block_static(topo):
     near = np.array([[v] + sorted(neighbors[v]) + [v] * (width - 1 - len(
         neighbors[v])) for v in range(topo.num_nodes)], dtype=np.intp)
     return dict(
-        R=R, heads=np.array(heads, dtype=np.intp),
+        R=R, heads=np.array([row[v] for v in heads], dtype=np.intp),
         src_roots=np.array([root[e] for e in src_out], dtype=np.intp),
         src_first=src_first, conv=conv, src_conv=src_conv, c_max=c_max,
         in_roots=in_roots, checked=list(checked.values()),
@@ -319,6 +334,7 @@ def _block_static(topo):
         in_deg=np.array([len(r) for r in ins], dtype=np.intp),
         sinks=sinks, sink_nodes=np.array(sinks, dtype=np.intp),
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
+        down=[np.flatnonzero(r) for r in reach],
         code_heads=np.array([topo.head(e) for e in coding_out],
                             dtype=np.intp),
         # the m source-symbol draws of a step, as state offsets
@@ -387,7 +403,7 @@ class _Basis:
         self.basis = self.basis.take(pairs, axis=2)
 
     def extend(self, F, y=None):
-        """Put F_t, (c, m, pairs), in front of the first c equations, the
+        """Put F_t, (m, c, pairs), in front of the first c equations, the
         rest being zero padding, with the symbols y, (c, pairs), if kept;
         returns each pair's rank increment.  `bad` marks the pairs where
         an equation reduced to 0 = y != 0.
@@ -398,12 +414,12 @@ class _Basis:
         pivot is read at the flat offset pivot * pairs + pair.
         """
         fld = self.fld
-        c, m, N = F.shape
+        m, c, N = F.shape
         P0 = len(self.basis)
         P = P0 + m                     # x-positions; y follows them
         W = P + self.sym
         eqs = np.empty((c, W, N), dtype=fld.dtype)
-        eqs[:, :m] = F
+        eqs[:, :m] = F.swapaxes(0, 1)
         eqs[:, m:] = self.eqs[:c]      # the old y, if kept, is overwritten
         if self.sym:
             eqs[:, P] = y
@@ -525,13 +541,14 @@ class _PlaneBasis:
     def extend(self, F, y=None):
         """`_Basis.extend`; each new equation is reduced by the stored
         rows, then stored, in turn."""
-        c, m, N = F.shape
+        m, c, N = F.shape
         k = self.k
         planes = self.planes
         # bit u of each entry, on plane u; a GF(2) entry is its own bit
         F = (F[:, None] >> planes) & 1 if k > 1 else F[:, None]
         new = np.bitwise_or.reduce(
-            F.astype(np.uint64) << _SHIFTS[:m, None], axis=2)
+            F.astype(np.uint64) << _SHIFTS[:m, None, None, None],
+            axis=0).swapaxes(0, 1)
         old = self.eqs[:c]
         if self.sym:
             new |= ((y[:, None] >> planes[:, 0]) & 1).astype(np.uint64) \
@@ -539,17 +556,19 @@ class _PlaneBasis:
             old = old & _XBITS
             bad = self.bad = np.zeros(N, dtype=bool)
         eqs = self.eqs = (old << _U(m)) | new
-        basis = self.basis = np.concatenate(
-            [self.basis, np.zeros((m, k, N), dtype=np.uint64)])
-        bits = _BITS[:len(basis), None]
-        unit = self.unit[:len(basis)]
+        P0 = len(self.basis)
+        basis = np.zeros((P0 + m, k, N), dtype=np.uint64)
+        basis[:P0] = self.basis
+        self.basis = basis
+        shifts = _SHIFTS[:P0 + m, None, None]
+        unit = self.unit[:P0 + m]
         inc = np.zeros(N, dtype=np.intp)
         for row in eqs:
             # subtract each stored row times the row's entry at its pivot,
             # by Horner's rule over the entry's bits, top plane first
             for a in range(k - 1, -1, -1):
                 part = np.bitwise_xor.reduce(
-                    basis * ((row[a] & bits) != 0), axis=0)
+                    basis * ((row[a] >> shifts) & _U(1)), axis=0)
                 acc = part if a == k - 1 else self._alpha(acc) ^ part
             row = row ^ acc
             x = np.bitwise_or.reduce(row, axis=0) if k > 1 else row[0]
@@ -588,10 +607,10 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
         raise ValueError("run_block needs an acyclic topology without "
                          "trace, kept kernels or overrides")
     st = _block_static(config.topology)
-    ack, delta, redo = (np.concatenate(part, axis=-1) for part in zip(
+    T, delta = (np.concatenate(part, axis=-1) for part in zip(
         *_lockstep_slices(config, st, start, stop)))
     seeds = trial_seeds(config.base_seed, start, stop).tolist()
-    return _block(config, st, start, seeds, ack, delta, redo)
+    return _block(config, st, start, seeds, T, delta)
 
 
 def _bit_packed(config) -> bool:
@@ -650,9 +669,10 @@ class _Steps:
 
 
 def _lockstep(config, st, start: int, state):
-    """The ACK times (nodes, trials), the summed rank deficits (sinks,
-    trials) and the trials out of room, to re-run, of the trials from
-    `start` on whose SplitMix64 states `state` holds (advanced in place)."""
+    """The sinks' ACK times and summed rank deficits, both (sinks, trials),
+    of the trials from `start` on, whose SplitMix64 states are `state`
+    (which it advances); the trials out of room are re-run with
+    `run_trial` and written in at their own positions."""
     topo = config.topology
     m, q = topo.m, config.field.q
     fld = array_field(q)
@@ -661,12 +681,16 @@ def _lockstep(config, st, start: int, state):
     B = len(state)
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
-    ack = np.full((topo.num_nodes, B), never, dtype=np.int64)
     heads, c, R = st["heads"], st["c_max"], st["R"]
     src_roots, src_first = st["src_roots"], st["src_first"]
     n_src = len(src_roots) * m
     conv = st["src_conv"] + st["conv"] if verified else st["conv"]
-    sink_nodes = st["sink_nodes"]
+    S = len(st["sinks"])
+    T = np.full((S, B), never, dtype=np.int64)     # the sinks' ACK times
+    # True where a node has not ACKed, in rows of the other nodes, then of
+    # the sinks (`waiting`)
+    busy = np.ones((topo.num_nodes, B), dtype=bool)
+    busy_o, waiting = busy[:-S], busy[-S:]
     shape = (R + 1 + m * v, m + v, B)  # a step's header array
     if conv:                           # the histories conv reads
         khist = _Steps((len(heads), B), np.int64)
@@ -676,20 +700,20 @@ def _lockstep(config, st, start: int, state):
     redo = np.zeros(B, dtype=bool)     # trials out of room: re-run
     # (sink, trial) pairs and their Toeplitz rank state: a lean pair
     # leaves at its sink's ACK, a verified one at its trial's horizon.
-    # A pair's entries are read and written by flat offset, kept beside
-    # it: in ack at `ao` and in delta at `do`, through reshape(-1) views
-    # of those C-contiguous arrays; and each input's column of a step's
-    # header array at `fo`, root * B + trial, in its copy with the
+    # `pairs` holds each pair's flat offsets, compacted with the pairs by
+    # one take: row 0 sink * B + trial, into T, waiting and delta, through
+    # reshape(-1) views of those C-contiguous arrays; row 1 the trial;
+    # row 2 the sink's in-degree; from row 3 on each input's column of a
+    # step's header array, root * B + trial, in its copy with the
     # component axis first.
-    ws = np.repeat(np.arange(len(sink_nodes), dtype=np.intp), B)
-    wt = np.tile(np.arange(B, dtype=np.intp), len(sink_nodes))
-    fo = st["in_roots"].take(ws, axis=0).T * B + wt
-    ao = sink_nodes.take(ws) * B + wt
-    do = ws * B + wt
+    ws = np.repeat(np.arange(S, dtype=np.intp), B)
+    wt = np.tile(np.arange(B, dtype=np.intp), S)
+    pairs = np.concatenate([[ws * B + wt, wt, st["in_deg"].take(ws)],
+                            st["in_roots"].take(ws, axis=0).T * B + wt])
     rank = _PlaneBasis(len(ws), c, q, verified) if _bit_packed(config) \
         else _Basis(fld, len(ws), c, verified)
-    delta = np.zeros((len(sink_nodes), B), dtype=np.int64)
-    acks, deltas = ack.reshape(-1), delta.reshape(-1)
+    delta = np.zeros((S, B), dtype=np.int64)
+    Ts, waits, deltas = T.reshape(-1), waiting.reshape(-1), delta.reshape(-1)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     live = running                     # and, verified, trials in their tail
@@ -698,16 +722,20 @@ def _lockstep(config, st, start: int, state):
         if t and rank.full(m):         # no room for another step
             redo = live
             break
+        po, wt = pairs[0], pairs[1]
         # ------------------------------------------------------ draws
         if verified:
             x = xhist.at(t)
             x[:] = _values(_mix64(state + st["xoffsets"]), q)
         state += st["xstep"]
-        draw = running & (ack[heads] >= t)
-        count = np.cumsum(draw, axis=0, dtype=np.uint64)
-        k = _values(_mix64(state + count * _G), q) * draw
+        draw = running & busy.take(heads, axis=0)
+        # each pair's state at its draw, the draws counted so far
+        pos = np.add.accumulate(draw, axis=0, dtype=np.uint64)
+        pos *= _G
+        pos += state
         if len(heads):
-            state += count[-1] * _G
+            state = pos[-1].copy()
+        k = _values(_mix64(pos), q) * draw
         # ------------------------------------------------ propagation
         f = fhist.at(t) if conv else np.zeros(shape, dtype=fld.dtype)
         if verified:                   # the virtual inputs: e_j, then x_t
@@ -724,47 +752,49 @@ def _lockstep(config, st, start: int, state):
         if verified and config.verify_headers:
             _check_headers(fld, st, fhist.a, xhist.a, t, live, start)
         # ------------------------------------------------- rank test
-        # F_t of every pair, (c, m, N), zero past the widest sink, and y
+        # F_t of every pair, (m, c, N), zero past the widest sink, and y
         Fy = f.transpose(1, 0, 2).reshape(m + v, -1).take(
-            fo[:st["in_deg"].take(ws).max()], axis=1)
-        inc = rank.extend(Fy[:m].swapaxes(0, 1), Fy[m] if verified else None)
+            pairs[3:3 + pairs[2].max()], axis=1)
+        inc = rank.extend(Fy[:m], Fy[m] if verified else None)
         done = inc == m
         if verified:
             if rank.bad.any():
                 n = rank.bad.argmax()
                 raise EngineError(
-                    f"trial {start + wt[n]}, sink {st['sinks'][ws[n]]}: "
-                    "received streams inconsistent with the kernels")
+                    f"trial {start + wt[n]}, sink {st['sinks'][po[n] // B]}"
+                    ": received streams inconsistent with the kernels")
             # the rank deficits before the sink's ACK sum to its delay
-            deltas[do] += m - inc
-            done &= acks.take(ao) == never
-        acks[ao.take(np.flatnonzero(done))] = t
+            deltas[po] += m - inc
+            done &= waits.take(po)
+        at = po.take(done.nonzero()[0])
+        Ts[at] = t
+        waits[at] = False
         # -------------------------------------------------- ACK pass
-        waiting = ack[sink_nodes] == never
-        # a node is ready when no waiting sink is downstream: the float64
+        # a node ACKs when no waiting sink is downstream: the float64
         # product counts them exactly
-        ready = st["reach"] @ waiting == 0
-        others = st["others"]
-        ack[others] = np.where(ready & (ack[others] == never), t, ack[others])
+        np.greater(st["reach"] @ waiting, 0, out=busy_o)
         left = waiting.any(axis=0)
         if verified:
             _set_horizons(t, running & ~left, delta, horizon)
             fin = horizon == t
             if fin.any():
-                sel = np.flatnonzero(fin.take(wt))
-                _check_decoded(st, rank, sel, ws.take(sel), wt.take(sel),
-                               deltas.take(do.take(sel)), xhist.a[:t + 1],
-                               start)
+                sel = fin.take(wt).nonzero()[0]
+                at = po.take(sel)
+                _check_decoded(st, rank, sel, at // B, wt.take(sel),
+                               deltas.take(at), xhist.a[:t + 1], start)
         running = left & (t + 1 < config.max_rounds)
         live = running | (horizon > t) if verified else running
         if not live.any():
             break
-        keep = np.flatnonzero(live.take(wt) if verified else ~done)
-        ws, wt, ao, do = (a.take(keep) for a in (ws, wt, ao, do))
-        fo = fo.take(keep, axis=1)
+        keep = (live.take(wt) if verified else ~done).nonzero()[0]
+        pairs = pairs.take(keep, axis=1)
         rank.keep(keep)
         t += 1
-    return ack, delta, redo
+    for b in np.flatnonzero(redo).tolist():
+        res = run_trial(config, start + b)
+        T[:, b] = [res.T[r] for r in st["sinks"]]
+        delta[:, b] = [res.delta[r] or 0 for r in st["sinks"]]
+    return T, delta
 
 
 def _propagate(fld, conv, khist, fhist, t):
@@ -838,13 +868,18 @@ def _check_decoded(st, rank, sel, ws, wt, d, xs, start):
             f"failure on symbol {p % m} (delay {d[n]}, horizon {H})")
 
 
-def _block(config, st, start, seeds, ack, delta, redo) -> TrialBlock:
-    """The TrialBlock of the lockstep's ACK times and delays, with
-    run_trial's results at the positions where `redo` is set."""
+def _block(config, st, start, seeds, T, delta) -> TrialBlock:
+    """The TrialBlock of the sinks' ACK times and delays, with its
+    counts."""
     topo = config.topology
     V = topo.num_nodes
     B = len(seeds)
-    T = ack[st["sink_nodes"]]
+    ack = np.empty((V, B), dtype=np.int64)
+    ack[st["sink_nodes"]] = T
+    # a node other than a sink ACKs with the last sink downstream of it,
+    # at t = 0 if it reaches none: run_trial's rule
+    for v, down in zip(st["others"].tolist(), st["down"]):
+        ack[v] = T.take(down, axis=0).max(axis=0, initial=0)
     T_N = T.max(axis=0)
     success = (T_N < config.max_rounds).tolist()
     L = ack[st["near"]].max(axis=1) + 1
@@ -855,7 +890,11 @@ def _block(config, st, start, seeds, ack, delta, redo) -> TrialBlock:
     # added up in node order, as run_trial adds them: log2 q is inexact
     # unless q is a power of two.
     bits = np.add.accumulate(topo.m * L * log2(config.field.q), axis=0)
-    block = TrialBlock(
+    # each sink's T histogram, one bincount over the sinks' rows
+    w = int(T_N.max()) + 1
+    hist = np.bincount((T + np.arange(0, len(T) * w, w)[:, None]).ravel(),
+                       minlength=len(T) * w).reshape(len(T), w).tolist()
+    return TrialBlock(
         trial=list(range(start, start + B)), seed=seeds,
         success=success,
         rounds=np.minimum(T_N + 1, config.max_rounds).tolist(),
@@ -866,7 +905,13 @@ def _block(config, st, start, seeds, ack, delta, redo) -> TrialBlock:
         delta={r: [d if ok else None for d, ok in zip(row, success)]
                for r, row in zip(st["sinks"], delta.tolist())}
         if config.verify_decode else {r: [None] * B for r in st["sinks"]},
-        L=dict(zip(range(V), L.tolist())))
-    for b in np.flatnonzero(redo).tolist():
-        block.put(b, run_trial(config, start + b))
-    return block
+        L=dict(zip(range(V), L.tolist())),
+        hist_T_N=_nonzero(np.bincount(T_N).tolist()),
+        per_sink_T_hist=dict(zip(st["sinks"], map(_nonzero, hist))),
+        sum_T2=int((T * T).sum()),
+        sum_L=dict(zip(range(V), L.sum(axis=1).tolist())))
+
+
+def _nonzero(counts) -> dict:
+    """{value: count} of the non-zero entries of a bincount list."""
+    return {i: k for i, k in enumerate(counts) if k}

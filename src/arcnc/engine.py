@@ -55,8 +55,11 @@ Conventions:
 Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
 `TrialBlock`, one list per per-trial quantity and one row per sink (T,
-delta) and per node (L); `CampaignSummary.absorb_block` aggregates it
-and each CSV file gets its rows as one string.  Campaigns on acyclic
+delta) and per node (L), beside its integer counts (the T_N and per-sink
+T histograms, the sum of T^2 and each node's sum of L), made where the
+block is made; `CampaignSummary.absorb_block` merges the counts and folds
+the float columns in trial order, and each CSV file gets its rows as one
+string.  Campaigns on acyclic
 networks (no trace, kept kernels or overrides), lean or verified, in any
 field, run each block in lockstep with numpy (`batch.run_block`), with
 results equal to `run_trial`'s, one lockstep slice (`batch._slice_trials`)
@@ -161,7 +164,8 @@ _BLOCK_COLUMNS = ("trial", "seed", "success", "rounds", "T_N", "avg_T",
 @dataclass
 class TrialBlock:
     """What a campaign keeps of consecutive trials: one list per quantity,
-    position i of every list holding the same trial."""
+    position i of every list holding the same trial, and the integer
+    counts `CampaignSummary` merges, made with the block."""
 
     trial: list
     seed: list
@@ -175,25 +179,26 @@ class TrialBlock:
     delta: dict                 # sink -> delta of each trial (None in lean
                                 # and failed trials)
     L: dict                     # node -> L of each trial
+    hist_T_N: dict              # T_N -> trials
+    per_sink_T_hist: dict       # sink -> {T: trials}
+    sum_T2: int                 # sum of T^2 over the (trial, sink) pairs
+    sum_L: dict                 # node -> sum of L over the trials
 
     @classmethod
     def of(cls, results) -> "TrialBlock":
         """The block of a non-empty list of TrialResults, in list order."""
         first = results[0]
+        T = {r: [res.T[r] for res in results] for r in first.T}
+        L = {v: [res.L[v] for res in results] for v in first.L}
         return cls(*([getattr(res, name) for res in results]
                      for name in _BLOCK_COLUMNS),
-                   T={r: [res.T[r] for res in results] for r in first.T},
-                   delta={r: [res.delta[r] for res in results]
-                          for r in first.delta},
-                   L={v: [res.L[v] for res in results] for v in first.L})
-
-    def put(self, i: int, res: TrialResult):
-        """Overwrite position i with the TrialResult `res`."""
-        for name in _BLOCK_COLUMNS:
-            getattr(self, name)[i] = getattr(res, name)
-        for name in ("T", "delta", "L"):
-            for k, row in getattr(self, name).items():
-                row[i] = getattr(res, name)[k]
+                   T=T, delta={r: [res.delta[r] for res in results]
+                               for r in first.delta},
+                   L=L, hist_T_N=dict(Counter(res.T_N for res in results)),
+                   per_sink_T_hist={r: dict(Counter(row))
+                                    for r, row in T.items()},
+                   sum_T2=sum(t * t for row in T.values() for t in row),
+                   sum_L={v: sum(row) for v, row in L.items()})
 
 
 def _edge_name(eid: int) -> str:
@@ -481,12 +486,13 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         for r in topo.sinks:
             d = delta[r]
             try:
-                xhat = tes[r].solve()
+                # the check reads x_0 .. x_{horizon-d}
+                xhat = tes[r].solve(horizon - d + 1)
             except ValueError as exc:
                 raise EngineError(f"sink {r}: {exc}") from exc
             for j in range(m):
                 want = [x[m] for x in hist[-1 - j][:horizon - d + 1]]
-                if [x[j] for x in xhat[:len(want)]] != want:
+                if [x[j] for x in xhat] != want:
                     raise EngineError(
                         f"sink {r}: decode failure on symbol {j} "
                         f"(delay {d}, horizon {horizon})")
@@ -654,15 +660,13 @@ class CampaignSummary:
         self.absorb_block(TrialBlock.of([res]))
 
     def absorb_block(self, block: TrialBlock):
-        """Absorb a block of trials."""
+        """Absorb a block of trials: merge its counts."""
         self.success_count += sum(block.success)
-        _count_into(self.hist_T_N, Counter(block.T_N))
-        for r, row in block.T.items():
-            counts = Counter(row)
+        _count_into(self.hist_T_N, block.hist_T_N)
+        for r, counts in block.per_sink_T_hist.items():
             _count_into(self.per_sink_T_hist.setdefault(r, {}), counts)
-            self.sum_T2 += sum(ti * ti * k for ti, k in counts.items())
-        for v, row in block.L.items():
-            self.sum_L[v] = self.sum_L.get(v, 0) + sum(row)
+        self.sum_T2 += block.sum_T2
+        _count_into(self.sum_L, block.sum_L)
         # The float sums fold left in trial order, one addition per trial
         # (sum() may compensate rounding), so they do not depend on how a
         # campaign is cut into blocks.
@@ -676,7 +680,7 @@ class CampaignSummary:
             operator.add, block.avg_memory_bits, self.sum_avg_memory_bits)
 
 
-def _count_into(hist: dict, counts: Counter):
+def _count_into(hist: dict, counts: dict):
     for key, k in counts.items():
         hist[key] = hist.get(key, 0) + k
 

@@ -232,12 +232,14 @@ class _RowBasis:
                 row[p] = sub(row[p], mul(v, brow[p]))
         return -1
 
-    def reduce(self):
-        """Clear every lead position from the other rows (reduced form)."""
+    def reduce(self, last=None):
+        """Clear every lead position from the other rows (reduced form), or
+        only from the rows with leads up to `last`: they read no row with
+        a higher lead."""
         f = self.field
         sub, mul = f.sub, f.mul
         rows = self.rows
-        leads = sorted(rows)
+        leads = sorted(lead for lead in rows if last is None or lead <= last)
         # Rows with lower leads are already reduced, so clearing one lead
         # puts no entry at another.
         for i, lead in enumerate(leads):
@@ -291,20 +293,25 @@ class ToeplitzExpansion:
                 inc += 1
         return inc
 
-    def solve(self):
-        """x_0 .. x_t as far as the received symbols determine them: a list
-        of m-lists with None in the undetermined positions.  Raises
-        ValueError if the symbols are inconsistent with the kernels."""
+    def solve(self, steps=None):
+        """x_0 .. x_{steps-1} (x_0 .. x_t by default) as far as the received
+        symbols determine them: a list of m-lists with None in the
+        undetermined positions.  Only the rows that lead at those
+        positions are reduced.  Raises ValueError if the symbols are
+        inconsistent with the kernels."""
         basis = self.basis
         if 0 in basis.rows:        # a row reduced to 0 = y != 0
             raise ValueError("received streams inconsistent with the kernels")
-        basis.reduce()
+        m = self.m
+        if steps is None:
+            steps = self.t + 1
+        last = steps * m           # the position of x_{steps-1,m-1}
+        basis.reduce(last)
         # x_{s,j} is determined exactly when no free unknown is left in its
         # row; its value is then the row's y.
-        m = self.m
-        out = [[None] * m for _ in range(self.t + 1)]
+        out = [[None] * m for _ in range(steps)]
         for lead, (row, nz) in basis.rows.items():
-            if nz in ([], [0]):
+            if lead <= last and nz in ([], [0]):
                 s, j = divmod(lead - 1, m)
                 out[s][j] = row[0]
         return out

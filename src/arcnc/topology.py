@@ -240,17 +240,18 @@ def _max_flow(topo: Topology, sink: int):
     """Unit-capacity max-flow source->sink by BFS augmentation.
 
     Augmenting paths explore edges in ascending id order, so the result is
-    deterministic.  Returns (flow value, used-edge flags list): entry e
-    is True where forward edge e carries flow.
+    deterministic.  Returns (flow value, the set of the edges that carry
+    flow).
 
     The search visits only the nodes from which the sink is reachable.
     An augmenting path runs through such nodes alone, so every edge that
     carries flow joins two of them; from any other node the residual
     graph leads only to nodes like it, which never discover one of them.
     Skipping those nodes leaves every BFS parent, and so the flow, as a
-    search of the whole graph finds them.
+    search of the whole graph finds them, and no flag is kept for an edge
+    outside them.
     """
-    used = [False] * topo.num_edges   # forward edge carries flow
+    used = set()                       # the edges that carry flow
     up = _ancestors(topo, sink)
     if topo.source not in up:
         return 0, used
@@ -273,11 +274,11 @@ def _max_flow(topo: Topology, sink: int):
             v = queue[qi]
             qi += 1
             for eid, w in outs[v]:
-                if not used[eid] and w not in parent:
+                if eid not in used and w not in parent:
                     parent[w] = (eid, True)
                     queue.append(w)
             for eid, w in ins[v]:
-                if used[eid] and w not in parent:
+                if eid in used and w not in parent:
                     parent[w] = (eid, False)
                     queue.append(w)
         if sink not in parent:
@@ -285,8 +286,12 @@ def _max_flow(topo: Topology, sink: int):
         v = sink
         while v != topo.source:
             eid, fwd = parent[v]
-            used[eid] = fwd
-            v = topo.tail(eid) if fwd else topo.head(eid)
+            if fwd:
+                used.add(eid)
+                v = topo.tail(eid)
+            else:
+                used.remove(eid)
+                v = topo.head(eid)
         flow += 1
 
 
@@ -327,14 +332,13 @@ def disjoint_paths(topo: Topology) -> dict:
         if flow < topo.m:
             raise TopologyError(
                 f"sink {r} has max-flow {flow} < m={topo.m}; no disjoint paths")
-        remaining = list(used)
         paths = []
         for _ in range(topo.m):
             path = []
             v = topo.source
             while v != r:
-                eid = next(e for e in topo.out_edges(v) if remaining[e])
-                remaining[eid] = False
+                eid = next(e for e in topo.out_edges(v) if e in used)
+                used.remove(eid)
                 path.append(eid)
                 v = topo.head(eid)
             paths.append(path)

@@ -3,6 +3,7 @@ equals run_trial's, and campaigns take the lockstep path exactly where
 that holds."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -224,20 +225,21 @@ def test_wide_prime_field_lean_block_stays_in_the_lockstep(monkeypatch):
     # slices the dense basis would have none.
     cfg = _lean(combination_network(11, 4), q=3, base_seed=7)
     assert batch._slice_trials(cfg, batch._block_static(cfg.topology)) == 49
-    put, spans = [], []
-    real_put, real_lockstep = TrialBlock.put, batch._lockstep
-    monkeypatch.setattr(TrialBlock, "put", lambda self, i, res: (
-        put.append(i), real_put(self, i, res)))
+    rerun = _record_reruns(monkeypatch)
+    spans = []
+    real_lockstep = batch._lockstep
     monkeypatch.setattr(batch, "_lockstep", lambda config, st, i, state: (
         spans.append((i, i + len(state))) or real_lockstep(config, st, i,
                                                            state)))
     got = batch.run_block(cfg, 0, 98)
-    assert put == [] and spans == [(0, 49), (49, 98)]
+    assert rerun == [] and spans == [(0, 49), (49, 98)]
     # the first trials, against run_trial's
-    head = {k: {r: row[:4] for r, row in v.items()} if isinstance(v, dict)
-            else v[:4] for k, v in dataclasses.asdict(got).items()}
     want = TrialBlock.of([run_trial(cfg, i) for i in range(4)])
-    assert head == dataclasses.asdict(want)
+    for name in engine._BLOCK_COLUMNS:
+        assert getattr(got, name)[:4] == getattr(want, name)
+    for name in ("T", "delta", "L"):
+        assert {k: row[:4] for k, row in getattr(got, name).items()} \
+            == getattr(want, name)
 
 
 def test_average_memory_bits_add_up_in_node_order():
@@ -407,9 +409,9 @@ def test_q3_campaigns_do_not_import_numpy(tmp_path):
 
 
 def _columns(blocks):
-    """F_t of every pair, m x c each, as the lockstep's (c, m, pairs)
+    """F_t of every pair, m x c each, as the lockstep's (m, c, pairs)
     array."""
-    return np.array(blocks, dtype=np.int64).transpose(2, 1, 0)
+    return np.array(blocks, dtype=np.int64).transpose(1, 2, 0)
 
 
 def _ones(m, *cols):
@@ -734,6 +736,49 @@ def test_verified_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
     assert 0 < len(rerun) < 40
 
 
+def _absorbed_json(cfg, trials):
+    """The summary of trials 0..trials-1, absorbed one run_trial result at
+    a time, as JSON with sorted keys."""
+    topo = cfg.topology
+    summary = engine.CampaignSummary(trials=trials, q=cfg.field.q, m=topo.m,
+                                     d=len(topo.sinks), eta=engine.eta(topo))
+    for i in range(trials):
+        summary.absorb(run_trial(cfg, i))
+    return json.dumps(summary.to_json_dict(), sort_keys=True)
+
+
+# _BASIS_ENTRIES at which some, not all, of the first 40 trials at base
+# seed 17 run out of room, lean and verified
+RERUN_ENTRIES = {("comb63", False): 500, ("comb63", True): 100_000,
+                 ("dag", False): 200, ("dag", True): 800}
+
+
+@pytest.mark.parametrize("case", ["plain", "failed", "rerun"])
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+@pytest.mark.parametrize("name, topo", [
+    ("comb63", combination_network(6, 3)), ("dag", _first_valid_dag(100, 2))],
+    ids=["comb63", "dag"])
+def test_campaign_counts_equal_absorbed_run_trials(name, topo, verify, case,
+                                                   monkeypatch):
+    # A lockstep block's counts are bincounts over its arrays, a run_trial
+    # block's are Counters; merged, they give the summary of absorbing
+    # each run_trial result, with failed trials (max_rounds 2) and with
+    # trials re-run for lack of room written into the arrays.
+    cfg = SimConfig(topology=topo, field=field_new(3), base_seed=17,
+                    verify_decode=verify, verify_headers=verify,
+                    max_rounds=2 if case == "failed" else 50)
+    rerun = _record_reruns(monkeypatch)
+    if case == "rerun":
+        monkeypatch.setattr(batch, "_BASIS_ENTRIES",
+                            RERUN_ENTRIES[name, verify])
+    got = collect_campaign(cfg, 40)
+    assert json.dumps(got.to_json_dict(), sort_keys=True) \
+        == _absorbed_json(cfg, 40)
+    assert (0 < len(rerun) < 40) if case == "rerun" else rerun == []
+    if case == "failed":
+        assert got.success_count < 40
+
+
 def test_verified_blocks_split_into_sub_blocks(monkeypatch):
     # A dense basis holds at most _VERIFIED_PAIRS pairs: 6 sinks of
     # comb(4,2) make sub-blocks of 2 trials.
@@ -846,7 +891,7 @@ def test_keep_by_index_equals_boolean_selection(q, plane, symbols):
         rank = batch._PlaneBasis(n, c, q, symbols) if plane else \
             batch._Basis(batch.array_field(q), n, c, symbols)
         for _ in range(2):
-            rank.extend(rng.integers(0, q, (c, m, n)),
+            rank.extend(rng.integers(0, q, (m, c, n)),
                         rng.integers(0, q, (c, n)) if symbols else None)
         return rank
 

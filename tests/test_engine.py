@@ -631,8 +631,8 @@ def test_verified_tail_reports_a_wrong_decode(monkeypatch):
     # A decoder that gets one determined symbol wrong must not pass.
     solve = ToeplitzExpansion.solve
 
-    def flip_one(self):
-        xhat = solve(self)
+    def flip_one(self, steps=None):
+        xhat = solve(self, steps)
         xhat[0][0] ^= 1
         return xhat
 

@@ -239,9 +239,32 @@ def _flow_cases():
 @pytest.mark.parametrize("name, topo", _flow_cases().items())
 def test_max_flow_and_eta_equal_the_whole_graph_search(name, topo):
     for r in topo.sinks:
-        assert _max_flow(topo, r) == _max_flow_whole_graph(topo, r)
+        flow, used = _max_flow_whole_graph(topo, r)
+        assert _max_flow(topo, r) == (flow, {e for e, u in enumerate(used)
+                                             if u})
         assert eta(topo, r) == _eta_rescan(topo, r)
     assert eta(topo) == _eta_rescan(topo)
     report = validate_multicast(topo)
     assert report.flows == {r: _max_flow_whole_graph(topo, r)[0]
                             for r in topo.sinks}
+    if report.ok:
+        assert disjoint_paths(topo) == _disjoint_paths_whole_graph(topo)
+
+
+def _disjoint_paths_whole_graph(topo):
+    """disjoint_paths' lowest-edge-id-first walk over the whole-graph
+    search's flags."""
+    out = {}
+    for r in topo.sinks:
+        remaining = list(_max_flow_whole_graph(topo, r)[1])
+        paths = []
+        for _ in range(topo.m):
+            path, v = [], topo.source
+            while v != r:
+                eid = next(e for e in topo.out_edges(v) if remaining[e])
+                remaining[eid] = False
+                path.append(eid)
+                v = topo.head(eid)
+            paths.append(path)
+        out[r] = paths
+    return out
