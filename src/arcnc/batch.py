@@ -2,12 +2,12 @@
 every result equal to `engine.run_trial`'s, in every field.
 
 Eligibility.  `engine.collect_campaign` runs a block here only where the
-output is provably the same as `run_trial`'s: an acyclic topology, none
-of `trace`, `keep_kernels` or kernel overrides, any q, lean or verified
-(`verify_decode`) trials, and sinks of any in-degree.  Every other
-campaign (cyclic or traced) runs `run_trial`, which stays the reference;
-the differential tests compare each block with the `engine.TrialBlock`
-of `run_trial`'s results.
+output is provably the same as `run_trial`'s: an acyclic topology, no
+`trace` or kernel overrides, any q, lean or verified (`verify_decode`)
+trials, sinks of any in-degree, and `keep_kernels` either way, as a
+block keeps no kernels.  Every other campaign runs `run_trial`, which
+stays the reference; the differential tests compare each block with the
+`engine.TrialBlock` of `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
 uint64 vector and draws in `engine`'s order: step t first draws the m
@@ -57,9 +57,9 @@ marks the nodes that have not ACKed, the other nodes' rows first, then
 the sinks', so that a step's draws take their head nodes' rows from it;
 a sink's row is cleared at its ACK, and the other nodes' rows are set
 at once from the waiting sinks downstream of each node, counted by one
-float64 product.  The lockstep keeps only the sinks' ACK times; a node
-other than a sink ACKs with the last sink downstream of it, at t = 0 if
-it reaches none, so the block derives the others' from them.
+float64 product with `reach`.  The lockstep keeps only the sinks' ACK
+times; a node other than a sink ACKs with the last sink downstream of
+it, at t = 0 if it reaches none, so the block derives the others' too.
 
 Entries move by flat offset.  Once a slice, `_lockstep` computes each
 pair's offsets into the sinks' ACK times and waiting flags, the delays
@@ -126,7 +126,7 @@ Results.  A block comes back as an `engine.TrialBlock` built from the ACK
 times and delays, one `.tolist()` per column, with its counts: each
 sink's T histogram in one `bincount` over the sinks' rows, offset by
 sink, the T_N histogram in another, and the sum of T^2 and each node's
-sum of L as array sums.  No per-trial object is made.
+sum of L as array sums.  No per-trial object or per-node L row is kept.
 """
 
 from __future__ import annotations
@@ -334,7 +334,6 @@ def _block_static(topo):
         in_deg=np.array([len(r) for r in ins], dtype=np.intp),
         sinks=sinks, sink_nodes=np.array(sinks, dtype=np.intp),
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
-        down=[np.flatnonzero(r) for r in reach],
         code_heads=np.array([topo.head(e) for e in coding_out],
                             dtype=np.intp),
         # the m source-symbol draws of a step, as state offsets
@@ -605,7 +604,7 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     computed in lockstep for a config that `engine._batchable` accepts."""
     if not _batchable(config):
         raise ValueError("run_block needs an acyclic topology without "
-                         "trace, kept kernels or overrides")
+                         "trace or overrides")
     st = _block_static(config.topology)
     T, delta = (np.concatenate(part, axis=-1) for part in zip(
         *_lockstep_slices(config, st, start, stop)))
@@ -877,9 +876,9 @@ def _block(config, st, start, seeds, T, delta) -> TrialBlock:
     ack = np.empty((V, B), dtype=np.int64)
     ack[st["sink_nodes"]] = T
     # a node other than a sink ACKs with the last sink downstream of it,
-    # at t = 0 if it reaches none: run_trial's rule
-    for v, down in zip(st["others"].tolist(), st["down"]):
-        ack[v] = T.take(down, axis=0).max(axis=0, initial=0)
+    # at t = 0 if it reaches none (its row of `reach` is zero): run_trial's
+    # rule; T >= 0, and the float64 products of small integers are exact
+    ack[st["others"]] = (st["reach"][:, :, None] * T).max(axis=1)
     T_N = T.max(axis=0)
     success = (T_N < config.max_rounds).tolist()
     L = ack[st["near"]].max(axis=1) + 1
@@ -905,7 +904,6 @@ def _block(config, st, start, seeds, T, delta) -> TrialBlock:
         delta={r: [d if ok else None for d, ok in zip(row, success)]
                for r, row in zip(st["sinks"], delta.tolist())}
         if config.verify_decode else {r: [None] * B for r in st["sinks"]},
-        L=dict(zip(range(V), L.tolist())),
         hist_T_N=_nonzero(np.bincount(T_N).tolist()),
         per_sink_T_hist=dict(zip(st["sinks"], map(_nonzero, hist))),
         sum_T2=int((T * T).sum()),

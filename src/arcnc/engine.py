@@ -55,17 +55,17 @@ Conventions:
 Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
 `TrialBlock`, one list per per-trial quantity and one row per sink (T,
-delta) and per node (L), beside its integer counts (the T_N and per-sink
-T histograms, the sum of T^2 and each node's sum of L), made where the
-block is made; `CampaignSummary.absorb_block` merges the counts and folds
-the float columns in trial order, and each CSV file gets its rows as one
-string.  Campaigns on acyclic
-networks (no trace, kept kernels or overrides), lean or verified, in any
-field, run each block in lockstep with numpy (`batch.run_block`), with
-results equal to `run_trial`'s, one lockstep slice (`batch._slice_trials`)
-per block; every other block (traced or cyclic) runs `run_trial` trial by
-trial and transposes the results with `TrialBlock.of`, which imports no
-numpy.  A campaign runs no more processes than the CPUs it may use.
+delta), beside its integer counts (the T_N and per-sink T histograms, the
+sum of T^2 and each node's sum of L), made where the block is made;
+`CampaignSummary.absorb_block` merges the counts and folds the float
+columns in trial order, and each CSV file gets its rows as one string.
+Campaigns on acyclic networks (no trace or overrides), lean or verified,
+in any field, run each block in lockstep with numpy (`batch.run_block`),
+with results equal to `run_trial`'s, one lockstep slice
+(`batch._slice_trials`) per block; every other block (traced or cyclic)
+runs `run_trial` trial by trial and transposes the results with
+`TrialBlock.of`, which imports no numpy.  A campaign runs no more
+processes than the CPUs it may use.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ _BLOCK_COLUMNS = ("trial", "seed", "success", "rounds", "T_N", "avg_T",
 class TrialBlock:
     """What a campaign keeps of consecutive trials: one list per quantity,
     position i of every list holding the same trial, and the integer
-    counts `CampaignSummary` merges, made with the block."""
+    counts `CampaignSummary` merges (L only as these), made with the
+    block."""
 
     trial: list
     seed: list
@@ -178,7 +179,6 @@ class TrialBlock:
     T: dict                     # sink -> T of each trial
     delta: dict                 # sink -> delta of each trial (None in lean
                                 # and failed trials)
-    L: dict                     # node -> L of each trial
     hist_T_N: dict              # T_N -> trials
     per_sink_T_hist: dict       # sink -> {T: trials}
     sum_T2: int                 # sum of T^2 over the (trial, sink) pairs
@@ -189,16 +189,16 @@ class TrialBlock:
         """The block of a non-empty list of TrialResults, in list order."""
         first = results[0]
         T = {r: [res.T[r] for res in results] for r in first.T}
-        L = {v: [res.L[v] for res in results] for v in first.L}
         return cls(*([getattr(res, name) for res in results]
                      for name in _BLOCK_COLUMNS),
                    T=T, delta={r: [res.delta[r] for res in results]
                                for r in first.delta},
-                   L=L, hist_T_N=dict(Counter(res.T_N for res in results)),
+                   hist_T_N=dict(Counter(res.T_N for res in results)),
                    per_sink_T_hist={r: dict(Counter(row))
                                     for r, row in T.items()},
                    sum_T2=sum(t * t for row in T.values() for t in row),
-                   sum_L={v: sum(row) for v, row in L.items()})
+                   sum_L={v: sum(res.L[v] for res in results)
+                          for v in first.L})
 
 
 def _edge_name(eid: int) -> str:
@@ -696,11 +696,12 @@ BLOCK_TRIALS = 128
 
 
 def _batchable(config: SimConfig) -> bool:
-    """True when `batch.run_block` gives exactly `run_trial`'s results:
-    untraced trials, lean or verified, in any field on an acyclic
-    topology, with no kept kernels and no overrides."""
-    return (not config.trace and not config.keep_kernels
-            and not config.overrides and _topo_static(config.topology)[0])
+    """True when `batch.run_block` gives exactly `run_trial`'s block:
+    untraced trials (a traced lean one reports delays), lean or
+    verified, in any field on an acyclic topology, with no overrides; a
+    block keeps no kernels."""
+    return (not config.trace and not config.overrides
+            and _topo_static(config.topology)[0])
 
 
 def _run_block(args) -> TrialBlock:

@@ -77,6 +77,19 @@ def test_run_block_on_a_sink_with_out_edges():
     _check_block(_lean(SINK_WITH_OUT_EDGE, base_seed=9), 0, 128)
 
 
+# SINK_WITH_OUT_EDGE with relay 6 hung off node 1: node 6 reaches no sink,
+# so it ACKs at t = 0, and its L is 1 + the ACK time of node 1, which
+# ACKs with the last sink, at T_N.
+DEAD_END = Topology(7, SINK_WITH_OUT_EDGE.edges + ((1, 6),), source=0,
+                    sinks=(4, 5), m=2)
+
+
+def test_run_block_on_a_node_that_reaches_no_sink():
+    assert validate_multicast(DEAD_END).ok
+    got = _check_block(_lean(DEAD_END, base_seed=9), 0, 128)
+    assert got.sum_L[6] == sum(got.T_N) + 128
+
+
 @pytest.mark.parametrize("max_rounds", [1, 2, 3])
 @pytest.mark.parametrize("topo", [combination_network(4, 2),
                                   combination_network(6, 3),
@@ -237,7 +250,7 @@ def test_wide_prime_field_lean_block_stays_in_the_lockstep(monkeypatch):
     want = TrialBlock.of([run_trial(cfg, i) for i in range(4)])
     for name in engine._BLOCK_COLUMNS:
         assert getattr(got, name)[:4] == getattr(want, name)
-    for name in ("T", "delta", "L"):
+    for name in ("T", "delta"):
         assert {k: row[:4] for k, row in getattr(got, name).items()} \
             == getattr(want, name)
 
@@ -248,21 +261,23 @@ def test_average_memory_bits_add_up_in_node_order():
     cfg = _lean(combination_network(4, 2), q=3, base_seed=21)
     got = _check_block(cfg, 0, 40)
     topo = cfg.topology
-    whole = [topo.m * sum(L) * math.log2(3) / topo.num_nodes
-             for L in zip(*got.L.values())]
+    whole = [topo.m * sum(run_trial(cfg, i).L.values()) * math.log2(3)
+             / topo.num_nodes for i in range(40)]
     assert any(a != b for a, b in zip(whole, got.avg_memory_bits))
 
 
 def test_run_block_rejects_configs_it_does_not_reproduce():
-    # Cyclic, traced and kept-kernel configs run run_trial, lean or
-    # verified.
+    # Cyclic and traced configs run run_trial, lean or verified.
     topo = combination_network(4, 2)
     for cfg in (_lean(two_node_cycle_network(), q=3),
                 SimConfig(topology=two_node_cycle_network(), field=F2),
                 SimConfig(topology=topo, field=F2, trace=True),
-                _lean(topo, keep_kernels=True), _lean(topo, trace=True)):
+                _lean(topo, trace=True)):
         with pytest.raises(ValueError):
             batch.run_block(cfg, 0, 4)
+    # A block keeps no kernels, so kept-kernel configs run in the lockstep.
+    _check_block(_lean(topo, keep_kernels=True), 0, 40)
+    _check_block(SimConfig(topology=topo, field=F2, keep_kernels=True), 0, 40)
 
 
 def test_collect_campaign_takes_the_batch_path_only_when_eligible(
@@ -286,7 +301,10 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
     assert blocks == [(0, 100), (100, 200), (200, 300)]
     blocks.clear()
     collect_campaign(_lean(topo, q=3), 5)
-    assert blocks == [(0, 5)]
+    # a block keeps no kernels, so a kept-kernel campaign runs there too
+    collect_campaign(SimConfig(topology=topo, field=field_new(3),
+                               keep_kernels=True), 5)
+    assert blocks == [(0, 5), (0, 5)]
     blocks.clear()
     # verified, with m inputs per sink and with 33 on one sink
     for cfg in (SimConfig(topology=topo, field=field_new(3)),
@@ -684,6 +702,11 @@ def test_verified_run_block_on_a_square_sink_with_out_edges(q):
     assert validate_multicast(SQUARE_SINK_WITH_OUT_EDGE).ok
     _check_verified(_verified(SQUARE_SINK_WITH_OUT_EDGE, q=q, base_seed=9),
                     0, 128)
+
+
+def test_verified_run_block_on_a_node_that_reaches_no_sink():
+    got = _check_verified(_verified(DEAD_END, q=3, base_seed=9), 0, 128)
+    assert got.sum_L[6] == sum(got.T_N) + 128
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
