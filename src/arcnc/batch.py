@@ -2,11 +2,11 @@
 every result equal to `engine.run_trial`'s, in every field.
 
 Eligibility.  `engine.collect_campaign` runs a block here only where the
-output is provably the same as `run_trial`'s: an acyclic topology, no
-`trace` or kernel overrides, any q, lean or verified (`verify_decode`)
-trials, sinks of any in-degree, and `keep_kernels` either way, as a
-block keeps no kernels.  Every other campaign runs `run_trial`, which
-stays the reference; the differential tests compare each block with the
+output is provably the same as `run_trial`'s: an acyclic topology and no
+kernel overrides, any q, lean or verified (`verify_decode`) trials,
+sinks of any in-degree, and `trace` and `keep_kernels` either way, as a
+block keeps neither.  Every other campaign runs `run_trial`, which stays
+the reference; the differential tests compare each block with the
 `engine.TrialBlock` of `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
@@ -58,8 +58,13 @@ the sinks', so that a step's draws take their head nodes' rows from it;
 a sink's row is cleared at its ACK, and the other nodes' rows are set
 at once from the waiting sinks downstream of each node, counted by one
 float64 product with `reach`.  The lockstep keeps only the sinks' ACK
-times; a node other than a sink ACKs with the last sink downstream of
-it, at t = 0 if it reaches none, so the block derives the others' too.
+times and delays; a node other than a sink ACKs with the last sink
+downstream of it, at t = 0 if it reaches none, so the block derives the
+others' too.  A sink's delay delta_r is `run_trial`'s, lean or verified:
+each step adds every pair's rank deficit m - inc_t, summed through the
+ACK, which is d_1 + ... + d_m for the invariant factors z^d_i of the
+kernel matrix (Massey & Sain 1968; Forney 1970).  A lean pair leaves at
+its ACK, and a verified one adds 0 after it, as its increment stays m.
 
 Entries move by flat offset.  Once a slice, `_lockstep` computes each
 pair's offsets into the sinks' ACK times and waiting flags, the delays
@@ -81,11 +86,8 @@ m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
 so the source's out-edges convolve them as any node convolves its inputs.
 Each equation carries its y after the x-positions.  A pair stays in the
 rank state after its sink's ACK, until its trial's horizon
-H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  On any sink
-delta_r is `run_trial`'s: the rank deficits m - inc_t of the steps
-before the ACK, summed, which is d_1 + ... + d_m for the invariant
-factors z^d_i of the kernel matrix (Massey & Sain 1968; Forney 1970).
-Tail steps draw only x_t.  Three checks, each an array operation, raise
+H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  Tail steps
+draw only x_t.  Three checks, each an array operation, raise
 `EngineError` naming the trial and the sink: no equation reduces to
 0 = y != 0; at H every x_{s,j} with s <= H -
 delta_r is determined and equals the drawn one; and, with
@@ -123,7 +125,8 @@ and a verified trial whose horizon H has (H+1)*m > 63 is still in its
 tail at the first step without room, and is re-run there.
 
 Results.  A block comes back as an `engine.TrialBlock` built from the ACK
-times and delays, one `.tolist()` per column, with its counts: each
+times and delays, one `.tolist()` per column (None then replaces the
+delays of failed trials), with its counts: each
 sink's T histogram in one `bincount` over the sinks' rows, offset by
 sink, the T_N histogram in another, and the sum of T^2 and each node's
 sum of L as array sums.  No per-trial object or per-node L row is kept.
@@ -604,7 +607,7 @@ def run_block(config, start: int, stop: int) -> TrialBlock:
     computed in lockstep for a config that `engine._batchable` accepts."""
     if not _batchable(config):
         raise ValueError("run_block needs an acyclic topology without "
-                         "trace or overrides")
+                         "overrides")
     st = _block_static(config.topology)
     T, delta = (np.concatenate(part, axis=-1) for part in zip(
         *_lockstep_slices(config, st, start, stop)))
@@ -755,6 +758,9 @@ def _lockstep(config, st, start: int, state):
         Fy = f.transpose(1, 0, 2).reshape(m + v, -1).take(
             pairs[3:3 + pairs[2].max()], axis=1)
         inc = rank.extend(Fy[:m], Fy[m] if verified else None)
+        # the rank deficits before the sink's ACK sum to its delay; a
+        # verified pair adds 0 after it, as inc stays m
+        deltas[po] += m - inc
         done = inc == m
         if verified:
             if rank.bad.any():
@@ -762,8 +768,6 @@ def _lockstep(config, st, start: int, state):
                 raise EngineError(
                     f"trial {start + wt[n]}, sink {st['sinks'][po[n] // B]}"
                     ": received streams inconsistent with the kernels")
-            # the rank deficits before the sink's ACK sum to its delay
-            deltas[po] += m - inc
             done &= waits.take(po)
         at = po.take(done.nonzero()[0])
         Ts[at] = t
@@ -880,7 +884,11 @@ def _block(config, st, start, seeds, T, delta) -> TrialBlock:
     # rule; T >= 0, and the float64 products of small integers are exact
     ack[st["others"]] = (st["reach"][:, :, None] * T).max(axis=1)
     T_N = T.max(axis=0)
-    success = (T_N < config.max_rounds).tolist()
+    ok = T_N < config.max_rounds
+    delta = delta.tolist()
+    for b in np.flatnonzero(~ok).tolist():     # a failed trial has no delay
+        for row in delta:
+            row[b] = None
     L = ack[st["near"]].max(axis=1) + 1
     n_code = len(st["code_heads"])
     code = ack[st["code_heads"]].sum(axis=0) + n_code
@@ -895,15 +903,13 @@ def _block(config, st, start, seeds, T, delta) -> TrialBlock:
                        minlength=len(T) * w).reshape(len(T), w).tolist()
     return TrialBlock(
         trial=list(range(start, start + B)), seed=seeds,
-        success=success,
+        success=ok.tolist(),
         rounds=np.minimum(T_N + 1, config.max_rounds).tolist(),
         T_N=T_N.tolist(), avg_T=(T.sum(axis=0) / len(T)).tolist(),
         avg_code_len=(code / n_code).tolist() if n_code else [0.0] * B,
         avg_memory_bits=(bits[-1] / V).tolist(),
         T=dict(zip(st["sinks"], T.tolist())),
-        delta={r: [d if ok else None for d, ok in zip(row, success)]
-               for r, row in zip(st["sinks"], delta.tolist())}
-        if config.verify_decode else {r: [None] * B for r in st["sinks"]},
+        delta=dict(zip(st["sinks"], delta)),
         hist_T_N=_nonzero(np.bincount(T_N).tolist()),
         per_sink_T_hist=dict(zip(st["sinks"], map(_nonzero, hist))),
         sum_T2=int((T * T).sum()),

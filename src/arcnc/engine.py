@@ -48,9 +48,10 @@ Conventions:
     of its m x m minors (Massey & Sain 1968; Forney 1970).  A verified
     sink decodes from that same expansion, fed y_t and run on to the horizon.
   * Lean trials keep headers alone (entries of width m), on every
-    topology, and report no decoding delay.  The source symbols x_t are
-    drawn in either case, so lean and verified trials consume the same
-    draw stream.
+    topology, and report the same delay, from the same rank deficits;
+    `verify_decode` only switches on the decode and header checks.  The
+    source symbols x_t are drawn in either case, so lean and verified
+    trials consume the same draw stream.
 
 Campaigns run in contiguous blocks of trials, in-process or one block per
 pool task, and are merged in trial order.  A block comes back as a
@@ -59,12 +60,12 @@ delta), beside its integer counts (the T_N and per-sink T histograms, the
 sum of T^2 and each node's sum of L), made where the block is made;
 `CampaignSummary.absorb_block` merges the counts and folds the float
 columns in trial order, and each CSV file gets its rows as one string.
-Campaigns on acyclic networks (no trace or overrides), lean or verified,
-in any field, run each block in lockstep with numpy (`batch.run_block`),
+Campaigns on acyclic networks without overrides, lean or verified, in
+any field, run each block in lockstep with numpy (`batch.run_block`),
 with results equal to `run_trial`'s, one lockstep slice
-(`batch._slice_trials`) per block; every other block (traced or cyclic)
-runs `run_trial` trial by trial and transposes the results with
-`TrialBlock.of`, which imports no numpy.  A campaign runs no more
+(`batch._slice_trials`) per block; every other block (cyclic or with
+overrides) runs `run_trial` trial by trial and transposes the results
+with `TrialBlock.of`, which imports no numpy.  A campaign runs no more
 processes than the CPUs it may use.
 """
 
@@ -82,7 +83,8 @@ from .polyalg import ToeplitzExpansion
 # Not called here; perfbench's tracer resolves these three names in engine.
 from .polyalg import select_columns, sequential_decode, toeplitz_solve  # noqa: F401
 from .rng import trial_rng, trial_seed
-from .topology import Topology, disjoint_paths, eta, is_acyclic
+from .topology import (Topology, _ancestors, disjoint_paths, eta,
+                       is_acyclic)
 
 __all__ = ["SimConfig", "TrialResult", "TrialBlock", "CampaignSummary",
            "EngineError", "OverrideError", "run_trial", "collect_campaign",
@@ -144,8 +146,8 @@ class TrialResult:
     T: dict                     # sink -> ACK time (max_rounds if never ACKed)
     T_N: int
     delta: dict                 # sink -> decoding delay, the summed rank
-                                # deficits before its ACK; None in lean
-                                # and failed trials
+                                # deficits before its ACK; None in
+                                # failed trials
     L: dict                     # node -> constraint length
     memory_bits: dict           # node -> m * L * log2(q)
     avg_T: float
@@ -177,8 +179,8 @@ class TrialBlock:
     avg_code_len: list
     avg_memory_bits: list
     T: dict                     # sink -> T of each trial
-    delta: dict                 # sink -> delta of each trial (None in lean
-                                # and failed trials)
+    delta: dict                 # sink -> delta of each trial (None in
+                                # failed trials)
     hist_T_N: dict              # T_N -> trials
     per_sink_T_hist: dict       # sink -> {T: trials}
     sum_T2: int                 # sum of T^2 over the (trial, sink) pairs
@@ -264,21 +266,12 @@ def _topo_static(topo: Topology):
         neighbors[v] = neigh
     # Sinks reachable downstream of each node (the node's ACK condition;
     # in a DAG this coincides with "all children have ACKed", and unlike
-    # the child-based form it is well-defined on cycles).
+    # the child-based form it is well-defined on cycles), from one reverse
+    # search per sink.
+    up = {r: _ancestors(topo, r) for r in topo.sinks}
+    downstream = {v: frozenset(r for r in topo.sinks if v != r and v in up[r])
+                  for v in range(topo.num_nodes)}
     sink_set = set(topo.sinks)
-    downstream = {}
-    for v in range(topo.num_nodes):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for e in topo.out_edges(u):
-                w = topo.head(e)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        seen.discard(v)
-        downstream[v] = frozenset(seen & sink_set)
     # code length of an edge out of a coding node: 1 + its freeze time
     coding_out = [e for e in range(topo.num_edges)
                   if topo.tail(e) not in relays
@@ -468,16 +461,16 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     rounds = t
     T = {r: ack_time.get(r, config.max_rounds) for r in topo.sinks}
 
+    # A successful trial measures the delay, lean or verified; a failed
+    # one none.
+    delta = deficit if success else dict.fromkeys(topo.sinks)
     # ------------------------------------------------- decoding verification
-    # Only a verified successful trial measures the delay.
-    delta = dict.fromkeys(topo.sinks)
     if success and keep_symbols:
         # The tail runs to the horizon last + max(max delta, T_N) + 1, where
         # last = T_N is the step at which the last sink stopped, so every
         # sink decodes at least two symbols.  All kernels are frozen by
         # now, so the tail draws only source symbols; cyclic feedback still
         # extends the (rational) global kernels.
-        delta = deficit
         last = rounds - 1
         while t <= last + max(max(delta.values()), last) + 1:
             advance(t, tail=True)
@@ -696,12 +689,10 @@ BLOCK_TRIALS = 128
 
 
 def _batchable(config: SimConfig) -> bool:
-    """True when `batch.run_block` gives exactly `run_trial`'s block:
-    untraced trials (a traced lean one reports delays), lean or
-    verified, in any field on an acyclic topology, with no overrides; a
-    block keeps no kernels."""
-    return (not config.trace and not config.overrides
-            and _topo_static(config.topology)[0])
+    """True when `batch.run_block` gives exactly `run_trial`'s block: an
+    acyclic topology and no overrides, in any mode and field; a block
+    keeps no kernels or trace."""
+    return not config.overrides and _topo_static(config.topology)[0]
 
 
 def _run_block(args) -> TrialBlock:

@@ -266,18 +266,27 @@ def test_average_memory_bits_add_up_in_node_order():
     assert any(a != b for a, b in zip(whole, got.avg_memory_bits))
 
 
+# One scripted coefficient on comb(4,2): k(x0->e0, t=0) = 1.
+OVERRIDE = {(-1, 0, 0): 1}
+
+
 def test_run_block_rejects_configs_it_does_not_reproduce():
-    # Cyclic and traced configs run run_trial, lean or verified.
+    # Cyclic configs and configs with overrides run run_trial, lean or
+    # verified.
     topo = combination_network(4, 2)
     for cfg in (_lean(two_node_cycle_network(), q=3),
                 SimConfig(topology=two_node_cycle_network(), field=F2),
-                SimConfig(topology=topo, field=F2, trace=True),
-                _lean(topo, trace=True)):
+                SimConfig(topology=topo, field=F2, overrides=OVERRIDE),
+                _lean(topo, overrides=OVERRIDE)):
         with pytest.raises(ValueError):
             batch.run_block(cfg, 0, 4)
-    # A block keeps no kernels, so kept-kernel configs run in the lockstep.
+    # A block keeps no kernels or trace lines, and a traced lean trial
+    # reports the delay as an untraced one does, so kept-kernel and traced
+    # configs run in the lockstep.
     _check_block(_lean(topo, keep_kernels=True), 0, 40)
     _check_block(SimConfig(topology=topo, field=F2, keep_kernels=True), 0, 40)
+    _check_block(SimConfig(topology=topo, field=F2, trace=True), 0, 40)
+    _check_block(_lean(topo, trace=True), 0, 40)
 
 
 def test_collect_campaign_takes_the_batch_path_only_when_eligible(
@@ -306,17 +315,19 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
                                keep_kernels=True), 5)
     assert blocks == [(0, 5), (0, 5)]
     blocks.clear()
-    # verified, with m inputs per sink and with 33 on one sink
+    # verified, with m inputs per sink and with 33 on one sink, and traced
     for cfg in (SimConfig(topology=topo, field=field_new(3)),
-                SimConfig(topology=WIDE_SINK, field=field_new(3))):
+                SimConfig(topology=WIDE_SINK, field=field_new(3)),
+                SimConfig(topology=WIDE_SINK, field=field_new(3),
+                          trace=True)):
         collect_campaign(cfg, 5)
-    assert blocks == [(0, 5), (0, 5)]
+    assert blocks == [(0, 5), (0, 5), (0, 5)]
     blocks.clear()
     for cfg in (_lean(two_node_cycle_network(), q=3),
                 SimConfig(topology=two_node_cycle_network(),
                           field=field_new(3)),
-                SimConfig(topology=WIDE_SINK, field=field_new(3),
-                          trace=True)):
+                SimConfig(topology=topo, field=field_new(3),
+                          overrides=OVERRIDE)):
         collect_campaign(cfg, 5)
     assert blocks == []
 
@@ -380,7 +391,7 @@ import sys
 
 from arcnc import engine
 from arcnc.gf import field_new
-from arcnc.topology import Topology, two_node_cycle_network
+from arcnc.topology import two_node_cycle_network
 
 real_run_block = engine._run_block
 
@@ -395,17 +406,12 @@ def checked_run_block(args):
 engine._run_block = checked_run_block
 
 if __name__ == "__main__":
-    # sink 34 has 33 inputs at m = 2
-    wide = Topology(36, tuple((0, i) for i in range(1, 34))
-                    + tuple((i, 34) for i in range(1, 34))
-                    + ((1, 35), (2, 35)), source=0, sinks=(34, 35), m=2)
-    traced = engine.SimConfig(topology=wide, field=field_new(3), trace=True)
     cyclic = engine.SimConfig(topology=two_node_cycle_network(),
                               field=field_new(3))
     lean_cyclic = engine.SimConfig(topology=two_node_cycle_network(),
                                    field=field_new(3), verify_decode=False,
                                    verify_headers=False)
-    for cfg, trials in ((traced, 8), (cyclic, 40), (lean_cyclic, 40)):
+    for cfg, trials in ((cyclic, 40), (lean_cyclic, 40)):
         for workers in (1, 2):
             engine.collect_campaign(cfg, trials, workers=workers)
     print("numpy" in sys.modules)
@@ -414,9 +420,8 @@ if __name__ == "__main__":
 
 def test_q3_campaigns_do_not_import_numpy(tmp_path):
     # Only the lockstep needs numpy; a pool worker that imports it grows by
-    # megabytes.  Traced campaigns and cyclic ones, verified or lean, run
-    # run_trial blocks, and every block, in-process and in the workers,
-    # checks.
+    # megabytes.  Cyclic campaigns, verified or lean, run run_trial blocks,
+    # and every block, in-process and in the workers, checks.
     script = tmp_path / "campaign.py"
     script.write_text(_NO_NUMPY_CAMPAIGN)
     src = Path(engine.__file__).resolve().parents[1]
@@ -800,6 +805,74 @@ def test_campaign_counts_equal_absorbed_run_trials(name, topo, verify, case,
     assert (0 < len(rerun) < 40) if case == "rerun" else rerun == []
     if case == "failed":
         assert got.success_count < 40
+
+
+def _check_equal_delays(topo, q, monkeypatch, entries=None, **kw):
+    """Lean and verified blocks of trials 0..39 at base seed 17, each
+    equal to run_trial's, report the same delays, None only in failed
+    trials; with `entries`, {verify_decode: _BASIS_ENTRIES}, some of the
+    trials of each run out of room and re-run with run_trial."""
+    blocks = []
+    for cfg in (_lean(topo, q=q, base_seed=17, **kw),
+                _verified(topo, q=q, base_seed=17, **kw)):
+        rerun = _record_reruns(monkeypatch)
+        if entries:
+            monkeypatch.setattr(batch, "_BASIS_ENTRIES",
+                                entries[cfg.verify_decode])
+        blocks.append(_check_block(cfg, 0, 40))
+        assert (0 < len(rerun) < 40) if entries else rerun == []
+    lean, full = blocks
+    assert lean.T == full.T and lean.delta == full.delta
+    assert all((d is None) == (not ok) for row in lean.delta.values()
+               for d, ok in zip(row, lean.success))
+    return lean
+
+
+@pytest.mark.parametrize("max_rounds", [2, 50])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("topo", [
+    combination_network(4, 2), combination_network(6, 3),
+    _first_valid_dag(100, 2), _first_valid_dag(0, 3), WIDE_SINK],
+    ids=["comb42", "comb63", "dag", "dag3", "wide"])
+def test_lean_and_verified_blocks_report_equal_delays(topo, q, max_rounds,
+                                                      monkeypatch):
+    # verify_decode switches on the checks alone, so a lean block reports
+    # the delays a verified one does, trial for trial; at max_rounds 2
+    # some trials fail.
+    lean = _check_equal_delays(topo, q, monkeypatch, max_rounds=max_rounds)
+    assert all(lean.success) == (max_rounds == 50)
+
+
+@pytest.mark.parametrize("name, topo", [
+    ("comb63", combination_network(6, 3)), ("dag", _first_valid_dag(100, 2))],
+    ids=["comb63", "dag"])
+def test_rerun_trials_report_equal_delays(name, topo, monkeypatch):
+    _check_equal_delays(topo, 3, monkeypatch, entries={
+        v: RERUN_ENTRIES[name, v] for v in (False, True)})
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 2), (3, 2), (4, 2), (5, 2),
+                                  (8, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+def test_lean_delay_matches_the_exact_law(q, m):
+    # An oracle that is not an engine.  A comb(m+1, m) sink reads m relays
+    # of the source, whose kernels draw fresh coefficients through the
+    # sink's ACK, so its kernel matrix is Haar-random over F_q[[z]]; its
+    # delay is the sum d_1 + ... + d_m of the Smith form's valuations,
+    # whose mean under the Cohen-Lenstra law is sum_{i=1..m} 1/(q^i - 1)
+    # (4/3 at q = 2, m = 2).  Only the first sink is read, as the sinks of
+    # one trial share relays, so its 20,000 delays are iid.
+    topo, trials = combination_network(m + 1, m), 20_000
+    block = batch.run_block(_lean(topo, q=q, base_seed=41), 0, trials)
+    assert all(block.success)
+    d = np.array(block.delta[topo.sinks[0]], dtype=np.float64)
+    want = sum(1 / (q ** i - 1) for i in range(1, m + 1))
+    z = (d.mean() - want) / (d.std(ddof=1) / math.sqrt(trials))
+    # A fixed bound, not one tuned to the seed: |z| > 4 has probability
+    # 6e-5 under the law, so the grid of ten cells fails by chance about
+    # once in 1,600 seeds.  Dropping step 0's deficit, counting a deficit
+    # step as 1, or reusing one draw for two coding pairs each fails cells
+    # of the grid.
+    assert abs(z) <= 4, (d.mean(), want, z)
 
 
 def test_verified_blocks_split_into_sub_blocks(monkeypatch):

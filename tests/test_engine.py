@@ -554,24 +554,25 @@ def _lean(topo, q, **kw):
                      **kw)
 
 
-def test_lean_trials_report_no_delay():
+def test_lean_trials_report_the_verified_delay():
+    # verify_decode switches on the checks alone: a lean trial sums the
+    # same rank deficits as a verified one.
     topo = combination_network(4, 2)
     for i in range(20):
         lean = run_trial(_lean(topo, 2, base_seed=6), i)
         full = run_trial(SimConfig(topology=topo, field=F2, base_seed=6), i)
-        assert lean.T == full.T
-        assert all(d is None for d in lean.delta.values())
-        assert all(d is not None for d in full.delta.values())
+        assert lean.T == full.T and lean.delta == full.delta
+        assert all(d is not None for d in lean.delta.values())
 
 
 def _check_lean_matches_verified(topo, q, seed, trial):
-    """Lean trials propagate headers only; everything but the delay must
-    match the verified trial, which also decodes and checks headers.  The
-    verified trial's kept kernels run on through its decoding tail."""
+    """Lean trials propagate headers only; everything, the delay included,
+    must match the verified trial, which also decodes and checks headers.
+    The verified trial's kept kernels run on through its decoding tail."""
     lean = run_trial(_lean(topo, q, base_seed=seed, keep_kernels=True), trial)
     full = run_trial(SimConfig(topology=topo, field=field_new(q),
                                base_seed=seed, keep_kernels=True), trial)
-    for name in ("success", "rounds", "T", "T_N", "L", "memory_bits",
+    for name in ("success", "rounds", "T", "T_N", "delta", "L", "memory_bits",
                  "avg_T", "avg_code_len", "avg_memory_bits"):
         assert getattr(lean, name) == getattr(full, name), name
     assert list(lean.final_F) == list(topo.sinks)
@@ -605,9 +606,51 @@ def test_lean_and_verified_cyclic_trials_agree(topo, q):
         _check_lean_matches_verified(topo, q, 5, trial)
 
 
+def _downstream_by_search(topo):
+    """The sinks reachable from each node, itself excluded, by a forward
+    search from every node: the reference for `_topo_static`'s
+    `downstream`, which runs one reverse search per sink."""
+    downstream = {}
+    for v in range(topo.num_nodes):
+        seen, stack = {v}, [v]
+        while stack:
+            for e in topo.out_edges(stack.pop()):
+                w = topo.head(e)
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        downstream[v] = frozenset((seen - {v}) & set(topo.sinks))
+    return downstream
+
+
+# Sink 2 sits on the cycle 1 <-> 2, so it reaches itself.
+SINK_ON_A_CYCLE = Topology(4, ((0, 1), (0, 2), (1, 2), (2, 1), (1, 3),
+                               (2, 3)), source=0, sinks=(2, 3), m=1)
+
+
+@pytest.mark.parametrize("topo", [
+    *(combination_network(n, m) for n, m in ((2, 1), (3, 2), (4, 2), (5, 2),
+                                             (6, 3), (5, 4))),
+    *(random_layered_dag(SplitMix64(seed), layers=2 + seed % 2,
+                         width=2 * m + 2, m=m)
+      for seed in range(4) for m in (1, 2, 3)),
+    # a relay hung off node 1 reaches no sink
+    Topology(6, ((0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 5)), source=0,
+             sinks=(3,), m=2),
+    # sink 4 reaches sink 5
+    Topology(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (4, 5), (3, 5),
+                 (2, 5)), source=0, sinks=(4, 5), m=2),
+    two_node_cycle_network(), WIDE_CYCLIC, SINK_ON_A_CYCLE,
+    Topology(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 1), (3, 4), (2, 4)),
+             source=0, sinks=(4,), m=2),
+])
+def test_downstream_sinks_match_a_search_from_every_node(topo):
+    assert engine._topo_static(topo)[7] == _downstream_by_search(topo)
+
+
 def test_failed_trial_reports_no_delay():
-    # Nothing is decoded in a failed trial, verified or traced.
-    for kw in ({}, {"trace": True}):
+    # A failed trial measures no delay, lean, verified or traced.
+    for kw in ({}, _MODES["lean"], _MODES["trace"]):
         res = run_trial(SimConfig(topology=combination_network(4, 2),
                                   field=F2, base_seed=3, max_rounds=1, **kw),
                         0)
