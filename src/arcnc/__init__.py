@@ -6,7 +6,7 @@ Modules:
   topology  -- network model, generators, flow machinery
   engine    -- the time-stepped adaptive coding protocol
   baseline  -- one-shot RLNC comparison baseline
-  analysis  -- closed-form bounds and exact series
+  analysis  -- exact closed-form bounds, the paper's series, the law of T
   harness   -- command line interface
 """
 

@@ -18,7 +18,6 @@ import math
 import os
 import shutil
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from . import analysis
@@ -374,12 +373,6 @@ def _write_outputs(outdir, files):
         raise
 
 
-def _fmt_exact(val) -> str:
-    f = Fraction(val)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 \
-        else str(f.numerator)
-
-
 def cmd_bounds(args) -> int:
     m, q, n = args.m, args.q, args.n
     if None in (m, q, n):
@@ -402,18 +395,17 @@ def cmd_bounds(args) -> int:
                              ("ho_bound_sink", 1, sink_eta)):
         for t in range(args.t_max + 1):
             try:
-                val = _fmt_exact(analysis.ho_bound(dq, q, eq, t, exact=True))
+                val = analysis.ho_bound(dq, q, eq, t)
             except analysis.BoundNotApplicable:
                 val = "N/A"
             rows.append([quantity, m, q, n, dq, eq, t, val, "exact"])
-    row("et_upper", "", _fmt_exact(analysis.et_upper(m, q, exact=True)), "exact")
-    row("et_lower", "", _fmt_exact(analysis.et_lower(m, q, exact=True)), "exact")
-    row("et2_upper", "", _fmt_exact(analysis.et2_upper(m, q, exact=True)), "exact")
+    row("et_upper", "", analysis.et_upper(m, q), "exact")
+    row("et_lower", "", analysis.et_lower(m, q), "exact")
+    row("et2_upper", "", analysis.et2_upper(m, q), "exact")
     row("exact_ET", "", f"{analysis.exact_ET(q, m, args.tol):.12g}", "float")
     if m >= 2:
-        row("rho_ub", "", _fmt_exact(analysis.rho_ub(m, q, exact=True)), "exact")
-    row("var_upper", "", _fmt_exact(analysis.var_upper(n, m, q, exact=True)),
-        "exact")
+        row("rho_ub", "", analysis.rho_ub(m, q), "exact")
+    row("var_upper", "", analysis.var_upper(n, m, q), "exact")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["quantity", "m", "q", "n", "d", "eta", "t", "value", "mode"])

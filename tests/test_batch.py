@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcnc import baseline, batch, engine
+from arcnc import analysis, baseline, batch, engine
 from arcnc.baseline import rlnc_trial, sink_success_fractions
 from arcnc.engine import SimConfig, TrialBlock, collect_campaign, run_trial
 from arcnc.gf import field_new
@@ -858,14 +858,15 @@ def test_lean_delay_matches_the_exact_law(q, m):
     # of the source, whose kernels draw fresh coefficients through the
     # sink's ACK, so its kernel matrix is Haar-random over F_q[[z]]; its
     # delay is the sum d_1 + ... + d_m of the Smith form's valuations,
-    # whose mean under the Cohen-Lenstra law is sum_{i=1..m} 1/(q^i - 1)
-    # (4/3 at q = 2, m = 2).  Only the first sink is read, as the sinks of
-    # one trial share relays, so its 20,000 delays are iid.
+    # whose mean under the Cohen-Lenstra law is `analysis.mean_delay`,
+    # sum_{i=1..m} 1/(q^i - 1) (4/3 at q = 2, m = 2).  Only the first sink
+    # is read, as the sinks of one trial share relays, so its 20,000 delays
+    # are iid.
     topo, trials = combination_network(m + 1, m), 20_000
     block = batch.run_block(_lean(topo, q=q, base_seed=41), 0, trials)
     assert all(block.success)
     d = np.array(block.delta[topo.sinks[0]], dtype=np.float64)
-    want = sum(1 / (q ** i - 1) for i in range(1, m + 1))
+    want = float(analysis.mean_delay(q, m))
     z = (d.mean() - want) / (d.std(ddof=1) / math.sqrt(trials))
     # A fixed bound, not one tuned to the seed: |z| > 4 has probability
     # 6e-5 under the law, so the grid of ten cells fails by chance about
@@ -873,6 +874,43 @@ def test_lean_delay_matches_the_exact_law(q, m):
     # step as 1, or reusing one draw for two coding pairs each fails cells
     # of the grid.
     assert abs(z) <= 4, (d.mean(), want, z)
+
+
+# chi^2 quantiles at p = 1e-4, by degrees of freedom
+_CHI2_1E4 = {1: 15.14, 2: 18.42, 3: 21.11, 4: 23.51}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 11, 16])
+def test_lean_stopping_time_matches_the_exact_law(q, m, monkeypatch):
+    # The T half of the oracle above: the first sink's T against
+    # `analysis.stopping_law` by chi^2, in bins 0..3 and >= 4, merged from
+    # the top until each expects at least 5 trials (at q = 16 the top two
+    # expect 0.3 and 4.9).  The grid runs the bit planes (q = 2, 4, 8, 16),
+    # the int8 dense basis (q = 3, 5, 7, 11) and the int8 boundary at 11.
+    topo, trials = combination_network(m + 1, m), 20_000
+    reruns = _record_reruns(monkeypatch)
+    block = batch.run_block(_lean(topo, q=q, base_seed=41), 0, trials)
+    assert all(block.success)
+    # Trials out of room re-run in run_trial (one at q = 2, m = 4), so a
+    # lockstep fault that stalls its trials would reach the histogram
+    # through the other engine.
+    assert len(reruns) <= trials // 1000
+    hist = block.per_sink_T_hist[topo.sinks[0]]
+    cdf = [analysis.stopping_law(q, m, t) for t in range(4)] + [1]
+    want = [trials * float(b - a) for a, b in zip([0] + cdf, cdf)]
+    got = [hist.get(t, 0) for t in range(4)]
+    got.append(trials - sum(got))
+    while want[-1] < 5:
+        want[-2:] = [sum(want[-2:])]
+        got[-2:] = [sum(got[-2:])]
+    chi2 = sum((g - w) ** 2 / w for g, w in zip(got, want))
+    # A fixed threshold, not one tuned to the seed: under the law each cell
+    # exceeds it with probability 1e-4, so the 32 cells fail by chance
+    # about once in 300 seeds.  An ACK one step late, a rank without the
+    # Toeplitz shift or one draw used for two pairs each fails cells of the
+    # grid.
+    assert chi2 <= _CHI2_1E4[len(want) - 1], (got, want, chi2)
 
 
 def test_verified_blocks_split_into_sub_blocks(monkeypatch):

@@ -2,6 +2,7 @@
 byte-identical reruns."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -144,6 +145,25 @@ def test_bounds_table(tmp_path):
     cells = {(r["quantity"], r["t"]): r["value"] for r in rows}
     assert cells[("ho_bound_sink", "0")] == "49/64"
     assert cells[("et_upper", "")] == "17/63"   # 2/7 - 1/63 for m=2, q=8
+
+
+@pytest.mark.parametrize("n, m, q, t_max, digest", [
+    (4, 2, 8, 4,
+     "99b2f8127fb97f3efa4050bcf578dfd1ce64fec05a3718d6858515523a210a6e"),
+    (6, 3, 3, 4,
+     "527c1d421f828310609429dfc4d0f27fb07cf1f5c5237fc60ca09013eeb3a0c3"),
+    (3, 3, 2, 4,
+     "a23f6ca707bc8e972abf3abc093cba27e3e3872609e73c5379b2ef850f50ff01"),
+    (40, 20, 2, 1,
+     "2a45165d0dfca4a57cc85aab32982710ec007e09459d3ac450e5d53a56607fe1"),
+], ids=["comb42-q8", "comb63-q3", "comb33-q2", "comb40_20-q2"])
+def test_bounds_bytes_are_pinned(tmp_path, n, m, q, t_max, digest):
+    # Every exact value is printed in full as n/d (or n): a rounded or
+    # reformatted one changes these digests.
+    out = tmp_path / "bounds.csv"
+    assert run_cli("bounds", "--n", str(n), "--m", str(m), "--q", str(q),
+                   "--t-max", str(t_max), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_bounds_na_cells(tmp_path):
