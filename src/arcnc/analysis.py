@@ -17,9 +17,7 @@ and `mean_delay` the mean delay.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 
 class BoundNotApplicable(ValueError):
@@ -123,28 +121,27 @@ def var_upper(n: int, m: int, q: int) -> Fraction:
     return val - (1 + Fraction(m, n)) * et_lower(m, q) ** 2
 
 
-def _type_law(q: int, m: int, t: int):
-    """Yield (d, P(d)) for every Smith type d = (d_1 <= ... <= d_m) with
-    every d_i <= t, by the finite-m Cohen-Lenstra law.
-
-    With lambda the non-zero d_i and lambda'_j = #{i : d_i >= j} its
-    conjugate, P = phi(m)^2 / (q^{sum_j lambda'_j^2} prod_v phi(mult v)),
-    the product over the distinct values v of d, zero included, and
-    phi(k) = prod_{i=1..k} (1 - q^{-i}) = full_rank_prob_Q(q, k, 1).
-    """
-    top = full_rank_prob_Q(q, m, 1) ** 2
-    for d in combinations_with_replacement(range(t + 1), m):
-        weight = q ** sum(sum(1 for di in d if di >= j) ** 2
-                          for j in range(1, d[-1] + 1))
-        for mult in Counter(d).values():
-            weight *= full_rank_prob_Q(q, mult, 1)
-        yield d, top / weight
-
-
 def stopping_law(q: int, m: int, t: int) -> Fraction:
     """P(T <= t) for a sink whose m x m kernel matrix is Haar-random over
-    F_q[[z]], as every comb(n, m) sink's is."""
-    return sum((p for _, p in _type_law(q, m, t)), Fraction(0))
+    F_q[[z]], as every comb(n, m) sink's is.
+
+    A Smith type (d_i) with every d_i <= t has the conjugate parts
+    lambda'_j = #{i : d_i >= j}, m = lambda'_0 >= ... >= lambda'_t >=
+    lambda'_{t+1} = 0, and lambda'_v - lambda'_{v+1} is the multiplicity of
+    the value v.  Its probability is phi(m)^2 prod_{j=1..t} q^{-lambda'_j^2}
+    prod_{v=0..t} 1/phi(lambda'_v - lambda'_{v+1}), with phi(k) =
+    prod_{i=1..k} (1 - q^{-i}) = full_rank_prob_Q(q, k, 1), so one pass
+    over j sums every type, carrying the summed weight of each lambda'_j.
+    """
+    phi = [full_rank_prob_Q(q, k, 1) for k in range(m + 1)]
+    weight = {m: Fraction(1)}          # lambda'_j -> summed weight
+    for _ in range(t):
+        step = {}
+        for a, w in weight.items():
+            for b in range(a + 1):
+                step[b] = step.get(b, 0) + w / (phi[a - b] * q ** (b * b))
+        weight = step
+    return phi[m] ** 2 * sum(w / phi[a] for a, w in weight.items())
 
 
 def mean_delay(q: int, m: int) -> Fraction:

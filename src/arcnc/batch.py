@@ -36,7 +36,7 @@ one round.
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge; where a step reads earlier
 steps (a convolution past the source, or a verified block's checks),
-the draws, header arrays and x of all steps are stacked in `_Steps`,
+the draws and header arrays of all steps are stacked in `_Steps`,
 whose step axis doubles when full, so a read is one slice or
 gather.  The stopping rule is `polyalg.ToeplitzExpansion` on every
 waiting (sink, trial) pair at once: step t puts F_t's column in front
@@ -55,35 +55,37 @@ put.  `_PlaneBasis` is the same basis bit-packed, in GF(2) and in
 verified GF(2^k) blocks.  The ACK pass is `run_trial`'s: one bool array
 marks the nodes that have not ACKed, the other nodes' rows first, then
 the sinks', so that a step's draws take their head nodes' rows from it;
-a sink's row is cleared at its ACK, and the other nodes' rows are set
-at once from the waiting sinks downstream of each node, counted by one
-float64 product with `reach`.  The lockstep keeps only the sinks' ACK
-times and delays; a node other than a sink ACKs with the last sink
-downstream of it, at t = 0 if it reaches none, so the block derives the
-others' too.  A sink's delay delta_r is `run_trial`'s, lean or verified:
-each step adds every pair's rank deficit m - inc_t, summed through the
-ACK, which is d_1 + ... + d_m for the invariant factors z^d_i of the
-kernel matrix (Massey & Sain 1968; Forney 1970).  A lean pair leaves at
-its ACK, and a verified one adds 0 after it, as its increment stays m.
+each step sets the sinks' rows from their ACK times, the one record of
+an ACK, and the other nodes' rows from the waiting sinks downstream of
+each node, counted by one float64 product with `reach`.  The lockstep
+keeps only the sinks' ACK times and delays; a node other than a sink
+ACKs with the last sink downstream of it, at t = 0 if it reaches none,
+so the block derives the others' too.  A sink's delay delta_r is
+`run_trial`'s, lean or verified: each step adds every pair's rank
+deficit m - inc_t, summed through the ACK, which is d_1 + ... + d_m for
+the invariant factors z^d_i of the kernel matrix (Massey & Sain 1968;
+Forney 1970).  A lean pair leaves at its ACK, and a verified one adds 0
+after it, as its increment stays m.
 
 Entries move by flat offset.  Once a slice, `_lockstep` computes each
-pair's offsets into the sinks' ACK times and waiting flags, the delays
-and a step's header array (in its copy with the component axis first),
-in one index array that one `take` a step compacts with the pairs; it
-reads a pair's entries with `take` and writes them with a flat store.
-The rank states read a pair's entry at its pivot the same way and keep
-pairs by `take` of their indices: on numpy 2.4 a multi-array fancy
-index costs 2.5-4x a `take` of flat offsets, and a boolean mask several
-times a `take` of its `flatnonzero`.  The one exception is `_Basis`'s
-slot store, a put of whole rows.  A flat write goes through
-`reshape(-1)`, which is a view only of a C-contiguous array, so only
-such arrays are written that way: `take` returns one, but a fancy index
-such as a[:, idx] need not, and a write through its reshape would land
-in a copy.
+pair's offsets into the sinks' ACK times and delays, whose trial is the
+offset mod the slice's trials, and into a step's header array (in its
+copy with the component axis first), in one index array that one
+`take` a step compacts with the pairs; it reads a pair's entries with
+`take` and writes them with a flat store.  The rank states read a pair's
+entry at its pivot the same way and keep pairs by `take` of their
+indices: on numpy 2.4 a multi-array fancy index costs 2.5-4x a `take` of
+flat offsets, and a boolean mask several times a `take` of its
+`flatnonzero`.  The one exception is `_Basis`'s slot store, a put of
+whole rows.  A flat write goes through `reshape(-1)`, which is a view
+only of a C-contiguous array, so only such arrays are written that way:
+`take` returns one, but a fancy index such as a[:, idx] need not, and a
+write through its reshape would land in a copy.
 
 Verified blocks.  The header arrays gain the symbol y at row m, and the
 m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
-so the source's out-edges convolve them as any node convolves its inputs.
+so the source's out-edges convolve them as any node convolves its inputs,
+and the checks read x from them.
 Each equation carries its y after the x-positions.  A pair stays in the
 rank state after its sink's ACK, until its trial's horizon
 H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  Tail steps
@@ -335,7 +337,7 @@ def _block_static(topo):
         in_roots=in_roots, checked=list(checked.values()),
         checked_roots=np.array(list(checked), dtype=np.intp),
         in_deg=np.array([len(r) for r in ins], dtype=np.intp),
-        sinks=sinks, sink_nodes=np.array(sinks, dtype=np.intp),
+        sinks=sinks,
         others=np.array(others, dtype=np.intp), reach=reach, near=near,
         code_heads=np.array([topo.head(e) for e in coding_out],
                             dtype=np.intp),
@@ -520,10 +522,7 @@ class _PlaneBasis:
         """True when m more x-positions would not fit a row."""
         return len(self.basis) + m > 64 - self.sym
 
-    def keep(self, pairs):
-        """`_Basis.keep`."""
-        self.eqs = self.eqs.take(pairs, axis=2)
-        self.basis = self.basis.take(pairs, axis=2)
+    keep = _Basis.keep
 
     def _alpha(self, x):
         """alpha times the rows x, (k, pairs)."""
@@ -697,25 +696,23 @@ def _lockstep(config, st, start: int, state):
     if conv:                           # the histories conv reads
         khist = _Steps((len(heads), B), np.int64)
         fhist = _Steps(shape, fld.dtype)
-    if verified:
-        xhist = _Steps((m, B), np.int64)
     redo = np.zeros(B, dtype=bool)     # trials out of room: re-run
     # (sink, trial) pairs and their Toeplitz rank state: a lean pair
     # leaves at its sink's ACK, a verified one at its trial's horizon.
     # `pairs` holds each pair's flat offsets, compacted with the pairs by
-    # one take: row 0 sink * B + trial, into T, waiting and delta, through
-    # reshape(-1) views of those C-contiguous arrays; row 1 the trial;
-    # row 2 the sink's in-degree; from row 3 on each input's column of a
-    # step's header array, root * B + trial, in its copy with the
-    # component axis first.
+    # one take: row 0 sink * B + trial, into T and delta, through
+    # reshape(-1) views of those C-contiguous arrays, whose trial is
+    # row 0 mod B; row 1 the sink's in-degree; from row 2 on each input's
+    # column of a step's header array, root * B + trial, in its copy with
+    # the component axis first.
     ws = np.repeat(np.arange(S, dtype=np.intp), B)
     wt = np.tile(np.arange(B, dtype=np.intp), S)
-    pairs = np.concatenate([[ws * B + wt, wt, st["in_deg"].take(ws)],
+    pairs = np.concatenate([[ws * B + wt, st["in_deg"].take(ws)],
                             st["in_roots"].take(ws, axis=0).T * B + wt])
     rank = _PlaneBasis(len(ws), c, q, verified) if _bit_packed(config) \
         else _Basis(fld, len(ws), c, verified)
     delta = np.zeros((S, B), dtype=np.int64)
-    Ts, waits, deltas = T.reshape(-1), waiting.reshape(-1), delta.reshape(-1)
+    Ts, deltas = T.reshape(-1), delta.reshape(-1)
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     live = running                     # and, verified, trials in their tail
@@ -724,11 +721,11 @@ def _lockstep(config, st, start: int, state):
         if t and rank.full(m):         # no room for another step
             redo = live
             break
-        po, wt = pairs[0], pairs[1]
+        po = pairs[0]
         # ------------------------------------------------------ draws
-        if verified:
-            x = xhist.at(t)
-            x[:] = _values(_mix64(state + st["xoffsets"]), q)
+        f = fhist.at(t) if conv else np.zeros(shape, dtype=fld.dtype)
+        if verified:                   # x_t, on the virtual inputs
+            f[R + 1:, m] = _values(_mix64(state + st["xoffsets"]), q)
         state += st["xstep"]
         draw = running & busy.take(heads, axis=0)
         # each pair's state at its draw, the draws counted so far
@@ -739,10 +736,8 @@ def _lockstep(config, st, start: int, state):
             state = pos[-1].copy()
         k = _values(_mix64(pos), q) * draw
         # ------------------------------------------------ propagation
-        f = fhist.at(t) if conv else np.zeros(shape, dtype=fld.dtype)
-        if verified:                   # the virtual inputs: e_j, then x_t
-            f[R + 1:, m] = x
-            if t == 0:
+        if verified:
+            if t == 0:                 # the virtual inputs carry e_j
                 j = np.arange(m)
                 f[R + 1 + j, j] = 1
         else:
@@ -752,26 +747,26 @@ def _lockstep(config, st, start: int, state):
             khist.at(t)[:] = k
             _propagate(fld, conv, khist.a, fhist.a, t)
         if verified and config.verify_headers:
-            _check_headers(fld, st, fhist.a, xhist.a, t, live, start)
+            _check_headers(fld, st, fhist.a, t, live, start)
         # ------------------------------------------------- rank test
         # F_t of every pair, (m, c, N), zero past the widest sink, and y
         Fy = f.transpose(1, 0, 2).reshape(m + v, -1).take(
-            pairs[3:3 + pairs[2].max()], axis=1)
+            pairs[2:2 + pairs[1].max()], axis=1)
         inc = rank.extend(Fy[:m], Fy[m] if verified else None)
         # the rank deficits before the sink's ACK sum to its delay; a
         # verified pair adds 0 after it, as inc stays m
         deltas[po] += m - inc
         done = inc == m
         if verified:
+            wt = po % B
             if rank.bad.any():
                 n = rank.bad.argmax()
                 raise EngineError(
                     f"trial {start + wt[n]}, sink {st['sinks'][po[n] // B]}"
                     ": received streams inconsistent with the kernels")
-            done &= waits.take(po)
-        at = po.take(done.nonzero()[0])
-        Ts[at] = t
-        waits[at] = False
+            done &= Ts.take(po) == never
+        Ts[po.take(done.nonzero()[0])] = t
+        np.equal(T, never, out=waiting)
         # -------------------------------------------------- ACK pass
         # a node ACKs when no waiting sink is downstream: the float64
         # product counts them exactly
@@ -783,8 +778,9 @@ def _lockstep(config, st, start: int, state):
             if fin.any():
                 sel = fin.take(wt).nonzero()[0]
                 at = po.take(sel)
-                _check_decoded(st, rank, sel, at // B, wt.take(sel),
-                               deltas.take(at), xhist.a[:t + 1], start)
+                _check_decoded(st, rank, sel, at // B, at % B,
+                               deltas.take(at), fhist.a[:t + 1, R + 1:, m],
+                               start)
         running = left & (t + 1 < config.max_rounds)
         live = running | (horizon > t) if verified else running
         if not live.any():
@@ -825,11 +821,11 @@ def _set_horizons(t, stopped, delta, horizon):
         horizon[b] = t + np.maximum(delta.take(b, axis=1).max(axis=0), t) + 1
 
 
-def _check_headers(fld, st, fhist, xhist, t, live, start):
+def _check_headers(fld, st, fhist, t, live, start):
     """y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink input root
-    of every live trial, at the step t just propagated; `fhist` and
-    `xhist` hold the header arrays and the drawn x of steps 0..t, one per
-    step along their first axis.
+    of every live trial, at the step t just propagated; `fhist` holds the
+    header arrays of steps 0..t, one per step along its first axis, and
+    the drawn x in their virtual-input rows.
 
     Where a sink input is a source out-edge, as on every combination
     network, f_{e,i} is the source's drawn kernel and `_propagate` made
@@ -838,13 +834,13 @@ def _check_headers(fld, st, fhist, xhist, t, live, start):
     the source and the sink.  The decode check (`_check_decoded`) is the
     end-to-end one on every topology."""
     roots = st["checked_roots"]
-    _, m, B = xhist.shape
-    # f_{e,i} and x_{t-i} at position i*m + j
-    fe = fhist[:t + 1, roots, :m].transpose(3, 1, 0, 2).reshape(
+    B = fhist.shape[-1]
+    # f_{e,i} and x_{t-i} at position i*m + j; y is the last component
+    fe = fhist[:t + 1, roots, :-1].transpose(3, 1, 0, 2).reshape(
         B, len(roots), -1)
-    xs = xhist[t::-1].reshape(-1, B)
+    xs = fhist[t::-1, st["R"] + 1:, -1].reshape(-1, B)
     want = fld.dot(fe, xs.T[:, :, None])[:, :, 0].T
-    wrong = (want != fhist[t, roots, m]) & live
+    wrong = (want != fhist[t, roots, -1]) & live
     if wrong.any():
         i, b = np.argwhere(wrong)[0]
         e, r = st["checked"][i]
@@ -878,7 +874,7 @@ def _block(config, st, start, seeds, T, delta) -> TrialBlock:
     V = topo.num_nodes
     B = len(seeds)
     ack = np.empty((V, B), dtype=np.int64)
-    ack[st["sink_nodes"]] = T
+    ack[st["sinks"]] = T
     # a node other than a sink ACKs with the last sink downstream of it,
     # at t = 0 if it reaches none (its row of `reach` is zero): run_trial's
     # rule; T >= 0, and the float64 products of small integers are exact

@@ -406,6 +406,10 @@ def cmd_bounds(args) -> int:
     if m >= 2:
         row("rho_ub", "", analysis.rho_ub(m, q), "exact")
     row("var_upper", "", analysis.var_upper(n, m, q), "exact")
+    # the engine's exact law of a sink's T, and its mean delay
+    for t in range(args.t_max + 1):
+        row("stopping_law", t, analysis.stopping_law(q, m, t), "exact")
+    row("mean_delay", "", analysis.mean_delay(q, m), "exact")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["quantity", "m", "q", "n", "d", "eta", "t", "value", "mode"])

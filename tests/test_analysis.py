@@ -2,7 +2,9 @@
 
 import inspect
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,6 +12,25 @@ from arcnc import analysis
 from arcnc.analysis import (BoundNotApplicable, et2_upper, et_lower, et_upper,
                             exact_ET, full_rank_prob_Q, ho_bound, mean_delay,
                             rho_ub, rho_upper, stopping_law, var_upper)
+
+
+def type_law(q, m, t):
+    """Yield (d, P(d)) for every Smith type d = (d_1 <= ... <= d_m) with
+    every d_i <= t, by the finite-m Cohen-Lenstra law, type by type: the
+    reference `stopping_law`'s recursion must equal.
+
+    With lambda the non-zero d_i and lambda'_j = #{i : d_i >= j} its
+    conjugate, P = phi(m)^2 / (q^{sum_j lambda'_j^2} prod_v phi(mult v)),
+    the product over the distinct values v of d, zero included, and
+    phi(k) = prod_{i=1..k} (1 - q^{-i}) = full_rank_prob_Q(q, k, 1).
+    """
+    top = full_rank_prob_Q(q, m, 1) ** 2
+    for d in combinations_with_replacement(range(t + 1), m):
+        weight = q ** sum(sum(1 for di in d if di >= j) ** 2
+                          for j in range(1, d[-1] + 1))
+        for mult in Counter(d).values():
+            weight *= full_rank_prob_Q(q, mult, 1)
+        yield d, top / weight
 
 
 def test_ho_bound_values():
@@ -126,13 +147,21 @@ def test_stopping_law_values():
     assert exact_ET(2, 2) < float(tail)
 
 
+def test_stopping_law_equals_the_type_by_type_sum():
+    for q in (2, 3, 4, 5, 8):
+        for m in range(1, 7):
+            for t in range(5):
+                assert stopping_law(q, m, t) == sum(
+                    (p for _, p in type_law(q, m, t)), Fraction(0)), (q, m, t)
+
+
 def test_mean_delay_is_the_laws_mean():
     for (q, m), want in (((2, 2), Fraction(4, 3)), ((3, 2), Fraction(5, 8)),
                          ((2, 3), Fraction(31, 21))):
         assert mean_delay(q, m) == want
         # sum |lambda| P(lambda) over the types with every d_i <= 24: the
         # rest of the sum is below 1e-4
-        partial = sum(sum(d) * p for d, p in analysis._type_law(q, m, 24))
+        partial = sum(sum(d) * p for d, p in type_law(q, m, 24))
         assert 0 < want - partial < Fraction(1, 10 ** 4)
 
 

@@ -880,6 +880,21 @@ def test_lean_delay_matches_the_exact_law(q, m):
 _CHI2_1E4 = {1: 15.14, 2: 18.42, 3: 21.11, 4: 23.51}
 
 
+def _T_chi2(hist, trials, q, m):
+    """(chi^2, its p = 1e-4 threshold) of the T histogram `hist` of
+    `trials` iid sinks against `analysis.stopping_law`, in bins 0..3 and
+    >= 4, merged from the top until each expects at least 5 trials."""
+    cdf = [analysis.stopping_law(q, m, t) for t in range(4)] + [1]
+    want = [trials * float(b - a) for a, b in zip([0] + cdf, cdf)]
+    got = [hist.get(t, 0) for t in range(4)]
+    got.append(trials - sum(got))
+    while want[-1] < 5:
+        want[-2:] = [sum(want[-2:])]
+        got[-2:] = [sum(got[-2:])]
+    return (sum((g - w) ** 2 / w for g, w in zip(got, want)),
+            _CHI2_1E4[len(want) - 1])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 11, 16])
 def test_lean_stopping_time_matches_the_exact_law(q, m, monkeypatch):
@@ -896,21 +911,35 @@ def test_lean_stopping_time_matches_the_exact_law(q, m, monkeypatch):
     # lockstep fault that stalls its trials would reach the histogram
     # through the other engine.
     assert len(reruns) <= trials // 1000
-    hist = block.per_sink_T_hist[topo.sinks[0]]
-    cdf = [analysis.stopping_law(q, m, t) for t in range(4)] + [1]
-    want = [trials * float(b - a) for a, b in zip([0] + cdf, cdf)]
-    got = [hist.get(t, 0) for t in range(4)]
-    got.append(trials - sum(got))
-    while want[-1] < 5:
-        want[-2:] = [sum(want[-2:])]
-        got[-2:] = [sum(got[-2:])]
-    chi2 = sum((g - w) ** 2 / w for g, w in zip(got, want))
+    chi2, bound = _T_chi2(block.per_sink_T_hist[topo.sinks[0]], trials, q, m)
     # A fixed threshold, not one tuned to the seed: under the law each cell
     # exceeds it with probability 1e-4, so the 32 cells fail by chance
     # about once in 300 seeds.  An ACK one step late, a rank without the
     # Toeplitz shift or one draw used for two pairs each fails cells of the
     # grid.
-    assert chi2 <= _CHI2_1E4[len(want) - 1], (got, want, chi2)
+    assert chi2 <= bound, chi2
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (3, 2), (4, 3)],
+                         ids=["planes-q2", "dense-q3", "planes-q4"])
+def test_verified_blocks_match_the_exact_law(q, m, monkeypatch):
+    # The law's T and mean delay, on verified blocks: bit planes at q = 2,
+    # the dense prime-field basis at q = 3 and GF(4) planes at q = 4, each
+    # with its sink input checks, tail steps and decode check.  Thresholds
+    # are the grid's: chi^2 at p = 1e-4 and the mean delay within 3
+    # standard errors.
+    topo, trials = combination_network(m + 1, m), 5_000
+    reruns = _record_reruns(monkeypatch)
+    block = batch.run_block(_verified(topo, q=q, base_seed=41), 0, trials)
+    assert all(block.success)
+    assert len(reruns) <= trials // 1000
+    first = topo.sinks[0]
+    chi2, bound = _T_chi2(block.per_sink_T_hist[first], trials, q, m)
+    assert chi2 <= bound, chi2
+    d = np.array(block.delta[first], dtype=np.float64)
+    want = float(analysis.mean_delay(q, m))
+    assert abs(d.mean() - want) <= 3 * d.std(ddof=1) / math.sqrt(trials), (
+        d.mean(), want)
 
 
 def test_verified_blocks_split_into_sub_blocks(monkeypatch):

@@ -145,17 +145,21 @@ def test_bounds_table(tmp_path):
     cells = {(r["quantity"], r["t"]): r["value"] for r in rows}
     assert cells[("ho_bound_sink", "0")] == "49/64"
     assert cells[("et_upper", "")] == "17/63"   # 2/7 - 1/63 for m=2, q=8
+    # the law of a sink's T: P(T = 0) = (1 - 1/8)(1 - 1/64), and the mean
+    # delay 1/7 + 1/63
+    assert cells[("stopping_law", "0")] == "441/512"
+    assert cells[("mean_delay", "")] == "10/63"
 
 
 @pytest.mark.parametrize("n, m, q, t_max, digest", [
     (4, 2, 8, 4,
-     "99b2f8127fb97f3efa4050bcf578dfd1ce64fec05a3718d6858515523a210a6e"),
+     "8840d06dd47effd7c68f7f0aa573bcf7ec30a0854c92500eb08e08543ac8f8d3"),
     (6, 3, 3, 4,
-     "527c1d421f828310609429dfc4d0f27fb07cf1f5c5237fc60ca09013eeb3a0c3"),
+     "08200d03aa43edeb2cbc9e4b20996854948e78d33d27debcf13dad18e62d160f"),
     (3, 3, 2, 4,
-     "a23f6ca707bc8e972abf3abc093cba27e3e3872609e73c5379b2ef850f50ff01"),
+     "c1bffe8619bfb640d94e94db6bf2faed8a21d92b9096e98430452319b668d7ac"),
     (40, 20, 2, 1,
-     "2a45165d0dfca4a57cc85aab32982710ec007e09459d3ac450e5d53a56607fe1"),
+     "eadcde699567ad1f3d7d49fb3be72c0a08f8eb4c640dfa3dc7b5e969bdedc8f3"),
 ], ids=["comb42-q8", "comb63-q3", "comb33-q2", "comb40_20-q2"])
 def test_bounds_bytes_are_pinned(tmp_path, n, m, q, t_max, digest):
     # Every exact value is printed in full as n/d (or n): a rounded or
