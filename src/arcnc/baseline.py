@@ -133,14 +133,17 @@ def curve_rows(topo: Topology, q: int, fracs: dict):
     """
     from .analysis import BoundNotApplicable, ho_bound
 
+    bounds = {}                        # eta -> ho_bound, once per eta
     rows = []
     for r in topo.sinks:
-        try:
-            bound = float(ho_bound(1, q, eta(topo, r), 0))
-        except BoundNotApplicable:
-            bound = "N/A"
+        e = eta(topo, r)
+        if e not in bounds:
+            try:
+                bounds[e] = float(ho_bound(1, q, e, 0))
+            except BoundNotApplicable:
+                bounds[e] = "N/A"
         rows.append({"q": q, "sink": r, "success_fraction": fracs[r],
-                     "ho_bound": bound})
+                     "ho_bound": bounds[e]})
     return rows
 
 

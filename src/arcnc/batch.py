@@ -14,7 +14,8 @@ uint64 vector and draws in `engine`'s order: step t first draws the m
 source symbols x_t (which a lean trial never reads), then one coefficient
 for each coding pair in `_topo_static`'s `coding` order, counted only in
 trials that are still running and whose pair's head node had not ACKed
-before t.  A draw is `mix64(state)` after the state advances by the
+before t; only the running trials' states and masks are gathered for
+these draws.  A draw is `mix64(state)` after the state advances by the
 SplitMix64 gamma, and the value is the draw mod q, as
 `SplitMix64.randint(q)` returns it.  A lean block skips the x_t draws by
 advancing the state past them.  So every trial consumes exactly the draws
@@ -29,9 +30,10 @@ from a table.  Its `dtype` is the type headers and the dense rank state
 are kept in: int32 in GF(2^k); in a prime field below 2^10 the narrowest
 signed type that holds (q-1)^2, so a product or c - a*b never overflows
 (int8 up to q = 11, int16 up to 181, int32 up to 1021), and int64 for
-larger primes.  Draws stay int64, and a matrix product (`dot`) sums in
-int64.  `baseline.sink_success_fractions` is `_lockstep` itself, cut at
-one round.
+larger primes; a short sum of products stays in it (`subsum`).  Draws
+stay int64, and a matrix product (`dot`) sums in int64.
+`baseline.sink_success_fractions` is `_lockstep` itself, cut at one
+round.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root input edge; where a step reads earlier
@@ -51,13 +53,14 @@ in one product summed over the slot axis, then by each other; a
 non-zero remainder raises the rank, and its lowest non-zero position,
 found as a weighted max (`_first_true`), becomes its pivot, is cleared
 from the stored rows in one more such product, and takes slot p by a
-put.  `_PlaneBasis` is the same basis bit-packed, in GF(2) and in
-verified GF(2^k) blocks.  The ACK pass is `run_trial`'s: one bool array
-marks the nodes that have not ACKed, the other nodes' rows first, then
-the sinks', so that a step's draws take their head nodes' rows from it;
-each step sets the sinks' rows from their ACK times, the one record of
-an ACK, and the other nodes' rows from the waiting sinks downstream of
-each node, counted by one float64 product with `reach`.  The lockstep
+one-hot add, as slot p is zero until then.  `_PlaneBasis` is the same
+basis bit-packed, in GF(2) and in verified GF(2^k) blocks.  The ACK pass
+is `run_trial`'s: one bool array marks the nodes that have not ACKed,
+the other nodes' rows first, then the sinks', so that a step's draws
+take their head nodes' rows from it; each step sets the sinks' rows
+from their ACK times, the one record of an ACK, and the other nodes'
+rows from the waiting sinks downstream of each node, counted by one
+float64 product with `reach`.  The lockstep
 keeps only the sinks' ACK times and delays; a node other than a sink
 ACKs with the last sink downstream of it, at t = 0 if it reaches none,
 so the block derives the others' too.  A sink's delay delta_r is
@@ -76,11 +79,12 @@ copy with the component axis first), in one index array that one
 entry at its pivot the same way and keep pairs by `take` of their
 indices: on numpy 2.4 a multi-array fancy index costs 2.5-4x a `take` of
 flat offsets, and a boolean mask several times a `take` of its
-`flatnonzero`.  The one exception is `_Basis`'s slot store, a put of
-whole rows.  A flat write goes through `reshape(-1)`, which is a view
-only of a C-contiguous array, so only such arrays are written that way:
-`take` returns one, but a fancy index such as a[:, idx] need not, and a
-write through its reshape would land in a copy.
+`flatnonzero`.  `_Basis` stores a row in its slot by a one-hot add, a
+third of the time of a put (3 rows of 9 positions, 10,000 pairs).  A flat
+write goes through `reshape(-1)`, which is a view only of a C-contiguous
+array, so only such arrays are written that way: `take` returns one, but
+a fancy index such as a[:, idx] need not, and a write through its
+reshape would land in a copy.
 
 Verified blocks.  The header arrays gain the symbol y at row m, and the
 m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
@@ -116,8 +120,8 @@ most `_BASIS_ENTRIES // (4 m^2)` pairs, so that step 1's 2m positions
 fit even if no pair ACKed at step 0.  From step 1 on the dense basis
 holds at most `_BASIS_ENTRIES` entries, which only sinks that keep
 failing to decode for many steps come near; so a row reduced by a sum
-of products has at most 2^10 positions, the sum in a prime field below
-2^10 is taken in a type that holds 2^10 (q-1)^2 (int16 up to q = 5,
+of products has at most 2^10 positions, a prime-field sum too long for
+`dtype` is taken in a type that holds 2^10 (q-1)^2 (int16 up to q = 5,
 int32 up to 1021) and brought back to `dtype` after its mod, and a
 step's products hold at most c_max times as many entries as the basis.
 Rows are bit-packed only if step 0's m positions fit one: 64 in a lean
@@ -168,8 +172,11 @@ def _mix64(z):
 
 def _values(raw, q: int):
     """`SplitMix64.randint(q)`'s value of each raw draw, raw mod q, as
-    uint64; a mask for q a power of two, which is about twice as fast."""
-    return raw % _U(q) if q & (q - 1) else raw & _U(q - 1)
+    uint64: raw - raw // q * q, a third of the time of `%`, or a mask."""
+    if q & (q - 1):
+        q = _U(q)
+        return raw - raw // q * q
+    return raw & _U(q - 1)
 
 
 def trial_seeds(base_seed: int, start: int, stop: int):
@@ -194,9 +201,11 @@ class _ArrayField:
     int32 in GF(2^k); for primes q < 2^10 the narrowest signed type that
     holds (q-1)^2, the largest product, so c - a*b lies in it too, as
     does -q(q-1), the most negative multiple of q that `mod` subtracts;
-    int64 for larger primes.  `subsum` sums its at most 2^10 products
+    int64 for larger primes.  `subsum` sums S products in `dtype` while
+    S (q-1)^2 + q fits it, so that c - sum and its mod do too (31 terms at
+    q = 3, 7 at q = 5, 3 at q = 7), longer sums of at most 2^10 products
     (`_BASIS_ENTRIES` caps a dense row at 2^10 positions) in a type that
-    holds 2^10 (q-1)^2 and returns `dtype`; `dot` sums in int64, whatever
+    holds 2^10 (q-1)^2, and returns `dtype`; `dot` sums in int64, whatever
     its operands' types.  The tables are of `dtype`; the operations take
     any integer type.
     """
@@ -213,13 +222,21 @@ class _ArrayField:
             def mod(a):                # a % q; int64 remainder is slower
                 return a - a // q * q
 
+            # the most terms a sum in `dtype` takes, of the 2^10 at most
+            self.narrow = min((int(np.iinfo(dtype).max) - q) // (q - 1) ** 2,
+                              1 << 10)
+
+            def subsum(c, a, b):
+                ab = a * b
+                # add.reduce would accumulate a narrow type in int64
+                s = np.add.reduce(ab, axis=0, dtype=dtype if len(ab) <= (
+                    self.narrow) else acc)
+                return mod(c - s).astype(dtype, copy=False)
+
             self.mul = lambda a, b: mod(a * b)
             self.dot = lambda a, b: mod(np.matmul(a, b, dtype=np.int64))
             self.submul = lambda c, a, b: mod(c - a * b)
-            # add.reduce would accumulate a narrow type in int64
-            self.subsum = lambda c, a, b: mod(
-                c - np.add.reduce(a * b, axis=0, dtype=acc)).astype(
-                    dtype, copy=False)
+            self.subsum = subsum
             inv = np.ones(q, dtype=dtype)
             base, e = np.arange(q, dtype=dtype), q - 2
             while e:                   # a^(p-2), square and multiply
@@ -256,7 +273,7 @@ class _ArrayField:
             self.subsum = lambda c, a, b: c ^ np.bitwise_xor.reduce(
                 mul(a, b), axis=0)
         inv[0] = 0
-        self.inv = inv.__getitem__
+        self.inv = inv.take
 
 
 @lru_cache(maxsize=8)
@@ -367,14 +384,20 @@ _VERIFIED_PAIRS = 320
 BLOCK_ENTRIES = 1 << 17
 
 
+@lru_cache(maxsize=128)
+def _weights(P: int):
+    """The weights P - p of positions p < P, a column in the narrowest type
+    that holds P."""
+    return np.arange(P, 0, -1, dtype=_narrowest(P))[:, None]
+
+
 def _first_true(nz):
     """The lowest True position in each column of the bool array nz,
     (P, pairs), or P where a column has none: P minus the largest of the
     weights P - p of its True entries, several times faster than argmax
     along a short first axis."""
     P = len(nz)
-    desc = np.arange(P, 0, -1, dtype=_narrowest(P))[:, None]
-    return P - (nz * desc).max(axis=0).astype(np.intp)
+    return P - (nz * _weights(P)).max(axis=0).astype(np.intp)
 
 
 class _Basis:
@@ -428,8 +451,7 @@ class _Basis:
         if self.sym:
             eqs[:, P] = y
         self.eqs = eqs
-        # slot P is spare: it takes the rows that find no pivot
-        basis = np.zeros((P + 1, W, N), dtype=fld.dtype)
+        basis = np.zeros((P, W, N), dtype=fld.dtype)
         # stored rows are zero at the m new (highest) x-positions
         old = basis[:P0]
         old[:, :P0] = self.basis[:, :P0]
@@ -450,8 +472,9 @@ class _Basis:
             if not has.any():          # zero in every pair: no rank
                 continue
             # each pair's entry at its pivot is at flat offset `at`; a row
-            # without a pivot reads position 0 and becomes zero: inv(0) = 0
-            at = slot % P * N + lanes
+            # without a pivot, zero at every x-position, reads position
+            # P - 1 and becomes zero: inv(0) = 0
+            at = np.minimum(slot, P - 1) * N + lanes
             row = fld.mul(row, fld.inv(row.reshape(-1).take(at)))
             new = [fld.submul(other, other.reshape(-1).take(at), row)
                    for other in new]
@@ -460,15 +483,16 @@ class _Basis:
             slots.append(slot)
             inc += has
         if new:
-            new = np.stack(new)
             if P0:
                 old[:] = fld.subsum(old, old.reshape(P0, -1).take(
                     np.stack(offsets), axis=1).swapaxes(0, 1)[:, :, None],
-                                    new[:, None])
-            # row r of pair n goes to slot slots[r][n]
-            basis[np.stack(slots)[:, None], np.arange(W)[:, None],
-                  lanes] = new
-        self.basis = basis[:P]
+                                    np.stack(new)[:, None])
+            # row r of pair n goes to slot slots[r][n], which is zero until
+            # then, by a one-hot add; a row without a pivot is zero
+            positions = np.arange(P)[:, None]
+            for row, slot in zip(new, slots):
+                basis += (positions == slot)[:, None] * row
+        self.basis = basis
         return inc
 
     def solved(self, pairs):
@@ -693,7 +717,9 @@ def _lockstep(config, st, start: int, state):
     busy = np.ones((topo.num_nodes, B), dtype=bool)
     busy_o, waiting = busy[:-S], busy[-S:]
     shape = (R + 1 + m * v, m + v, B)  # a step's header array
-    if conv:                           # the histories conv reads
+    # the histories conv reads, and a verified block's checks
+    hist = bool(conv) or verified
+    if hist:
         khist = _Steps((len(heads), B), np.int64)
         fhist = _Steps(shape, fld.dtype)
     redo = np.zeros(B, dtype=bool)     # trials out of room: re-run
@@ -723,18 +749,21 @@ def _lockstep(config, st, start: int, state):
             break
         po = pairs[0]
         # ------------------------------------------------------ draws
-        f = fhist.at(t) if conv else np.zeros(shape, dtype=fld.dtype)
+        f = fhist.at(t) if hist else np.zeros(shape, dtype=fld.dtype)
         if verified:                   # x_t, on the virtual inputs
             f[R + 1:, m] = _values(_mix64(state + st["xoffsets"]), q)
         state += st["xstep"]
-        draw = running & busy.take(heads, axis=0)
+        # only running trials draw coefficients
+        run = running.nonzero()[0]
+        draw = busy.take(heads, axis=0).take(run, axis=1)
         # each pair's state at its draw, the draws counted so far
         pos = np.add.accumulate(draw, axis=0, dtype=np.uint64)
         pos *= _G
-        pos += state
+        pos += state.take(run)
         if len(heads):
-            state = pos[-1].copy()
-        k = _values(_mix64(pos), q) * draw
+            state[run] = pos[-1]
+        k = np.zeros((len(heads), B), dtype=np.uint64)
+        k[:, run] = _values(_mix64(pos), q) * draw
         # ------------------------------------------------ propagation
         if verified:
             if t == 0:                 # the virtual inputs carry e_j
@@ -743,7 +772,7 @@ def _lockstep(config, st, start: int, state):
         else:
             f[src_roots] = k[src_first:src_first + n_src].reshape(
                 len(src_roots), m, B)
-        if conv:
+        if hist:
             khist.at(t)[:] = k
             _propagate(fld, conv, khist.a, fhist.a, t)
         if verified and config.verify_headers:

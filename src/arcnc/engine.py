@@ -742,11 +742,16 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
                     map(dict.__getitem__, cells, Ts)) + tail)
             sink_csv.write("".join(rows))
         if trial_csv is not None:
+            # Each distinct value is formatted once; all are sums of
+            # non-negative numbers, so -0.0, which equals 0.0 as a key but
+            # prints apart, never occurs.
+            cols = block.avg_T, block.avg_code_len, block.avg_memory_bits
+            g = {x: f"{x:.10g}" for x in set().union(*cols)}
             trial_csv.write("".join(
-                f"{trial},{avg_T:.10g},{code_len:.10g},{bits:.10g},{rounds}\r\n"
+                f"{trial},{avg_T},{code_len},{bits},{rounds}\r\n"
                 for trial, avg_T, code_len, bits, rounds in zip(
-                    block.trial, block.avg_T, block.avg_code_len,
-                    block.avg_memory_bits, block.rounds)))
+                    block.trial, *(map(g.__getitem__, c) for c in cols),
+                    block.rounds)))
 
     # Output never depends on the worker count, so workers beyond the
     # CPUs this process may use would only add processes.

@@ -18,7 +18,7 @@ from arcnc.baseline import rlnc_trial, sink_success_fractions
 from arcnc.engine import SimConfig, TrialBlock, collect_campaign, run_trial
 from arcnc.gf import field_new
 from arcnc.polyalg import ToeplitzExpansion
-from arcnc.rng import SplitMix64, trial_seed
+from arcnc.rng import SplitMix64, mix64, trial_seed
 from arcnc.topology import (Topology, combination_network,
                             random_layered_dag, two_node_cycle_network,
                             validate_multicast)
@@ -478,49 +478,24 @@ def test_reduced_echelon_basis_matches_toeplitz_expansion():
                                if q != p)
 
 
-@pytest.mark.parametrize("q", FIELDS)
-def test_dense_basis_matches_toeplitz_expansion(q):
-    # Each last index of the dense arrays is one (sink, trial) rank
-    # state.  Entries drawn from {0, 1, q - 1} on a few columns, and whole
-    # zero blocks, make rank deficits common.
-    field = field_new(q)
-    m, c, steps, n = 2, 3, 4, 300
-    rand = SplitMix64(q)
+def _draw_cases(q, m, c, steps, n, rand):
+    """n cases of `steps` (m x c) kernel matrices.  Entries drawn from
+    {0, 1, q - 1} on a few columns, and whole zero blocks, make rank
+    deficits common."""
     pick = (0, 0, 1, q - 1)
-    cases = [[[[pick[rand.randint(4)] if j != 1 else 0 for j in range(c)]
-               for _ in range(m)] if rand.randint(4) else [[0] * c] * m
-              for _ in range(steps)] for _ in range(n)]
-    rank = batch._Basis(batch.array_field(q), n, c)
-    scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
-    deficits = 0
-    for t in range(steps):
-        inc = rank.extend(_columns([case[t] for case in cases]))
-        want = [te.extend(case[t]) for te, case in zip(scalar, cases)]
-        assert inc.tolist() == want
-        deficits += sum(w < m for w in want)
-    assert deficits > n
-    # slot p holds a row with value 1 at position p, and position p is zero
-    # in every other row
-    for basis in rank.basis.transpose(2, 0, 1).tolist():
-        for p, row in enumerate(basis):
-            assert all(v == 0 for v in row) or row[p] == 1
-            assert all(other[p] == 0 for o, other in enumerate(basis)
-                       if o != p and any(basis[p]))
+    return [[[[pick[rand.randint(4)] if j != 1 else 0 for j in range(c)]
+              for _ in range(m)] if rand.randint(4) else [[0] * c] * m
+             for _ in range(steps)] for _ in range(n)]
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 2**16])
-def test_plane_basis_matches_toeplitz_expansion(q):
-    # Each last index of the bit-plane arrays is one (sink, trial) rank
-    # state with its symbols: y_t = sum_s x_s F_{t-s} of drawn x, with one
-    # symbol changed in every other case, so that some cases turn
-    # inconsistent, at some step, and others never do.
+def _check_with_symbols(rank, q, m, c, steps, n, rand):
+    """Extend `rank`, kept with symbols, by n drawn cases with their
+    symbols y_t = sum_s x_s F_{t-s} of drawn x, one symbol changed in every
+    other case, so that some cases turn inconsistent, at some step, and
+    others never do; check it against `ToeplitzExpansion` step by step,
+    then check `solved()` against its `solve`."""
     field = field_new(q)
-    m, c, steps, n = 2, 3, 6, 300
-    rand = SplitMix64(q)
-    pick = (0, 0, 1, q - 1)
-    cases = [[[[pick[rand.randint(4)] if j != 1 else 0 for j in range(c)]
-               for _ in range(m)] if rand.randint(4) else [[0] * c] * m
-              for _ in range(steps)] for _ in range(n)]
+    cases = _draw_cases(q, m, c, steps, n, rand)
     xs = [[[rand.randint(q) for _ in range(m)] for _ in range(steps)]
           for _ in cases]
     ys = []
@@ -536,7 +511,6 @@ def test_plane_basis_matches_toeplitz_expansion(q):
             t, col = rand.randint(steps), rand.randint(c)
             y[t][col] = field.add(y[t][col], 1 + rand.randint(q - 1))
         ys.append(y)
-    rank = batch._PlaneBasis(n, c, q, symbols=True)
     scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
     for t in range(steps):
         was = [0 in te.basis.rows for te in scalar]
@@ -550,17 +524,6 @@ def test_plane_basis_matches_toeplitz_expansion(q):
         assert ([b for b, w in zip(rank.bad.tolist(), was) if not w]
                 == [b for b, w in zip(now, was) if not w])
     assert 0 < sum(now) < n // 2
-    # slot p holds a row with entry 1 at position p, and position p is
-    # zero in every other row
-    k, P = q.bit_length() - 1, steps * m
-    basis = rank.basis.tolist()
-    for i in range(n):
-        rows = [[sum((basis[s][u][i] >> p & 1) << u for u in range(k))
-                 for p in range(P)] for s in range(P)]
-        for p, row in enumerate(rows):
-            assert not any(row) or row[p] == 1
-            assert not any(row) or all(other[p] == 0 for o, other in
-                                       enumerate(rows) if o != p)
     # the consistent cases determine the x that scalar `solve` does, the
     # drawn x where no symbol was changed
     values, unit = rank.solved(np.arange(n))
@@ -571,6 +534,56 @@ def test_plane_basis_matches_toeplitz_expansion(q):
                                                     unit[i].tolist())] == want
             assert i % 2 or all(v in (None, x) for v, x in
                                 zip(want, [x for s in xs[i] for x in s]))
+
+
+def _assert_reduced_echelon(rows):
+    """Slot p holds a row with entry 1 at position p, or zero, and
+    position p is zero in every other row."""
+    for p, row in enumerate(rows):
+        assert not any(row) or row[p] == 1
+        assert not any(row) or all(other[p] == 0 for o, other in
+                                   enumerate(rows) if o != p)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_dense_basis_matches_toeplitz_expansion(q):
+    # Each last index of the dense arrays is one (sink, trial) rank state.
+    field = field_new(q)
+    m, c, steps, n = 2, 3, 4, 300
+    rand = SplitMix64(q)
+    cases = _draw_cases(q, m, c, steps, n, rand)
+    rank = batch._Basis(batch.array_field(q), n, c)
+    scalar = [ToeplitzExpansion(field, m, c) for _ in cases]
+    deficits = 0
+    for t in range(steps):
+        inc = rank.extend(_columns([case[t] for case in cases]))
+        want = [te.extend(case[t]) for te, case in zip(scalar, cases)]
+        assert inc.tolist() == want
+        deficits += sum(w < m for w in want)
+    assert deficits > n
+    for basis in rank.basis.transpose(2, 0, 1).tolist():
+        _assert_reduced_echelon(basis)
+    # With symbols, which the slot store writes with the x-positions: y
+    # follows them in every row.
+    rank = batch._Basis(batch.array_field(q), n, c, symbols=True)
+    _check_with_symbols(rank, q, m, c, 6, n, rand)
+    for basis in rank.basis.transpose(2, 0, 1).tolist():
+        _assert_reduced_echelon([row[:-1] for row in basis])
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 2**16])
+def test_plane_basis_matches_toeplitz_expansion(q):
+    # Each last index of the bit-plane arrays is one (sink, trial) rank
+    # state with its symbols.
+    m, c, steps, n = 2, 3, 6, 300
+    rank = batch._PlaneBasis(n, c, q, symbols=True)
+    _check_with_symbols(rank, q, m, c, steps, n, SplitMix64(q))
+    k, P = q.bit_length() - 1, steps * m
+    basis = rank.basis.tolist()
+    for i in range(n):
+        _assert_reduced_echelon([[sum((basis[s][u][i] >> p & 1) << u
+                                      for u in range(k))
+                                  for p in range(P)] for s in range(P)])
 
 
 # 1021 is the largest prime below 2^10, whose dense basis reduces in int32,
@@ -612,6 +625,28 @@ def test_prime_field_sums_do_not_overflow(q):
     assert fld.mul(a, a).tolist() == [top * top % q] * 3
     row = np.full((1, 1 << 10), top, dtype=fld.dtype)
     assert fld.dot(row, row.T).tolist() == [[(top * top << 10) % q]]
+    # the longest sum taken in the field's dtype itself, and one term more,
+    # which takes the wider type
+    for S in (fld.narrow, fld.narrow + 1):
+        terms = np.full((S, 3), top, dtype=fld.dtype)
+        got = fld.subsum(c, terms, terms)
+        assert got.dtype == fld.dtype
+        assert got.tolist() == [(x - top * top * S) % q for x in (0, 1, top)]
+
+
+@pytest.mark.parametrize("q, narrow", [(3, 31), (5, 7), (7, 3), (11, 1)])
+def test_int8_prime_sums_stay_narrow_up_to_their_limit(q, narrow):
+    assert batch.array_field(q).dtype == np.int8
+    assert batch.array_field(q).narrow == narrow
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 11, 13, 256, 1031])
+def test_values_are_raw_draws_mod_q(q):
+    raw = [0, q - 1, q, 1 << 63, (1 << 64) - 1]
+    raw += [mix64(i) for i in range(1000)]
+    got = batch._values(np.array(raw, dtype=np.uint64), q)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [v % q for v in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +747,21 @@ def test_verified_run_block_on_a_square_sink_with_out_edges(q):
 def test_verified_run_block_on_a_node_that_reaches_no_sink():
     got = _check_verified(_verified(DEAD_END, q=3, base_seed=9), 0, 128)
     assert got.sum_L[6] == sum(got.T_N) + 128
+
+
+# The source has no out-edges, so nothing reaches the sink, and a verified
+# block convolves nothing: its checks read the virtual inputs' histories
+# alone.
+NO_SOURCE_OUT_EDGE = Topology(3, ((1, 2),), source=0, sinks=(2,), m=1)
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+def test_run_block_on_a_source_without_out_edges(verify):
+    cfg = SimConfig(topology=NO_SOURCE_OUT_EDGE, field=field_new(3),
+                    base_seed=9, max_rounds=8, verify_decode=verify,
+                    verify_headers=verify)
+    got = _check_block(cfg, 0, 20)
+    assert got.T == {2: [8] * 20} and not any(got.success)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
