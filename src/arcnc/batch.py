@@ -1,13 +1,12 @@
 """Trials in lockstep: a block of trials advanced together in numpy,
 every result equal to `engine.run_trial`'s, in every field.
 
-Eligibility.  `engine.collect_campaign` runs a block here only where the
-output is provably the same as `run_trial`'s: an acyclic topology and no
-kernel overrides, any q, lean or verified (`verify_decode`) trials,
-sinks of any in-degree, and `trace` and `keep_kernels` either way, as a
-block keeps neither.  Every other campaign runs `run_trial`, which stays
-the reference; the differential tests compare each block with the
-`engine.TrialBlock` of `run_trial`'s results.
+Eligibility.  Every config: `engine.collect_campaign` runs every block
+here, on acyclic and cyclic topologies, with or without kernel
+overrides, any q, lean or verified (`verify_decode`) trials, sinks of
+any in-degree, and `trace` and `keep_kernels` either way, as a block
+keeps neither.  `run_trial` stays the reference; the differential tests
+compare each block with the `engine.TrialBlock` of `run_trial`'s results.
 
 Draw-order contract.  Each trial keeps its own SplitMix64 state in a
 uint64 vector and draws in `engine`'s order: step t first draws the m
@@ -21,6 +20,23 @@ SplitMix64 gamma, and the value is the draw mod q, as
 advancing the state past them.  So every trial consumes exactly the draws
 `run_trial` makes, in the same order, and leaves the lockstep only for
 room (below).
+
+Scripted draws.  `_lockstep` turns `config.overrides` into a script,
+step t -> (draw indices, values), and on a cycle adds a 0 at t = 0 for
+each pair off the sinks' disjoint paths, which `run_trial` never draws
+then.  A scripted pair is masked out of the step's draws, so it advances
+no state, and its value is stored only where the pair would have drawn.
+With `strict_overrides`, a pair that still draws at a step up to the
+script's last raises `run_trial`'s `OverrideError`, naming the first such
+pair in draw order.
+
+Cyclic passes.  Both engines propagate by one rule (`engine`): a step's
+entries start at zero and `_propagate` recomputes them node by node in
+`propagate` order, once on a DAG, whose order is topological.  On a
+cycle `_settle` repeats the pass until no live trial's entries change,
+|E| + 1 passes at most, as `run_trial` does, and else raises
+`EngineError` naming the trial; trials that have finished are not
+checked, as `run_trial` has stopped them.
 
 Arithmetic.  `array_field(q)` does F_q on integer arrays of elements in
 [0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
@@ -36,7 +52,8 @@ stay int64, and a matrix product (`dot`) sums in int64.
 round.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
-reads the history of its root input edge; where a step reads earlier
+reads the history of its root (the zero row R for a cycle of relays
+alone); where a step reads earlier
 steps (a convolution past the source, or a verified block's checks),
 the draws and header arrays of all steps are stacked in `_Steps`,
 whose step axis doubles when full, so a read is one slice or
@@ -147,8 +164,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .engine import (BLOCK_TRIALS, EngineError, TrialBlock, _batchable,
-                     _topo_static, run_trial)
+from .engine import (BLOCK_TRIALS, EngineError, OverrideError, TrialBlock,
+                     _edge_name, _topo_static, run_trial)
 from .gf import DEFAULT_MODULI, field_new
 from .rng import _GAMMA, _MASK, mix64
 
@@ -284,25 +301,23 @@ def array_field(q: int) -> _ArrayField:
 
 @lru_cache(maxsize=32)
 def _block_static(topo):
-    """Index arrays of an acyclic topology for the lockstep.
+    """Index arrays of a topology for the lockstep.
 
-    Edges that share a history (a relay's out-edges and its input edge)
-    share one root index; row R of a header array stays zero and pads
-    each sink's input roots, in input order, to c_max.
+    Edges that share a history (a relay's out-edges and their root) share
+    one root index; row R of a header array stays zero, is the root of a
+    cycle of relays alone, and pads each sink's input roots, in input
+    order, to c_max.
     """
-    (_, inputs, coding, relay_edges, propagate, _, neighbors, downstream,
-     coding_out) = _topo_static(topo)
+    (acyclic, inputs, coding, relay_edges, propagate, eligible0, neighbors,
+     downstream, coding_out) = _topo_static(topo)
     m = topo.m
     root = {eout: i for i, (_, eout) in enumerate(propagate)}
-    for eout, ein in relay_edges:
-        root[eout] = root[ein]
     R = len(propagate)
-    pair = {}                          # (ein, eout) -> draw index
-    heads = []
-    for eout, head, ins in coding:
-        for ein in ins:
-            pair[(ein, eout)] = len(heads)
-            heads.append(head)
+    for eout, r in relay_edges:
+        root[eout] = root.get(r, R)
+    pairs = [(ein, eout) for eout, _, ins in coding for ein in ins]
+    pair = {p: i for i, p in enumerate(pairs)}     # draw index
+    heads = [head for _, head, ins in coding for _ in ins]
     # The source's pairs are consecutive in draw order, out-edge by
     # out-edge, inputs -1..-m: its headers are the drawn values themselves.
     src_out = topo.out_edges(topo.source)
@@ -348,6 +363,11 @@ def _block_static(topo):
     near = np.array([[v] + sorted(neighbors[v]) + [v] * (width - 1 - len(
         neighbors[v])) for v in range(topo.num_nodes)], dtype=np.intp)
     return dict(
+        # a step's passes past the first (cyclic, `run_trial`'s |E| + 1),
+        # the pairs in draw order, and those that draw nothing at t = 0
+        passes=0 if acyclic else topo.num_edges, pairs=pairs,
+        off0=[i for i, p in enumerate(pairs)
+              if eligible0 is not None and p not in eligible0],
         R=R, heads=np.array([row[v] for v in heads], dtype=np.intp),
         src_roots=np.array([root[e] for e in src_out], dtype=np.intp),
         src_first=src_first, conv=conv, src_conv=src_conv, c_max=c_max,
@@ -627,10 +647,7 @@ class _PlaneBasis:
 
 def run_block(config, start: int, stop: int) -> TrialBlock:
     """`TrialBlock.of([run_trial(config, i) for i in range(start, stop)])`,
-    computed in lockstep for a config that `engine._batchable` accepts."""
-    if not _batchable(config):
-        raise ValueError("run_block needs an acyclic topology without "
-                         "overrides")
+    computed in lockstep, for every config."""
     st = _block_static(config.topology)
     T, delta = (np.concatenate(part, axis=-1) for part in zip(
         *_lockstep_slices(config, st, start, stop)))
@@ -742,6 +759,16 @@ def _lockstep(config, st, start: int, state):
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     live = running                     # and, verified, trials in their tail
+    # scripted draws, t -> (draw indices, values): the overrides, and on a
+    # cycle a 0 at t = 0 for each pair off the sinks' disjoint paths
+    script = {0: dict.fromkeys(st["off0"], 0)} if st["off0"] else {}
+    for (ein, eout, s), val in (config.overrides or {}).items():
+        script.setdefault(s, {})[st["pairs"].index((ein, eout))] = val
+    script = {s: (np.array(list(sc), dtype=np.intp),
+                  np.array(list(sc.values()), dtype=np.uint64)[:, None])
+              for s, sc in script.items()}
+    last = max((s for *_, s in config.overrides or ()), default=-1) \
+        if config.strict_overrides else -1
     t = 0
     while True:
         if t and rank.full(m):         # no room for another step
@@ -756,6 +783,14 @@ def _lockstep(config, st, start: int, state):
         # only running trials draw coefficients
         run = running.nonzero()[0]
         draw = busy.take(heads, axis=0).take(run, axis=1)
+        if t in script:                # a scripted pair takes no draw
+            at, val = script[t]
+            would = draw[at]
+            draw[at] = False
+        if t <= last and draw.any():
+            ein, eout = st["pairs"][draw.any(axis=1).argmax()]
+            raise OverrideError(f"override script missing k({_edge_name(ein)}"
+                                f"->{_edge_name(eout)}, t={t})")
         # each pair's state at its draw, the draws counted so far
         pos = np.add.accumulate(draw, axis=0, dtype=np.uint64)
         pos *= _G
@@ -764,6 +799,8 @@ def _lockstep(config, st, start: int, state):
             state[run] = pos[-1]
         k = np.zeros((len(heads), B), dtype=np.uint64)
         k[:, run] = _values(_mix64(pos), q) * draw
+        if t in script:                # stored where the pair would draw
+            k[at[:, None], run] = val * would
         # ------------------------------------------------ propagation
         if verified:
             if t == 0:                 # the virtual inputs carry e_j
@@ -774,7 +811,7 @@ def _lockstep(config, st, start: int, state):
                 len(src_roots), m, B)
         if hist:
             khist.at(t)[:] = k
-            _propagate(fld, conv, khist.a, fhist.a, t)
+            _settle(fld, conv, khist.a, fhist.a, t, st["passes"], live, start)
         if verified and config.verify_headers:
             _check_headers(fld, st, fhist.a, t, live, start)
         # ------------------------------------------------- rank test
@@ -839,6 +876,26 @@ def _propagate(fld, conv, khist, fhist, t):
             B, kin.shape[2], -1)
         # sum over (delay, input) of k_i * f_{t-i}, per out-edge and trial
         fhist[t, routs] = fld.dot(kin, fin).transpose(1, 2, 0)
+
+
+def _settle(fld, conv, khist, fhist, t, passes, live, start):
+    """`_propagate` at step t, node by node in `conv` order: once on a DAG,
+    where that order is topological; on a cycle (`passes` = |E|) again
+    until no `live` trial's entries change, |E| + 1 passes at most, as in
+    `run_trial`, else `EngineError` names the first live trial, of those
+    from `start` on, whose entries still change."""
+    _propagate(fld, conv, khist, fhist, t)
+    f = fhist[t]
+    for _ in range(passes):
+        was = f.copy()
+        _propagate(fld, conv, khist, fhist, t)
+        moved = (f != was).any(axis=(0, 1)) & live
+        if not moved.any():
+            return
+    if passes:
+        raise EngineError(f"trial {start + moved.argmax()}: cyclic fixed "
+                          f"point did not converge at t={t} (time-0 kernel "
+                          "matrix is not nilpotent)")
 
 
 def _set_horizons(t, stopped, delta, horizon):

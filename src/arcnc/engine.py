@@ -20,9 +20,11 @@ trial is step 0 without x_0: coding pair p takes the trial's draw p + 1.
 Conventions:
   * The source has m virtual input edges with ids -1..-m carrying the
     message streams; their global kernels are the unit vectors e_j.
-  * In-degree-1 non-source nodes are relays: their local kernel is the
-    constant 1 and they draw nothing.  On acyclic networks a relay's
-    out-edges share its input edge's history instead of recomputing it.
+  * In-degree-1 non-source nodes are relays: they forward their input
+    unchanged and draw nothing.  On every topology a relay's out-edges
+    share the history of their root, the first edge up the relay chain
+    whose tail is not a relay; a cycle of relays alone roots at its least
+    edge id and carries zero.
   * ACKs are control-plane and resolve instantaneously and transitively
     at end of step; a non-sink node ACKs once every sink it reaches has
     ACKed (at t = 0 if it reaches none), and an edge freezes at the end of
@@ -38,10 +40,11 @@ Conventions:
     histories of its input edges.
   * One rule computes every edge's step-t entry, header and symbol
     alike: the local kernels convolved with the input histories,
-    truncated at t.  On a cyclic network the step-t entries of the edges
-    also feed each other through the time-0 kernel coefficients; the
-    cyclic step convolves the rest the same way and solves only that
-    coupling, by substitution.
+    truncated at t.  A step sets its entries to zero, then recomputes
+    them in `propagate` order, topological on a DAG, so one pass is
+    exact.  On a cyclic network the step-t entries also feed each other
+    through the time-0 kernel coefficients, so the passes repeat until
+    none changes an entry, at most |E| + 1 of them, else `EngineError`.
   * A sink's decoding delay delta is the sum of its stopping rule's rank
     deficits m - inc_t through its ACK, on every topology: d_1 + ... + d_m
     for the kernel matrix's invariant factors z^d_i, the least valuation
@@ -60,13 +63,13 @@ delta), beside its integer counts (the T_N and per-sink T histograms, the
 sum of T^2 and each node's sum of L), made where the block is made;
 `CampaignSummary.absorb_block` merges the counts and folds the float
 columns in trial order, and each CSV file gets its rows as one string.
-Campaigns on acyclic networks without overrides, lean or verified, in
-any field, run each block in lockstep with numpy (`batch.run_block`),
-with results equal to `run_trial`'s, one lockstep slice
-(`batch._slice_trials`) per block; every other block (cyclic or with
-overrides) runs `run_trial` trial by trial and transposes the results
-with `TrialBlock.of`, which imports no numpy.  A campaign runs no more
-processes than the CPUs it may use.
+Every campaign, on any topology, with or without overrides, lean or
+verified, in any field, runs each block in lockstep with numpy
+(`batch.run_block`), with results equal to `run_trial`'s, one lockstep
+slice (`batch._slice_trials`) per block.  `run_trial` is the reference:
+`arcnc trace` runs it, and the lockstep re-runs with it the trials its
+rank state has no room for.  A campaign runs no more processes than the
+CPUs it may use.
 """
 
 from __future__ import annotations
@@ -216,11 +219,13 @@ def _topo_static(topo: Topology):
       * inputs maps node -> input edge ids (virtual -1..-m for the source),
       * coding lists (out-edge, head node, inputs) of every non-relay
         node in ascending node id order, the kernel draw order,
-      * relay_edges lists (out-edge, input edge) of every relay, in
-        topological order when acyclic,
-      * propagate lists the (node, out-edge) pairs whose histories a step
-        computes: those of the non-relay nodes in topological order when
-        acyclic, every pair when cyclic (relays keep a constant-1 kernel),
+      * relay_edges lists (out-edge, root) of every relay: the root is the
+        first edge up the relay chain whose tail is not a relay, or, on a
+        cycle of relays alone, the cycle's least edge id, which carries
+        zero,
+      * propagate lists the (node, out-edge) pairs of the non-relay nodes
+        whose histories a step computes, in topological order when
+        acyclic, else the source first and the rest in node order,
       * eligible0 is the t=0 random-draw eligibility set for cyclic
         networks (None when acyclic),
       * neighbors maps node -> adjacent node set,
@@ -229,6 +234,8 @@ def _topo_static(topo: Topology):
     """
     m = topo.m
     acyclic, order = is_acyclic(topo)
+    order = order or [topo.source] + [v for v in range(topo.num_nodes)
+                                      if v != topo.source]
     inputs = {}
     relays = set()
     for v in range(topo.num_nodes):
@@ -242,12 +249,18 @@ def _topo_static(topo: Topology):
     coding = [(eout, topo.head(eout), inputs[v])
               for v in range(topo.num_nodes) if v not in relays
               for eout in topo.out_edges(v)]
-    relay_edges = [(eout, inputs[v][0])
-                   for v in (order or range(topo.num_nodes)) if v in relays
+
+    def root(e):
+        chain = []
+        while topo.tail(e) in relays and e not in chain:
+            chain.append(e)
+            e = inputs[topo.tail(e)][0]
+        return min(chain[chain.index(e):]) if e in chain else e
+
+    relay_edges = [(eout, root(eout)) for v in sorted(relays)
                    for eout in topo.out_edges(v)]
-    skip = relays if acyclic else set()      # a cyclic step runs relays too
-    propagate = [(v, eout) for v in (order or range(topo.num_nodes))
-                 if v not in skip for eout in topo.out_edges(v)]
+    propagate = [(v, eout) for v in order if v not in relays
+                 for eout in topo.out_edges(v)]
     eligible0 = None
     if not acyclic:
         # Cyclic initialization restricts t=0 randomness to the adjacent
@@ -293,10 +306,6 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     keep_symbols = config.verify_decode or config.trace
 
     kernels = {(ein, eout): [] for eout, _, ins in coding for ein in ins}
-    if not acyclic:
-        for eout, ein in relay_edges:
-            kernels[(ein, eout)] = [1]
-
     overrides = dict(config.overrides) if config.overrides else {}
     strict_max = max((t for (_, _, t) in overrides), default=-1) \
         if config.strict_overrides else -1
@@ -307,11 +316,12 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     width = m + 1 if keep_symbols else m
     E = topo.num_edges
     hist = [[] for _ in range(E + m)]
-    if acyclic:
-        # A relay forwards its input unchanged, so its out-edges share the
-        # input edge's history list (topological order resolves chains).
-        for eout, ein in relay_edges:
-            hist[eout] = hist[ein]
+    # A relay forwards its input unchanged, so its out-edges share their
+    # root's history list.
+    roots = dict(relay_edges)
+    for eout, root in relay_edges:
+        hist[eout] = hist[root]
+    own = [e for e in range(E) if roots.get(e, e) == e]   # distinct lists
 
     tes = {r: ToeplitzExpansion(fld, m, len(topo.in_edges(r))) for r in topo.sinks}
     deficit = dict.fromkeys(topo.sinks, 0)   # sink -> sum of m - inc to now
@@ -339,15 +349,15 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                     trace.append(f"  k({_edge_name(ein)}->"
                                  f"{_edge_name(eout)}, t={t}) = {val}")
 
-    def conv_edge(v, eout, t, first=0):
+    def conv_edge(v, eout, t):
         """Entry t of edge eout: the local kernels convolved with the input
-        histories at delays `first`..t."""
+        histories at delays 0..t."""
         add, mul = fld.add, fld.mul
         acc = [0] * width
         for ein in inputs[v]:
             k = kernels[(ein, eout)]
             h = hist[ein]
-            for i in range(first, min(len(k), t + 1)):
+            for i in range(min(len(k), t + 1)):
                 ki = k[i]
                 if ki:
                     vec = h[t - i]
@@ -356,40 +366,27 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                             acc[p] = add(acc[p], mul(ki, vec[p]))
         return acc
 
-    def step_acyclic(t):
-        for v, eout in propagate:
-            hist[eout].append(conv_edge(v, eout, t))
+    zero = [0] * width
 
-    def step_cyclic(t):
-        add, mul = fld.add, fld.mul
-        # Known part: every input at delays i >= 1.
-        b = [None] * E
-        for v, eout in propagate:
-            b[eout] = conv_edge(v, eout, t, first=1)
-        # The time-0 coupling, the virtual inputs' entry t included, is
-        # nilpotent on the real edges under the disjoint-path
-        # initialization, so substituting it from zero settles within |E|
-        # + 1 substitutions; the iterates are partial sums of sum_i K0^i b.
-        k0 = [(ein, eout, k[0]) for (ein, eout), k in kernels.items()
-              if k and k[0]]
-        virtual = [hist[e][t] for e in range(-m, 0)]
-        cur = [[0] * width for _ in range(E)] + virtual
+    def step(t):
+        """Entry t of every history: zero, then passes in `propagate` order
+        until one changes nothing.  On a DAG the order is topological and
+        one pass is exact.  On a cycle the time-0 coupling is nilpotent on
+        the real edges under the disjoint-path initialization, so the
+        passes settle within |E| + 1."""
+        for e in own:
+            hist[e].append(zero)
         for _ in range(E + 1):
-            nxt = [list(row) for row in b] + virtual
-            for ein, eout, k in k0:
-                vec, acc = cur[ein], nxt[eout]
-                for p in range(width):
-                    if vec[p]:
-                        acc[p] = add(acc[p], mul(k, vec[p]))
-            if nxt == cur:
-                break
-            cur = nxt
-        else:
-            raise EngineError(
-                f"cyclic fixed point did not converge at t={t} "
-                "(time-0 kernel matrix is not nilpotent)")
-        for e in range(E):
-            hist[e].append(cur[e])
+            moved = False
+            for v, eout in propagate:
+                entry = conv_edge(v, eout, t)
+                moved = moved or entry != hist[eout][t]
+                hist[eout][t] = entry
+            if acyclic or not moved:
+                return
+        raise EngineError(
+            f"cyclic fixed point did not converge at t={t} "
+            "(time-0 kernel matrix is not nilpotent)")
 
     def advance(t, tail):
         """Source symbols, kernel draws and propagation for step t."""
@@ -402,7 +399,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
         if trace is not None and not tail:
             trace.append(f"  x_{t} = {tuple(xt)}")
         draw_coefficients(t)
-        (step_acyclic if acyclic else step_cyclic)(t)
+        step(t)
         if keep_symbols:    # ACKed sinks' expansions run on to the decode
             for r in sinks & ack_time.keys():
                 tes[r].extend(*block(r, t))
@@ -683,25 +680,15 @@ TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
 
 
-# Most trials a `run_trial` campaign block or a verified lockstep slice
-# holds, and fewest a lean lockstep slice may hold (`batch._slice_trials`).
+# Most trials a verified lockstep slice holds, and fewest a lean one may
+# hold (`batch._slice_trials`).
 BLOCK_TRIALS = 128
-
-
-def _batchable(config: SimConfig) -> bool:
-    """True when `batch.run_block` gives exactly `run_trial`'s block: an
-    acyclic topology and no overrides, in any mode and field; a block
-    keeps no kernels or trace."""
-    return not config.overrides and _topo_static(config.topology)[0]
 
 
 def _run_block(args) -> TrialBlock:
     """Trials start..stop-1 of a campaign, in trial order."""
-    config, start, stop = args
-    if _batchable(config):
-        from .batch import run_block
-        return run_block(config, start, stop)
-    return TrialBlock.of([run_trial(config, i) for i in range(start, stop)])
+    from .batch import run_block
+    return run_block(*args)
 
 
 def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
@@ -757,28 +744,20 @@ def collect_campaign(config: SimConfig, trials: int, workers: int = 1,
     # CPUs this process may use would only add processes.
     workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity") else os.cpu_count() or 1)
-    if _batchable(config):
-        # numpy is imported here, not with the package, and forked workers
-        # inherit it.  A block is one lockstep slice: the fewest blocks of
-        # at most `batch._slice_trials` trials, even in size; their count
-        # is a multiple of `workers` if more than one.  A lean campaign of
-        # one block forks no child: a child takes about 2.5 ms to start
-        # and a thousand copy-on-write faults in the parent, more than one
-        # lean block's share saves.  A verified trial costs ten times a
-        # lean one, so a verified campaign always splits among the workers.
-        from . import batch
-        blocks = -(-trials // batch._slice_trials(
-            config, batch._block_static(topo)))
-        if blocks > 1 or config.verify_decode:
-            blocks = min(trials, blocks + -blocks % workers)
-        bounds = [trials * i // blocks for i in range(blocks + 1)]
-    else:
-        # Eight run_trial blocks per worker, which cost nothing per block
-        # and gain from balance.
-        size = BLOCK_TRIALS
-        if workers > 1:
-            size = max(1, min(size, trials // (workers * 8)))
-        bounds = [*range(0, trials, size), trials]
+    # numpy is imported here, not with the package, and forked workers
+    # inherit it.  A block is one lockstep slice: the fewest blocks of at
+    # most `batch._slice_trials` trials, even in size; their count is a
+    # multiple of `workers` if more than one.  A lean campaign of one
+    # block forks no child: a child takes about 2.5 ms to start and a
+    # thousand copy-on-write faults in the parent, more than one lean
+    # block's share saves.  A verified trial costs ten times a lean one,
+    # so a verified campaign always splits among the workers.
+    from . import batch
+    blocks = -(-trials // batch._slice_trials(config,
+                                              batch._block_static(topo)))
+    if blocks > 1 or config.verify_decode:
+        blocks = min(trials, blocks + -blocks % workers)
+    bounds = [trials * i // blocks for i in range(blocks + 1)]
     tasks = [(config, i, j) for i, j in zip(bounds, bounds[1:])]
     workers = min(workers, len(tasks))     # no idle worker processes
     if workers <= 1:

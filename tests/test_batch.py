@@ -1,6 +1,6 @@
-"""Lockstep blocks, lean and verified, in every field: every result
-equals run_trial's, and campaigns take the lockstep path exactly where
-that holds."""
+"""Lockstep blocks, lean and verified, in every field, on acyclic and
+cyclic networks, with and without kernel overrides: every result equals
+run_trial's, and every campaign runs in lockstep blocks."""
 
 import dataclasses
 import json
@@ -15,8 +15,10 @@ import pytest
 
 from arcnc import analysis, baseline, batch, engine
 from arcnc.baseline import rlnc_trial, sink_success_fractions
-from arcnc.engine import SimConfig, TrialBlock, collect_campaign, run_trial
+from arcnc.engine import (EngineError, OverrideError, SimConfig, TrialBlock,
+                          collect_campaign, run_trial)
 from arcnc.gf import field_new
+from arcnc.harness import fig1_override_text, parse_override_script
 from arcnc.polyalg import ToeplitzExpansion
 from arcnc.rng import SplitMix64, mix64, trial_seed
 from arcnc.topology import (Topology, combination_network,
@@ -266,31 +268,22 @@ def test_average_memory_bits_add_up_in_node_order():
     assert any(a != b for a, b in zip(whole, got.avg_memory_bits))
 
 
-# One scripted coefficient on comb(4,2): k(x0->e0, t=0) = 1.
-OVERRIDE = {(-1, 0, 0): 1}
-
-
-def test_run_block_rejects_configs_it_does_not_reproduce():
-    # Cyclic configs and configs with overrides run run_trial, lean or
-    # verified.
-    topo = combination_network(4, 2)
-    for cfg in (_lean(two_node_cycle_network(), q=3),
-                SimConfig(topology=two_node_cycle_network(), field=F2),
-                SimConfig(topology=topo, field=F2, overrides=OVERRIDE),
-                _lean(topo, overrides=OVERRIDE)):
-        with pytest.raises(ValueError):
-            batch.run_block(cfg, 0, 4)
+def test_run_block_on_kept_kernel_and_traced_configs():
     # A block keeps no kernels or trace lines, and a traced lean trial
     # reports the delay as an untraced one does, so kept-kernel and traced
     # configs run in the lockstep.
+    topo = combination_network(4, 2)
     _check_block(_lean(topo, keep_kernels=True), 0, 40)
     _check_block(SimConfig(topology=topo, field=F2, keep_kernels=True), 0, 40)
     _check_block(SimConfig(topology=topo, field=F2, trace=True), 0, 40)
     _check_block(_lean(topo, trace=True), 0, 40)
 
 
-def test_collect_campaign_takes_the_batch_path_only_when_eligible(
-        monkeypatch):
+# One scripted coefficient on comb(4,2): k(x0->e0, t=0) = 1.
+OVERRIDE = {(-1, 0, 0): 1}
+
+
+def test_every_campaign_runs_lockstep_blocks(monkeypatch):
     blocks = []
 
     def spy(config, start, stop):
@@ -323,13 +316,14 @@ def test_collect_campaign_takes_the_batch_path_only_when_eligible(
         collect_campaign(cfg, 5)
     assert blocks == [(0, 5), (0, 5), (0, 5)]
     blocks.clear()
+    # cyclic, lean and verified, and with overrides
     for cfg in (_lean(two_node_cycle_network(), q=3),
                 SimConfig(topology=two_node_cycle_network(),
                           field=field_new(3)),
                 SimConfig(topology=topo, field=field_new(3),
                           overrides=OVERRIDE)):
         collect_campaign(cfg, 5)
-    assert blocks == []
+    assert blocks == [(0, 5), (0, 5), (0, 5)]
 
 
 @pytest.mark.parametrize("cfg, trials, size", [
@@ -376,58 +370,13 @@ def test_trial_seeds_match_trial_seed(base_seed):
 
 def test_importing_the_engine_and_cli_does_not_import_numpy():
     # numpy's import would add to every interpreter's start-up; only a
-    # lean campaign on an acyclic network needs it.
+    # campaign or an RLNC pass needs it.
     src = Path(engine.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, arcnc.engine, arcnc.harness; "
             "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
-_NO_NUMPY_CAMPAIGN = """
-import sys
-
-from arcnc import engine
-from arcnc.gf import field_new
-from arcnc.topology import two_node_cycle_network
-
-real_run_block = engine._run_block
-
-
-def checked_run_block(args):
-    block = real_run_block(args)
-    if "numpy" in sys.modules:
-        raise RuntimeError("a run_trial block imported numpy")
-    return block
-
-
-engine._run_block = checked_run_block
-
-if __name__ == "__main__":
-    cyclic = engine.SimConfig(topology=two_node_cycle_network(),
-                              field=field_new(3))
-    lean_cyclic = engine.SimConfig(topology=two_node_cycle_network(),
-                                   field=field_new(3), verify_decode=False,
-                                   verify_headers=False)
-    for cfg, trials in ((cyclic, 40), (lean_cyclic, 40)):
-        for workers in (1, 2):
-            engine.collect_campaign(cfg, trials, workers=workers)
-    print("numpy" in sys.modules)
-"""
-
-
-def test_q3_campaigns_do_not_import_numpy(tmp_path):
-    # Only the lockstep needs numpy; a pool worker that imports it grows by
-    # megabytes.  Cyclic campaigns, verified or lean, run run_trial blocks,
-    # and every block, in-process and in the workers, checks.
-    script = tmp_path / "campaign.py"
-    script.write_text(_NO_NUMPY_CAMPAIGN)
-    src = Path(engine.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, str(script)], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
 
 
@@ -697,7 +646,6 @@ def test_verified_run_block_matches_run_trial(n, m, trials, q, monkeypatch):
 def test_verified_run_block_on_square_random_dags(m, q):
     for seed in (0, 100):
         topo = _square_dag(seed, m)
-        assert engine._batchable(_verified(topo))
         if m > 1:
             # a node between the source and the sinks codes, so the
             # propagation and the header check see more than the source
@@ -762,6 +710,115 @@ def test_run_block_on_a_source_without_out_edges(verify):
                     verify_headers=verify)
     got = _check_block(cfg, 0, 20)
     assert got.T == {2: [8] * 20} and not any(got.success)
+
+
+# ---------------------------------------------------------------------------
+# cyclic networks and scripted draws
+# ---------------------------------------------------------------------------
+
+# Cyclic networks: sink 4 of WIDE_CYCLIC reads three edges, one pair of
+# which has a zero determinant over the rational functions; sink 2 of
+# SINK_ON_A_CYCLE reaches itself; relay 5 of RELAY_ON_A_CYCLE forwards
+# e2 around the cycle 1 -> 5 -> 2 -> 1; and the relays 4 <-> 5 of
+# RELAY_LOOP form a cycle of relays alone, whose edges carry zero into
+# sink 3.
+WIDE_CYCLIC = Topology(5, ((0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 1),
+                           (2, 4), (3, 2), (3, 4)), source=0, sinks=(4,),
+                       m=2)
+SINK_ON_A_CYCLE = Topology(4, ((0, 1), (0, 2), (1, 2), (2, 1), (1, 3),
+                               (2, 3)), source=0, sinks=(2, 3), m=1)
+RELAY_ON_A_CYCLE = Topology(6, ((0, 1), (0, 2), (1, 5), (5, 2), (2, 1),
+                                (1, 3), (2, 3), (5, 3)), source=0,
+                            sinks=(3,), m=2)
+RELAY_LOOP = Topology(6, ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 4),
+                          (5, 3), (4, 3)), source=0, sinks=(3,), m=2)
+FIG1 = parse_override_script(fig1_override_text())
+# The two-node cycle with four scripted coefficients, two of them at t = 0
+# on the sink's disjoint paths, one 0.
+CYCLE_SCRIPT = {(0, 4, 0): 1, (-2, 1, 0): 1, (0, 2, 1): 1, (3, 4, 1): 0}
+CYCLIC_AND_SCRIPTED = {
+    "cycle": dict(topology=two_node_cycle_network()),
+    "wide-cyclic": dict(topology=WIDE_CYCLIC),
+    "sink-on-cycle": dict(topology=SINK_ON_A_CYCLE),
+    "relay-on-cycle": dict(topology=RELAY_ON_A_CYCLE),
+    "relay-loop": dict(topology=RELAY_LOOP),
+    "fig1": dict(topology=combination_network(4, 2), overrides=FIG1),
+    "fig1-strict": dict(topology=combination_network(4, 2), overrides=FIG1,
+                        strict_overrides=True),
+    "cycle-script": dict(topology=two_node_cycle_network(),
+                         overrides=CYCLE_SCRIPT),
+}
+
+
+@pytest.mark.parametrize("max_rounds", [50, 2])
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+@pytest.mark.parametrize("q", ALL_FIELDS)
+@pytest.mark.parametrize("name", list(CYCLIC_AND_SCRIPTED))
+def test_run_block_on_cycles_and_scripts(name, q, verify, max_rounds):
+    # A cyclic step repeats its passes until no entry changes, and a
+    # scripted pair takes its value instead of a draw.
+    cfg = SimConfig(field=field_new(q), base_seed=31, max_rounds=max_rounds,
+                    verify_decode=verify, verify_headers=verify,
+                    **CYCLIC_AND_SCRIPTED[name])
+    (_check_verified if verify and max_rounds == 50 else _check_block)(
+        cfg, 0, 40)
+
+
+def _outcome(run):
+    """What `run()` returns, or the type and text of the error it raises."""
+    try:
+        return run()
+    except (EngineError, OverrideError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+def test_strict_script_missing_a_coefficient_raises_in_both_engines(verify):
+    # Each coefficient of fig1's strict script left out in turn: a trial
+    # that would draw it raises run_trial's OverrideError, in either
+    # engine.
+    raised = 0
+    for key in FIG1:
+        cfg = SimConfig(topology=combination_network(4, 2), field=F2,
+                        overrides={k: v for k, v in FIG1.items() if k != key},
+                        strict_overrides=True, verify_decode=verify,
+                        verify_headers=verify)
+        want = _outcome(lambda: TrialBlock.of([run_trial(cfg, i)
+                                               for i in range(4)]))
+        assert _outcome(lambda: batch.run_block(cfg, 0, 4)) == want
+        raised += isinstance(want, tuple)
+    assert raised >= len(FIG1) // 2
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_non_nilpotent_coupling_raises_on_the_same_trials(q, verify,
+                                                          monkeypatch):
+    # With every adjacent pair drawing at t=0, the time-0 coupling of the
+    # two-node cycle is often not nilpotent: each engine raises on exactly
+    # the trials whose passes never settle, and agrees on the others.
+    static = engine._topo_static
+
+    def all_pairs_at_t0(topo):
+        return static(topo)[:5] + (None,) + static(topo)[6:]
+
+    monkeypatch.setattr(engine, "_topo_static", all_pairs_at_t0)
+    monkeypatch.setattr(batch, "_topo_static", all_pairs_at_t0)
+    monkeypatch.setattr(batch, "_block_static",
+                        batch._block_static.__wrapped__)
+    cfg = SimConfig(topology=two_node_cycle_network(), field=field_new(q),
+                    base_seed=1, verify_decode=verify, verify_headers=verify)
+    raised = []
+    for i in range(60):
+        want = _outcome(lambda: TrialBlock.of([run_trial(cfg, i)]))
+        got = _outcome(lambda: batch.run_block(cfg, i, i + 1))
+        if isinstance(want, tuple):
+            raised.append(i)
+            assert got[0] is EngineError and "did not converge" in got[1]
+            assert want[1] in got[1]
+        else:
+            assert got == want
+    assert 0 < len(raised) < 60
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -281,18 +281,18 @@ def test_campaign_starts_no_more_workers_than_blocks(monkeypatch):
                                   (375, 501)]
     assert len(split(cfg, 1025, 3)) == 6
     assert sizes[-3:] == [1, 1, 2]
-    # run_trial blocks (here cyclic) stay at eight for each worker.
+    # A cyclic campaign splits by the same rule.
     cyclic = SimConfig(topology=two_node_cycle_network(), field=F2,
-                       base_seed=4, verify_decode=False,
-                       verify_headers=False)
-    assert split(cyclic, 64, 2) == [(i, i + 4) for i in range(0, 64, 4)]
+                       base_seed=4)
+    assert split(cyclic, 300, 2) == [(0, 75), (75, 150), (150, 225),
+                                     (225, 300)]
     assert sizes[-1] == 1
     # With 4 usable CPUs, 5000 workers are 4: the parent and 3 children,
-    # in 4 verified blocks, 8 run_trial blocks each.
+    # in 4 verified blocks.
     _cpus(monkeypatch, 4)
     assert split(verified, 10, 5000) == [(0, 2), (2, 5), (5, 7), (7, 10)]
     assert sizes[-1] == 3
-    assert split(cyclic, 64, 5000) == [(i, i + 2) for i in range(0, 64, 2)]
+    assert split(cyclic, 10, 5000) == [(0, 2), (2, 5), (5, 7), (7, 10)]
     assert sizes[-1] == 3
     # Without sched_getaffinity the CPUs are os.cpu_count()'s: 3, or 1
     # where it is unknown, and then no pool is built.
@@ -646,6 +646,48 @@ SINK_ON_A_CYCLE = Topology(4, ((0, 1), (0, 2), (1, 2), (2, 1), (1, 3),
 ])
 def test_downstream_sinks_match_a_search_from_every_node(topo):
     assert engine._topo_static(topo)[7] == _downstream_by_search(topo)
+
+
+# Relays 1 and 3 form a chain on a DAG, beside relay 2.
+RELAY_CHAIN = Topology(5, ((0, 1), (0, 2), (1, 3), (3, 4), (2, 4)), source=0,
+                       sinks=(4,), m=2)
+# Relay 5 forwards e2 around the cycle 1 -> 5 -> 2 -> 1.
+RELAY_ON_A_CYCLE = Topology(6, ((0, 1), (0, 2), (1, 5), (5, 2), (2, 1),
+                                (1, 3), (2, 3), (5, 3)), source=0,
+                            sinks=(3,), m=2)
+# Relays 4 <-> 5 form a cycle of relays alone, which feeds sink 3 on e6
+# and e7 beside the relays 1 and 2.
+RELAY_LOOP = Topology(6, ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 4),
+                          (5, 3), (4, 3)), source=0, sinks=(3,), m=2)
+
+
+@pytest.mark.parametrize("topo, roots", [
+    (RELAY_CHAIN, {2: 0, 3: 0, 4: 1}),
+    (RELAY_ON_A_CYCLE, {3: 2, 7: 2}),
+    (RELAY_LOOP, {2: 0, 3: 1, 4: 4, 5: 4, 6: 4, 7: 4}),
+], ids=["chain", "cycle", "loop"])
+def test_relay_out_edges_share_their_roots_history(topo, roots):
+    # A relay's out-edge roots at the first edge up the relay chain whose
+    # tail is not a relay, or at the least edge of a cycle of relays alone;
+    # a step computes no relay's entries.
+    _, _, _, relay_edges, propagate, *_ = engine._topo_static(topo)
+    assert dict(relay_edges) == roots
+    assert not {e for _, e in propagate} & roots.keys()
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+def test_a_cycle_of_relays_alone_carries_zero(verify):
+    # Sink 3 reads e2, e3 from the source's relays and e6, e7 from the
+    # relay loop, whose headers are zero at every step.
+    cfg = SimConfig(topology=RELAY_LOOP, field=field_new(3), base_seed=2,
+                    keep_kernels=True, verify_decode=verify,
+                    verify_headers=verify)
+    for i in range(20):
+        res = run_trial(cfg, i)
+        assert res.success
+        blocks = res.final_F[3]
+        assert all(row[2] == row[3] == 0 for F in blocks for row in F)
+        assert any(row[0] or row[1] for F in blocks for row in F)
 
 
 def test_failed_trial_reports_no_delay():
