@@ -18,8 +18,7 @@ these draws.  A draw is `mix64(state)` after the state advances by the
 SplitMix64 gamma, and the value is the draw mod q, as
 `SplitMix64.randint(q)` returns it.  A lean block skips the x_t draws by
 advancing the state past them.  So every trial consumes exactly the draws
-`run_trial` makes, in the same order, and leaves the lockstep only for
-room (below).
+`run_trial` makes, in the same order.
 
 Scripted draws.  `_lockstep` turns `config.overrides` into a script,
 step t -> (draw indices, values), and on a cycle adds a 0 at t = 0 for
@@ -43,13 +42,13 @@ Arithmetic.  `array_field(q)` does F_q on integer arrays of elements in
 gather for mul, from the q x q product table for q <= 256 and from the
 exp/log tables above (log 0 points into a zero tail of exp); inverses
 from a table.  Its `dtype` is the type headers and the dense rank state
-are kept in: int32 in GF(2^k); in a prime field below 2^10 the narrowest
-signed type that holds (q-1)^2, so a product or c - a*b never overflows
-(int8 up to q = 11, int16 up to 181, int32 up to 1021), and int64 for
-larger primes; a short sum of products stays in it (`subsum`).  Draws
-stay int64, and a matrix product (`dot`) sums in int64.
-`baseline.sink_success_fractions` is `_lockstep` itself, cut at one
-round.
+are kept in: int8 in GF(2), int32 in GF(2^k); in a prime field below
+2^10 the narrowest signed type that holds (q-1)^2, so a product or
+c - a*b never overflows (int8 up to q = 11, int16 up to 181, int32 up to
+1021), and int64 for larger primes; a short sum of products stays in it
+(`subsum`).  Draws stay int64, and a matrix product (`dot`) sums in
+int64.  `baseline.sink_success_fractions` is `_lockstep` itself, cut at
+one round.
 
 State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
 reads the history of its root (the zero row R for a cycle of relays
@@ -115,32 +114,29 @@ draw only x_t.  Three checks, each an array operation, raise
 0 = y != 0; at H every x_{s,j} with s <= H -
 delta_r is determined and equals the drawn one; and, with
 `verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink
-input root at every step.  A failed check never falls back to
-`run_trial`, which would hide a lockstep fault.
+input root at every step.
 
 Room.  A block runs to `max_rounds`, and a trial still running then has
 failed, as in `run_trial`, unless its rank state runs out of room first:
 when, at a step t >= 1, the rank state has no room for m more positions,
-the trials still running or in their tail are re-run from the start
-with `run_trial`, whose sink ACK times and delays are written into the
-lockstep's arrays at their own positions (trials are independent by
-index, so each result is the reference's own).  This
-is the only way a trial leaves the lockstep; step 0 always runs, so the
-RLNC pass, cut at one round, never leaves it.  One rule, `_slice_trials`,
-sizes every slice of trials run in lockstep, and a campaign block is one
-slice: step 0 keeps the slice's per-trial arrays (ACK times, draws,
-headers, F_0) within `_BASIS_ENTRIES` entries; a verified slice holds at
-most `BLOCK_TRIALS` trials, in a prime field at most `_VERIFIED_PAIRS`
-(sink, trial) pairs; a lean one at most max(`BLOCK_TRIALS`,
-`BLOCK_ENTRIES` // (sinks * c_max * m)) trials, and in a dense basis at
-most `_BASIS_ENTRIES // (4 m^2)` pairs, so that step 1's 2m positions
-fit even if no pair ACKed at step 0.  From step 1 on the dense basis
-holds at most `_BASIS_ENTRIES` entries, which only sinks that keep
-failing to decode for many steps come near; so a row reduced by a sum
-of products has at most 2^10 positions, a prime-field sum too long for
+the trials still running or in their tail re-run from their first draw,
+each as a slice of its own, written in at their own positions.  A
+one-trial slice keeps the dense basis and never checks room, so it holds
+about sinks x P^2 entries at P x-positions, as `run_trial` does.  Step 0
+always runs, so the RLNC pass, cut at one round, re-runs none.  One
+rule, `_slice_trials`, sizes every slice of trials run in lockstep, and a
+campaign block is one slice: step 0 keeps the slice's per-trial arrays
+(ACK times, draws, headers, F_0) within `_BASIS_ENTRIES` entries; a
+verified slice holds at most `BLOCK_TRIALS` trials, in a prime field at
+most `_VERIFIED_PAIRS` (sink, trial) pairs; a lean one at most
+max(`BLOCK_TRIALS`, `BLOCK_ENTRIES` // (sinks * c_max * m)) trials, and
+in a dense basis at most `_BASIS_ENTRIES // (4 m^2)` pairs, so that step
+1's 2m positions fit even if no pair ACKed at step 0.  From step 1 on a dense basis of
+several trials holds at most `_BASIS_ENTRIES` entries, which only sinks
+that keep failing to decode for many steps come near, and a step's
+products at most c_max times as many.  A prime-field sum too long for
 `dtype` is taken in a type that holds 2^10 (q-1)^2 (int16 up to q = 5,
-int32 up to 1021) and brought back to `dtype` after its mod, and a
-step's products hold at most c_max times as many entries as the basis.
+int32 up to 1021), in int64 past 2^10 products.
 Rows are bit-packed only if step 0's m positions fit one: 64 in a lean
 block, 63 beside y in a verified one, and step t needs (t+1)*m, whatever
 the in-degrees.  So a lean GF(2) trial runs bit-packed for 64 // m steps,
@@ -165,7 +161,7 @@ from operator import itemgetter
 import numpy as np
 
 from .engine import (BLOCK_TRIALS, EngineError, OverrideError, TrialBlock,
-                     _edge_name, _topo_static, run_trial)
+                     _edge_name, _topo_static)
 from .gf import DEFAULT_MODULI, field_new
 from .rng import _GAMMA, _MASK, mix64
 
@@ -215,16 +211,16 @@ class _ArrayField:
     `subsum(c, a, b)` = c - sum_s a[s]*b[s], summed over the first axis.
 
     `dtype` is the narrowest integer type the rank state can reduce in:
-    int32 in GF(2^k); for primes q < 2^10 the narrowest signed type that
-    holds (q-1)^2, the largest product, so c - a*b lies in it too, as
-    does -q(q-1), the most negative multiple of q that `mod` subtracts;
-    int64 for larger primes.  `subsum` sums S products in `dtype` while
-    S (q-1)^2 + q fits it, so that c - sum and its mod do too (31 terms at
-    q = 3, 7 at q = 5, 3 at q = 7), longer sums of at most 2^10 products
-    (`_BASIS_ENTRIES` caps a dense row at 2^10 positions) in a type that
-    holds 2^10 (q-1)^2, and returns `dtype`; `dot` sums in int64, whatever
-    its operands' types.  The tables are of `dtype`; the operations take
-    any integer type.
+    int8 in GF(2), whose product is `&`, and int32 in GF(2^k); for primes
+    q < 2^10 the narrowest signed type that holds (q-1)^2, the largest
+    product, so c - a*b lies in it too, as does -q(q-1), the most
+    negative multiple of q that `mod` subtracts; int64 for larger primes.
+    `subsum` sums S products in `dtype` while S (q-1)^2 + q fits it, so
+    that c - sum and its mod do too (31 terms at q = 3, 7 at q = 5, 3 at
+    q = 7), sums of at most 2^10 products in a type that holds 2^10
+    (q-1)^2, longer ones in int64, and returns `dtype`; `dot` sums in
+    int64, whatever its operands' types.  The tables are of `dtype`; the
+    operations take any integer type.
     """
 
     def __init__(self, q: int):
@@ -232,7 +228,8 @@ class _ArrayField:
             dtype = _narrowest((q - 1) ** 2)
             acc = _narrowest((q - 1) ** 2 << 10)
         else:
-            dtype = acc = np.dtype(np.int64 if q & (q - 1) else np.int32)
+            dtype = acc = np.dtype(np.int64 if q & (q - 1) else
+                                   np.int8 if q == 2 else np.int32)
         self.dtype = dtype
         if q & (q - 1):                # prime
 
@@ -245,9 +242,10 @@ class _ArrayField:
 
             def subsum(c, a, b):
                 ab = a * b
+                n = len(ab)
                 # add.reduce would accumulate a narrow type in int64
-                s = np.add.reduce(ab, axis=0, dtype=dtype if len(ab) <= (
-                    self.narrow) else acc)
+                s = np.add.reduce(ab, axis=0, dtype=dtype if n <= self.narrow
+                                  else acc if n <= 1 << 10 else np.int64)
                 return mod(c - s).astype(dtype, copy=False)
 
             self.mul = lambda a, b: mod(a * b)
@@ -384,11 +382,11 @@ def _block_static(topo):
     )
 
 
-# Most entries a dense basis holds from step 1 on, 1 MiB in the int8 of
-# primes up to 11 (2 MiB in int16, 4 MiB in int32 and 8 MiB in the int64 of
-# primes above 2^10), and most a slice's step 0 holds in its
-# per-trial arrays unless one trial needs more.  Only sinks that keep
-# failing to decode bring a basis near it; their trials are then re-run.
+# Most entries a dense basis of several trials holds from step 1 on, 1 MiB
+# in int8 (2 MiB in int16, 4 MiB in int32 and 8 MiB in int64), and most a
+# slice's step 0 holds in its per-trial arrays unless one trial needs
+# more.  Only sinks that keep failing to decode bring a basis near it;
+# their trials then re-run one to a slice, which has no such cap.
 _BASIS_ENTRIES = 1 << 20
 
 # Most (sink, trial) pairs a verified slice keeps in a dense basis at once:
@@ -713,14 +711,15 @@ class _Steps:
 def _lockstep(config, st, start: int, state):
     """The sinks' ACK times and summed rank deficits, both (sinks, trials),
     of the trials from `start` on, whose SplitMix64 states are `state`
-    (which it advances); the trials out of room are re-run with
-    `run_trial` and written in at their own positions."""
+    (which it advances); the trials out of room re-run as one-trial
+    slices, written in at their own positions (Room)."""
     topo = config.topology
     m, q = topo.m, config.field.q
     fld = array_field(q)
     verified = config.verify_decode
     v = int(verified)
     B = len(state)
+    seeds = state.copy()               # to re-run the trials out of room
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
     heads, c, R = st["heads"], st["c_max"], st["R"]
@@ -752,8 +751,8 @@ def _lockstep(config, st, start: int, state):
     wt = np.tile(np.arange(B, dtype=np.intp), S)
     pairs = np.concatenate([[ws * B + wt, st["in_deg"].take(ws)],
                             st["in_roots"].take(ws, axis=0).T * B + wt])
-    rank = _PlaneBasis(len(ws), c, q, verified) if _bit_packed(config) \
-        else _Basis(fld, len(ws), c, verified)
+    rank = _PlaneBasis(len(ws), c, q, verified) if B > 1 and _bit_packed(
+        config) else _Basis(fld, len(ws), c, verified)
     delta = np.zeros((S, B), dtype=np.int64)
     Ts, deltas = T.reshape(-1), delta.reshape(-1)
     horizon = np.full(B, -1, dtype=np.int64)
@@ -771,7 +770,7 @@ def _lockstep(config, st, start: int, state):
         if config.strict_overrides else -1
     t = 0
     while True:
-        if t and rank.full(m):         # no room for another step
+        if t and B > 1 and rank.full(m):   # no room for another step
             redo = live
             break
         po = pairs[0]
@@ -856,9 +855,8 @@ def _lockstep(config, st, start: int, state):
         rank.keep(keep)
         t += 1
     for b in np.flatnonzero(redo).tolist():
-        res = run_trial(config, start + b)
-        T[:, b] = [res.T[r] for r in st["sinks"]]
-        delta[:, b] = [res.delta[r] or 0 for r in st["sinks"]]
+        T[:, b:b + 1], delta[:, b:b + 1] = _lockstep(config, st, start + b,
+                                                     seeds[b:b + 1])
     return T, delta
 
 

@@ -66,10 +66,10 @@ columns in trial order, and each CSV file gets its rows as one string.
 Every campaign, on any topology, with or without overrides, lean or
 verified, in any field, runs each block in lockstep with numpy
 (`batch.run_block`), with results equal to `run_trial`'s, one lockstep
-slice (`batch._slice_trials`) per block.  `run_trial` is the reference:
-`arcnc trace` runs it, and the lockstep re-runs with it the trials its
-rank state has no room for.  A campaign runs no more processes than the
-CPUs it may use.
+slice (`batch._slice_trials`) per block; a trial out of room re-runs
+in a lockstep slice of its own.  `run_trial` is the reference: the tests
+compare every block with it, and `arcnc trace` runs it.  A campaign runs
+no more processes than the CPUs it may use.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arcnc import baseline, batch
+from arcnc import baseline, batch, engine
 from arcnc.baseline import (curve_rows, expected_attempts, rlnc_trial,
                             sink_success_fractions)
 from arcnc.gf import field_new
@@ -235,7 +235,7 @@ def test_a_lone_trial_runs_step_0_past_the_room(monkeypatch):
         raise AssertionError("a reference trial was called")
 
     monkeypatch.setattr(baseline, "rlnc_trial", fail)
-    monkeypatch.setattr(batch, "run_trial", fail)
+    monkeypatch.setattr(engine, "run_trial", fail)
     monkeypatch.setattr(batch, "_BASIS_ENTRIES", 7)
     slices = _spy_slices(monkeypatch)
     fracs, overall = sink_success_fractions(topo, field, 30, seed=8)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from arcnc import analysis, baseline, batch, engine
 from arcnc.baseline import rlnc_trial, sink_success_fractions
@@ -21,7 +22,7 @@ from arcnc.gf import field_new
 from arcnc.harness import fig1_override_text, parse_override_script
 from arcnc.polyalg import ToeplitzExpansion
 from arcnc.rng import SplitMix64, mix64, trial_seed
-from arcnc.topology import (Topology, combination_network,
+from arcnc.topology import (Topology, combination_network, is_acyclic,
                             random_layered_dag, two_node_cycle_network,
                             validate_multicast)
 
@@ -111,11 +112,27 @@ FIELDS = [3, 4, 5, 256]
 BIG = 1 << 16
 
 
+_LOCKSTEP = batch._lockstep
+
+
 def _record_reruns(monkeypatch):
-    """The list of trial indices run_block hands to run_trial, in order."""
-    rerun = []
-    monkeypatch.setattr(batch, "run_trial",
-                        lambda cfg, i: rerun.append(i) or run_trial(cfg, i))
+    """The list of trial indices that run_block re-runs for lack of room,
+    in order: the one-trial `_lockstep` calls made inside another.  The
+    lockstep is the only engine in `batch`, so no re-run bypasses it."""
+    assert not hasattr(batch, "run_trial")
+    rerun, depth = [], []
+
+    def spy(config, st, start, state):
+        if depth:
+            assert len(state) == 1
+            rerun.append(start)
+        depth.append(start)
+        try:
+            return _LOCKSTEP(config, st, start, state)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(batch, "_lockstep", spy)
     return rerun
 
 
@@ -574,9 +591,9 @@ def test_prime_field_sums_do_not_overflow(q):
     assert fld.mul(a, a).tolist() == [top * top % q] * 3
     row = np.full((1, 1 << 10), top, dtype=fld.dtype)
     assert fld.dot(row, row.T).tolist() == [[(top * top << 10) % q]]
-    # the longest sum taken in the field's dtype itself, and one term more,
-    # which takes the wider type
-    for S in (fld.narrow, fld.narrow + 1):
+    # the longest sum taken in the field's dtype itself, one term more,
+    # which takes the wider type, and 2^12 terms, past 2^10, in int64
+    for S in (fld.narrow, fld.narrow + 1, 1 << 12):
         terms = np.full((S, 3), top, dtype=fld.dtype)
         got = fld.subsum(c, terms, terms)
         assert got.dtype == fld.dtype
@@ -821,6 +838,48 @@ def test_non_nilpotent_coupling_raises_on_the_same_trials(q, verify,
     assert 0 < len(raised) < 60
 
 
+def _random_cyclic(seed, m, layers):
+    """A seeded random network with cycles: `random_layered_dag` (layers of
+    m + 2 nodes) plus m + 1 back edges, each from a node other than the
+    source and the first to an earlier one other than the source; the first
+    seed from `seed` on whose network is cyclic and passes
+    `validate_multicast`."""
+    while True:
+        rng = SplitMix64(seed)
+        dag = random_layered_dag(rng, layers=layers, width=m + 2, m=m)
+        edges = set(dag.edges)
+        for _ in range(m + 1):
+            u = 2 + rng.randint(dag.num_nodes - 2)
+            edges.add((u, 1 + rng.randint(u - 1)))
+        topo = Topology(dag.num_nodes, tuple(sorted(edges)), source=0,
+                        sinks=dag.sinks, m=m)
+        if validate_multicast(topo).ok and not is_acyclic(topo)[0]:
+            return topo
+        seed += 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 1 << 20), m=strategies.integers(1, 3),
+       layers=strategies.integers(2, 3), q=strategies.sampled_from([2, 3, 4]))
+def test_run_block_matches_run_trial_on_random_cyclic_networks(seed, m,
+                                                               layers, q):
+    # Lean and verified blocks of 8 trials against run_trial's: equal
+    # blocks, or an EngineError on one of the trials that raise alone.
+    topo = _random_cyclic(seed, m, layers)
+    for verify in (False, True):
+        cfg = SimConfig(topology=topo, field=field_new(q), base_seed=seed,
+                        verify_decode=verify, verify_headers=verify)
+        want = [_outcome(lambda: run_trial(cfg, i)) for i in range(8)]
+        got = _outcome(lambda: batch.run_block(cfg, 0, 8))
+        raised = {f"trial {i}: {w[1]}" for i, w in enumerate(want)
+                  if isinstance(w, tuple)}
+        if raised:
+            assert got[0] is EngineError and got[1] in raised
+        else:
+            assert dataclasses.asdict(got) \
+                == dataclasses.asdict(TrialBlock.of(want))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("max_rounds", [1, 2, 3])
 @pytest.mark.parametrize("topo", [combination_network(4, 2),
@@ -886,6 +945,16 @@ def _absorbed_json(cfg, trials):
 # seed 17 run out of room, lean and verified
 RERUN_ENTRIES = {("comb63", False): 500, ("comb63", True): 100_000,
                  ("dag", False): 200, ("dag", True): 800}
+_SLICE_TRIALS = batch._slice_trials
+
+
+def _squeeze_room(monkeypatch, entries):
+    """Set `_BASIS_ENTRIES` to `entries`, in slices of at least two trials:
+    a one-trial slice never runs out of room, and at these entries a lean
+    slice would hold one trial."""
+    monkeypatch.setattr(batch, "_BASIS_ENTRIES", entries)
+    monkeypatch.setattr(batch, "_slice_trials", lambda config, st: max(
+        2, _SLICE_TRIALS(config, st)))
 
 
 @pytest.mark.parametrize("case", ["plain", "failed", "rerun"])
@@ -904,8 +973,7 @@ def test_campaign_counts_equal_absorbed_run_trials(name, topo, verify, case,
                     max_rounds=2 if case == "failed" else 50)
     rerun = _record_reruns(monkeypatch)
     if case == "rerun":
-        monkeypatch.setattr(batch, "_BASIS_ENTRIES",
-                            RERUN_ENTRIES[name, verify])
+        _squeeze_room(monkeypatch, RERUN_ENTRIES[name, verify])
     got = collect_campaign(cfg, 40)
     assert json.dumps(got.to_json_dict(), sort_keys=True) \
         == _absorbed_json(cfg, 40)
@@ -918,14 +986,13 @@ def _check_equal_delays(topo, q, monkeypatch, entries=None, **kw):
     """Lean and verified blocks of trials 0..39 at base seed 17, each
     equal to run_trial's, report the same delays, None only in failed
     trials; with `entries`, {verify_decode: _BASIS_ENTRIES}, some of the
-    trials of each run out of room and re-run with run_trial."""
+    trials of each run out of room and re-run in one-trial slices."""
     blocks = []
     for cfg in (_lean(topo, q=q, base_seed=17, **kw),
                 _verified(topo, q=q, base_seed=17, **kw)):
         rerun = _record_reruns(monkeypatch)
         if entries:
-            monkeypatch.setattr(batch, "_BASIS_ENTRIES",
-                                entries[cfg.verify_decode])
+            _squeeze_room(monkeypatch, entries[cfg.verify_decode])
         blocks.append(_check_block(cfg, 0, 40))
         assert (0 < len(rerun) < 40) if entries else rerun == []
     lean, full = blocks
@@ -1008,15 +1075,16 @@ def test_lean_stopping_time_matches_the_exact_law(q, m, monkeypatch):
     # The T half of the oracle above: the first sink's T against
     # `analysis.stopping_law` by chi^2, in bins 0..3 and >= 4, merged from
     # the top until each expects at least 5 trials (at q = 16 the top two
-    # expect 0.3 and 4.9).  The grid runs the bit planes (q = 2, 4, 8, 16),
-    # the int8 dense basis (q = 3, 5, 7, 11) and the int8 boundary at 11.
+    # expect 0.3 and 4.9).  The grid runs the bit planes (q = 2), the
+    # dense basis in GF(2^k) (q = 4, 8, 16) and in int8 (q = 3, 5, 7, 11),
+    # and the int8 boundary at 11.
     topo, trials = combination_network(m + 1, m), 20_000
     reruns = _record_reruns(monkeypatch)
     block = batch.run_block(_lean(topo, q=q, base_seed=41), 0, trials)
     assert all(block.success)
-    # Trials out of room re-run in run_trial (one at q = 2, m = 4), so a
-    # lockstep fault that stalls its trials would reach the histogram
-    # through the other engine.
+    # Trials out of room re-run in one-trial slices (one at q = 2, m = 4),
+    # in the dense basis, so the bound keeps the grid on the rank state
+    # each cell names.
     assert len(reruns) <= trials // 1000
     chi2, bound = _T_chi2(block.per_sink_T_hist[topo.sinks[0]], trials, q, m)
     # A fixed threshold, not one tuned to the seed: under the law each cell
@@ -1115,6 +1183,28 @@ def test_verified_lockstep_checks_the_headers(q, row, monkeypatch):
                        match=f"trial 2, sink {r}: header inconsistency on "
                              f"edge e{e} at t="):
         batch.run_block(cfg, 0, 8)
+
+
+def test_rerun_trials_pass_the_lockstep_checks(monkeypatch):
+    # A trial out of room re-runs as a one-trial lockstep slice, so a fault
+    # in the lockstep after the room break still raises: with room for
+    # three steps (as in the out-of-room test above), y changed on root 0
+    # at t = 4 fails the header check of the first trial re-run past it.
+    cfg = _verified(combination_network(4, 2), q=3, base_seed=2)
+    e, r = batch._block_static(cfg.topology)["checked"][0]
+    m = cfg.topology.m
+    monkeypatch.setattr(batch, "_BASIS_ENTRIES", 6 * 40 * 6 * 7)
+    rerun = _record_reruns(monkeypatch)
+
+    def change(f):
+        f[0, m] = (f[0, m] + 1) % 3
+
+    _break_step(monkeypatch, 4, change)
+    with pytest.raises(engine.EngineError,
+                       match=f"trial 2, sink {r}: header inconsistency on "
+                             f"edge e{e} at t=4"):
+        batch.run_block(cfg, 0, 40)
+    assert rerun[-1] == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
