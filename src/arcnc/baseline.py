@@ -1,21 +1,18 @@
 """One-shot RLNC baseline for field-size / delay / memory comparisons.
 
-One-shot RLNC is the engine cut at constraint length 1: every coding node
-draws one scalar coefficient per adjacent (input, output) pair, uniformly
-over F_q, and in-degree-1 relays forward their input unchanged.  A sink
-succeeds when its scalar global kernel matrix has rank m.
+One-shot RLNC is the engine cut at constraint length 1: trial i is step 0
+of `engine`'s protocol without x_0, one scalar coefficient per coding
+pair, drawn from `rng.trial_rng(seed, i)` in `engine`'s draw order (its
+module docstring states the order and the relays).  A sink succeeds when
+its scalar global kernel matrix has rank m.
 
-Trial i draws from `rng.trial_rng(seed, i)` one coefficient per coding
-pair in the engine's draw order (see `engine`), with no source symbols
-x_0: pair p of `_topo_static`'s `coding` list takes the trial's draw
-p + 1, its value the draw mod q.  `rlnc_trial` is the reference.
-`sink_success_fractions` runs the same trials in the engine lockstep
-itself, `batch._lockstep` cut at one round, lean, one numpy lane per
-trial, in the slices of `batch`'s one sizing rule, and counts their
-verdicts slice by slice: each trial's SplitMix64 state starts m draws
-back, so that the m x_0 draws a lean step skips are none, and a sink
-succeeds when it ACKs at step 0, which every slice runs.  numpy is
-imported only when a lockstep slice starts.
+`rlnc_trial` is the reference.  `sink_success_fractions` runs the same
+trials in the engine lockstep itself, `batch._lockstep` cut at one
+round, lean, one numpy lane per trial, in the slices of `batch`'s one
+sizing rule, and counts their verdicts slice by slice: each trial's
+SplitMix64 state starts m draws back, so that the m x_0 draws a lean
+step skips are none, and a sink succeeds when it ACKs at step 0, which
+every slice runs.  numpy is imported only when a lockstep slice starts.
 """
 
 from __future__ import annotations
@@ -42,10 +39,8 @@ class RlncResult:
 def _global_vectors(topo: Topology, field: Field, rng):
     """Scalar global kernel vector (length m) of every edge, by edge id.
 
-    Every coefficient is drawn first, in the engine's draw order (nodes by
-    id, out-edges, inputs), the source coding its virtual inputs -1..-m,
-    whose vectors are the unit vectors e_j, and relays drawing nothing.
-    The vectors then follow in a topological walk of `topo`."""
+    Every coefficient is drawn first, in `engine`'s draw order; the
+    vectors then follow in a topological walk of `topo`."""
     acyclic, order = is_acyclic(topo)
     if not acyclic:
         raise ValueError("one-shot RLNC baseline requires an acyclic topology")

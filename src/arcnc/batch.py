@@ -1,154 +1,70 @@
 """Trials in lockstep: a block of trials advanced together in numpy,
-every result equal to `engine.run_trial`'s, in every field.
+every result equal to `engine.run_trial`'s, for every config.
 
-Eligibility.  Every config: `engine.collect_campaign` runs every block
-here, on acyclic and cyclic topologies, with or without kernel
-overrides, any q, lean or verified (`verify_decode`) trials, sinks of
-any in-degree, and `trace` and `keep_kernels` either way, as a block
-keeps neither.  `run_trial` stays the reference; the differential tests
-compare each block with the `engine.TrialBlock` of `run_trial`'s results.
+The protocol, its draw order and its rules are stated once, in
+`engine`'s module docstring; this module follows them on arrays, and the
+docstrings at the code say how.  `run_trial` is the reference: the
+differential tests compare each block with the `engine.TrialBlock` of
+its results.
 
-Draw-order contract.  Each trial keeps its own SplitMix64 state in a
-uint64 vector and draws in `engine`'s order: step t first draws the m
-source symbols x_t (which a lean trial never reads), then one coefficient
-for each coding pair in `_topo_static`'s `coding` order, counted only in
-trials that are still running and whose pair's head node had not ACKed
-before t; only the running trials' states and masks are gathered for
-these draws.  A draw is `mix64(state)` after the state advances by the
-SplitMix64 gamma, and the value is the draw mod q, as
-`SplitMix64.randint(q)` returns it.  A lean block skips the x_t draws by
-advancing the state past them.  So every trial consumes exactly the draws
-`run_trial` makes, in the same order.
+Draws.  Each trial keeps its SplitMix64 state in a uint64 vector.  A
+draw is `mix64(state)` after the state advances by the SplitMix64 gamma,
+and its value the draw mod q, as `SplitMix64.randint(q)` returns it.
+Only the running trials' states and draw masks are gathered, and a lean
+block advances a state past the x_t draws it never reads, so every
+trial consumes exactly `run_trial`'s draws, in its order.  Overrides,
+and a cycle's zeros at t = 0, are a script of draw indices and values,
+masked out of the draws.
 
-Scripted draws.  `_lockstep` turns `config.overrides` into a script,
-step t -> (draw indices, values), and on a cycle adds a 0 at t = 0 for
-each pair off the sinks' disjoint paths, which `run_trial` never draws
-then.  A scripted pair is masked out of the step's draws, so it advances
-no state, and its value is stored only where the pair would have drawn.
-With `strict_overrides`, a pair that still draws at a step up to the
-script's last raises `run_trial`'s `OverrideError`, naming the first such
-pair in draw order.
+Arithmetic.  `array_field(q)` does F_q on integer arrays, in the
+narrowest integer type that holds its products and short sums
+(`_ArrayField` gives each bound).
 
-Cyclic passes.  Both engines propagate by one rule (`engine`): a step's
-entries start at zero and `_propagate` recomputes them node by node in
-`propagate` order, once on a DAG, whose order is topological.  On a
-cycle `_settle` repeats the pass until no live trial's entries change,
-|E| + 1 passes at most, as `run_trial` does, and else raises
-`EngineError` naming the trial; trials that have finished are not
-checked, as `run_trial` has stopped them.
+Layout.  A step's header array is (roots, components, trials), one row
+per distinct edge history (`_block_static`), with y at component m in a
+verified block.  Where a step reads earlier steps (a convolution past
+the source, or a verified block's checks), the draws and header arrays
+of every step are stacked in `_Steps`, so that a read is one slice or
+gather.  The ACK state is one bool array of the nodes that have not
+ACKed; the lockstep keeps only the sinks' ACK times and delays, and
+`_block` derives the other nodes' ACK times from them.
 
-Arithmetic.  `array_field(q)` does F_q on integer arrays of elements in
-[0, q): add and mul mod p in a prime field; in GF(2^k) xor for add and a
-gather for mul, from the q x q product table for q <= 256 and from the
-exp/log tables above (log 0 points into a zero tail of exp); inverses
-from a table.  Its `dtype` is the type headers and the dense rank state
-are kept in: int8 in GF(2), int32 in GF(2^k); in a prime field below
-2^10 the narrowest signed type that holds (q-1)^2, so a product or
-c - a*b never overflows (int8 up to q = 11, int16 up to 181, int32 up to
-1021), and int64 for larger primes; a short sum of products stays in it
-(`subsum`).  Draws stay int64, and a matrix product (`dot`) sums in
-int64.  `baseline.sink_success_fractions` is `_lockstep` itself, cut at
-one round.
+Rank states.  The stopping rule is `polyalg.ToeplitzExpansion` on every
+waiting (sink, trial) pair at once.  `_Basis`, the array form of
+`polyalg._RowBasis`, is dense and reduced-echelon; `_PlaneBasis` is the
+same basis bit-packed, in GF(2) and in verified GF(2^k) blocks.  Every
+rank state puts the pairs last, so each array operation runs along the
+long pair axis.
 
-State.  Headers are (roots, m, trials) arrays, and a relay's out-edge
-reads the history of its root (the zero row R for a cycle of relays
-alone); where a step reads earlier
-steps (a convolution past the source, or a verified block's checks),
-the draws and header arrays of all steps are stacked in `_Steps`,
-whose step axis doubles when full, so a read is one slice or
-gather.  The stopping rule is `polyalg.ToeplitzExpansion` on every
-waiting (sink, trial) pair at once: step t puts F_t's column in front
-of each of the pair's c_max equations (zero past its inputs) and
-inserts them into a basis that gains m positions.  `_Basis`, the array
-form of `polyalg._RowBasis`, is dense and reduced-echelon: slot p holds
-the row whose pivot is position p, with value 1 there, and position p
-is zero in every other row.  Every rank state puts the pairs last,
-(slots, positions, pairs) for `_Basis`, so each array operation runs
-along the long pair axis.  New equations are reduced by the stored rows
-in one product summed over the slot axis, then by each other; a
-non-zero remainder raises the rank, and its lowest non-zero position,
-found as a weighted max (`_first_true`), becomes its pivot, is cleared
-from the stored rows in one more such product, and takes slot p by a
-one-hot add, as slot p is zero until then.  `_PlaneBasis` is the same
-basis bit-packed, in GF(2) and in verified GF(2^k) blocks.  The ACK pass
-is `run_trial`'s: one bool array marks the nodes that have not ACKed,
-the other nodes' rows first, then the sinks', so that a step's draws
-take their head nodes' rows from it; each step sets the sinks' rows
-from their ACK times, the one record of an ACK, and the other nodes'
-rows from the waiting sinks downstream of each node, counted by one
-float64 product with `reach`.  The lockstep
-keeps only the sinks' ACK times and delays; a node other than a sink
-ACKs with the last sink downstream of it, at t = 0 if it reaches none,
-so the block derives the others' too.  A sink's delay delta_r is
-`run_trial`'s, lean or verified: each step adds every pair's rank
-deficit m - inc_t, summed through the ACK, which is d_1 + ... + d_m for
-the invariant factors z^d_i of the kernel matrix (Massey & Sain 1968;
-Forney 1970).  A lean pair leaves at its ACK, and a verified one adds 0
-after it, as its increment stays m.
-
-Entries move by flat offset.  Once a slice, `_lockstep` computes each
-pair's offsets into the sinks' ACK times and delays, whose trial is the
-offset mod the slice's trials, and into a step's header array (in its
-copy with the component axis first), in one index array that one
-`take` a step compacts with the pairs; it reads a pair's entries with
-`take` and writes them with a flat store.  The rank states read a pair's
-entry at its pivot the same way and keep pairs by `take` of their
-indices: on numpy 2.4 a multi-array fancy index costs 2.5-4x a `take` of
+Flat offsets.  Once a slice, `_lockstep` computes each pair's flat
+offsets into the sinks' ACK times and delays and into a step's header
+array, in one index array that one `take` a step compacts with the
+pairs; it reads a pair's entries with `take` and writes them with a flat
+store, and the rank states read a pair's entry at its pivot the same
+way.  On numpy 2.4 a multi-array fancy index costs 2.5-4x a `take` of
 flat offsets, and a boolean mask several times a `take` of its
-`flatnonzero`.  `_Basis` stores a row in its slot by a one-hot add, a
-third of the time of a put (3 rows of 9 positions, 10,000 pairs).  A flat
-write goes through `reshape(-1)`, which is a view only of a C-contiguous
-array, so only such arrays are written that way: `take` returns one, but
-a fancy index such as a[:, idx] need not, and a write through its
-reshape would land in a copy.
+`flatnonzero`; `_Basis` stores a row in its slot by a one-hot add, a
+third of the time of a put (3 rows of 9 positions, 10,000 pairs).  A
+flat write goes through `reshape(-1)`, which is a view only of a
+C-contiguous array, so only such arrays are written that way: `take`
+returns one, but a fancy index such as a[:, idx] need not, and a write
+through its reshape would land in a copy.
 
-Verified blocks.  The header arrays gain the symbol y at row m, and the
-m virtual inputs, rows R+1 .. R+m, carry e_j at t = 0 and the drawn x_t,
-so the source's out-edges convolve them as any node convolves its inputs,
-and the checks read x from them.
-Each equation carries its y after the x-positions.  A pair stays in the
-rank state after its sink's ACK, until its trial's horizon
-H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s tail.  Tail steps
-draw only x_t.  Three checks, each an array operation, raise
-`EngineError` naming the trial and the sink: no equation reduces to
-0 = y != 0; at H every x_{s,j} with s <= H -
-delta_r is determined and equals the drawn one; and, with
-`verify_headers`, y_{e,t} = sum_i f_{e,i} . x_{t-i} on each distinct sink
-input root at every step.
-
-Room.  A block runs to `max_rounds`, and a trial still running then has
-failed, as in `run_trial`, unless its rank state runs out of room first:
-when, at a step t >= 1, the rank state has no room for m more positions,
-the trials still running or in their tail re-run from their first draw,
-each as a slice of its own, written in at their own positions.  A
-one-trial slice keeps the dense basis and never checks room, so it holds
-about sinks x P^2 entries at P x-positions, as `run_trial` does.  Step 0
-always runs, so the RLNC pass, cut at one round, re-runs none.  One
-rule, `_slice_trials`, sizes every slice of trials run in lockstep, and a
-campaign block is one slice: step 0 keeps the slice's per-trial arrays
-(ACK times, draws, headers, F_0) within `_BASIS_ENTRIES` entries; a
-verified slice holds at most `BLOCK_TRIALS` trials, in a prime field at
-most `_VERIFIED_PAIRS` (sink, trial) pairs; a lean one at most
-max(`BLOCK_TRIALS`, `BLOCK_ENTRIES` // (sinks * c_max * m)) trials, and
-in a dense basis at most `_BASIS_ENTRIES // (4 m^2)` pairs, so that step
-1's 2m positions fit even if no pair ACKed at step 0.  From step 1 on a dense basis of
-several trials holds at most `_BASIS_ENTRIES` entries, which only sinks
-that keep failing to decode for many steps come near, and a step's
-products at most c_max times as many.  A prime-field sum too long for
-`dtype` is taken in a type that holds 2^10 (q-1)^2 (int16 up to q = 5,
-int32 up to 1021), in int64 past 2^10 products.
-Rows are bit-packed only if step 0's m positions fit one: 64 in a lean
-block, 63 beside y in a verified one, and step t needs (t+1)*m, whatever
-the in-degrees.  So a lean GF(2) trial runs bit-packed for 64 // m steps,
-and a verified trial whose horizon H has (H+1)*m > 63 is still in its
-tail at the first step without room, and is re-run there.
-
-Results.  A block comes back as an `engine.TrialBlock` built from the ACK
-times and delays, one `.tolist()` per column (None then replaces the
-delays of failed trials), with its counts: each
-sink's T histogram in one `bincount` over the sinks' rows, offset by
-sink, the T_N histogram in another, and the sum of T^2 and each node's
-sum of L as array sums.  No per-trial object or per-node L row is kept.
+Room.  A block runs to `max_rounds`, as `run_trial` does, unless its
+rank state runs out of room first: when, at a step t >= 1, it has no
+room for m more positions, the trials still running or in their tail
+re-run from their first draw, each as a slice of its own, written in at
+their own positions.  A one-trial slice keeps the dense basis and never
+checks room, so it holds about sinks x P^2 entries at P x-positions, as
+`run_trial` does.  Step 0 always runs, so the RLNC pass, cut at one
+round, re-runs none.  Rows are bit-packed only if step 0's m positions
+fit one: 64 in a lean block, 63 beside y in a verified one, and step t
+needs (t+1)*m, whatever the in-degrees.  So a lean GF(2) trial runs
+bit-packed for 64 // m steps, and a verified trial whose horizon H has
+(H+1)*m > 63 is still in its tail at the first step without room, and
+re-runs there.  One rule, `_slice_trials`, sizes every slice, and a
+campaign block is one slice; the constants it reads give each cap's
+reason.
 """
 
 from __future__ import annotations
@@ -160,8 +76,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .engine import (BLOCK_TRIALS, EngineError, OverrideError, TrialBlock,
-                     _edge_name, _topo_static)
+from .engine import (EngineError, OverrideError, TrialBlock, _edge_name,
+                     _topo_static)
 from .gf import DEFAULT_MODULI, field_new
 from .rng import _GAMMA, _MASK, mix64
 
@@ -210,17 +126,19 @@ class _ArrayField:
     last two axes), and the fused `submul(c, a, b)` = c - a*b and
     `subsum(c, a, b)` = c - sum_s a[s]*b[s], summed over the first axis.
 
-    `dtype` is the narrowest integer type the rank state can reduce in:
-    int8 in GF(2), whose product is `&`, and int32 in GF(2^k); for primes
-    q < 2^10 the narrowest signed type that holds (q-1)^2, the largest
-    product, so c - a*b lies in it too, as does -q(q-1), the most
-    negative multiple of q that `mod` subtracts; int64 for larger primes.
-    `subsum` sums S products in `dtype` while S (q-1)^2 + q fits it, so
-    that c - sum and its mod do too (31 terms at q = 3, 7 at q = 5, 3 at
-    q = 7), sums of at most 2^10 products in a type that holds 2^10
-    (q-1)^2, longer ones in int64, and returns `dtype`; `dot` sums in
-    int64, whatever its operands' types.  The tables are of `dtype`; the
-    operations take any integer type.
+    `dtype` is the narrowest integer type the headers and the rank state
+    can reduce in: int8 in GF(2), whose product is `&`, and int32 in
+    GF(2^k); for primes q < 2^10 the narrowest signed type that holds
+    (q-1)^2, the largest product, so c - a*b lies in it too, as does
+    -q(q-1), the most negative multiple of q that `mod` subtracts (int8
+    up to q = 11, int16 up to 181, int32 up to 1021); int64 for larger
+    primes.  `subsum` sums S products in `dtype` while S (q-1)^2 + q fits
+    it, so that c - sum and its mod do too (31 terms at q = 3, 7 at
+    q = 5, 3 at q = 7), sums of at most 2^10 products in a type that
+    holds 2^10 (q-1)^2 (int16 up to q = 5, int32 up to 1021), longer
+    ones in int64, and returns `dtype`; `dot` sums in int64, whatever its
+    operands' types.  The tables are of `dtype`; the operations take any
+    integer type.
     """
 
     def __init__(self, q: int):
@@ -383,15 +301,20 @@ def _block_static(topo):
 
 
 # Most entries a dense basis of several trials holds from step 1 on, 1 MiB
-# in int8 (2 MiB in int16, 4 MiB in int32 and 8 MiB in int64), and most a
-# slice's step 0 holds in its per-trial arrays unless one trial needs
-# more.  Only sinks that keep failing to decode bring a basis near it;
-# their trials then re-run one to a slice, which has no such cap.
+# in int8 (2 MiB in int16, 4 MiB in int32 and 8 MiB in int64), a step's
+# products at most c_max times as many, and most a slice's step 0 holds
+# in its per-trial arrays unless one trial needs more.  Only sinks that
+# keep failing to decode bring a basis near it; their trials then re-run
+# one to a slice, which has no such cap.
 _BASIS_ENTRIES = 1 << 20
 
 # Most (sink, trial) pairs a verified slice keeps in a dense basis at once:
 # its pairs stay until the horizon.
 _VERIFIED_PAIRS = 320
+
+# Most trials a verified lockstep slice holds, and fewest a lean one may
+# hold.
+BLOCK_TRIALS = 128
 
 # Sink equation entries (sinks x c_max x m a trial) a lean slice holds, if
 # more than BLOCK_TRIALS trials: a step pays a fixed numpy cost, and its
@@ -424,9 +347,10 @@ class _Basis:
 
     `eqs` holds each input's newest equation, shape (c, positions, pairs),
     and `basis` the reduced-echelon basis, shape (slots, positions,
-    pairs): slot p holds the row whose pivot is position p, or zero.  With
-    `symbols`, each row has one more position, last, for the received
-    symbol y, which no pivot takes.
+    pairs): slot p holds the row whose pivot is position p, with 1 there
+    and position p zero in every other row, or zero.  With `symbols`,
+    each row has one more position, last, for the received symbol y,
+    which no pivot takes.
     """
 
     def __init__(self, fld, N: int, c: int, symbols: bool = False):
@@ -645,7 +569,8 @@ class _PlaneBasis:
 
 def run_block(config, start: int, stop: int) -> TrialBlock:
     """`TrialBlock.of([run_trial(config, i) for i in range(start, stop)])`,
-    computed in lockstep, for every config."""
+    computed in lockstep, for every config: a block keeps no trace lines
+    or kernel blocks."""
     st = _block_static(config.topology)
     T, delta = (np.concatenate(part, axis=-1) for part in zip(
         *_lockstep_slices(config, st, start, stop)))
@@ -660,22 +585,24 @@ def _bit_packed(config) -> bool:
 
 
 def _slice_trials(config, st) -> int:
-    """Most trials a lockstep slice of `config` holds, by Room's one rule
-    (above); `st` is `_block_static(config.topology)`."""
+    """Most trials a lockstep slice of `config` holds (Room, above); `st`
+    is `_block_static(config.topology)`."""
     topo = config.topology
     m, q = topo.m, config.field.q
     v = int(config.verify_decode)
     sinks = len(st["sinks"])
     eqs = sinks * st["c_max"] * m          # a trial's sink equation entries
+    # step 0's per-trial arrays: ACK times, draws, headers and F_0
     size = _BASIS_ENTRIES // (topo.num_nodes + len(st["heads"])
                               + (st["R"] + 1 + m * v) * (m + v) + eqs)
     if v:
         size = min(size, BLOCK_TRIALS)
-        if q & (q - 1):
+        if q & (q - 1):                # (sink, trial) pairs, in a prime field
             size = min(size, _VERIFIED_PAIRS // sinks)
     else:
         size = min(size, max(BLOCK_TRIALS, BLOCK_ENTRIES // eqs))
-        if not _bit_packed(config):    # step 1's 2m positions fit
+        if not _bit_packed(config):    # step 1's 2m positions fit, even
+                                       # if no pair ACKed at step 0
             size = min(size, _BASIS_ENTRIES // (4 * m * m * sinks))
     return max(1, size)
 
@@ -779,7 +706,8 @@ def _lockstep(config, st, start: int, state):
         if verified:                   # x_t, on the virtual inputs
             f[R + 1:, m] = _values(_mix64(state + st["xoffsets"]), q)
         state += st["xstep"]
-        # only running trials draw coefficients
+        # only running trials draw coefficients, for the pairs whose head
+        # node has not ACKed
         run = running.nonzero()[0]
         draw = busy.take(heads, axis=0).take(run, axis=1)
         if t in script:                # a scripted pair takes no draw
@@ -818,8 +746,8 @@ def _lockstep(config, st, start: int, state):
         Fy = f.transpose(1, 0, 2).reshape(m + v, -1).take(
             pairs[2:2 + pairs[1].max()], axis=1)
         inc = rank.extend(Fy[:m], Fy[m] if verified else None)
-        # the rank deficits before the sink's ACK sum to its delay; a
-        # verified pair adds 0 after it, as inc stays m
+        # delta (`engine`); a verified pair adds 0 after its ACK, as inc
+        # stays m
         deltas[po] += m - inc
         done = inc == m
         if verified:
@@ -833,8 +761,8 @@ def _lockstep(config, st, start: int, state):
         Ts[po.take(done.nonzero()[0])] = t
         np.equal(T, never, out=waiting)
         # -------------------------------------------------- ACK pass
-        # a node ACKs when no waiting sink is downstream: the float64
-        # product counts them exactly
+        # `engine`'s ACK rule: the float64 product counts each node's
+        # waiting sinks downstream exactly
         np.greater(st["reach"] @ waiting, 0, out=busy_o)
         left = waiting.any(axis=0)
         if verified:
@@ -877,11 +805,10 @@ def _propagate(fld, conv, khist, fhist, t):
 
 
 def _settle(fld, conv, khist, fhist, t, passes, live, start):
-    """`_propagate` at step t, node by node in `conv` order: once on a DAG,
-    where that order is topological; on a cycle (`passes` = |E|) again
-    until no `live` trial's entries change, |E| + 1 passes at most, as in
-    `run_trial`, else `EngineError` names the first live trial, of those
-    from `start` on, whose entries still change."""
+    """`_propagate` at step t, repeated on a cycle (`passes` = |E|) as
+    `engine` does until no `live` trial's entries change; else
+    `EngineError` names the first live trial, of those from `start` on,
+    whose entries still change."""
     _propagate(fld, conv, khist, fhist, t)
     f = fhist[t]
     for _ in range(passes):
@@ -897,9 +824,8 @@ def _settle(fld, conv, khist, fhist, t, passes, live, start):
 
 
 def _set_horizons(t, stopped, delta, horizon):
-    """Set the horizon H = T_N + max(max_r delta_r, T_N) + 1, `run_trial`'s,
-    of the trials whose last sink ACKed at t (T_N = t): their pairs stay
-    in the rank state through step H."""
+    """Set the horizon H (`engine`) of the trials whose last sink ACKed at
+    t (T_N = t): their pairs stay in the rank state through step H."""
     if stopped.any():
         b = np.flatnonzero(stopped)
         horizon[b] = t + np.maximum(delta.take(b, axis=1).max(axis=0), t) + 1
@@ -952,16 +878,16 @@ def _check_decoded(st, rank, sel, ws, wt, d, xs, start):
 
 
 def _block(config, st, start, seeds, T, delta) -> TrialBlock:
-    """The TrialBlock of the sinks' ACK times and delays, with its
-    counts."""
+    """The TrialBlock of the sinks' ACK times and delays, one `.tolist()`
+    per column, with its counts as bincounts and array sums: no
+    per-trial object or per-node L row is made."""
     topo = config.topology
     V = topo.num_nodes
     B = len(seeds)
     ack = np.empty((V, B), dtype=np.int64)
     ack[st["sinks"]] = T
-    # a node other than a sink ACKs with the last sink downstream of it,
-    # at t = 0 if it reaches none (its row of `reach` is zero): run_trial's
-    # rule; T >= 0, and the float64 products of small integers are exact
+    # `engine`'s ACK rule, at t = 0 where a node's row of `reach` is zero
+    # (T >= 0); the float64 products of small integers are exact
     ack[st["others"]] = (st["reach"][:, :, None] * T).max(axis=1)
     T_N = T.max(axis=0)
     ok = T_N < config.max_rounds

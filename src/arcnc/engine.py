@@ -14,8 +14,10 @@ source symbols x_t (component index ascending), then one coefficient per
 coding adjacent pair whose kernel is not frozen: nodes in ascending id
 order, out-edges ascending, inputs ascending (the source is a coding node
 over its virtual inputs -1..-m, in that order; relays draw nothing).
-`_topo_static`'s `coding` lists the pairs in this order.  A one-shot RLNC
-trial is step 0 without x_0: coding pair p takes the trial's draw p + 1.
+`_topo_static`'s `coding` lists the pairs in this order.  On a cyclic
+network step 0 draws only for the pairs along the sinks' edge-disjoint
+paths; the others take 0 without a draw.  A one-shot RLNC trial is step 0
+without x_0: coding pair p takes the trial's draw p + 1.
 
 Conventions:
   * The source has m virtual input edges with ids -1..-m carrying the
@@ -44,12 +46,21 @@ Conventions:
     them in `propagate` order, topological on a DAG, so one pass is
     exact.  On a cyclic network the step-t entries also feed each other
     through the time-0 kernel coefficients, so the passes repeat until
-    none changes an entry, at most |E| + 1 of them, else `EngineError`.
+    none changes an entry.  Step 0's disjoint-path draws make that
+    time-0 coupling nilpotent on the real edges, so the passes settle
+    within |E| + 1, else `EngineError`.
   * A sink's decoding delay delta is the sum of its stopping rule's rank
     deficits m - inc_t through its ACK, on every topology: d_1 + ... + d_m
     for the kernel matrix's invariant factors z^d_i, the least valuation
-    of its m x m minors (Massey & Sain 1968; Forney 1970).  A verified
-    sink decodes from that same expansion, fed y_t and run on to the horizon.
+    of its m x m minors (Massey & Sain 1968; Forney 1970).
+  * A verified trial that succeeds runs on past T_N to its horizon
+    H = T_N + max(max_r delta_r, T_N) + 1, so every sink decodes at least
+    two symbols.  Every kernel is frozen by then, so these tail steps draw
+    only x_t; cyclic feedback still extends the (rational) global
+    kernels.  Each sink decodes from its stopping rule's expansion, fed
+    y_t through H: every x_{s,j} with s <= H - delta_r must be determined
+    and equal the drawn one.  With `verify_headers`, y_{e,t} =
+    sum_i f_{e,i} . x_{t-i} must hold on every sink input edge through H.
   * Lean trials keep headers alone (entries of width m), on every
     topology, and report the same delay, from the same rank deficits;
     `verify_decode` only switches on the decode and header checks.  The
@@ -148,9 +159,8 @@ class TrialResult:
     rounds: int                 # steps until all sinks decodable (or max_rounds)
     T: dict                     # sink -> ACK time (max_rounds if never ACKed)
     T_N: int
-    delta: dict                 # sink -> decoding delay, the summed rank
-                                # deficits before its ACK; None in
-                                # failed trials
+    delta: dict                 # sink -> decoding delay; None in failed
+                                # trials
     L: dict                     # node -> constraint length
     memory_bits: dict           # node -> m * L * log2(q)
     avg_T: float
@@ -219,10 +229,8 @@ def _topo_static(topo: Topology):
       * inputs maps node -> input edge ids (virtual -1..-m for the source),
       * coding lists (out-edge, head node, inputs) of every non-relay
         node in ascending node id order, the kernel draw order,
-      * relay_edges lists (out-edge, root) of every relay: the root is the
-        first edge up the relay chain whose tail is not a relay, or, on a
-        cycle of relays alone, the cycle's least edge id, which carries
-        zero,
+      * relay_edges lists (out-edge, root) of every relay, its root as
+        the module docstring defines it,
       * propagate lists the (node, out-edge) pairs of the non-relay nodes
         whose histories a step computes, in topological order when
         acyclic, else the source first and the rest in node order,
@@ -263,8 +271,6 @@ def _topo_static(topo: Topology):
                  for eout in topo.out_edges(v)]
     eligible0 = None
     if not acyclic:
-        # Cyclic initialization restricts t=0 randomness to the adjacent
-        # pairs along each sink's edge-disjoint paths.
         eligible0 = set()
         for paths in disjoint_paths(topo).values():
             for p in paths:
@@ -370,10 +376,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
 
     def step(t):
         """Entry t of every history: zero, then passes in `propagate` order
-        until one changes nothing.  On a DAG the order is topological and
-        one pass is exact.  On a cycle the time-0 coupling is nilpotent on
-        the real edges under the disjoint-path initialization, so the
-        passes settle within |E| + 1."""
+        until one changes nothing (module docstring)."""
         for e in own:
             hist[e].append(zero)
         for _ in range(E + 1):
@@ -422,8 +425,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
             # determined by the received window through t, which (by the
             # shift structure of the system) keeps every later symbol
             # decodable with delay <= t even while upstream kernels of
-            # still-waiting siblings continue to grow.  The deficits m - inc
-            # through the ACK sum to the sink's decoding delay.
+            # still-waiting siblings continue to grow.
             inc = tes[r].extend(*block(r, t))
             deficit[r] += m - inc
             if inc == m:
@@ -434,10 +436,8 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
                 still.append(r)
                 if trace is not None:
                     trace.append(f"  sink {r} not decodable")
-        # Instantaneous transitive ACK resolution.  A non-sink node ACKs
-        # once every sink downstream of it has ACKed, so ACKs happen only
-        # at t = 0 (nodes that reach no sink) and at steps where a sink
-        # ACKed.
+        # ACK resolution (module docstring): a non-sink node can ACK only
+        # at t = 0 or at a step where a sink ACKed.
         if t == 0 or len(still) < len(waiting):
             for v in range(topo.num_nodes):
                 if (v not in ack_time and v not in sinks
@@ -463,11 +463,7 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     delta = deficit if success else dict.fromkeys(topo.sinks)
     # ------------------------------------------------- decoding verification
     if success and keep_symbols:
-        # The tail runs to the horizon last + max(max delta, T_N) + 1, where
-        # last = T_N is the step at which the last sink stopped, so every
-        # sink decodes at least two symbols.  All kernels are frozen by
-        # now, so the tail draws only source symbols; cyclic feedback still
-        # extends the (rational) global kernels.
+        # The tail runs to the horizon H (module docstring); last = T_N.
         last = rounds - 1
         while t <= last + max(max(delta.values()), last) + 1:
             advance(t, tail=True)
@@ -678,11 +674,6 @@ def _count_into(hist: dict, counts: dict):
 TRIAL_SINK_COLUMNS = ["trial", "seed", "sink", "T_i", "T_N", "success"]
 TRIAL_SUMMARY_COLUMNS = ["trial", "avg_T", "avg_code_len",
                          "avg_memory_bits", "rounds"]
-
-
-# Most trials a verified lockstep slice holds, and fewest a lean one may
-# hold (`batch._slice_trials`).
-BLOCK_TRIALS = 128
 
 
 def _run_block(args) -> TrialBlock:

@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import sys
+from dataclasses import fields
 from functools import lru_cache
 
 from . import analysis
@@ -104,8 +105,7 @@ def parse_config_file(text: str) -> dict:
 # defaults are applied after merging so file values are distinguishable
 # from defaults.
 _OPTION_DEFAULTS = {"m": 2, "q": 2, "seed": 0, "max_rounds": 50,
-                    "tol": 1e-9, "trials": 1000, "workers": 1, "t_max": 4,
-                    "mode": "arcnc"}
+                    "trials": 1000, "workers": 1, "t_max": 4, "mode": "arcnc"}
 
 
 def _config_value(key, action, text):
@@ -192,8 +192,8 @@ def _write_text(path, text):
 
 def cmd_gen(args) -> int:
     if args.network == "comb":
-        if args.n is None or args.m is None:
-            raise ValueError("gen comb needs --n and --m")
+        if args.n is None:
+            raise ValueError("gen comb needs --n")
         topo = combination_network(args.n, args.m)
         _write_text(args.out, save_topology(topo))
     elif args.network == "fig1":
@@ -207,28 +207,18 @@ def cmd_gen(args) -> int:
                     save_topology(topo))
         _write_text(os.path.join(outdir, "fig1_overrides.txt"),
                     fig1_override_text())
-    elif args.network == "cycle":
+    else:                                  # cycle
         _write_text(args.out, save_topology(two_node_cycle_network()))
-    else:
-        raise ValueError(f"unknown generator {args.network!r}")
     return 0
 
 
 def _trial_result_json(res) -> dict:
-    return {
-        "trial": res.trial,
-        "seed": res.seed,
-        "success": res.success,
-        "rounds": res.rounds,
-        "T": {str(k): v for k, v in sorted(res.T.items())},
-        "T_N": res.T_N,
-        "delta": {str(k): v for k, v in sorted(res.delta.items())},
-        "L": {str(k): v for k, v in sorted(res.L.items())},
-        "memory_bits": {str(k): v for k, v in sorted(res.memory_bits.items())},
-        "avg_T": res.avg_T,
-        "avg_code_len": res.avg_code_len,
-        "avg_memory_bits": res.avg_memory_bits,
-    }
+    """Every field of the TrialResult `res` but its trace lines and kernel
+    blocks, dicts with string keys."""
+    doc = {f.name: getattr(res, f.name) for f in fields(res)
+           if f.name not in ("trace_lines", "final_F")}
+    return {name: {str(k): v for k, v in val.items()}
+            if isinstance(val, dict) else val for name, val in doc.items()}
 
 
 def cmd_trace(args) -> int:
@@ -253,14 +243,14 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _analysis_columns(topo, q, tol, t_max):
+def _analysis_columns(topo, q, t_max):
     m = topo.m
     d = len(topo.sinks)
     cols = {
         "et_upper": float(analysis.et_upper(m, q)),
         "et_lower": float(analysis.et_lower(m, q)),
         "et2_upper": float(analysis.et2_upper(m, q)),
-        "exact_ET": analysis.exact_ET(q, m, tol),
+        "exact_ET": analysis.exact_ET(q, m),
     }
     net_eta = eta(topo)
     ho = {}
@@ -287,8 +277,6 @@ def cmd_run(args) -> int:
         raise ValueError("--workers must be >= 1")
     if args.max_rounds < 1:
         raise ValueError("--max-rounds must be >= 1")
-    if not args.tol > 0:
-        raise ValueError("--tol must be positive")
     field = field_new(args.q)
     topo = _load_topology_arg(args)
     if args.mode in ("rlnc", "both") and not is_acyclic(topo)[0]:
@@ -309,7 +297,7 @@ def cmd_run(args) -> int:
         files["campaign_sinks.csv"] = sink_buf.getvalue()
         files["campaign_trials.csv"] = trial_buf.getvalue()
         doc = summary.to_json_dict()
-        doc["analysis"] = _analysis_columns(topo, args.q, args.tol,
+        doc["analysis"] = _analysis_columns(topo, args.q,
                                             max(2, summary.max_T_N()))
         summary_doc["arcnc"] = doc
     if args.mode in ("rlnc", "both"):
@@ -375,8 +363,8 @@ def _write_outputs(outdir, files):
 
 def cmd_bounds(args) -> int:
     m, q, n = args.m, args.q, args.n
-    if None in (m, q, n):
-        raise ValueError("bounds needs --m, --q and --n")
+    if n is None:
+        raise ValueError("bounds needs --n")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     field_new(q)                           # rejects q that is no field order
@@ -402,7 +390,7 @@ def cmd_bounds(args) -> int:
     row("et_upper", "", analysis.et_upper(m, q), "exact")
     row("et_lower", "", analysis.et_lower(m, q), "exact")
     row("et2_upper", "", analysis.et2_upper(m, q), "exact")
-    row("exact_ET", "", f"{analysis.exact_ET(q, m, args.tol):.12g}", "float")
+    row("exact_ET", "", f"{analysis.exact_ET(q, m):.12g}", "float")
     if m >= 2:
         row("rho_ub", "", analysis.rho_ub(m, q), "exact")
     row("var_upper", "", analysis.var_upper(n, m, q), "exact")
@@ -442,7 +430,6 @@ _OPTIONS = {
     "override": dict(help="kernel override script path"),
     "out": dict(help="output file or directory"),
     "config": dict(help="flat key=value config file"),
-    "tol": dict(type=float, help="series tolerance"),
     "trials": dict(type=int, help="number of trials"),
     "workers": dict(type=int, help="worker processes"),
     "mode": dict(choices=["arcnc", "rlnc", "both"],
@@ -452,7 +439,7 @@ _OPTIONS = {
     "t-max": dict(type=int, help="last t of the bound table"),
 }
 
-_CAMPAIGN = ("n m q seed max-rounds topology override out config tol trials "
+_CAMPAIGN = ("n m q seed max-rounds topology override out config trials "
              "workers no-verify")
 
 # (name, help, handler, the options it reads, fixed argument values)
@@ -464,7 +451,7 @@ _SUBCOMMANDS = (
     ("compare", "Monte Carlo campaign (ARCNC vs RLNC)", cmd_run, _CAMPAIGN,
      {"mode": "both"}),
     ("bounds", "closed-form bound table", cmd_bounds,
-     "n m q out config tol t-max", {}),
+     "n m q out config t-max", {}),
 )
 
 

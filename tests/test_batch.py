@@ -98,7 +98,7 @@ def test_run_block_on_a_node_that_reaches_no_sink():
                                   combination_network(6, 3),
                                   SINK_WITH_OUT_EDGE],
                          ids=["comb42", "comb63", "sinkout"])
-def test_run_block_falls_back_at_the_cutoff(topo, max_rounds):
+def test_run_block_fails_trials_at_the_cutoff(topo, max_rounds):
     # Trials still running after max_rounds steps fail in the lockstep,
     # as those that stop at the last step finish there.
     cfg = _lean(topo, base_seed=11, max_rounds=max_rounds)
@@ -199,7 +199,7 @@ NARROW_CUT = Topology(11, ((0, 1),) + tuple((1, i) for i in range(2, 10))
                       source=0, sinks=(10,), m=2)
 
 
-def test_gf2_trials_past_64_positions_rerun_with_run_trial(monkeypatch):
+def test_gf2_trials_past_64_positions_rerun_alone(monkeypatch):
     # The bitmask rows hold 32 steps of 2 positions; a sink that never
     # decodes outlasts them when max_rounds is 33 or more.
     cfg = _lean(NARROW_CUT, base_seed=2, max_rounds=33)
@@ -238,7 +238,7 @@ def test_one_sink_at_the_bit_plane_boundary(m, monkeypatch):
         _check_block(cfg, 0, 4)
 
 
-def test_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
+def test_dense_basis_out_of_room_reruns_alone(monkeypatch):
     assert not validate_multicast(NARROW_CUT).ok
     cfg = _lean(NARROW_CUT, q=3, base_seed=1, max_rounds=6)
     rerun = _record_reruns(monkeypatch)
@@ -908,8 +908,7 @@ def test_verified_tail_runs_past_max_rounds(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [2, 4])
-def test_verified_trials_past_64_positions_rerun_with_run_trial(q,
-                                                                monkeypatch):
+def test_verified_trials_past_64_positions_rerun_alone(q, monkeypatch):
     # One sink with m = 8 inputs: a bitmask row holds 63 x-positions and
     # y, so a trial whose horizon H has (H+1)*8 + 1 > 64 re-runs.
     rerun = _record_reruns(monkeypatch)
@@ -919,7 +918,7 @@ def test_verified_trials_past_64_positions_rerun_with_run_trial(q,
         assert 0 < len(rerun) < 30
 
 
-def test_verified_dense_basis_out_of_room_reruns_with_run_trial(monkeypatch):
+def test_verified_dense_basis_out_of_room_reruns_alone(monkeypatch):
     cfg = _verified(combination_network(4, 2), q=3, base_seed=2)
     rerun = _record_reruns(monkeypatch)
     _check_verified(cfg, 0, 40)

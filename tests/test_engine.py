@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcnc import batch, engine
-from arcnc.engine import (BLOCK_TRIALS, CampaignSummary, EngineError,
-                          OverrideError, SimConfig,
+from arcnc.batch import BLOCK_TRIALS
+from arcnc.engine import (CampaignSummary, EngineError, OverrideError,
+                          SimConfig,
                           TRIAL_SINK_COLUMNS, TRIAL_SUMMARY_COLUMNS,
                           collect_campaign, run_trial)
 from arcnc.gf import field_new

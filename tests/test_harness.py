@@ -47,6 +47,31 @@ def test_gen_fig1_and_trace(tmp_path, capsys):
     assert doc["success"] is True
 
 
+@pytest.mark.parametrize("q, lines, doc", [
+    (2, "032b60bc6fca7d8f176997d4fd4292868fa614d51ccc8df13b1642a267dcb441",
+     "3d0b7a4fe4b0a1814c63c84c7b5c803669d2ec7f1e38be30a8aa6104879a49ff"),
+    (3, "fc6429c6f82ca8531b6ded89fbdeb17e51e2a8b3264657998140eea4bf1987d5",
+     "8a98e6243f67da1f83bc1c5f42334eafc478d9cb7cba3327643b82a5627da9ca"),
+    (4, "8f4633581d774c9b9a171b5c256b2243d1a69f2519cfd358cbe53a311e710309",
+     "72adcf979ad27ef34bbb374c49c96e995e8590e3da04b8b03e4ea30f06c743b4"),
+], ids=["q2", "q3", "q4"])
+def test_trace_bytes_are_pinned(tmp_path, capsys, q, lines, doc):
+    # gen fig1's script: the trace lines on stdout and the JSON in --out,
+    # or both on stdout without --out.  A changed line, field or value
+    # changes these digests.
+    assert run_cli("gen", "fig1", "--out", str(tmp_path)) == 0
+    argv = ["trace", "--topology", str(tmp_path / "fig1_topology.txt"),
+            "--override", str(tmp_path / "fig1_overrides.txt"),
+            "--q", str(q)]
+    out = tmp_path / "trace.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    text = capsys.readouterr().out.encode()
+    assert hashlib.sha256(text).hexdigest() == lines
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == doc
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.encode() == text + out.read_bytes()
+
+
 def test_gen_cycle(tmp_path):
     out = tmp_path / "cycle.txt"
     assert run_cli("gen", "cycle", "--out", str(out)) == 0
@@ -248,6 +273,7 @@ def test_config_file_with_cli_precedence(tmp_path):
      "config key 'verify' takes no value"),
     ("bounds", "config = other.cfg\nn = 4\nm = 2\n", 1,
      "unknown config key 'config'"),
+    ("bounds", "n = 4\ntol = 1e-9\n", 1, "unknown config key 'tol'"),
     ("run", "n = 4\nm = 2\ntrials = 5\ntrials = 7\n", 1,
      "config line 4: duplicate key 'trials' (first given on line 3)"),
     ("run", "n = 4\nm = 2\nmax-rounds = 3\nmax_rounds = 4\n", 1,
@@ -299,6 +325,9 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     ["gen", "comb", "--n", "4", "--m", "2", "--override", "k.txt"],
     ["gen", "comb", "--n", "4", "--m", "2", "--tol", "0.1"],
     ["trace", "--n", "4", "--m", "2", "--tol", "0.1"],
+    ["run", "--n", "4", "--m", "2", "--trials", "5", "--tol", "0"],
+    ["compare", "--n", "4", "--m", "2", "--trials", "5", "--tol", "-1"],
+    ["bounds", "--n", "4", "--m", "2", "--tol", "nan"],
     ["compare", "--n", "4", "--m", "2", "--trials", "5", "--mode", "arcnc"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_subcommand_rejects_options_it_does_not_read(tmp_path, capsys, argv):
@@ -306,6 +335,44 @@ def test_subcommand_rejects_options_it_does_not_read(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, files, rc, message", [
+    (["run", "--config", "{d}/c.cfg"], {"c.cfg": "# n and m\n\nn 4\n"}, 1,
+     "error: config line 3: expected 'key = value'"),
+    (["run", "--config", "{d}/c.cfg"], {"c.cfg": "n = 4\ntrials = many\n"},
+     1, "error: config key 'trials': invalid value 'many'"),
+    (["run", "--n", "4", "--trials", "5", "--override", "{d}/k.txt"],
+     {"k.txt": "k -1 0 zero 1\n"}, 1,
+     "error: override line 1: non-integer field"),
+    (["run", "--topology", "{d}/t.txt", "--trials", "5"],
+     {"t.txt": "nodes 3\nm 2\nsource 0\nsinks 2\nedge 0 1\nedge 1 2\n"}, 1,
+     "error: multicast validation failed: sinks (2,) have max-flow below "
+     "m=2"),
+    (["gen", "comb", "--m", "2"], {}, 1, "error: gen comb needs --n\n"),
+    (["trace", "--n", "4"], {}, 1,
+     "error: trace needs --override SCRIPT"),
+    (["bounds", "--m", "2", "--q", "3"], {}, 1, "error: bounds needs --n\n"),
+    (["gen", "fig1", "--out", "{d}/file/out"], {"file": ""}, 2,
+     "I/O error: [Errno 20] Not a directory"),
+    (["run", "--n", "4", "--trials", "5", "--no-verify",
+      "--out", "{d}/file/out"], {"file": ""}, 2,
+     "I/O error: [Errno 17] File exists"),
+], ids=["config-no-equals", "config-value", "override-field", "max-flow",
+        "gen-comb-no-n", "trace-no-override", "bounds-no-n", "fig1-dir",
+        "run-write"])
+def test_bad_input_exits_with_its_message(tmp_path, capsys, argv, files, rc,
+                                          message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == rc
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_compare_rejects_cyclic_topology_before_any_output(tmp_path, capsys):
@@ -397,23 +464,6 @@ def test_override_the_trial_never_draws_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--tol", "0"], ["run", "--tol", "nan"],
-    ["compare", "--tol", "-1"]], ids=["run0", "runnan", "compare-1"])
-def test_campaign_rejects_bad_tol_before_any_work(tmp_path, monkeypatch,
-                                                  capsys, argv):
-    def fail(*args, **kwargs):
-        raise AssertionError("campaign started")
-
-    monkeypatch.setattr(harness, "collect_campaign", fail)
-    monkeypatch.setattr(harness, "sink_success_fractions", fail)
-    outdir = tmp_path / "out"
-    assert run_cli(*argv, "--n", "4", "--m", "2", "--trials", "5",
-                   "--out", str(outdir)) == 1
-    assert "error: --tol must be positive" in capsys.readouterr().err
-    assert not outdir.exists()
-
-
 @pytest.mark.parametrize("flags, message", [
     (["--q", "6"], "6 is neither prime nor a power of 2"),
     (["--max-rounds", "0"], "--max-rounds must be >= 1")],
@@ -440,10 +490,9 @@ def test_bad_field_and_max_rounds_fail_before_the_topology_loads(
     (["--q", "6"], "6 is neither prime nor a power of 2"),
     (["--q", "-3"], "field order -3 out of supported range"),
     (["--t-max", "-1"], "--t-max must be >= 0"),
-    (["--tol", "nan"], "tol must be positive"),
     (["--m", "-1"], "need 1 <= m <= n, got n=4, m=-1"),
     (["--n", "-2", "--m", "-3"], "need 1 <= m <= n, got n=-2, m=-3"),
-], ids=["q1", "q6", "q-3", "tmax-1", "tolnan", "m-1", "n-2m-3"])
+], ids=["q1", "q6", "q-3", "tmax-1", "m-1", "n-2m-3"])
 def test_bounds_rejects_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "bounds.csv"
     assert run_cli("bounds", "--n", "4", "--m", "2", "--q", "2", *flags,

@@ -1,9 +1,11 @@
 """Network model: generators, file format, flows and the eta count."""
 
 import math
+import re
 
 import pytest
 
+from arcnc.harness import main
 from arcnc.rng import SplitMix64
 from arcnc.topology import (Topology, TopologyError, _max_flow, coding_nodes,
                             combination_network, disjoint_paths, eta,
@@ -154,6 +156,37 @@ def test_topology_validation():
         Topology(num_nodes=2, edges=((0, 1),), source=0, sinks=(1,), m=0)
     with pytest.raises(TopologyError, match="no sinks"):
         Topology(num_nodes=2, edges=((0, 1),), source=0, sinks=(), m=1)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("nodes 3\nm 1\nsource 3\nsinks 2\nedge 0 2\n",
+     "source id 3 out of range"),
+    ("nodes 3\nm 1\nsource 0\nsinks 3\nedge 0 2\n", "sink id 3 out of range"),
+    ("nodes 3\nm 1\nsource 0\nsinks 0\nedge 0 2\n",
+     "a sink cannot equal the source"),
+    ("nodes 3\nm 1\nsource 0\nsinks 2 2\nedge 0 2\n", "duplicate sink ids"),
+    (lambda: random_layered_dag(SplitMix64(0), layers=0, width=3),
+     "need layers >= 1 and width >= 1"),
+    (lambda: random_layered_dag(SplitMix64(0), layers=2, width=0),
+     "need layers >= 1 and width >= 1"),
+    (lambda: disjoint_paths(Topology(3, ((0, 1), (1, 2)), 0, (2,), 2)),
+     "sink 2 has max-flow 1 < m=2; no disjoint paths"),
+], ids=["source", "sink", "sink-is-source", "duplicate-sinks", "layers0",
+        "width0", "disjoint-paths"])
+def test_bad_topology_rejected_with_its_message(tmp_path, capsys, source,
+                                                message):
+    if callable(source):       # library calls that no subcommand makes
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            source()
+        return
+    path = tmp_path / "topo.txt"
+    path.write_text(source)
+    out = tmp_path / "out"
+    assert main(["run", "--topology", str(path), "--trials", "5",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}\n" == captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_topology_hashable_and_adjacency():
