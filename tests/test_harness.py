@@ -325,8 +325,6 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     ["gen", "comb", "--n", "4", "--m", "2", "--override", "k.txt"],
     ["gen", "comb", "--n", "4", "--m", "2", "--tol", "0.1"],
     ["trace", "--n", "4", "--m", "2", "--tol", "0.1"],
-    ["run", "--n", "4", "--m", "2", "--trials", "5", "--tol", "0"],
-    ["compare", "--n", "4", "--m", "2", "--trials", "5", "--tol", "-1"],
     ["bounds", "--n", "4", "--m", "2", "--tol", "nan"],
     ["compare", "--n", "4", "--m", "2", "--trials", "5", "--mode", "arcnc"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
@@ -335,6 +333,24 @@ def test_subcommand_rejects_options_it_does_not_read(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--tol", "0"], ["run", "--tol", "nan"],
+    ["compare", "--tol", "-1"]], ids=["run0", "runnan", "compare-1"])
+def test_campaign_rejects_bad_tol_before_any_work(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    # run and compare take no --tol: exact_ET runs at its own default
+    def fail(*args, **kwargs):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr(harness, "collect_campaign", fail)
+    monkeypatch.setattr(harness, "sink_success_fractions", fail)
+    outdir = tmp_path / "out"
+    assert run_cli(*argv, "--n", "4", "--m", "2", "--trials", "5",
+                   "--out", str(outdir)) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("argv, files, rc, message", [
