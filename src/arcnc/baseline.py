@@ -123,20 +123,17 @@ def curve_rows(topo: Topology, q: int, fracs: dict):
     """Rows `q,sink,success_fraction,ho_bound` for one field size.
 
     fracs maps sink -> success fraction.  ho_bound is the per-sink analytic
-    lower bound (d = 1, per-sink link count eta); "N/A" where inapplicable
-    (q <= d).
+    lower bound (d = 1, per-sink link count eta), which applies at every
+    field size: q > d.
     """
-    from .analysis import BoundNotApplicable, ho_bound
+    from .analysis import ho_bound
 
     bounds = {}                        # eta -> ho_bound, once per eta
     rows = []
     for r in topo.sinks:
         e = eta(topo, r)
         if e not in bounds:
-            try:
-                bounds[e] = float(ho_bound(1, q, e, 0))
-            except BoundNotApplicable:
-                bounds[e] = "N/A"
+            bounds[e] = float(ho_bound(1, q, e, 0))
         rows.append({"q": q, "sink": r, "success_fraction": fracs[r],
                      "ho_bound": bounds[e]})
     return rows

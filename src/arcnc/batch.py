@@ -12,9 +12,12 @@ draw is `mix64(state)` after the state advances by the SplitMix64 gamma,
 and its value the draw mod q, as `SplitMix64.randint(q)` returns it.
 Only the running trials' states and draw masks are gathered, and a lean
 block advances a state past the x_t draws it never reads, so every
-trial consumes exactly `run_trial`'s draws, in its order.  Overrides,
-and a cycle's zeros at t = 0, are a script of draw indices and values,
-masked out of the draws.
+trial consumes exactly `run_trial`'s draws, in its order.  The draws a
+config scripts (its overrides and a cycle's zeros at t = 0) come from
+`engine._script`, as `run_trial`'s do; a step's are an array of draw
+indices and one of values, masked out of the draws.  A lean block's
+source headers are the source's draws, gathered through `src_conv`'s
+draw indices.
 
 Arithmetic.  `array_field(q)` does F_q on integer arrays, in the
 narrowest integer type that holds its products and short sums
@@ -77,7 +80,7 @@ from operator import itemgetter
 import numpy as np
 
 from .engine import (EngineError, OverrideError, TrialBlock, _edge_name,
-                     _topo_static)
+                     _script, _topo_static)
 from .gf import DEFAULT_MODULI, field_new
 from .rng import _GAMMA, _MASK, mix64
 
@@ -224,26 +227,20 @@ def _block_static(topo):
     cycle of relays alone, and pads each sink's input roots, in input
     order, to c_max.
     """
-    (acyclic, inputs, coding, relay_edges, propagate, eligible0, neighbors,
+    (acyclic, inputs, (draws, index), relay_edges, propagate, _, neighbors,
      downstream, coding_out) = _topo_static(topo)
     m = topo.m
     root = {eout: i for i, (_, eout) in enumerate(propagate)}
     R = len(propagate)
     for eout, r in relay_edges:
         root[eout] = root.get(r, R)
-    pairs = [(ein, eout) for eout, _, ins in coding for ein in ins]
-    pair = {p: i for i, p in enumerate(pairs)}     # draw index
-    heads = [head for _, head, ins in coding for _ in ins]
-    # The source's pairs are consecutive in draw order, out-edge by
-    # out-edge, inputs -1..-m: its headers are the drawn values themselves.
     src_out = topo.out_edges(topo.source)
-    src_first = pair[(-1, src_out[0])] if src_out else 0
 
     def convolution(outs, ins, in_roots):
         """(out-edge roots, draw index of each (out-edge, input) pair,
         input roots) of one node."""
         return (np.array([root[e] for e in outs], dtype=np.intp),
-                np.array([[pair[(ein, e)] for ein in ins] for e in outs],
+                np.array([[index[ein, e] for ein in ins] for e in outs],
                          dtype=np.intp).reshape(len(outs), len(ins)),
                 np.array(in_roots, dtype=np.intp))
 
@@ -253,7 +250,8 @@ def _block_static(topo):
             if v != topo.source and inputs[v]]
     # In a verified block rows R+1 .. R+m of the header array are the
     # virtual inputs, which carry x_t, and the source's out-edges convolve
-    # them like any other node's inputs.
+    # them like any other node's inputs; in a lean block their headers are
+    # the source's draws themselves.
     src_conv = [convolution(src_out, inputs[topo.source],
                             [R - ein for ein in inputs[topo.source]])
                 ] if src_out else []
@@ -270,6 +268,7 @@ def _block_static(topo):
     # `heads` gives each draw's head node as its row in the lockstep's node
     # array, where the other nodes' rows come first, then the sinks'
     row = dict(zip(others + sinks, range(topo.num_nodes)))
+    heads = [row[head] for *_, head in draws]
     # 1 where the sink is downstream of the node, in float64, so that one
     # matrix product counts a step's waiting sinks downstream of each node
     reach = np.array([[r in downstream[v] for r in sinks] for v in others],
@@ -279,14 +278,10 @@ def _block_static(topo):
     near = np.array([[v] + sorted(neighbors[v]) + [v] * (width - 1 - len(
         neighbors[v])) for v in range(topo.num_nodes)], dtype=np.intp)
     return dict(
-        # a step's passes past the first (cyclic, `run_trial`'s |E| + 1),
-        # the pairs in draw order, and those that draw nothing at t = 0
-        passes=0 if acyclic else topo.num_edges, pairs=pairs,
-        off0=[i for i, p in enumerate(pairs)
-              if eligible0 is not None and p not in eligible0],
-        R=R, heads=np.array([row[v] for v in heads], dtype=np.intp),
-        src_roots=np.array([root[e] for e in src_out], dtype=np.intp),
-        src_first=src_first, conv=conv, src_conv=src_conv, c_max=c_max,
+        # a step's passes past the first (cyclic, `run_trial`'s |E| + 1)
+        passes=0 if acyclic else topo.num_edges,
+        R=R, heads=np.array(heads, dtype=np.intp),
+        conv=conv, src_conv=src_conv, c_max=c_max,
         in_roots=in_roots, checked=list(checked.values()),
         checked_roots=np.array(list(checked), dtype=np.intp),
         in_deg=np.array([len(r) for r in ins], dtype=np.intp),
@@ -650,8 +645,6 @@ def _lockstep(config, st, start: int, state):
     never = config.max_rounds          # run_trial's ACK time of a node that
                                        # never ACKs
     heads, c, R = st["heads"], st["c_max"], st["R"]
-    src_roots, src_first = st["src_roots"], st["src_first"]
-    n_src = len(src_roots) * m
     conv = st["src_conv"] + st["conv"] if verified else st["conv"]
     S = len(st["sinks"])
     T = np.full((S, B), never, dtype=np.int64)     # the sinks' ACK times
@@ -685,16 +678,11 @@ def _lockstep(config, st, start: int, state):
     horizon = np.full(B, -1, dtype=np.int64)
     running = np.ones(B, dtype=bool)   # trials with a sink still waiting
     live = running                     # and, verified, trials in their tail
-    # scripted draws, t -> (draw indices, values): the overrides, and on a
-    # cycle a 0 at t = 0 for each pair off the sinks' disjoint paths
-    script = {0: dict.fromkeys(st["off0"], 0)} if st["off0"] else {}
-    for (ein, eout, s), val in (config.overrides or {}).items():
-        script.setdefault(s, {})[st["pairs"].index((ein, eout))] = val
+    # `engine._script`'s draws, t -> (draw indices, values)
+    script, last = _script(config)
     script = {s: (np.array(list(sc), dtype=np.intp),
                   np.array(list(sc.values()), dtype=np.uint64)[:, None])
               for s, sc in script.items()}
-    last = max((s for *_, s in config.overrides or ()), default=-1) \
-        if config.strict_overrides else -1
     t = 0
     while True:
         if t and B > 1 and rank.full(m):   # no room for another step
@@ -715,7 +703,7 @@ def _lockstep(config, st, start: int, state):
             would = draw[at]
             draw[at] = False
         if t <= last and draw.any():
-            ein, eout = st["pairs"][draw.any(axis=1).argmax()]
+            ein, eout, _ = _topo_static(topo)[2][0][draw.any(axis=1).argmax()]
             raise OverrideError(f"override script missing k({_edge_name(ein)}"
                                 f"->{_edge_name(eout)}, t={t})")
         # each pair's state at its draw, the draws counted so far
@@ -734,8 +722,8 @@ def _lockstep(config, st, start: int, state):
                 j = np.arange(m)
                 f[R + 1 + j, j] = 1
         else:
-            f[src_roots] = k[src_first:src_first + n_src].reshape(
-                len(src_roots), m, B)
+            for routs, at_src, _ in st["src_conv"]:
+                f[routs] = k.take(at_src, axis=0)
         if hist:
             khist.at(t)[:] = k
             _settle(fld, conv, khist.a, fhist.a, t, st["passes"], live, start)

@@ -14,9 +14,12 @@ source symbols x_t (component index ascending), then one coefficient per
 coding adjacent pair whose kernel is not frozen: nodes in ascending id
 order, out-edges ascending, inputs ascending (the source is a coding node
 over its virtual inputs -1..-m, in that order; relays draw nothing).
-`_topo_static`'s `coding` lists the pairs in this order.  On a cyclic
-network step 0 draws only for the pairs along the sinks' edge-disjoint
-paths; the others take 0 without a draw.  A one-shot RLNC trial is step 0
+`_topo_static`'s `draws` lists the pairs in this order; a pair's draw
+index is its position there.  On a cyclic network step 0 draws only for
+the pairs along the sinks' edge-disjoint paths; the others, `zero0`, take
+0 without a draw.  Those zeros and the overrides are a config's script,
+which `_script` resolves and checks once for both engines: a scripted
+pair takes its value instead of a draw.  A one-shot RLNC trial is step 0
 without x_0: coding pair p takes the trial's draw p + 1.
 
 Conventions:
@@ -132,21 +135,7 @@ class SimConfig:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.overrides:
-            _, _, coding, _, _, eligible0, *_ = _topo_static(self.topology)
-            drawn = {(ein, eout) for eout, _, ins in coding for ein in ins}
-            for (ein, eout, t), v in self.overrides.items():
-                name = f"override k({_edge_name(ein)}->{_edge_name(eout)}, t={t})"
-                if t < 0 or not (0 <= v < self.field.q):
-                    raise OverrideError(f"{name} = {v} invalid")
-                # only a coding node's own input/out-edge pairs draw, and a
-                # cyclic network draws at t=0 only along disjoint paths
-                if (ein, eout) not in drawn:
-                    raise OverrideError(
-                        f"{name}: no coding node draws this coefficient")
-                if t == 0 and eligible0 is not None \
-                        and (ein, eout) not in eligible0:
-                    raise OverrideError(
-                        f"{name}: this cyclic network draws it only from t=1")
+            _script(self)
 
 
 @dataclass
@@ -224,18 +213,20 @@ def _edge_name(eid: int) -> str:
 def _topo_static(topo: Topology):
     """Per-topology constants shared by every trial.
 
-    Returns (acyclic, inputs, coding, relay_edges, propagate, eligible0,
-    neighbors, downstream, coding_out) where
+    Returns (acyclic, inputs, (draws, index), relay_edges, propagate,
+    zero0, neighbors, downstream, coding_out) where
       * inputs maps node -> input edge ids (virtual -1..-m for the source),
-      * coding lists (out-edge, head node, inputs) of every non-relay
-        node in ascending node id order, the kernel draw order,
+      * draws lists (input, out-edge, head node) of every coding pair in
+        the kernel draw order (module docstring), and index maps (input,
+        out-edge) -> its draw index, its position in draws,
       * relay_edges lists (out-edge, root) of every relay, its root as
         the module docstring defines it,
       * propagate lists the (node, out-edge) pairs of the non-relay nodes
         whose histories a step computes, in topological order when
         acyclic, else the source first and the rest in node order,
-      * eligible0 is the t=0 random-draw eligibility set for cyclic
-        networks (None when acyclic),
+      * zero0 is the set of draw indices that take 0 without a draw at
+        t = 0, those off the sinks' disjoint paths on a cyclic network;
+        empty on a DAG,
       * neighbors maps node -> adjacent node set,
       * downstream maps node -> the sinks reachable from it,
       * coding_out lists the edges whose code length is averaged.
@@ -254,9 +245,10 @@ def _topo_static(topo: Topology):
             inputs[v] = list(ins)
             if len(ins) == 1:
                 relays.add(v)
-    coding = [(eout, topo.head(eout), inputs[v])
-              for v in range(topo.num_nodes) if v not in relays
-              for eout in topo.out_edges(v)]
+    draws = [(ein, eout, topo.head(eout))
+             for v in range(topo.num_nodes) if v not in relays
+             for eout in topo.out_edges(v) for ein in inputs[v]]
+    index = {(ein, eout): i for i, (ein, eout, _) in enumerate(draws)}
 
     def root(e):
         chain = []
@@ -269,15 +261,15 @@ def _topo_static(topo: Topology):
                    for eout in topo.out_edges(v)]
     propagate = [(v, eout) for v in order if v not in relays
                  for eout in topo.out_edges(v)]
-    eligible0 = None
+    zero0 = frozenset()
     if not acyclic:
-        eligible0 = set()
+        on_paths = set()
         for paths in disjoint_paths(topo).values():
             for p in paths:
-                for j in range(m):
-                    eligible0.add((-(j + 1), p[0]))
-                for a, b in zip(p, p[1:]):
-                    eligible0.add((a, b))
+                on_paths.update((-1 - j, p[0]) for j in range(m))
+                on_paths.update(zip(p, p[1:]))
+        zero0 = frozenset(i for pair, i in index.items()
+                          if pair not in on_paths)
     neighbors = {}
     for v in range(topo.num_nodes):
         neigh = {topo.head(e) for e in topo.out_edges(v)}
@@ -295,8 +287,35 @@ def _topo_static(topo: Topology):
     coding_out = [e for e in range(topo.num_edges)
                   if topo.tail(e) not in relays
                   and topo.tail(e) not in sink_set]
-    return (acyclic, inputs, coding, relay_edges, propagate, eligible0,
+    return (acyclic, inputs, (draws, index), relay_edges, propagate, zero0,
             neighbors, downstream, coding_out)
+
+
+def _script(config: SimConfig):
+    """The draws `config` scripts instead of drawing, ({t: {draw index:
+    value}}, the last step a strict script covers, else -1): its
+    overrides, each checked, and on a cyclic network the 0 of each pair
+    off the sinks' disjoint paths at t = 0.  Both engines read it."""
+    _, _, (_, index), _, _, zero0, *_ = _topo_static(config.topology)
+    script = {0: dict.fromkeys(zero0, 0)} if zero0 else {}
+    overrides = config.overrides or {}
+    for (ein, eout, t), v in overrides.items():
+        name = f"override k({_edge_name(ein)}->{_edge_name(eout)}, t={t})"
+        if t < 0 or not (0 <= v < config.field.q):
+            raise OverrideError(f"{name} = {v} invalid")
+        # only a coding node's own input/out-edge pairs draw, and a
+        # cyclic network draws at t=0 only along disjoint paths
+        i = index.get((ein, eout))
+        if i is None:
+            raise OverrideError(
+                f"{name}: no coding node draws this coefficient")
+        if t == 0 and i in zero0:
+            raise OverrideError(
+                f"{name}: this cyclic network draws it only from t=1")
+        script.setdefault(t, {})[i] = v
+    last = max((t for *_, t in overrides), default=-1) \
+        if config.strict_overrides else -1
+    return script, last
 
 
 def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
@@ -304,17 +323,15 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     fld = config.field
     m, q = topo.m, fld.q
     rng = trial_rng(config.base_seed, trial_index)
-    (acyclic, inputs, coding, relay_edges, propagate, eligible0, neighbors,
+    (acyclic, inputs, (draws, index), relay_edges, propagate, _, neighbors,
      downstream, coding_out) = _topo_static(topo)
+    script, strict_max = _script(config)
     sinks = set(topo.sinks)
     trace = [] if config.trace else None
     # Symbol streams are read only by decoding and header verification.
     keep_symbols = config.verify_decode or config.trace
 
-    kernels = {(ein, eout): [] for eout, _, ins in coding for ein in ins}
-    overrides = dict(config.overrides) if config.overrides else {}
-    strict_max = max((t for (_, _, t) in overrides), default=-1) \
-        if config.strict_overrides else -1
+    kernels = {pair: [] for pair in index}
 
     # One history per edge: entry t is f_{e,t}, then y_{e,t} if symbols
     # are kept.  Virtual input -1-j sits at hist[-1-j], counted from the
@@ -334,26 +351,22 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialResult:
     ack_time = {}                            # node -> step at which it ACKed
 
     def draw_coefficients(t):
-        for eout, head, ins in coding:
+        scripted = script.get(t, {})
+        for i, (ein, eout, head) in enumerate(draws):
             if ack_time.get(head, t) < t:
                 continue                     # a frozen kernel stops growing
-            for ein in ins:
-                if t == 0 and eligible0 is not None and (ein, eout) not in eligible0:
-                    kernels[(ein, eout)].append(0)
-                    continue
-                key = (ein, eout, t)
-                if key in overrides:
-                    val = overrides[key]
-                elif t <= strict_max:
-                    raise OverrideError(
-                        f"override script missing k({_edge_name(ein)}->"
-                        f"{_edge_name(eout)}, t={t})")
-                else:
-                    val = rng.randint(q)
-                kernels[(ein, eout)].append(val)
-                if trace is not None and val:
-                    trace.append(f"  k({_edge_name(ein)}->"
-                                 f"{_edge_name(eout)}, t={t}) = {val}")
+            if i in scripted:
+                val = scripted[i]
+            elif t <= strict_max:
+                raise OverrideError(
+                    f"override script missing k({_edge_name(ein)}->"
+                    f"{_edge_name(eout)}, t={t})")
+            else:
+                val = rng.randint(q)
+            kernels[ein, eout].append(val)
+            if trace is not None and val:
+                trace.append(f"  k({_edge_name(ein)}->"
+                             f"{_edge_name(eout)}, t={t}) = {val}")
 
     def conv_edge(v, eout, t):
         """Entry t of edge eout: the local kernels convolved with the input

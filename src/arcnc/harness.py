@@ -309,8 +309,7 @@ def cmd_run(args) -> int:
         for row in curve_rows(topo, args.q, fracs):
             writer.writerow([row["q"], row["sink"],
                              f"{row['success_fraction']:.10g}",
-                             row["ho_bound"] if row["ho_bound"] == "N/A"
-                             else f"{row['ho_bound']:.10g}"])
+                             f"{row['ho_bound']:.10g}"])
         files["rlnc_curve.csv"] = buf.getvalue()
         summary_doc["rlnc"] = {
             "per_sink_success": {str(r): v for r, v in sorted(fracs.items())},

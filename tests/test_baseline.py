@@ -81,7 +81,7 @@ def test_rlnc_trial_determinism():
     assert a.memory_bits_per_node == 2 * 2   # m * log2(q)
 
 
-def test_success_curve_rows_and_na_cells():
+def test_success_curve_rows():
     topo = combination_network(4, 2)
     rows = []
     for q in (2, 8):

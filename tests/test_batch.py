@@ -808,6 +808,28 @@ def test_strict_script_missing_a_coefficient_raises_in_both_engines(verify):
 
 
 @pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
+@pytest.mark.parametrize("topo, key, why", [
+    (combination_network(4, 2), (0, 4, 0),
+     "no coding node draws this coefficient"),
+    (two_node_cycle_network(), (0, 2, 0),
+     "this cyclic network draws it only from t=1")], ids=["comb42", "cycle"])
+def test_override_added_to_a_built_config_raises_in_both_engines(
+        topo, key, why, verify):
+    # Both engines read the script that `engine._script` resolves and
+    # checks, so an override put into a config after it is built fails in
+    # each as SimConfig fails it: e4 leaves a relay, which draws nothing,
+    # and the cycle draws e0->e2 only from t=1.
+    with pytest.raises(OverrideError, match=why) as built:
+        SimConfig(topology=topo, field=F2, overrides={key: 1})
+    cfg = SimConfig(topology=topo, field=F2, overrides={},
+                    verify_decode=verify, verify_headers=verify)
+    cfg.overrides[key] = 1
+    want = (OverrideError, str(built.value))
+    assert _outcome(lambda: run_trial(cfg, 0)) == want
+    assert _outcome(lambda: batch.run_block(cfg, 0, 4)) == want
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["lean", "verified"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_non_nilpotent_coupling_raises_on_the_same_trials(q, verify,
                                                           monkeypatch):
@@ -817,7 +839,7 @@ def test_non_nilpotent_coupling_raises_on_the_same_trials(q, verify,
     static = engine._topo_static
 
     def all_pairs_at_t0(topo):
-        return static(topo)[:5] + (None,) + static(topo)[6:]
+        return static(topo)[:5] + (frozenset(),) + static(topo)[6:]
 
     monkeypatch.setattr(engine, "_topo_static", all_pairs_at_t0)
     monkeypatch.setattr(batch, "_topo_static", all_pairs_at_t0)

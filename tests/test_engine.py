@@ -487,7 +487,7 @@ def test_cyclic_fixed_point_failure_raises(monkeypatch):
     static = engine._topo_static
 
     def all_pairs_at_t0(topo):
-        return static(topo)[:5] + (None,) + static(topo)[6:]
+        return static(topo)[:5] + (frozenset(),) + static(topo)[6:]
 
     monkeypatch.setattr(engine, "_topo_static", all_pairs_at_t0)
     for mode in ("lean", "verified"):
@@ -750,6 +750,34 @@ def test_changed_symbol_in_the_stopping_rule_fails_the_decode(monkeypatch, q):
     cfg = SimConfig(topology=topo, field=fld, base_seed=5)
     with pytest.raises(EngineError, match=rf"sink {topo.sinks[0]}: "
                        r"(received streams inconsistent|decode failure)"):
+        run_trial(cfg, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_changed_symbol_of_a_dependent_equation_is_inconsistent(monkeypatch,
+                                                                q):
+    # Sink 34 reads 33 relays of the source at m = 2, so its last input's
+    # equation at t = 0 is a combination of the other 32.  Changing that
+    # input's y_0 leaves a row reading 0 = y != 0 in the stopping rule's
+    # expansion, which the decode reports as inconsistent streams.
+    extend = ToeplitzExpansion.extend
+    fld = field_new(q)
+    first = []                  # the first expansion extended: sink 34's
+
+    def change_last_y0(self, F_t, y_t=None):
+        if not first:
+            first.append(self)
+        if self is first[0] and self.t == -1:
+            y_t = [*y_t[:-1], fld.add(y_t[-1], 1)]
+        return extend(self, F_t, y_t)
+
+    monkeypatch.setattr(ToeplitzExpansion, "extend", change_last_y0)
+    topo = Topology(36, tuple((0, i) for i in range(1, 34))
+                    + tuple((i, 34) for i in range(1, 34))
+                    + ((1, 35), (2, 35)), source=0, sinks=(34, 35), m=2)
+    cfg = SimConfig(topology=topo, field=fld, base_seed=5)
+    with pytest.raises(EngineError, match="sink 34: received streams "
+                       "inconsistent with the kernels"):
         run_trial(cfg, 0)
 
 
